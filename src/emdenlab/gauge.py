@@ -14,7 +14,8 @@ through such a transform yields another system of the same five-slot shape
   time-dependent rate multiplying a frozen field (``reduce_via_particular_solution``),
 * the classical Kummer-Liouville substitution plus a clock change brings the
   damped linear part to canonical form  d2x'/dtau2 = F(tau) x'^n
-  (``kummer_liouville``),
+  (``kummer_liouville``); the scale, the damping integral and the clock are
+  components of one ODE run, read from its dense output,
 * any one-signed rate can then be absorbed into the clock (``reparametrize``).
 
 Everything is checked numerically: ``verify_pushforward`` integrates both
@@ -71,13 +72,10 @@ class ReductionError(ValueError):
 def _auto_deriv(fn: TimeFn, scale: float = 1.0) -> TimeFn:
     """Best available derivative of a time function.
 
-    Exact for PowerFn and for antiderivatives (whose derivative is the
-    integrand); central finite differences otherwise.
+    Exact for PowerFn; central finite differences otherwise.
     """
     if isinstance(fn, PowerFn):
         return fn.deriv()
-    if isinstance(fn, AntiderivativeFn):
-        return fn.integrand
     if fn is ZERO_FN:
         return ZERO_FN
     return nderiv(fn, scale=scale)
@@ -178,8 +176,7 @@ class GaugeTransform:
     alpha=None means the shear term is exactly absent (not merely zero at
     the sampled points); several pushforward formulas simplify exactly in
     that case.  Derivatives may be supplied; missing ones fall back to
-    finite differences, except PowerFn and antiderivative inputs, which
-    differentiate exactly.
+    finite differences, except PowerFn inputs, which differentiate exactly.
 
     beta and gamma must stay positive on any interval the transform is
     used on; ``validate_on`` enforces that by sampling.
@@ -598,14 +595,15 @@ class KummerLiouvilleReduction:
     On t in [t0, t_end]:  x = gamma x',  tau = integral of beta/gamma,
     and in the new variables  d2x'/dtau2 = coefficient(t(tau)) x'^n.
     gamma solves the associated linear equation; beta is fixed by the
-    damping integral, normalized to 1/gamma(t0) at t0.
+    damping integral, normalized to 1/gamma(t0) at t0.  Every function here
+    reads one dense trajectory of (gamma, gamma', int p, tau).
     """
 
     gamma: TimeFn
     dgamma: TimeFn
     beta: TimeFn
     dbeta: TimeFn
-    tau: AntiderivativeFn
+    tau: TimeFn
     coefficient: TimeFn
     gauge: GaugeTransform
     t0: float
@@ -639,9 +637,14 @@ def kummer_liouville(
     """Canonical form of x'' = -p x' - q x + r x^n via scale and clock.
 
     The scale gamma solves gamma'' = -q gamma - p gamma' from gamma_init at
-    t0 (numerically, with dense output); beta = exp(-int p)/gamma; the new
-    clock is tau = int beta/gamma.  If gamma crosses zero inside the window
-    the result is truncated just before the crossing and flagged.
+    t0; beta = exp(-P)/gamma with P = int p, and the new clock is
+    tau = int beta/gamma, so tau' = exp(-P)/gamma^2.  (gamma, gamma', P, tau)
+    are integrated as one system and read from its dense output.
+
+    If gamma crosses zero inside the window the result is truncated just
+    before the crossing and flagged.  The crossing is found on the mesh of
+    the linear (gamma, gamma') run and bisected on that step's interpolant:
+    tau' blows up as gamma -> 0, so the full system cannot reach it.
     """
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
@@ -659,41 +662,38 @@ def kummer_liouville(
     else:
         lin_rhs = lambda t, y: (y[1], -q(t) * y[0] - p(t) * y[1])
 
-    traj = integrate(lin_rhs, t0, (g0, dg0), t_end, cfg)
-
-    # scan for a zero crossing of gamma; truncate just before it
+    linear = integrate(lin_rhs, t0, (g0, dg0), t_end, cfg)
     truncated = False
     end = t_end
-    grid = np.linspace(t0, t_end, 512)
-    prev_t, prev_g = t0, g0
-    for t in grid[1:]:
-        gval = traj(float(t))[0]
-        if gval <= 0.0:
-            lo, hi = prev_t, float(t)
-            for _ in range(80):  # bisect the crossing
-                mid = 0.5 * (lo + hi)
-                if traj(mid)[0] > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            end = lo * (1.0 - 1e-9) if lo > 0 else lo - 1e-12 * (t_end - t0)
-            truncated = True
-            break
-        prev_t, prev_g = float(t), gval
+    below = np.flatnonzero(linear.y[:, 0] <= 0.0)
+    if below.size:
+        i = int(below[0])  # >= 1, since gamma(t0) > 0
+        lo, hi = float(linear.t[i - 1]), float(linear.t[i])
+        for _ in range(80):  # bisect the crossing within that step
+            mid = 0.5 * (lo + hi)
+            if linear(mid)[0] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        end = lo * (1.0 - 1e-9) if lo > 0 else lo - 1e-12 * (t_end - t0)
+        truncated = True
 
+    def rhs(t, y):
+        dg, ddg = lin_rhs(t, y)
+        return (dg, ddg, p(t), math.exp(-y[2]) / (y[0] * y[0]))
+
+    traj = integrate(rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
     gamma = lambda t: traj(t)[0]
     dgamma = lambda t: traj(t)[1]
-
-    int_p = AntiderivativeFn(p, t0, tol=1e-14)
+    tau = lambda t: traj(t)[3]
 
     def beta(t):
-        return math.exp(-int_p(t)) / gamma(t)
+        g, _, int_p, _ = traj(t)
+        return math.exp(-int_p) / g
 
     def dbeta(t):
-        g, dg = traj(t)
-        return -math.exp(-int_p(t)) / g * (p(t) + dg / g)
-
-    tau = AntiderivativeFn(lambda t: beta(t) / gamma(t), t0, tol=1e-14)
+        g, dg, int_p, _ = traj(t)
+        return -math.exp(-int_p) / g * (p(t) + dg / g)
 
     r, n = prob.r, prob.n
 

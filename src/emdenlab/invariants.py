@@ -21,7 +21,7 @@ import numpy as np
 
 from .exprlang import real_power
 from .gauge import EmdenProblem, reduce_via_particular_solution
-from .numerics import AntiderivativeFn, Trajectory, write_csv
+from .numerics import IntegratorConfig, Trajectory, integrate, write_csv
 from .timefn import ExactnessError, PowerFn, TimeFn, as_timefn
 
 __all__ = [
@@ -202,6 +202,10 @@ class ConditionedInvariant:
         return "\n".join(lines)
 
 
+# time integrals from the anchor ride as ODE components at these tolerances
+_INTEGRAL_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
 def _condition_report(
     label: str,
     cond: Callable[[float], float],
@@ -241,23 +245,25 @@ def rescaled_energy_invariant(
 ) -> ConditionedInvariant:
     """Exponentially rescaled energy, valid when b exp(-2 int a) is constant.
 
-    With A(t) the antiderivative of a from the anchor,
+    With A(t) the integral of a from the anchor, carried as an ODE component,
 
         I = exp(-2A) (v^2/2 - b(t) x^(n+1)/(n+1))
 
     is conserved exactly when b exp(-2A) = K.  The condition is sampled on
-    the interval; on failure the report carries the sampled values.
+    the interval, which must not start before the anchor; on failure the
+    report carries the sampled values.
     """
     a, b, n = prob.a, prob.b, prob.n
-    A = AntiderivativeFn(a, float(anchor), tol=1e-12)
+    A = integrate(lambda t, y: (a(t),), float(anchor), (0.0,), float(interval[1]),
+                  _INTEGRAL_CONFIG)
     pot = _power_potential(n)
 
     def cond(t: float) -> float:
-        return b(t) * math.exp(-2.0 * A(t))
+        return b(t) * math.exp(-2.0 * A(t)[0])
 
     def make_invariant(_constant: float) -> Invariant:
         def evaluator(t: float, x: float, v: float) -> float:
-            return math.exp(-2.0 * A(t)) * (v * v / 2.0 - b(t) * pot(x))
+            return math.exp(-2.0 * A(t)[0]) * (v * v / 2.0 - b(t) * pot(x))
 
         return Invariant(
             evaluator=evaluator,
@@ -279,8 +285,8 @@ def dilation_invariant(
 ) -> ConditionedInvariant:
     """Dilation-type invariant with a position-velocity cross term.
 
-    With A the antiderivative of a from the anchor and G the antiderivative
-    of exp(A) from the same anchor,
+    With A the integral of a from the anchor and G the integral of exp(A)
+    from the same anchor, carried together as two components of one ODE run,
 
         I = (v^2/2 - b(t) x^(n+1)/(n+1)) exp(-2A) G - (1/2) x v exp(-A)
 
@@ -296,23 +302,25 @@ def dilation_invariant(
             "(the inner antiderivative vanishes there)"
         )
     a, b, n = prob.a, prob.b, prob.n
-    A = AntiderivativeFn(a, float(anchor), tol=1e-12)
-    G = AntiderivativeFn(lambda t: math.exp(A(t)), float(anchor), tol=1e-12)
+    AG = integrate(lambda t, y: (a(t), math.exp(y[0])), float(anchor), (0.0, 0.0),
+                   float(interval[1]), _INTEGRAL_CONFIG)
     pot = _power_potential(n)
     degenerate = abs(n + 3.0) < 1e-12
     half_shift = (n + 3.0) / 2.0
 
     def cond(t: float) -> float:
-        base = b(t) * math.exp(-2.0 * A(t))
+        A, G = AG(t)
+        base = b(t) * math.exp(-2.0 * A)
         if degenerate:
             return base
-        return base * real_power(2.0 * G(t), half_shift)
+        return base * real_power(2.0 * G, half_shift)
 
     def make_invariant(_constant: float) -> Invariant:
         def evaluator(t: float, x: float, v: float) -> float:
-            eA = math.exp(-A(t))
+            A, G = AG(t)
+            eA = math.exp(-A)
             energy = v * v / 2.0 - b(t) * pot(x)
-            return energy * eA * eA * G(t) - 0.5 * x * v * eA
+            return energy * eA * eA * G - 0.5 * x * v * eA
 
         return Invariant(
             evaluator=evaluator,

@@ -1,4 +1,4 @@
-"""Adaptive ODE integration, adaptive quadrature and cached antiderivatives.
+"""Adaptive ODE integration with dense output, the package's integral primitive.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with the first-same-
 as-last optimization and a quartic dense-output interpolant, so trajectories
@@ -7,18 +7,19 @@ sequence.  Tableau entries are spelled as exact rationals; the test suite
 checks their internal consistency identities (stage sums, interpolant
 endpoint conditions) in exact arithmetic.
 
-Quadrature is 15-point Gauss-Legendre per panel with recursive bisection:
-a panel is accepted when its value agrees with the sum over its two halves
-within the share of the tolerance allotted to it.  Antiderivatives built on
-top cache every evaluated node, integrate from the nearest cached one, and
-track an error budget so the cached network never drifts past the requested
-tolerance.
+Time integrals are carried as extra components of the state: F' = f(t)
+rides along in the same run as the quantities it depends on, and its values
+come from the same dense output (Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-II.6).  The older primitives remain for the one clock still built on
+them: ``quad`` (15-point Gauss-Legendre panels refined by bisection),
+``AntiderivativeFn`` (cached chains of quad calls) and ``invert_monotone``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction as F
@@ -28,14 +29,18 @@ import numpy as np
 
 __all__ = [
     "IntegratorConfig", "Trajectory", "integrate",
-    "IntegrationError", "RhsError", "StepSizeUnderflowError",
+    "IntegrationError", "RhsError", "StepSizeUnderflowError", "StepEvaluationError",
     "quad", "QuadratureError", "AntiderivativeFn", "invert_monotone",
     "write_csv",
 ]
 
 
 class IntegrationError(RuntimeError):
-    pass
+    """A run could not finish; t_reached is where it stopped, when known."""
+
+    def __init__(self, message: str, t_reached: float | None = None):
+        super().__init__(message)
+        self.t_reached = t_reached
 
 
 class RhsError(IntegrationError):
@@ -45,9 +50,9 @@ class RhsError(IntegrationError):
 class StepSizeUnderflowError(IntegrationError):
     """The controller drove the step below resolution; t_reached says where."""
 
-    def __init__(self, message: str, t_reached: float):
-        super().__init__(message)
-        self.t_reached = t_reached
+
+class StepEvaluationError(IntegrationError):
+    """The right-hand side raised inside a step; t_reached is where it began."""
 
 
 class QuadratureError(RuntimeError):
@@ -106,6 +111,11 @@ class IntegratorConfig:
     first_step: float | None = None
     max_steps: int = 1_000_000
 
+    def __post_init__(self):
+        for key, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} = {value!r} must be finite and positive")
+
 
 @dataclass
 class Trajectory:
@@ -140,8 +150,7 @@ class Trajectory:
         if self.t[-1] >= self.t[0]:
             i = bisect.bisect_right(self._seg_t, t) - 1
         else:
-            keys = [-s for s in self._seg_t]
-            i = bisect.bisect_right(keys, -t) - 1
+            i = bisect.bisect_right(self._seg_t, -t, key=operator.neg) - 1
         i = min(max(i, 0), len(self._seg_t) - 1)
         th = (t - self._seg_t[i]) / self._seg_h[i]
         powers = np.array([th, th * th, th ** 3, th ** 4])
@@ -184,9 +193,11 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     """Integrate y' = rhs(t, y) from t0 to t_end, either direction.
 
     Raises RhsError when the right-hand side is not finite at the starting
-    point (a singular initial time), and StepSizeUnderflowError with the
+    point (a singular initial time), StepSizeUnderflowError with the
     reached time when the error controller cannot advance (typically a
-    finite-time blow-up inside the interval).
+    finite-time blow-up inside the interval), and StepEvaluationError with
+    the reached time when the right-hand side raises an ArithmeticError or
+    ValueError inside a step.
     """
     cfg = config or IntegratorConfig()
     t = float(t0)
@@ -207,63 +218,67 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
 
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
-    if cfg.first_step is not None:
-        h = min(abs(cfg.first_step), span)
-    else:
-        h = _initial_step(f, t, y, k0, direction, cfg.rel_tol, cfg.abs_tol, span)
-    h = min(h, cfg.max_step)
-
     K = np.empty((7, y.size))
     accepted = rejected = 0
-    while (t_end - t) * direction > 0:
-        h_min = max(10.0 * abs(np.nextafter(t, direction * math.inf) - t),
-                    5e-15 * span)
-        if h < h_min:
-            raise StepSizeUnderflowError(
-                f"step size underflow at t={t} (solution likely blows up here)",
-                t_reached=t)
-        if accepted + rejected >= cfg.max_steps:
-            raise IntegrationError(
-                f"exceeded {cfg.max_steps} steps at t={t}")
-
-        clipped = h >= abs(t_end - t)
-        h_use = abs(t_end - t) if clipped else h
-        hd = h_use * direction
-
-        K[0] = k0
-        bad = False
-        for i in range(1, 7):
-            yi = y + hd * (K[:i].T @ A_ARR[i])
-            K[i] = f(t + C_ARR[i] * hd, yi)
-            if not np.all(np.isfinite(K[i])):
-                bad = True
-                break
-        if not bad:
-            y_new = y + hd * (K[:6].T @ B_ARR[:6])
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms(hd * (K.T @ E_ARR) / scale)
-        if bad or not math.isfinite(err):
-            rejected += 1
-            h = h_use * _MIN_FACTOR
-            continue
-
-        if err <= 1.0:
-            t_new = t_end if clipped else t + hd
-            q = hd * (K.T @ P_ARR)
-            traj._seg_t.append(t)
-            traj._seg_h.append(t_new - t)
-            traj._seg_y.append(y.copy())
-            traj._seg_q.append(q)
-            ts.append(t_new)
-            ys.append(y_new.copy())
-            accepted += 1
-            t, y, k0 = t_new, y_new, K[6].copy()
-            factor = _MAX_FACTOR if err == 0 else min(
-                _MAX_FACTOR, _SAFETY * err ** _ORDER_EXP)
+    try:
+        if cfg.first_step is not None:
+            h = min(abs(cfg.first_step), span)
         else:
-            rejected += 1
-            factor = max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXP)
-        h = min(h_use * factor, cfg.max_step)
+            h = _initial_step(f, t, y, k0, direction, cfg.rel_tol, cfg.abs_tol, span)
+        h = min(h, cfg.max_step)
+        while (t_end - t) * direction > 0:
+            h_min = max(10.0 * abs(np.nextafter(t, direction * math.inf) - t),
+                        5e-15 * span)
+            if h < h_min:
+                raise StepSizeUnderflowError(
+                    f"step size underflow at t={t} (solution likely blows up here)",
+                    t_reached=t)
+            if accepted + rejected >= cfg.max_steps:
+                raise IntegrationError(
+                    f"exceeded {cfg.max_steps} steps at t={t}", t_reached=t)
+
+            clipped = h >= abs(t_end - t)
+            h_use = abs(t_end - t) if clipped else h
+            hd = h_use * direction
+
+            K[0] = k0
+            bad = False
+            for i in range(1, 7):
+                yi = y + hd * (K[:i].T @ A_ARR[i])
+                K[i] = f(t + C_ARR[i] * hd, yi)
+                if not np.all(np.isfinite(K[i])):
+                    bad = True
+                    break
+            if not bad:
+                y_new = y + hd * (K[:6].T @ B_ARR[:6])
+                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                err = _rms(hd * (K.T @ E_ARR) / scale)
+            if bad or not math.isfinite(err):
+                rejected += 1
+                h = h_use * _MIN_FACTOR
+                continue
+
+            if err <= 1.0:
+                t_new = t_end if clipped else t + hd
+                q = hd * (K.T @ P_ARR)
+                traj._seg_t.append(t)
+                traj._seg_h.append(t_new - t)
+                traj._seg_y.append(y.copy())
+                traj._seg_q.append(q)
+                ts.append(t_new)
+                ys.append(y_new.copy())
+                accepted += 1
+                t, y, k0 = t_new, y_new, K[6].copy()
+                factor = _MAX_FACTOR if err == 0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** _ORDER_EXP)
+            else:
+                rejected += 1
+                factor = max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXP)
+            h = min(h_use * factor, cfg.max_step)
+    except (ArithmeticError, ValueError) as exc:
+        raise StepEvaluationError(
+            f"right-hand side failed in the step from t={t}: {exc}",
+            t_reached=t) from exc
 
     traj.t = np.array(ts)
     traj.y = np.array(ys)
@@ -292,6 +307,26 @@ def _panel(f, a: float, b: float) -> float:
     return half * total
 
 
+def _refine(f, lo: float, hi: float, whole: float, depth: int,
+            tol: float, inv_len: float) -> float:
+    """Accept [lo, hi] against its two halves or recurse into them."""
+    mid = 0.5 * (lo + hi)
+    if mid == lo or mid == hi:
+        raise QuadratureError(
+            f"interval near t={mid} collapsed to machine resolution "
+            "without converging")
+    left = _panel(f, lo, mid)
+    right = _panel(f, mid, hi)
+    noise = _QUAD_NOISE * (abs(whole) + abs(left) + abs(right))
+    if abs(whole - left - right) <= max(tol * (hi - lo) * inv_len, noise):
+        return left + right
+    if depth >= _MAX_QUAD_DEPTH:
+        raise QuadratureError(
+            f"quadrature failed to converge on [{lo}, {hi}]")
+    return (_refine(f, lo, mid, left, depth + 1, tol, inv_len)
+            + _refine(f, mid, hi, right, depth + 1, tol, inv_len))
+
+
 def quad(f: Callable[[float], float], a: float, b: float,
          tol: float = 1e-12) -> float:
     """Integral of f over [a, b] with absolute error about tol.
@@ -305,26 +340,7 @@ def quad(f: Callable[[float], float], a: float, b: float,
     sign = 1.0
     if b < a:
         a, b, sign = b, a, -1.0
-    inv_len = 1.0 / (b - a)
-
-    def refine(lo: float, hi: float, whole: float, depth: int) -> float:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            raise QuadratureError(
-                f"interval near t={mid} collapsed to machine resolution "
-                "without converging")
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
-        noise = _QUAD_NOISE * (abs(whole) + abs(left) + abs(right))
-        if abs(whole - left - right) <= max(tol * (hi - lo) * inv_len, noise):
-            return left + right
-        if depth >= _MAX_QUAD_DEPTH:
-            raise QuadratureError(
-                f"quadrature failed to converge on [{lo}, {hi}]")
-        return (refine(lo, mid, left, depth + 1)
-                + refine(mid, hi, right, depth + 1))
-
-    return sign * refine(a, b, _panel(f, a, b), 0)
+    return sign * _refine(f, a, b, _panel(f, a, b), 0, tol, 1.0 / (b - a))
 
 
 class AntiderivativeFn:

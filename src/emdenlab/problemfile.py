@@ -14,12 +14,14 @@ One key per line, ``#`` starts a comment, order is free:
     abs_tol = 1e-12
 
 Coefficients are expression strings in the single variable t.  Files are
-validated eagerly: expressions must parse and bind, and the integration
-interval must stay clear of every declared singular point.
+validated eagerly: expressions must parse and bind, every number must be
+finite, tolerances must be positive, and the integration interval must stay
+clear of every declared singular point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
@@ -77,11 +79,16 @@ _COMMON_KEYS = (
 )
 
 
-def _parse_float(key: str, text: str) -> float:
+def _parse_float(key: str, text: str, positive: bool = False) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise SpecError(f"{key} = {text!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise SpecError(f"{key} = {text!r} is not finite")
+    if positive and value <= 0.0:
+        raise SpecError(f"{key} = {text!r} must be positive")
+    return value
 
 
 def _parse_float_list(key: str, text: str) -> Tuple[float, ...]:
@@ -196,8 +203,8 @@ def parse_spec(text: str) -> ProblemSpec:
             )
 
     initial = (_parse_float("x0", entries["x0"]), _parse_float("v0", entries["v0"]))
-    rel_tol = _parse_float("rel_tol", entries.get("rel_tol", "1e-10"))
-    abs_tol = _parse_float("abs_tol", entries.get("abs_tol", "1e-12"))
+    rel_tol = _parse_float("rel_tol", entries.get("rel_tol", "1e-10"), positive=True)
+    abs_tol = _parse_float("abs_tol", entries.get("abs_tol", "1e-12"), positive=True)
 
     return ProblemSpec(
         kind=kind,

@@ -1,14 +1,14 @@
 """Scalar functions of time: derivative helper and exact power-law forms.
 
 A "time function" anywhere in this package is just a callable float -> float.
-Parsed expressions (exprlang.compile_fn), plain lambdas, antiderivatives from
-the numerics module and the PowerFn class below all qualify.
+Parsed expressions (exprlang.compile_fn), plain lambdas, components read
+from a trajectory's dense output and the PowerFn class below all qualify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -134,24 +134,26 @@ class PowerFn:
     k: Scalarish
     m: Scalarish
     e: Scalarish
+    # float copies of the fields, made once for __call__
+    _floats: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", _coerce(self.c))
         object.__setattr__(self, "k", _coerce(self.k))
         object.__setattr__(self, "m", _coerce(self.m))
         object.__setattr__(self, "e", _coerce(self.e))
+        object.__setattr__(
+            self, "_floats", (float(self.c), float(self.k), float(self.m), float(self.e)))
 
     @property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in (self.c, self.k, self.m, self.e))
 
-    def base(self, t: float) -> float:
-        return float(self.k) + float(self.m) * t
-
     def __call__(self, t: float) -> float:
-        if self.c == 0:
+        c, k, m, e = self._floats
+        if c == 0.0:
             return 0.0
-        return float(self.c) * real_power(self.base(t), float(self.e))
+        return c * real_power(k + m * t, e)
 
     def deriv(self) -> "PowerFn":
         if self.c == 0 or self.e == 0:

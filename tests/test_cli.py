@@ -118,6 +118,31 @@ class TestIntegrate:
         assert code == 2
         assert "cannot read problem file" in err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("v0 = -0.2", "v0 = -0.2\nrel_tol = -1", "rel_tol"),
+        ("v0 = -0.2", "v0 = -0.2\nrel_tol = 0\nabs_tol = 0", "rel_tol"),
+        ("v0 = -0.2", "v0 = -0.2\nabs_tol = 0", "abs_tol"),
+        ("x0 = 1.3", "x0 = inf", "x0"),
+        ("n = 5", "n = nan", "n"),
+    ])
+    def test_unusable_numbers_are_input_errors(self, capsys, tmp_path, old, new, key):
+        code, out, err = run(capsys, "integrate", spec_file(tmp_path, DRAG_N5.replace(old, new)))
+        assert code == 2
+        assert f": {key} = " in err
+        assert "VERDICT" not in out
+
+    def test_failure_mid_run_names_its_time(self, capsys, tmp_path):
+        # x crosses zero near t = 0.8, where x^1.5 has no real value
+        text = (
+            "kind = emden\nn = 1.5\na = 0\nb = -1\n"
+            "interval = 0, 10\nx0 = 1\nv0 = -1\n"
+        )
+        code, out, err = run(capsys, "integrate", spec_file(tmp_path, text))
+        assert code == 1
+        assert verdict(out)[:2] == ("FAIL", "error")
+        assert verdict(out)[2] == "StepEvaluationError"
+        assert "in the step from t=0.8" in err
+
 
 class TestInvariant:
     def test_particular_from_catalog(self, capsys, tmp_path):
@@ -250,6 +275,17 @@ class TestKummerLiouville:
         )
         assert code == 0
         assert verdict(out)[0] == "PASS"
+
+    def test_truncated_scale_reaches_a_verdict(self, capsys, tmp_path):
+        # gamma = cos t reaches zero at pi/2, where the clock diverges
+        text = (
+            "kind = generalized\nn = 3\np = 0\nq = 1\nr = 1\n"
+            "interval = 0, 3\nx0 = 0.5\nv0 = 0\n"
+        )
+        code, out, _ = run(capsys, "kummer-liouville", spec_file(tmp_path, text))
+        assert code in (0, 1)
+        assert "truncated" in out
+        assert verdict(out)[1] == "residual"
 
     def test_coarse_grid_fails_honestly(self, capsys, tmp_path):
         # default gauge compresses the clock, so the stencil error at a

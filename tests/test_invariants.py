@@ -171,6 +171,41 @@ class TestRescaledEnergy:
         assert "FAIL" in rep.render()
 
 
+class TestIntegralsFromTheAnchor:
+    """a = -1/t from anchor t0: A = -ln(t/t0) and G = t0 ln(t/t0)."""
+
+    T0 = 0.5
+
+    def test_rescaled_energy_condition_reads_exp_of_minus_two_A(self):
+        prob = EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=1.0, n=3)
+        rep = rescaled_energy_invariant(prob, self.T0, (self.T0, 5.0))
+        for t, value in zip(rep.ts, rep.condition_values):
+            A = -math.log(t / self.T0)
+            assert value == pytest.approx(math.exp(-2.0 * A), rel=1e-10)
+
+    def test_dilation_condition_reads_A_and_G(self):
+        # at n = -1 the condition is b exp(-2A) 2G
+        prob = EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=1.0, n=-1)
+        rep = dilation_invariant(prob, self.T0, (0.6, 5.0))
+        for t, value in zip(rep.ts, rep.condition_values):
+            A = -math.log(t / self.T0)
+            G = self.T0 * math.log(t / self.T0)
+            assert value == pytest.approx(math.exp(-2.0 * A) * 2.0 * G, rel=1e-10)
+
+    def test_dilation_invariant_matches_its_closed_form(self):
+        # n = -3, b = t^-2: b exp(-2A) = t0^-2 is constant
+        prob = EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=PowerFn(1, 0, 1, -2), n=-3)
+        rep = dilation_invariant(prob, self.T0, (0.6, 5.0))
+        assert rep.passed
+        for t in (0.6, 2.0, 5.0):
+            A = -math.log(t / self.T0)
+            G = self.T0 * math.log(t / self.T0)
+            for x, v in ((0.9, -0.3), (1.4, 0.2)):
+                energy = v * v / 2.0 + x ** -2.0 / (2.0 * t * t)
+                want = energy * math.exp(-2.0 * A) * G - 0.5 * x * v * math.exp(-A)
+                assert rep.invariant(t, x, v) == pytest.approx(want, rel=1e-10)
+
+
 class TestDilationInvariant:
     def test_balanced_power_coefficient_passes(self):
         K = -0.5

@@ -6,18 +6,22 @@ derivative conditions of the dense interpolant.  The behavioral tests then
 confirm fifth-order convergence and the documented error contracts.
 """
 
+import bisect
+import gc
 import io
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from emdenlab import numerics
+from emdenlab.exprlang import EvalDomainError, real_power
 from emdenlab.numerics import (
     AntiderivativeFn, IntegrationError, IntegratorConfig, QuadratureError,
-    RhsError, StepSizeUnderflowError, integrate, invert_monotone, quad,
-    write_csv,
+    RhsError, StepEvaluationError, StepSizeUnderflowError, integrate,
+    invert_monotone, quad, write_csv,
 )
 
 
@@ -128,6 +132,26 @@ class TestIntegrate:
         traj = integrate(_oscillator, 2.0, [1.0, 0.5], 2.0)
         assert np.array_equal(traj(2.0), [1.0, 0.5])
 
+    def test_failure_inside_a_step_reports_the_reached_time(self):
+        # x'' = -x^1.5 from (1, -1): x crosses zero, where x^1.5 is undefined
+        def rhs(t, y):
+            return np.array([y[1], -real_power(y[0], 1.5)])
+
+        with pytest.raises(StepEvaluationError, match="from t=") as err:
+            integrate(rhs, 0.0, [1.0, -1.0], 10.0)
+        assert isinstance(err.value, IntegrationError)
+        assert 0.0 < err.value.t_reached < 10.0
+        assert f"t={err.value.t_reached}" in str(err.value)
+        assert isinstance(err.value.__cause__, EvalDomainError)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", -1.0), ("rel_tol", 0.0), ("abs_tol", 0.0),
+        ("abs_tol", -1e-12), ("rel_tol", math.nan), ("abs_tol", math.inf),
+    ])
+    def test_config_rejects_unusable_tolerances(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(**{field: value})
+
 
 class TestDenseOutput:
     def test_nodes_are_reproduced(self):
@@ -164,6 +188,17 @@ class TestDenseOutput:
         with pytest.raises(ValueError, match="outside"):
             traj(10.5)
 
+    def test_backward_lookup_picks_the_same_segment_as_a_linear_search(self):
+        traj = integrate(_oscillator, 10.0, [1.0, 0.0], 0.0)
+        keys = [-s for s in traj._seg_t]
+        mids = [t0 + 0.5 * h for t0, h in zip(traj._seg_t, traj._seg_h)]
+        for t in list(traj.t) + mids:
+            t = float(t)
+            i = min(max(bisect.bisect_right(keys, -t) - 1, 0), len(keys) - 1)
+            th = (t - traj._seg_t[i]) / traj._seg_h[i]
+            want = traj._seg_y[i] + traj._seg_q[i] @ np.array([th, th * th, th ** 3, th ** 4])
+            assert np.array_equal(traj(t), want)
+
 
 class TestQuad:
     def test_exponential(self):
@@ -198,6 +233,17 @@ class TestQuad:
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError, match="not finite"):
             quad(lambda t: float("nan"), 0.0, 1.0)
+
+    def test_leaves_no_reference_cycle_holding_the_integrand(self):
+        integrand = lambda t: 1.0 / t
+        alive = weakref.ref(integrand)
+        gc.disable()
+        try:
+            quad(integrand, 1.0, 2.0)
+            del integrand
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestAntiderivative:

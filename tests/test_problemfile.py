@@ -168,6 +168,24 @@ class TestParseSpecRejections:
         with pytest.raises(SpecError, match="singular point t = 0.5"):
             parse_spec(DRAG_N5.replace("singular_points = 0", "singular_points = 0.5"))
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("x0 = 1.3", "x0 = inf", "x0"),
+        ("n = 5", "n = nan", "n"),
+        ("interval = 0.5, 5", "interval = 0.5, inf", "interval"),
+        ("v0 = -0.2", "v0 = -0.2\nrel_tol = nan", "rel_tol"),
+    ])
+    def test_non_finite_numbers_name_their_key(self, old, new, key):
+        with pytest.raises(SpecError, match=f"^{key} = .* is not finite"):
+            parse_spec(DRAG_N5.replace(old, new))
+
+    @pytest.mark.parametrize("extra, key", [
+        ("rel_tol = -1", "rel_tol"), ("rel_tol = 0", "rel_tol"),
+        ("abs_tol = 0", "abs_tol"), ("abs_tol = -1e-12", "abs_tol"),
+    ])
+    def test_tolerances_must_be_positive(self, extra, key):
+        with pytest.raises(SpecError, match=f"^{key} = .* must be positive"):
+            parse_spec(DRAG_N5 + extra + "\n")
+
 
 class TestLoadSpec:
     def test_reads_file(self, tmp_path):

@@ -95,6 +95,16 @@ class TestPowerFn:
         assert f.root() == pytest.approx(2.0, abs=0)
         assert PowerFn(1, 1, 0, 1).root() is None
 
+    def test_float_cache_leaves_repr_source_equality_and_hash_alone(self):
+        f = PowerFn(2, 1, 3, Fraction(-1, 2))
+        assert repr(f) == (
+            "PowerFn(c=Fraction(2, 1), k=Fraction(1, 1), m=Fraction(3, 1), "
+            "e=Fraction(-1, 2))")
+        assert f.to_source() == "(2)*(1 + (3)*t)^(-1/2)"
+        twin = PowerFn(Fraction(2), 1.0, 3, Fraction(-1, 2))
+        assert twin == f and hash(twin) == hash(f)
+        assert f(1.0) == 2.0 * (1.0 + 3.0 * 1.0) ** -0.5
+
     def test_to_source_round_trips_through_the_expression_language(self):
         for f in (PowerFn(2, 1, 3, Fraction(-1, 2)),
                   PowerFn(Fraction(-3, 4), 0, 1, 5),
