@@ -34,10 +34,11 @@ from .invariants import (
     invariant_from_particular_solution,
     rescaled_energy_invariant,
 )
-from .numerics import IntegrationError, QuadratureError, integrate, write_csv
+from .numerics import IntegrationError, integrate, write_csv
 from .problemfile import (
     ProblemSpec,
     SpecError,
+    _parse_float,
     compile_expression,
     load_spec,
     render_spec,
@@ -69,19 +70,33 @@ def _emit_csv(output: Optional[str], header, rows) -> None:
     write_csv(output if output else sys.stdout, header, rows)
 
 
-def _pair(text: str) -> Tuple[float, float]:
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    parts = [p.strip() for p in body.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected two comma-separated numbers, got {text!r}"
-        )
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a numeric pair")
+def _number(flag: str):
+    """argparse type for a finite float, checked as problem files are."""
+    def parse(text: str) -> float:
+        try:
+            return _parse_float(flag, text)
+        except SpecError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
+def _pair(flag: str):
+    """argparse type for two comma-separated finite floats."""
+    number = _number(flag)
+
+    def parse(text: str) -> Tuple[float, float]:
+        body = text.strip()
+        if body.startswith("[") and body.endswith("]"):
+            body = body[1:-1]
+        parts = [p.strip() for p in body.split(",")]
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(
+                f"expected two comma-separated numbers, got {text!r}"
+            )
+        return (number(parts[0]), number(parts[1]))
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--solution", help="particular solution expression for --method generic")
     p.add_argument("--samples", type=int, default=200, help="drift samples (default 200)")
-    p.add_argument("--threshold", type=float, default=1e-6, help="drift verdict bound")
+    p.add_argument("--threshold", type=_number("--threshold"), default=1e-6,
+                   help="drift verdict bound")
     p.add_argument("--output", help="drift CSV file (default stdout)")
     p.set_defaults(func=_cmd_invariant)
 
@@ -269,12 +285,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="problem file")
     p.add_argument(
         "--gamma-init",
-        type=_pair,
+        type=_pair("--gamma-init"),
         default=(1.0, 0.0),
         metavar="G0,DG0",
         help="initial scale and slope (default 1,0)",
     )
-    p.add_argument("--threshold", type=float, default=1e-6, help="canonical residual bound")
+    p.add_argument("--threshold", type=_number("--threshold"), default=1e-6,
+                   help="canonical residual bound")
     p.add_argument("--grid", type=int, default=81, help="clock grid for the residual stencil")
     p.set_defaults(func=_cmd_kummer_liouville)
 
@@ -285,11 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("superpose", help="companion solutions on the zero invariant level")
     p.add_argument("--x1", required=True, help="seed solution expression")
-    p.add_argument("--K", type=float, required=True, help="nonnegative mixing constant")
+    p.add_argument("--K", type=_number("--K"), required=True,
+                   help="nonnegative mixing constant")
     p.add_argument(
         "interval",
         nargs="?",
-        type=_pair,
+        type=_pair("interval"),
         default=(0.0, 2.0),
         help="evaluation window as 't0,t1' (default 0,2)",
     )
@@ -298,8 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_superpose)
 
     p = sub.add_parser("construct", help="design a drag equation around its exact profile")
-    p.add_argument("--n", type=float, required=True, help="nonlinearity exponent")
-    p.add_argument("--K", type=float, default=1.0, help="profile shift (default 1)")
+    p.add_argument("--n", type=_number("--n"), required=True, help="nonlinearity exponent")
+    p.add_argument("--K", type=_number("--K"), default=1.0, help="profile shift (default 1)")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("catalog", help="list the built-in verified solutions")
@@ -321,7 +339,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         InvariantDomainError,
         SuperpositionDomainError,
         IntegrationError,
-        QuadratureError,
         EvalDomainError,
         ArithmeticError,
     ) as exc:

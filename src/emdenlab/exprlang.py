@@ -292,36 +292,9 @@ def evaluate(expr: Expr, t: float | None = None, constants: dict | None = None) 
     Every identifier must be bound ('t' by the t argument, anything else via
     constants); an unbound name raises UnboundIdentifierError.
     """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Name):
-        if expr.id == "t":
-            if t is None:
-                raise UnboundIdentifierError("no value supplied for 't'")
-            return t
-        if constants is not None and expr.id in constants:
-            return float(constants[expr.id])
-        raise UnboundIdentifierError(f"unbound identifier {expr.id!r}")
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, t, constants)
-    if isinstance(expr, Bin):
-        a = evaluate(expr.left, t, constants)
-        b = evaluate(expr.right, t, constants)
-        if expr.op == "+":
-            return _check_finite(a + b, "sum")
-        if expr.op == "-":
-            return _check_finite(a - b, "difference")
-        if expr.op == "*":
-            return _check_finite(a * b, "product")
-        if expr.op == "/":
-            if b == 0.0:
-                raise EvalDomainError("division by zero")
-            return _check_finite(a / b, "quotient")
-        return real_power(a, b)
-    if isinstance(expr, Call):
-        fn = FUNCTIONS[expr.fn][1]
-        return fn(*(evaluate(a, t, constants) for a in expr.args))
-    raise TypeError(f"not an Expr node: {expr!r}")
+    if t is None and "t" in free_names(expr):
+        raise UnboundIdentifierError("no value supplied for 't'")
+    return compile_fn(expr, constants)(t)
 
 
 def free_names(expr: Expr) -> set:
@@ -354,7 +327,7 @@ def compile_fn(src, constants: dict | None = None):
 
 
 def _compile(expr, constants):
-    # nested closures, same operation order as evaluate()
+    # nested closures, one per tree node
     if isinstance(expr, Num):
         v = expr.value
         return lambda t: v

@@ -15,8 +15,7 @@ through such a transform yields another system of the same five-slot shape
 * the classical Kummer-Liouville substitution plus a clock change brings the
   damped linear part to canonical form  d2x'/dtau2 = F(tau) x'^n
   (``kummer_liouville``); the scale, the damping integral and the clock are
-  components of one ODE run, read from its dense output,
-* any one-signed rate can then be absorbed into the clock (``reparametrize``).
+  components of one ODE run, read from its dense output.
 
 Everything is checked numerically: ``verify_pushforward`` integrates both
 sides of the correspondence and reports the gap.
@@ -31,12 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .exprlang import real_power
-from .numerics import (
-    AntiderivativeFn,
-    IntegratorConfig,
-    integrate,
-    invert_monotone,
-)
+from .numerics import IntegratorConfig, integrate, invert_monotone
 from .timefn import ZERO_FN, PowerFn, TimeFn, as_timefn, constant, nderiv
 
 __all__ = [
@@ -56,8 +50,6 @@ __all__ = [
     "KummerLiouvilleReduction",
     "kummer_liouville",
     "canonical_residual",
-    "Reparametrization",
-    "reparametrize",
 ]
 
 
@@ -222,42 +214,9 @@ class GaugeTransform:
         xp = x / g
         return (xp, (v - a * xp) / b)
 
-    def inverse_gauge(self) -> "GaugeTransform":
-        """The transform undoing this one, with chain-rule derivatives."""
-        al, be, ga = self.alpha, self.beta, self.gamma
-        dal, dbe, dga = self.dalpha, self.dbeta, self.dgamma
-
-        inv_beta = lambda t: 1.0 / be(t)
-        inv_gamma = lambda t: 1.0 / ga(t)
-        d_inv_beta = lambda t: -dbe(t) / be(t) ** 2
-        d_inv_gamma = lambda t: -dga(t) / ga(t) ** 2
-        if al is None:
-            inv_alpha = None
-            d_inv_alpha = None
-        else:
-            inv_alpha = lambda t: -al(t) / (be(t) * ga(t))
-
-            def d_inv_alpha(t):
-                b, g = be(t), ga(t)
-                return -dal(t) / (b * g) + al(t) * (dbe(t) * g + b * dga(t)) / (b * g) ** 2
-
-        return GaugeTransform(
-            alpha=inv_alpha,
-            beta=inv_beta,
-            gamma=inv_gamma,
-            dalpha=d_inv_alpha,
-            dbeta=d_inv_beta,
-            dgamma=d_inv_gamma,
-        )
-
     def validate_on(self, interval: Tuple[float, float], samples: int = 64) -> None:
         for t in _sample_points(interval, samples):
             self._scales(float(t))
-
-
-IDENTITY_GAUGE = GaugeTransform(
-    alpha=None, beta=constant(1.0), gamma=constant(1.0), dbeta=ZERO_FN, dgamma=ZERO_FN
-)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +236,6 @@ class PushedSystem:
     nonlin: TimeFn
     n: float
 
-    def coefficient_table(self) -> Tuple[TimeFn, TimeFn, TimeFn, TimeFn, TimeFn]:
-        return (self.drift_x, self.gain, self.drift_v, self.feedback, self.nonlin)
-
     def rhs(self, t: float, z):
         x, v = z
         dx = self.gain(t) * v + self.drift_x(t) * x
@@ -287,15 +243,6 @@ class PushedSystem:
         if self.feedback is not ZERO_FN:
             dv += self.feedback(t) * x
         return (dx, dv)
-
-    def as_tdependent_vf(self):
-        # basis slot order: x d/dv, x^n d/dv, v d/dx, v d/dv, x d/dx
-        from .vfields import TDependentVF
-
-        return TDependentVF(
-            coefficients=(self.feedback, self.nonlin, self.gain, self.drift_v, self.drift_x),
-            n=self.n,
-        )
 
 
 def push_coefficients(
@@ -442,14 +389,6 @@ class ReducedLieSystem:
         return (
             ft * (self.c11 * x + self.c12 * v),
             ft * (self.c21 * v + self.cx * x + self.c22 * real_power(x, self.n)),
-        )
-
-    def frozen_rhs(self, z):
-        """The field with the rate stripped off (autonomous part)."""
-        x, v = z
-        return (
-            self.c11 * x + self.c12 * v,
-            self.c21 * v + self.cx * x + self.c22 * real_power(x, self.n),
         )
 
 
@@ -737,6 +676,11 @@ def canonical_residual(
     on a uniform clock grid.  Returns the largest absolute residual over
     the interior stencil points.
     """
+    if grid_points < 5:
+        raise ValueError(
+            f"canonical_residual needs grid_points >= 5 for one interior stencil "
+            f"point, got {grid_points}"
+        )
     cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     traj = integrate(prob.rhs, kl.t0, z0, kl.t_end, cfg)
 
@@ -759,55 +703,3 @@ def canonical_residual(
         target = coef[i] * real_power(xs[i], kl.n)
         worst = max(worst, abs(second - target))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# absorbing the rate into the clock
-
-
-@dataclass(frozen=True)
-class Reparametrization:
-    """A strictly monotone clock tau with an autonomous system in it."""
-
-    tau: AntiderivativeFn
-    increasing: bool
-    system: ReducedLieSystem
-
-    def rhs(self, tau_value: float, z):
-        # autonomous: the clock variable is ignored
-        return self.system.frozen_rhs(z)
-
-
-def reparametrize(
-    sys: ReducedLieSystem,
-    t0: float,
-    t_end: float,
-    samples: int = 256,
-) -> Reparametrization:
-    """Absorb the scalar rate into a new clock tau(t) = int_t0^t f.
-
-    The rate must be one-signed and bounded away from zero on the window;
-    the clock is then strictly monotone and the evolution in tau is the
-    frozen field alone.
-    """
-    ts = _sample_points((t0, t_end), samples)
-    values = [sys.f(float(t)) for t in ts]
-    if any(v == 0.0 for v in values) or (min(values) < 0.0 < max(values)):
-        worst = min(values, key=abs)
-        raise GaugeError(
-            f"rate is not one-signed on [{t0:g}, {t_end:g}] "
-            f"(value {worst:.3e} near the crossing); cannot serve as a clock"
-        )
-    tau = AntiderivativeFn(sys.f, float(t0), tol=1e-13)
-
-    previous = 0.0
-    increasing = values[0] > 0.0
-    for t in ts[1:]:
-        current = tau(float(t))
-        if increasing and current <= previous:
-            raise GaugeError(f"clock fails to increase at t={float(t):.6g}")
-        if not increasing and current >= previous:
-            raise GaugeError(f"clock fails to decrease at t={float(t):.6g}")
-        previous = current
-
-    return Reparametrization(tau=tau, increasing=increasing, system=sys)

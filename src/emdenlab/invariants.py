@@ -1,8 +1,7 @@
 """Time-dependent constants of motion and drift measurement.
 
 Constructors build callables I(t, x, v) that stay constant along solutions
-of  x'' = a(t) x' + b(t) x^n  (or of the frozen reduced system, for the
-time-independent one).  Each conditional constructor first checks its
+of  x'' = a(t) x' + b(t) x^n.  Each conditional constructor first checks its
 integrability condition numerically on a grid and reports the sampled
 values on failure instead of returning a bogus invariant.  ``drift``
 evaluates any invariant along an integrated trajectory and reports how
@@ -27,7 +26,6 @@ from .timefn import ExactnessError, PowerFn, TimeFn, as_timefn
 __all__ = [
     "Invariant",
     "InvariantDomainError",
-    "generic_first_integral",
     "invariant_from_particular_solution",
     "particular_invariant_expansion",
     "ConditionedInvariant",
@@ -60,33 +58,6 @@ def _power_potential(n: float) -> Callable[[float], float]:
         return math.log
     np1 = n + 1.0
     return lambda x: real_power(x, np1) / np1
-
-
-def generic_first_integral(
-    c11: float, c12: float, c21: float, c22: float, cx: float, n: float
-) -> Invariant:
-    """First integral of the frozen field with the given coefficients.
-
-    dx/dt = c11 x + c12 v, dv/dt = c21 v + cx x + c22 x^n admits
-
-        I = -c12 v^2/2 + cx x^2/2 + c21 v x + c22 x^(n+1)/(n+1)
-
-    exactly when c21 = -c11 (the diagonal drifts cancel); otherwise an
-    integrating factor would be needed, which is not constructed here.
-    The n = -1 case replaces the power by a logarithm.
-    """
-    if abs(c11 + c21) > 1e-12:
-        raise ValueError(
-            f"c21 = {c21} is not -c11 = {-c11}: this field only admits a first "
-            "integral through an integrating factor, which is unsupported"
-        )
-    n = float(n)
-    pot = _power_potential(n)
-
-    def evaluator(t: float, x: float, v: float) -> float:
-        return -c12 * v * v / 2.0 + cx * x * x / 2.0 + c21 * v * x + c22 * pot(x)
-
-    return Invariant(evaluator=evaluator, provenance="generic")
 
 
 def invariant_from_particular_solution(
@@ -377,6 +348,8 @@ def drift(inv: Invariant, traj: Trajectory, samples: int = 200) -> DriftReport:
     by max(1, |I0|, max |I_i|), so identically-zero invariants report their
     absolute drift.
     """
+    if samples < 2:
+        raise ValueError(f"drift needs samples >= 2 to compare anything, got {samples}")
     if inv.validity_interval is not None:
         lo, hi = inv.validity_interval
         slack = 1e-9 * (abs(hi - lo) + 1.0)

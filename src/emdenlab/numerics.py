@@ -10,9 +10,12 @@ endpoint conditions) in exact arithmetic.
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
 come from the same dense output (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6).  The older primitives remain for the one clock still built on
-them: ``quad`` (15-point Gauss-Legendre panels refined by bisection),
-``AntiderivativeFn`` (cached chains of quad calls) and ``invert_monotone``.
+II.4-II.6).  ``invert_monotone`` inverts such an integral, the
+Kummer-Liouville clock, by bisection.  ``quad`` (15-point Gauss-Legendre
+panels refined by bisection), ``AntiderivativeFn`` (cached chains of quad
+calls) and the ``QuadratureError`` they raise have no caller under src/;
+they stay only for ``perfbench/tracing.py``, which wraps the first two by
+name.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
-from .exprlang import ExprError, evaluate, free_names, parse
+from .exprlang import ExprError, compile_fn, free_names, parse
 from .gauge import EmdenProblem, GeneralizedProblem
 from .numerics import IntegratorConfig
 from .timefn import TimeFn
@@ -55,10 +55,7 @@ def compile_expression(src: str, what: str = "expression") -> TimeFn:
         raise SpecError(
             f"{what} {src!r} uses unbound identifier(s) {sorted(stray)}; only t is available"
         )
-
-    def fn(t: float) -> float:
-        return evaluate(tree, t)
-
+    fn = compile_fn(tree)
     fn.expression_text = src  # type: ignore[attr-defined]
     return fn
 

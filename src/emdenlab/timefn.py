@@ -197,12 +197,6 @@ class PowerFn:
             raise ExactnessError("inexact fields")
         return self.c * frac_power(self.m, self.e), self.e
 
-    def root(self) -> float | None:
-        """The t where the base vanishes (a singular or boundary point), if any."""
-        if self.m == 0:
-            return None
-        return -float(self.k) / float(self.m)
-
     def to_source(self) -> str:
         """Render as parseable expression text (deterministic)."""
         def num(v):

@@ -24,7 +24,7 @@ from .exprlang import real_power
 __all__ = [
     "Scalar", "n_sym", "Monomial", "MonomialVF", "bracket",
     "decompose", "Decomposition", "verify_scheme", "SchemeReport",
-    "TDependentVF", "emden_v_basis", "emden_w_basis",
+    "emden_v_basis", "emden_w_basis",
     "LinearDependenceError", "UnsupportedDecompositionError",
 ]
 
@@ -643,30 +643,3 @@ def emden_w_basis() -> list:
         MonomialVF.d_dv(1, 1, 0),
         MonomialVF.d_dx(1, 1, 0),
     ]
-
-
-@dataclass(frozen=True)
-class TDependentVF:
-    """A curve t -> sum_a c_a(t) * V_a in the span of the 5-field basis.
-
-    All five slots are present; use emdenlab.timefn.constant(0.0) or a plain
-    lambda for the absent ones.  n is the concrete nonlinearity exponent.
-    """
-
-    coefficients: tuple      # five TimeFns, ordered like emden_v_basis
-    n: float
-
-    def __post_init__(self):
-        if len(self.coefficients) != 5:
-            raise ValueError("need exactly five coefficient functions")
-
-    def at(self, t: float) -> MonomialVF:
-        c = [fn(t) for fn in self.coefficients]
-        basis = emden_v_basis(self.n)
-        out = MonomialVF()
-        for ci, b in zip(c, basis):
-            out = out + b.scaled(ci)
-        return out
-
-    def eval_at(self, t: float, x: float, v: float):
-        return self.at(t).eval_at(x, v)

@@ -73,6 +73,11 @@ def spec_file(tmp_path, text, name="problem.spec"):
     return str(path)
 
 
+def with_spec_files(tmp_path, argv):
+    """argv with each problem-file text replaced by the path of a file holding it."""
+    return [spec_file(tmp_path, a) if a in (KL_GENERALIZED, DRAG_N5) else a for a in argv]
+
+
 class TestSchemeCheck:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "scheme-check")
@@ -400,6 +405,42 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["invariant", spec_file(tmp_path, DRAG_N5)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["kummer-liouville", KL_GENERALIZED, "--gamma-init", "1,-1", "--grid", "4"],
+         "grid_points"),
+        (["kummer-liouville", KL_GENERALIZED, "--gamma-init", "1,-1", "--grid", "1"],
+         "grid_points"),
+        (["invariant", DRAG_N5, "--method", "particular:lane_emden_n5", "--samples", "1"],
+         "samples"),
+        (["invariant", DRAG_N5, "--method", "particular:lane_emden_n5", "--samples", "0"],
+         "samples"),
+    ])
+    def test_verdict_that_checks_nothing_is_refused(self, capsys, tmp_path, argv, name):
+        argv = with_spec_files(tmp_path, argv)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert name in err
+        assert "VERDICT" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["superpose", "--x1", "(2*t)^(-1/2)", "--K", "nan", "1,2", "--samples", "3"],
+        ["superpose", "--x1", "1", "--K", "1", "1,inf"],
+        ["kummer-liouville", KL_GENERALIZED, "--gamma-init", "nan,0"],
+        ["kummer-liouville", KL_GENERALIZED, "--gamma-init", "1,inf"],
+        ["kummer-liouville", KL_GENERALIZED, "--threshold", "inf"],
+        ["invariant", DRAG_N5, "--method", "particular:lane_emden_n5", "--threshold", "nan"],
+        ["construct", "--n", "inf"],
+        ["construct", "--n", "5", "--K", "inf"],
+    ])
+    def test_non_finite_numbers_exit_2(self, capsys, tmp_path, argv):
+        argv = with_spec_files(tmp_path, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "is not finite" in captured.err
+        assert "VERDICT" not in captured.out
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -7,23 +7,19 @@ import numpy as np
 import pytest
 
 from emdenlab.gauge import (
-    IDENTITY_GAUGE,
     EmdenProblem,
     GaugeError,
     GaugeTransform,
     GeneralizedProblem,
-    ReducedLieSystem,
     ReductionError,
     canonical_residual,
     kummer_liouville,
-    push_coefficients,
     push_system,
     reduce_via_particular_solution,
-    reparametrize,
     verify_pushforward,
 )
 from emdenlab.numerics import IntegratorConfig, integrate
-from emdenlab.timefn import ZERO_FN, PowerFn, constant, nderiv
+from emdenlab.timefn import ZERO_FN, PowerFn, constant
 
 
 def decaying_scale():
@@ -33,6 +29,12 @@ def decaying_scale():
 
 def drag_problem_n5():
     return EmdenProblem(a=PowerFn(-2, 0, 1, -1), b=-1.0, n=5)
+
+
+def identity_frame():
+    return GaugeTransform(
+        alpha=None, beta=constant(1.0), gamma=constant(1.0), dbeta=ZERO_FN, dgamma=ZERO_FN
+    )
 
 
 def decaying_frame():
@@ -95,19 +97,6 @@ class TestGaugeTransform:
         g = GaugeTransform(alpha=0.0, beta=constant(1.0), gamma=constant(1.0))
         assert g.alpha is None
 
-    def test_inverse_gauge_matches_pointwise_inverse(self):
-        g = self.shear_frame()
-        gi = g.inverse_gauge()
-        for t, x, v in [(0.6, 0.9, -0.2), (1.8, -1.1, 0.7)]:
-            assert gi.forward(t, x, v) == pytest.approx(g.inverse(t, x, v))
-
-    def test_inverse_gauge_derivatives(self):
-        gi = self.shear_frame().inverse_gauge()
-        for t in (0.9, 1.8):
-            assert gi.dbeta(t) == pytest.approx(nderiv(gi.beta)(t), abs=1e-8)
-            assert gi.dgamma(t) == pytest.approx(nderiv(gi.gamma)(t), abs=1e-8)
-            assert gi.dalpha(t) == pytest.approx(nderiv(gi.alpha)(t), abs=1e-8)
-
     def test_positivity_enforced(self):
         g = GaugeTransform(alpha=None, beta=PowerFn(1, 1, -1, 1), gamma=constant(1.0))
         g.validate_on((0.0, 0.9))
@@ -118,13 +107,13 @@ class TestGaugeTransform:
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError, match="interval"):
-            IDENTITY_GAUGE.validate_on((1.0, 1.0))
+            identity_frame().validate_on((1.0, 1.0))
 
 
 class TestPushSystem:
     def test_identity_frame_returns_problem_coefficients(self):
         prob = drag_problem_n5()
-        ps = push_system(prob, IDENTITY_GAUGE)
+        ps = push_system(prob, identity_frame())
         assert ps.feedback is ZERO_FN  # stays exactly zero, not merely small
         for t in (0.5, 2.0, 7.0):
             assert ps.drift_x(t) == 0.0
@@ -167,33 +156,11 @@ class TestPushSystem:
             assert ps.gain(t) == 1.0
             assert ps.nonlin(t) * t ** 4 == pytest.approx(1.0, rel=1e-12)
 
-    def test_round_trip_through_inverse_returns_original(self):
-        prob = drag_problem_n5()
-        g = GaugeTransform(
-            alpha=PowerFn(1, 0, 1, -2),
-            beta=PowerFn(1, 2, 1, 1),
-            gamma=PowerFn(1, 1, 1, 2),
-        )
-        ps = push_system(prob, g)
-        back = push_coefficients(ps.coefficient_table(), prob.n, g.inverse_gauge())
-        target = (ZERO_FN, constant(1.0), prob.a, ZERO_FN, prob.b)
-        for t in np.linspace(0.5, 3.0, 25):
-            t = float(t)
-            for got_fn, want_fn in zip(back, target):
-                want = want_fn(t)
-                assert abs(got_fn(t) - want) <= 1e-9 * max(1.0, abs(want))
-
-    def test_vector_field_view_matches_rhs(self):
-        ps = push_system(drag_problem_n5(), decaying_frame())
-        vf = ps.as_tdependent_vf()
-        t, x, v = 1.5, 0.7, -0.4
-        assert vf.eval_at(t, x, v) == pytest.approx(ps.rhs(t, (x, v)))
-
 
 class TestVerifyPushforward:
     def test_identity_frame_has_no_gap(self):
         rep = verify_pushforward(
-            drag_problem_n5(), IDENTITY_GAUGE, (0.9, -0.3), (0.5, 5.0)
+            drag_problem_n5(), identity_frame(), (0.9, -0.3), (0.5, 5.0)
         )
         assert rep.passed
         assert rep.discrepancy < 1e-13
@@ -328,28 +295,3 @@ class TestKummerLiouville:
         gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
         kl = kummer_liouville(gp, 1.0, 5.0, gamma_init=(1.0, -1.0))
         assert canonical_residual(kl, gp, (0.3, 0.0), grid_points=41) < 1e-6
-
-
-class TestReparametrize:
-    def frozen_system(self, f):
-        return ReducedLieSystem(f=f, c11=1.0, c12=1.0, c21=-1.0, c22=-1.0, cx=0.0, n=5)
-
-    def test_unit_rate_gives_shifted_clock(self):
-        rep = reparametrize(self.frozen_system(constant(1.0)), 0.0, 2.0)
-        assert rep.increasing
-        assert rep.tau(1.3) == pytest.approx(1.3, abs=1e-12)
-        z = (0.5, -0.2)
-        assert rep.rhs(0.77, z) == pytest.approx(rep.system.frozen_rhs(z))
-
-    def test_exponential_rate_gives_exponential_clock(self):
-        rep = reparametrize(self.frozen_system(math.exp), 0.0, 2.0)
-        assert rep.tau(2.0) == pytest.approx(math.e ** 2 - 1.0, rel=1e-10)
-
-    def test_sign_change_rejected(self):
-        with pytest.raises(GaugeError, match="one-signed"):
-            reparametrize(self.frozen_system(PowerFn(1, -1, 1, 1)), 0.0, 2.0)
-
-    def test_negative_rate_runs_clock_backward(self):
-        rep = reparametrize(self.frozen_system(constant(-2.0)), 0.0, 2.0)
-        assert not rep.increasing
-        assert rep.tau(1.5) == pytest.approx(-3.0, abs=1e-12)

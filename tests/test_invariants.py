@@ -2,13 +2,10 @@
 
 import io
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from emdenlab.gauge import EmdenProblem
 from emdenlab.invariants import (
@@ -18,7 +15,6 @@ from emdenlab.invariants import (
     InvariantDomainError,
     dilation_invariant,
     drift,
-    generic_first_integral,
     invariant_from_particular_solution,
     particular_invariant_expansion,
     rescaled_energy_invariant,
@@ -39,57 +35,6 @@ def bounded_profile(t):
     # the regular solution of the n=5 drag problem and its slope
     x = (1.0 + t * t / 3.0) ** -0.5
     return x, -(t / 3.0) * x ** 3
-
-
-class TestGenericFirstIntegral:
-    def test_power_form_matches_printed_shape_up_to_constant(self):
-        inv = generic_first_integral(1.0, 1.0, -1.0, -1.0, 0.0, 5)
-        for x, v in [(0.7, -0.3), (1.4, 0.8), (0.2, 1.9)]:
-            printed = x ** 6 / 6.0 + v * v / 2.0 + x * v
-            assert inv(0.0, x, v) == pytest.approx(-printed, rel=1e-13)
-
-    def test_log_form_at_reciprocal_exponent(self):
-        inv = generic_first_integral(1.0, 1.0, -1.0, -1.0, 0.0, -1)
-        for x, v in [(0.7, -0.3), (2.1, 0.4)]:
-            printed = math.log(x) + v * v / 2.0 + x * v
-            assert inv(0.0, x, v) == pytest.approx(-printed, rel=1e-13)
-
-    def test_mismatched_diagonal_drifts_rejected(self):
-        with pytest.raises(ValueError, match="integrating factor"):
-            generic_first_integral(1.0, 1.0, -0.5, -1.0, 0.0, 5)
-
-    def test_directional_derivative_vanishes_at_random_points(self):
-        inv = generic_first_integral(1.0, 1.0, -1.0, -1.0, 0.0, 5)
-        rng = random.Random(20260819)
-        h = 1e-6
-        for _ in range(1000):
-            x = rng.uniform(0.3, 2.0)
-            v = rng.uniform(-2.0, 2.0)
-            fx, fv = x + v, -v - x ** 5
-            ahead = inv(0.0, x + h * fx, v + h * fv)
-            behind = inv(0.0, x - h * fx, v - h * fv)
-            deriv = (ahead - behind) / (2.0 * h)
-            assert abs(deriv) <= 1e-6 * (1.0 + abs(inv(0.0, x, v)))
-
-    @given(
-        c11=st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
-        c12=st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
-        c22=st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
-        cx=st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
-        n=st.sampled_from([2, 3, 5, 7]),
-        x=st.floats(0.4, 1.6),
-        v=st.floats(-1.5, 1.5),
-    )
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    def test_conserved_for_any_cancelling_diagonal(self, c11, c12, c22, cx, n, x, v):
-        inv = generic_first_integral(c11, c12, -c11, c22, cx, n)
-        fx = c11 * x + c12 * v
-        fv = -c11 * v + cx * x + c22 * x ** n
-        h = 1e-6
-        deriv = (
-            inv(0.0, x + h * fx, v + h * fv) - inv(0.0, x - h * fx, v - h * fv)
-        ) / (2.0 * h)
-        assert abs(deriv) <= 1e-6 * (1.0 + abs(inv(0.0, x, v)))
 
 
 class TestParticularSolutionInvariant:
@@ -294,11 +239,6 @@ class TestUniversalDriftProperty:
     def check(self, inv, rhs, t0, z0, t1):
         traj = integrate(rhs, t0, z0, t1, IntegratorConfig(rel_tol=self.REL))
         assert drift(inv, traj).relative_drift < self.BAR
-
-    def test_generic_on_frozen_field(self):
-        inv = generic_first_integral(1.0, 1.0, -1.0, -1.0, 0.0, 5)
-        rhs = lambda t, z: (z[0] + z[1], -z[1] - z[0] ** 5)
-        self.check(inv, rhs, 0.0, (0.9, -0.5), 1.5)
 
     def test_particular_solution_construction(self):
         prob = drag_problem_n5()

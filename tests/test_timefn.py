@@ -90,11 +90,6 @@ class TestPowerFn:
         with pytest.raises(ExactnessError):
             PowerFn(3, 1, 2, 2).as_monomial()
 
-    def test_root_locates_base_zero(self):
-        f = PowerFn(1, 2, -1, 1)
-        assert f.root() == pytest.approx(2.0, abs=0)
-        assert PowerFn(1, 1, 0, 1).root() is None
-
     def test_float_cache_leaves_repr_source_equality_and_hash_alone(self):
         f = PowerFn(2, 1, 3, Fraction(-1, 2))
         assert repr(f) == (

@@ -11,9 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emdenlab.timefn import constant
 from emdenlab.vfields import (
-    LinearDependenceError, MonomialVF, Scalar, TDependentVF,
+    LinearDependenceError, MonomialVF, Scalar,
     UnsupportedDecompositionError, bracket, decompose, emden_v_basis,
     emden_w_basis, n_sym, verify_scheme,
 )
@@ -283,20 +282,3 @@ class TestSchemeVerification:
     def test_linear_exponent_degenerates_the_basis(self):
         with pytest.raises(LinearDependenceError):
             verify_scheme(emden_w_basis(), emden_v_basis(1))
-
-
-class TestTDependentVF:
-    def test_matches_direct_equation_rhs(self):
-        # v dx + a(t) v dv + b(t) x^n dv with a = 2/(1+t), b = -1
-        a = lambda t: 2.0 / (1.0 + t)
-        field = TDependentVF(
-            (constant(0.0), lambda t: -1.0, constant(1.0), a, constant(0.0)),
-            n=5)
-        for t, x, v in [(0.0, 1.2, 0.4), (1.5, 0.7, -0.3)]:
-            fx, fv = field.eval_at(t, x, v)
-            assert fx == pytest.approx(v, abs=0)
-            assert fv == pytest.approx(a(t) * v - x ** 5, rel=1e-15)
-
-    def test_requires_five_slots(self):
-        with pytest.raises(ValueError):
-            TDependentVF((constant(1.0),), n=5)
