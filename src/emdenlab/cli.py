@@ -70,15 +70,23 @@ def _emit_csv(output: Optional[str], header, rows) -> None:
     write_csv(output if output else sys.stdout, header, rows)
 
 
-def _number(flag: str):
+def _number(flag: str, positive: bool = False):
     """argparse type for a finite float, checked as problem files are."""
     def parse(text: str) -> float:
         try:
-            return _parse_float(flag, text)
+            return _parse_float(flag, text, positive)
         except SpecError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return parse
+
+
+def _count(text: str) -> int:
+    """argparse type for an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _pair(flag: str):
@@ -263,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="integrate a problem file to CSV")
     p.add_argument("spec", help="problem file")
-    p.add_argument("--samples", type=int, default=201, help="CSV rows (default 201)")
+    p.add_argument("--samples", type=_count, default=201, help="CSV rows (default 201)")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_integrate)
 
@@ -276,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--solution", help="particular solution expression for --method generic")
     p.add_argument("--samples", type=int, default=200, help="drift samples (default 200)")
-    p.add_argument("--threshold", type=_number("--threshold"), default=1e-6,
+    p.add_argument("--threshold", type=_number("--threshold", positive=True), default=1e-6,
                    help="drift verdict bound")
     p.add_argument("--output", help="drift CSV file (default stdout)")
     p.set_defaults(func=_cmd_invariant)
@@ -290,9 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="G0,DG0",
         help="initial scale and slope (default 1,0)",
     )
-    p.add_argument("--threshold", type=_number("--threshold"), default=1e-6,
+    p.add_argument("--threshold", type=_number("--threshold", positive=True), default=1e-6,
                    help="canonical residual bound")
-    p.add_argument("--grid", type=int, default=81, help="clock grid for the residual stencil")
+    p.add_argument("--grid", type=int, default=81, help="comparison times (default 81)")
     p.set_defaults(func=_cmd_kummer_liouville)
 
     p = sub.add_parser("reduce", help="reduce via a particular solution with decaying slope")
@@ -311,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=(0.0, 2.0),
         help="evaluation window as 't0,t1' (default 0,2)",
     )
-    p.add_argument("--samples", type=int, default=101, help="CSV rows (default 101)")
+    p.add_argument("--samples", type=_count, default=101, help="CSV rows (default 101)")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_superpose)
 

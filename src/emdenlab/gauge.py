@@ -18,7 +18,8 @@ through such a transform yields another system of the same five-slot shape
   components of one ODE run, read from its dense output.
 
 Everything is checked numerically: ``verify_pushforward`` integrates both
-sides of the correspondence and reports the gap.
+sides of the correspondence and reports the gap, and ``canonical_residual``
+integrates the canonical form in its own clock against a mapped trajectory.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .exprlang import real_power
-from .numerics import IntegratorConfig, integrate, invert_monotone
+from .numerics import IntegratorConfig, integrate
 from .timefn import ZERO_FN, PowerFn, TimeFn, as_timefn, constant, nderiv
 
 __all__ = [
@@ -532,26 +533,21 @@ class KummerLiouvilleReduction:
     """Frame plus clock bringing the damped problem to canonical form.
 
     On t in [t0, t_end]:  x = gamma x',  tau = integral of beta/gamma,
-    and in the new variables  d2x'/dtau2 = coefficient(t(tau)) x'^n.
-    gamma solves the associated linear equation; beta is fixed by the
-    damping integral, normalized to 1/gamma(t0) at t0.  Every function here
-    reads one dense trajectory of (gamma, gamma', int p, tau).
+    and in the new variables  d2x'/dtau2 = coefficient x'^n.  gamma solves
+    the associated linear equation; beta is fixed by the damping integral,
+    normalized to 1/gamma(t0) at t0.  Every function here is a function of t
+    and reads one dense trajectory of (gamma, gamma', int p, tau).
     """
 
     gamma: TimeFn
     dgamma: TimeFn
     beta: TimeFn
-    dbeta: TimeFn
     tau: TimeFn
     coefficient: TimeFn
-    gauge: GaugeTransform
     t0: float
     t_end: float
     truncated: bool  # True when gamma hit zero before the requested end
     n: float
-
-    def t_of_tau(self, tau_value: float) -> float:
-        return invert_monotone(self.tau, tau_value, self.t0, self.t_end)
 
     def render(self) -> str:
         lines = [
@@ -622,39 +618,23 @@ def kummer_liouville(
         return (dg, ddg, p(t), math.exp(-y[2]) / (y[0] * y[0]))
 
     traj = integrate(rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
-    gamma = lambda t: traj(t)[0]
-    dgamma = lambda t: traj(t)[1]
-    tau = lambda t: traj(t)[3]
 
     def beta(t):
         g, _, int_p, _ = traj(t)
         return math.exp(-int_p) / g
 
-    def dbeta(t):
-        g, dg, int_p, _ = traj(t)
-        return -math.exp(-int_p) / g * (p(t) + dg / g)
-
     r, n = prob.r, prob.n
 
     def coefficient(t):
-        return r(t) * real_power(gamma(t), n + 1.0) / beta(t) ** 2
+        g, _, int_p, _ = traj(t)
+        return r(t) * real_power(g, n + 3.0) * math.exp(2.0 * int_p)
 
-    gauge = GaugeTransform(
-        alpha=dgamma,
-        beta=beta,
-        gamma=gamma,
-        dalpha=lambda t: lin_rhs(t, traj(t))[1],
-        dbeta=dbeta,
-        dgamma=dgamma,
-    )
     return KummerLiouvilleReduction(
-        gamma=gamma,
-        dgamma=dgamma,
+        gamma=lambda t: traj(t)[0],
+        dgamma=lambda t: traj(t)[1],
         beta=beta,
-        dbeta=dbeta,
-        tau=tau,
+        tau=lambda t: traj(t)[3],
         coefficient=coefficient,
-        gauge=gauge,
         t0=t0,
         t_end=end,
         truncated=truncated,
@@ -669,37 +649,33 @@ def canonical_residual(
     grid_points: int = 81,
     config: Optional[IntegratorConfig] = None,
 ) -> float:
-    """Sup residual of d2x'/dtau2 = F x'^n along a transformed trajectory.
+    """Sup relative gap between the canonical equation, solved in its own
+    clock, and a trajectory of the original problem mapped into its frame.
 
-    Integrates the original problem, maps it into the canonical frame, and
-    forms the second clock-derivative by a fourth-order five-point stencil
-    on a uniform clock grid.  Returns the largest absolute residual over
-    the interior stencil points.
+    The tau-run integrates d2x'/dtau2 = F x'^n over tau with t as a state,
+    dt/dtau = gamma/beta (a Sundman-type change of independent variable),
+    reading F and gamma/beta from ``kl``.  It starts from x0/gamma0 and
+    v0 gamma0 - x0 gamma'0, since beta(t0) = 1/gamma(t0).  x'(tau(t)) is
+    compared with x(t)/gamma(t) at grid_points times uniform in t; times
+    uniform in tau crowd into the end of a truncated window, where x/gamma
+    is ill-conditioned.
     """
     if grid_points < 5:
-        raise ValueError(
-            f"canonical_residual needs grid_points >= 5 for one interior stencil "
-            f"point, got {grid_points}"
-        )
+        raise ValueError(f"canonical_residual needs grid_points >= 5, got {grid_points}")
     cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-    traj = integrate(prob.rhs, kl.t0, z0, kl.t_end, cfg)
+    t0, t_end = kl.t0, kl.t_end
+    orig = integrate(prob.rhs, t0, z0, t_end, cfg)
 
-    tau_max = kl.tau(kl.t_end)
-    taus = np.linspace(0.0, tau_max, grid_points)
-    dtau = taus[1] - taus[0]
+    def rhs(tau, y):
+        t = min(max(y[0], t0), t_end)  # the t state overshoots by round-off
+        return (kl.gamma(t) / kl.beta(t), y[2], kl.coefficient(t) * real_power(y[1], kl.n))
 
-    xs = np.empty(grid_points)
-    coef = np.empty(grid_points)
-    for i, tv in enumerate(taus):
-        t = kl.t0 if i == 0 else kl.t_of_tau(float(tv))
-        xs[i] = traj(t)[0] / kl.gamma(t)
-        coef[i] = kl.coefficient(t)
-
-    worst = 0.0
-    for i in range(2, grid_points - 2):
-        second = (-xs[i - 2] + 16 * xs[i - 1] - 30 * xs[i] + 16 * xs[i + 1] - xs[i + 2]) / (
-            12.0 * dtau * dtau
-        )
-        target = coef[i] * real_power(xs[i], kl.n)
-        worst = max(worst, abs(second - target))
+    x0, v0 = z0
+    g0 = kl.gamma(t0)
+    tau_end = kl.tau(t_end)
+    canon = integrate(rhs, 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)), tau_end, cfg)
+    worst, _ = _sup_rel_gap(
+        lambda t: (canon(min(kl.tau(t), tau_end))[1], orig(t)[0] / kl.gamma(t)),
+        _sample_points((t0, t_end), grid_points),
+    )
     return worst

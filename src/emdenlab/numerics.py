@@ -10,12 +10,12 @@ endpoint conditions) in exact arithmetic.
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
 come from the same dense output (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6).  ``invert_monotone`` inverts such an integral, the
-Kummer-Liouville clock, by bisection.  ``quad`` (15-point Gauss-Legendre
-panels refined by bisection), ``AntiderivativeFn`` (cached chains of quad
-calls) and the ``QuadratureError`` they raise have no caller under src/;
-they stay only for ``perfbench/tracing.py``, which wraps the first two by
-name.
+II.4-II.6).  ``quad`` (15-point Gauss-Legendre panels refined by
+bisection), ``AntiderivativeFn`` (cached chains of quad calls), the
+``QuadratureError`` they raise and ``invert_monotone`` (bisection for a
+monotone function) have no caller under src/; they stay only for
+``perfbench/tracing.py``, which wraps ``quad``, ``AntiderivativeFn`` and
+``invert_monotone`` by name.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class IntegratorConfig:
         for key, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{key} = {value!r} must be finite and positive")
+        if self.rel_tol >= 1.0:
+            raise ValueError(f"rel_tol = {self.rel_tol!r} must be below 1")
 
 
 @dataclass
@@ -200,8 +202,10 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     reached time when the error controller cannot advance (typically a
     finite-time blow-up inside the interval), and StepEvaluationError with
     the reached time when the right-hand side raises an ArithmeticError or
-    ValueError inside a step.
+    ValueError inside a step.  A non-finite t0 or t_end is a ValueError.
     """
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError(f"integration limits t0={t0}, t_end={t_end} must be finite")
     cfg = config or IntegratorConfig()
     t = float(t0)
     y = np.atleast_1d(np.asarray(y0, dtype=float))

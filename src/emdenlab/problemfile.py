@@ -15,8 +15,8 @@ One key per line, ``#`` starts a comment, order is free:
 
 Coefficients are expression strings in the single variable t.  Files are
 validated eagerly: expressions must parse and bind, every number must be
-finite, tolerances must be positive, and the integration interval must stay
-clear of every declared singular point.
+finite, tolerances must be positive (and rel_tol below 1), and the
+integration interval must stay clear of every declared singular point.
 """
 
 from __future__ import annotations
@@ -201,6 +201,8 @@ def parse_spec(text: str) -> ProblemSpec:
 
     initial = (_parse_float("x0", entries["x0"]), _parse_float("v0", entries["v0"]))
     rel_tol = _parse_float("rel_tol", entries.get("rel_tol", "1e-10"), positive=True)
+    if rel_tol >= 1.0:
+        raise SpecError(f"rel_tol = {entries['rel_tol']!r} must be below 1")
     abs_tol = _parse_float("abs_tol", entries.get("abs_tol", "1e-12"), positive=True)
 
     return ProblemSpec(

@@ -1,6 +1,7 @@
 """Frame changes: pushforwards, particular-solution reduction, canonical form."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -261,11 +262,6 @@ class TestKummerLiouville:
             assert abs(kl.tau(t) - (t - 1.0)) <= 1e-9
             assert abs(kl.coefficient(t) * t ** 4 - 1.0) <= 1e-9
 
-    def test_clock_inversion(self):
-        gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
-        kl = kummer_liouville(gp, 1.0, 5.0, gamma_init=(1.0, -1.0))
-        assert kl.t_of_tau(kl.tau(3.3)) == pytest.approx(3.3, abs=1e-9)
-
     def test_constant_damping_closed_form(self):
         c = 0.5
         gp = GeneralizedProblem(p=c, q=None, r=1.0, n=5)
@@ -295,3 +291,15 @@ class TestKummerLiouville:
         gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
         kl = kummer_liouville(gp, 1.0, 5.0, gamma_init=(1.0, -1.0))
         assert canonical_residual(kl, gp, (0.3, 0.0), grid_points=41) < 1e-6
+
+    @pytest.mark.parametrize("defect", ["coefficient exponent n+2", "clock rate 1/beta"])
+    def test_wrong_reduction_fails_the_check(self, defect):
+        # gamma = 1/t here, so one power of gamma changes F and the clock;
+        # with gamma identically 1 such a defect could not show
+        gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
+        kl = kummer_liouville(gp, 1.0, 5.0, gamma_init=(1.0, -1.0))
+        if defect == "coefficient exponent n+2":
+            wrong = replace(kl, coefficient=lambda t: kl.coefficient(t) / kl.gamma(t))
+        else:
+            wrong = replace(kl, beta=lambda t: kl.beta(t) * kl.gamma(t))
+        assert canonical_residual(wrong, gp, (0.3, 0.0), grid_points=41) > 1e-6

@@ -68,7 +68,7 @@ class TestIntegrate:
 
     def test_fifth_order_convergence_at_fixed_steps(self):
         def err_at(h):
-            cfg = IntegratorConfig(rel_tol=10.0, abs_tol=10.0,
+            cfg = IntegratorConfig(rel_tol=0.5, abs_tol=10.0,
                                    first_step=h, max_step=h)
             traj = integrate(_oscillator, 0.0, [1.0, 0.0], math.pi, cfg)
             return float(np.max(np.abs(traj.y[-1] - _oscillator_exact(math.pi))))
@@ -147,10 +147,18 @@ class TestIntegrate:
     @pytest.mark.parametrize("field, value", [
         ("rel_tol", -1.0), ("rel_tol", 0.0), ("abs_tol", 0.0),
         ("abs_tol", -1e-12), ("rel_tol", math.nan), ("abs_tol", math.inf),
+        ("rel_tol", 1.0), ("rel_tol", 2.0),
     ])
     def test_config_rejects_unusable_tolerances(self, field, value):
         with pytest.raises(ValueError, match=field):
             IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("t0, t_end", [
+        (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+    ])
+    def test_non_finite_limits_rejected(self, t0, t_end):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate(_oscillator, t0, [1.0, 0.0], t_end)
 
 
 class TestDenseOutput:

@@ -186,6 +186,11 @@ class TestParseSpecRejections:
         with pytest.raises(SpecError, match=f"^{key} = .* must be positive"):
             parse_spec(DRAG_N5 + extra + "\n")
 
+    @pytest.mark.parametrize("value", ["1", "2", "1e300"])
+    def test_relative_tolerance_must_be_below_one(self, value):
+        with pytest.raises(SpecError, match="^rel_tol = .* must be below 1"):
+            parse_spec(DRAG_N5 + f"rel_tol = {value}\n")
+
 
 class TestLoadSpec:
     def test_reads_file(self, tmp_path):
