@@ -16,8 +16,6 @@ import argparse
 import sys
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exprlang import EvalDomainError
 from .gauge import (
     EmdenProblem,
@@ -34,7 +32,7 @@ from .invariants import (
     invariant_from_particular_solution,
     rescaled_energy_invariant,
 )
-from .numerics import IntegrationError, integrate, write_csv
+from .numerics import IntegrationError, integrate, linspace, write_csv
 from .problemfile import (
     ProblemSpec,
     SpecError,
@@ -81,11 +79,11 @@ def _number(flag: str, positive: bool = False):
     return parse
 
 
-def _count(text: str) -> int:
-    """argparse type for an integer of at least 1."""
+def _samples(text: str) -> int:
+    """argparse type for --samples: a span is sampled at both ends at least."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
     return value
 
 
@@ -125,8 +123,8 @@ def _cmd_integrate(args) -> int:
     t0, t1 = spec.interval
     traj = integrate(prob.rhs, t0, spec.initial, t1, spec.config())
     rows = []
-    for t in np.linspace(t0, t1, args.samples):
-        x, v = traj(float(t))
+    for t in linspace(t0, t1, args.samples):
+        x, v = traj(t)
         rows.append((t, x, v))
     _emit_csv(args.output, ("t", "x", "v"), rows)
     return _finish(True, "steps", traj.accepted)
@@ -177,8 +175,7 @@ def _cmd_invariant(args) -> int:
     if inv.validity_interval is not None and inv.validity_interval[0] > t0:
         start = inv.validity_interval[0]
         warmup = integrate(prob.rhs, t0, spec.initial, start, cfg)
-        z0 = tuple(float(c) for c in warmup(start))
-        traj = integrate(prob.rhs, start, z0, t1, cfg)
+        traj = integrate(prob.rhs, start, warmup(start), t1, cfg)
     else:
         traj = integrate(prob.rhs, t0, spec.initial, t1, cfg)
 
@@ -221,9 +218,9 @@ def _cmd_superpose(args) -> int:
     if not t0 < t1:
         raise InputError(f"interval [{t0:g}, {t1:g}] must run forward")
     rows = []
-    for t in np.linspace(t0, t1, args.samples):
-        value = x1(float(t))
-        rows.append((t, value, superpose(value, float(t), args.K)))
+    for t in linspace(t0, t1, args.samples):
+        value = x1(t)
+        rows.append((t, value, superpose(value, t, args.K)))
     _emit_csv(args.output, ("t", "x1", "x0"), rows)
     return _finish(True, "samples", args.samples)
 
@@ -271,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="integrate a problem file to CSV")
     p.add_argument("spec", help="problem file")
-    p.add_argument("--samples", type=_count, default=201, help="CSV rows (default 201)")
+    p.add_argument("--samples", type=_samples, default=201, help="CSV rows (default 201)")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_integrate)
 
@@ -283,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="particular:<catalog id>, generic (with --solution), s7a, or s7b",
     )
     p.add_argument("--solution", help="particular solution expression for --method generic")
-    p.add_argument("--samples", type=int, default=200, help="drift samples (default 200)")
+    p.add_argument("--samples", type=_samples, default=200, help="drift samples (default 200)")
     p.add_argument("--threshold", type=_number("--threshold", positive=True), default=1e-6,
                    help="drift verdict bound")
     p.add_argument("--output", help="drift CSV file (default stdout)")
@@ -319,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=(0.0, 2.0),
         help="evaluation window as 't0,t1' (default 0,2)",
     )
-    p.add_argument("--samples", type=_count, default=101, help="CSV rows (default 101)")
+    p.add_argument("--samples", type=_samples, default=101, help="CSV rows (default 101)")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_superpose)
 

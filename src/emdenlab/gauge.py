@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from .exprlang import real_power
-from .numerics import IntegratorConfig, integrate
+from .numerics import IntegratorConfig, integrate, linspace
 from .timefn import ZERO_FN, PowerFn, TimeFn, as_timefn, constant, nderiv
 
 __all__ = [
@@ -74,11 +72,11 @@ def _auto_deriv(fn: TimeFn, scale: float = 1.0) -> TimeFn:
     return nderiv(fn, scale=scale)
 
 
-def _sample_points(interval: Tuple[float, float], count: int) -> np.ndarray:
+def _sample_points(interval: Tuple[float, float], count: int) -> List[float]:
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
         raise ValueError(f"degenerate interval ({lo}, {hi})")
-    return np.linspace(lo, hi, count)
+    return linspace(lo, hi, count)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +215,7 @@ class GaugeTransform:
 
     def validate_on(self, interval: Tuple[float, float], samples: int = 64) -> None:
         for t in _sample_points(interval, samples):
-            self._scales(float(t))
+            self._scales(t)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +346,6 @@ def verify_pushforward(
     gap = 0.0
     scale = 1.0
     for t in ts:
-        t = float(t)
         mapped = g.inverse(t, *orig(t))
         direct = image(t)
         gap = max(gap, abs(mapped[0] - direct[0]), abs(mapped[1] - direct[1]))
@@ -415,9 +412,8 @@ class Reduction:
 
 def _sup_rel_gap(pair_fn, ts):
     """Largest relative gap between a pair of samples, and where it occurs."""
-    worst, where = 0.0, float(ts[0])
+    worst, where = 0.0, ts[0]
     for t in ts:
-        t = float(t)
         got, want = pair_fn(t)
         gap = abs(got - want) / max(1.0, abs(got), abs(want))
         if gap > worst:
@@ -480,7 +476,6 @@ def reduce_via_particular_solution(
         raise ReductionError("; ".join(failures))
 
     for t in ts:
-        t = float(t)
         if xp(t) <= 0.0:
             raise ReductionError(f"particular solution is not positive at t={t:.6g}")
         if dxp(t) >= 0.0:
@@ -498,7 +493,6 @@ def reduce_via_particular_solution(
 
     worst = 0.0
     for t in ts:
-        t = float(t)
         f1, f2 = rate(t), rate_alt(t)
         worst = max(worst, abs(f1 - f2) / max(1.0, abs(f1)))
     if worst > tol:
@@ -600,10 +594,10 @@ def kummer_liouville(
     linear = integrate(lin_rhs, t0, (g0, dg0), t_end, cfg)
     truncated = False
     end = t_end
-    below = np.flatnonzero(linear.y[:, 0] <= 0.0)
-    if below.size:
-        i = int(below[0])  # >= 1, since gamma(t0) > 0
-        lo, hi = float(linear.t[i - 1]), float(linear.t[i])
+    mesh = linear.t.tolist()
+    crossing = next((i for i, (gamma, _) in enumerate(linear.y.tolist()) if gamma <= 0.0), None)
+    if crossing is not None:
+        lo, hi = mesh[crossing - 1], mesh[crossing]  # crossing >= 1, since gamma(t0) > 0
         for _ in range(80):  # bisect the crossing within that step
             mid = 0.5 * (lo + hi)
             if linear(mid)[0] > 0.0:

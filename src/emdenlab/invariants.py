@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .exprlang import real_power
 from .gauge import EmdenProblem, reduce_via_particular_solution
-from .numerics import IntegratorConfig, Trajectory, integrate, write_csv
+from .numerics import IntegratorConfig, Trajectory, integrate, linspace, write_csv
 from .timefn import ExactnessError, PowerFn, TimeFn, as_timefn
 
 __all__ = [
@@ -155,8 +153,8 @@ class ConditionedInvariant:
     constant: float
     variation: float
     rel_tol: float
-    ts: np.ndarray
-    condition_values: np.ndarray
+    ts: List[float]
+    condition_values: List[float]
     invariant: Optional[Invariant]
     label: str
 
@@ -166,7 +164,7 @@ class ConditionedInvariant:
             f"{self.label} integrability condition",
             f"  samples      {len(vals)} on [{self.ts[0]:g}, {self.ts[-1]:g}]",
             f"  mean value   {self.constant:.12g}",
-            f"  range        [{vals.min():.12g}, {vals.max():.12g}]",
+            f"  range        [{min(vals):.12g}, {max(vals):.12g}]",
             f"  variation    {self.variation:.3e} (allowed {self.rel_tol:.1e})",
             f"verdict: {'PASS' if self.passed else 'FAIL'}",
         ]
@@ -185,15 +183,13 @@ def _condition_report(
     rel_tol: float,
     make_invariant,
 ) -> ConditionedInvariant:
-    ts = np.linspace(float(interval[0]), float(interval[1]), grid)
-    vals = np.array([cond(float(t)) for t in ts])
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmax(~np.isfinite(vals)))
-        raise InvariantDomainError(
-            f"condition value is not finite at t={ts[bad]:.6g}"
-        )
-    constant = float(vals.mean())
-    variation = float(np.max(np.abs(vals - constant))) / max(1.0, abs(constant))
+    ts = linspace(interval[0], interval[1], grid)
+    vals = [cond(t) for t in ts]
+    for t, value in zip(ts, vals):
+        if not math.isfinite(value):
+            raise InvariantDomainError(f"condition value is not finite at t={t:.6g}")
+    constant = sum(vals) / len(vals)
+    variation = max(abs(v - constant) for v in vals) / max(1.0, abs(constant))
     passed = variation <= rel_tol
     return ConditionedInvariant(
         passed=passed,
@@ -312,8 +308,8 @@ def dilation_invariant(
 class DriftReport:
     """How far from constant an invariant is along one trajectory."""
 
-    ts: np.ndarray
-    values: np.ndarray
+    ts: List[float]
+    values: List[float]
     reference: float
     max_drift: float
     relative_drift: float
@@ -359,19 +355,22 @@ def drift(inv: Invariant, traj: Trajectory, samples: int = 200) -> DriftReport:
                 f"trajectory [{t_lo}, {t_hi}] leaves the invariant's validity "
                 f"interval [{lo}, {hi}]"
             )
-    ts = np.linspace(traj.t0, traj.t_end, samples)
-    values = np.empty(samples)
+    ts = linspace(traj.t0, traj.t_end, samples)
+    values = []
     for i, t in enumerate(ts):
-        x, v = traj(float(t))
+        x, v = traj(t)
         try:
-            values[i] = inv(float(t), float(x), float(v))
+            value = inv(t, x, v)
         except (ArithmeticError, ValueError) as exc:
             raise InvariantDomainError(
-                f"invariant evaluation failed at sample {i} (t={float(t):.6g}): {exc}"
+                f"invariant evaluation failed at sample {i} (t={t:.6g}): {exc}"
             ) from exc
-    reference = float(values[0])
-    max_drift = float(np.max(np.abs(values - reference)))
-    relative = max_drift / max(1.0, abs(reference), float(np.max(np.abs(values))))
+        if not math.isfinite(value):
+            raise InvariantDomainError(f"invariant is {value} at sample {i} (t={t:.6g})")
+        values.append(value)
+    reference = values[0]
+    max_drift = max(abs(v - reference) for v in values)
+    relative = max_drift / max(1.0, abs(reference), max(abs(v) for v in values))
     return DriftReport(
         ts=ts,
         values=values,

@@ -7,15 +7,18 @@ sequence.  Tableau entries are spelled as exact rationals; the test suite
 checks their internal consistency identities (stage sums, interpolant
 endpoint conditions) in exact arithmetic.
 
+The states here have 1-6 components, so the loop runs on tuples of plain
+floats: each stage is y + h * sum_j a_ij K_j, summed in j order.  At that
+size array calls cost more than the arithmetic, and the fixed order gives
+the same bytes on every host (libm's exp and pow aside), where a BLAS
+kernel chosen by CPU sums in its own order.  The mesh is kept as arrays.
+
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
 come from the same dense output (Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6).  ``quad`` (15-point Gauss-Legendre panels refined by
-bisection), ``AntiderivativeFn`` (cached chains of quad calls), the
-``QuadratureError`` they raise and ``invert_monotone`` (bisection for a
-monotone function) have no caller under src/; they stay only for
-``perfbench/tracing.py``, which wraps ``quad``, ``AntiderivativeFn`` and
-``invert_monotone`` by name.
+II.4-II.6).  ``quad`` (Gauss-Legendre panels refined by bisection),
+``AntiderivativeFn``, ``QuadratureError`` and ``invert_monotone`` have no
+caller under src/; they stay for ``perfbench/tracing.py``, which wraps them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "IntegratorConfig", "Trajectory", "integrate",
+    "IntegratorConfig", "Trajectory", "integrate", "linspace",
     "IntegrationError", "RhsError", "StepSizeUnderflowError", "StepEvaluationError",
     "quad", "QuadratureError", "AntiderivativeFn", "invert_monotone",
     "write_csv",
@@ -94,11 +97,13 @@ _P = [
      F(69997945, 29380423)],
 ]
 
-C_ARR = np.array([float(c) for c in _C])
-A_ARR = [np.array([float(a) for a in row]) for row in _A]
-B_ARR = np.array([float(b) for b in _B])
-E_ARR = np.array([float(e) for e in _E])
-P_ARR = np.array([[float(p) for p in row] for row in _P])
+# Float forms for the integration loop.  Zero entries are dropped: adding
+# 0 * K_j to a sum of finite terms leaves it unchanged.
+_CF = tuple(float(c) for c in _C)
+_AF = tuple(tuple((j, float(a)) for j, a in enumerate(row) if a) for row in _A)
+_EF = tuple((j, float(e)) for j, e in enumerate(_E) if e)
+# one row per power of theta in the dense-output polynomial
+_PF = tuple(tuple((s, float(p)) for s, p in enumerate(col) if p) for col in zip(*_P))
 
 _ORDER_EXP = -1.0 / 5.0
 _SAFETY = 0.9
@@ -124,7 +129,8 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Accepted mesh plus a per-step interpolant of the method's order."""
+    """Accepted mesh (arrays t, y) plus a per-step interpolant of the method's
+    order; calling it gives the state at any time as a tuple of floats."""
 
     t: np.ndarray
     y: np.ndarray
@@ -133,7 +139,9 @@ class Trajectory:
     _seg_t: list = field(repr=False, default_factory=list)
     _seg_h: list = field(repr=False, default_factory=list)
     _seg_y: list = field(repr=False, default_factory=list)
+    # per segment, the interpolant's coefficients of theta, ..., theta^4
     _seg_q: list = field(repr=False, default_factory=list)
+    _t_end: float = field(repr=False, default=0.0)
 
     @property
     def t0(self) -> float:
@@ -143,49 +151,73 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.t[-1])
 
-    def __call__(self, t: float) -> np.ndarray:
-        if not self._seg_t:
+    def __call__(self, t: float) -> tuple:
+        seg_t = self._seg_t
+        if not seg_t:
             if t == self.t0:
-                return self.y[0].copy()
+                return tuple(self.y[0].tolist())
             raise ValueError("trajectory has no extent")
-        lo, hi = sorted((self.t0, self.t_end))
+        t = float(t)
+        t0, t_end = seg_t[0], self._t_end
+        lo, hi = (t0, t_end) if t_end >= t0 else (t_end, t0)
         slack = 1e-10 * (hi - lo)
         if not (lo - slack <= t <= hi + slack):
             raise ValueError(f"t={t} outside the integrated interval [{lo}, {hi}]")
-        if self.t[-1] >= self.t[0]:
-            i = bisect.bisect_right(self._seg_t, t) - 1
+        if t_end >= t0:
+            i = bisect.bisect_right(seg_t, t) - 1
         else:
-            i = bisect.bisect_right(self._seg_t, -t, key=operator.neg) - 1
-        i = min(max(i, 0), len(self._seg_t) - 1)
-        th = (t - self._seg_t[i]) / self._seg_h[i]
-        powers = np.array([th, th * th, th ** 3, th ** 4])
-        return self._seg_y[i] + self._seg_q[i] @ powers
+            i = bisect.bisect_right(seg_t, -t, key=operator.neg) - 1
+        i = min(max(i, 0), len(seg_t) - 1)
+        th = (t - seg_t[i]) / self._seg_h[i]
+        th2, th3, th4 = th * th, th ** 3, th ** 4
+        return tuple([y + (a * th + b * th2 + c * th3 + d * th4)
+                      for y, a, b, c, d in zip(self._seg_y[i], *self._seg_q[i])])
 
     def sample(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self(float(t)) for t in ts])
+        return np.array([self(t) for t in ts])
 
 
-def _wrap_rhs(rhs):
-    def call(t, y):
-        out = np.asarray(rhs(t, y), dtype=float)
-        if out.shape != y.shape:
-            raise IntegrationError(
-                f"right-hand side returned shape {out.shape}, expected {y.shape}")
-        return out
-    return call
+def linspace(a: float, b: float, count: int) -> list:
+    """count >= 2 floats from a to b: a + i * step, the last one set to b.
+
+    This is numpy.linspace's arithmetic, so the two agree bit for bit."""
+    if count < 2:
+        raise ValueError(f"linspace needs count >= 2, got {count}")
+    a, b = float(a), float(b)
+    step = (b - a) / (count - 1)
+    return [a + i * step for i in range(count - 1)] + [b]
 
 
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(v))))
+def _combine(y, h, K, row):
+    """y + h * sum_j a_j K_j for each component, summed in j order."""
+    out = []
+    for c, yc in enumerate(y):
+        s = 0.0
+        for j, a in row:
+            s += a * K[j][c]
+        out.append(yc + h * s)
+    return tuple(out)
+
+
+def _rms(v) -> float:
+    return math.sqrt(sum([x * x for x in v]) / len(v))
+
+
+def _finite(v) -> bool:
+    return all(map(math.isfinite, v))
 
 
 def _initial_step(f, t0, y0, f0, direction, rel_tol, abs_tol, span):
-    scale = abs_tol + rel_tol * np.abs(y0)
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    scale = [abs_tol + rel_tol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = f(t0 + h0 * direction, y1)
-    d2 = _rms((f1 - f0) / scale) / h0 if np.all(np.isfinite(f1)) else 1.0 / h0
+    hd = h0 * direction
+    f1 = f(t0 + hd, tuple([v + hd * k for v, k in zip(y0, f0)]))
+    if _finite(f1):
+        d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    else:
+        d2 = 1.0 / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -197,22 +229,31 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
               config: IntegratorConfig | None = None) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to t_end, either direction.
 
-    Raises RhsError when the right-hand side is not finite at the starting
-    point (a singular initial time), StepSizeUnderflowError with the
-    reached time when the error controller cannot advance (typically a
-    finite-time blow-up inside the interval), and StepEvaluationError with
-    the reached time when the right-hand side raises an ArithmeticError or
-    ValueError inside a step.  A non-finite t0 or t_end is a ValueError.
+    rhs receives the state as a tuple of floats and returns a sequence of
+    the same length.  Raises RhsError when the right-hand side is not
+    finite at the starting point (a singular initial time),
+    StepSizeUnderflowError with the reached time when the error controller
+    cannot advance (a finite-time blow-up inside the interval, or an
+    interval too long to resolve in double precision), and
+    StepEvaluationError with the reached time when the right-hand side
+    raises an ArithmeticError or ValueError inside a step.  A non-finite t0
+    or t_end is a ValueError.
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"integration limits t0={t0}, t_end={t_end} must be finite")
     cfg = config or IntegratorConfig()
     t = float(t0)
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
-    f = _wrap_rhs(rhs)
+    y = tuple(float(v) for v in y0)
+    n = len(y)
 
-    ts, ys = [t], [y.copy()]
-    traj = Trajectory(np.array(ts), np.array(ys), 0, 0)
+    def f(t, y):
+        out = tuple(map(float, rhs(t, y)))
+        if len(out) != n:
+            raise IntegrationError(f"right-hand side returned {len(out)} components, expected {n}")
+        return out
+
+    ts, ys = [t], [y]
+    traj = Trajectory(np.array(ts), np.array(ys), 0, 0, _t_end=float(t_end))
     if t_end == t0:
         return traj
 
@@ -220,26 +261,31 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
         k0 = f(t, y)
     except (ArithmeticError, ValueError) as exc:
         raise RhsError(f"right-hand side failed at t={t}: {exc}") from exc
-    if not np.all(np.isfinite(k0)):
+    if not _finite(k0):
         raise RhsError(f"right-hand side is not finite at t={t}")
 
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
-    K = np.empty((7, y.size))
+    span_floor = 5e-15 * span
+    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
+    K = [k0] * 7
+    zero = (0.0,) * n
     accepted = rejected = 0
     try:
         if cfg.first_step is not None:
             h = min(abs(cfg.first_step), span)
         else:
-            h = _initial_step(f, t, y, k0, direction, cfg.rel_tol, cfg.abs_tol, span)
+            h = _initial_step(f, t, y, k0, direction, rel_tol, abs_tol, span)
         h = min(h, cfg.max_step)
         while (t_end - t) * direction > 0:
-            h_min = max(10.0 * abs(np.nextafter(t, direction * math.inf) - t),
-                        5e-15 * span)
+            h_min = max(10.0 * abs(math.nextafter(t, direction * math.inf) - t), span_floor)
             if h < h_min:
+                reason = "solution likely blows up here"
+                if accepted + rejected == 0 and h_min == span_floor:
+                    reason = (f"the first step {h:.3g} is below 5e-15 of the interval length "
+                              f"{span:.3g}: too long to resolve in double precision")
                 raise StepSizeUnderflowError(
-                    f"step size underflow at t={t} (solution likely blows up here)",
-                    t_reached=t)
+                    f"step size underflow at t={t} ({reason})", t_reached=t)
             if accepted + rejected >= cfg.max_steps:
                 raise IntegrationError(
                     f"exceeded {cfg.max_steps} steps at t={t}", t_reached=t)
@@ -248,34 +294,32 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
             h_use = abs(t_end - t) if clipped else h
             hd = h_use * direction
 
-            K[0] = k0
-            bad = False
             for i in range(1, 7):
-                yi = y + hd * (K[:i].T @ A_ARR[i])
-                K[i] = f(t + C_ARR[i] * hd, yi)
-                if not np.all(np.isfinite(K[i])):
-                    bad = True
+                yi = _combine(y, hd, K, _AF[i])
+                K[i] = f(t + _CF[i] * hd, yi)
+                if not _finite(K[i]):
+                    err = math.inf
                     break
-            if not bad:
-                y_new = y + hd * (K[:6].T @ B_ARR[:6])
-                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                err = _rms(hd * (K.T @ E_ARR) / scale)
-            if bad or not math.isfinite(err):
+            else:
+                y_new = yi  # the last stage's input, since _A[6] == _B
+                e = _combine(zero, hd, K, _EF)
+                err = _rms([ec / (abs_tol + rel_tol * max(abs(a), abs(b)))
+                            for ec, a, b in zip(e, y, y_new)])
+            if not math.isfinite(err):
                 rejected += 1
                 h = h_use * _MIN_FACTOR
                 continue
 
             if err <= 1.0:
                 t_new = t_end if clipped else t + hd
-                q = hd * (K.T @ P_ARR)
                 traj._seg_t.append(t)
                 traj._seg_h.append(t_new - t)
-                traj._seg_y.append(y.copy())
-                traj._seg_q.append(q)
+                traj._seg_y.append(y)
+                traj._seg_q.append(tuple(_combine(zero, hd, K, row) for row in _PF))
                 ts.append(t_new)
-                ys.append(y_new.copy())
+                ys.append(y_new)
                 accepted += 1
-                t, y, k0 = t_new, y_new, K[6].copy()
+                t, y, K[0] = t_new, y_new, K[6]
                 factor = _MAX_FACTOR if err == 0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _ORDER_EXP)
             else:

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .exprlang import real_power
 from .gauge import EmdenProblem
+from .numerics import linspace
 from .timefn import ExactnessError, PowerFn, TimeFn, frac_power
 
 __all__ = [
@@ -100,7 +99,7 @@ def verify_solution(
         raise ValueError(f"empty interval ({lo}, {hi})")
     worst = 0.0
     total = 0.0
-    for t in np.linspace(lo, hi, samples):
+    for t in linspace(lo, hi, samples):
         r = ddx(t) - prob.a(t) * dx(t) - prob.b(t) * real_power(x(t), prob.n)
         r = abs(r)
         total += r
@@ -145,7 +144,7 @@ class CatalogEntry:
         """Largest relative gap between dxp^2 and xp^(n+1) over the window."""
         worst = 0.0
         np1 = self.problem.n + 1.0
-        for t in np.linspace(self.window[0], self.window[1], samples):
+        for t in linspace(self.window[0], self.window[1], samples):
             lhs = self.dxp(t) ** 2
             rhs = real_power(self.xp(t), np1)
             gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

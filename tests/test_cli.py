@@ -149,6 +149,19 @@ class TestIntegrate:
         assert verdict(out)[2] == "StepEvaluationError"
         assert "in the step from t=0.8" in err
 
+    def test_interval_too_long_to_resolve_says_so(self, capsys, tmp_path):
+        # x'' = -x^5 stays bounded; no step can be 5e-15 of a 1e300-long interval
+        text = (
+            "kind = emden\nn = 5\na = 0\nb = -1\n"
+            "interval = 0.5, 1e300\nx0 = 1\nv0 = -1\n"
+        )
+        code, out, err = run(capsys, "integrate", spec_file(tmp_path, text))
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "StepSizeUnderflowError")
+        assert "at t=0.5" in err
+        assert "too long to resolve in double precision" in err
+        assert "blows up" not in err
+
 
 class TestInvariant:
     def test_particular_from_catalog(self, capsys, tmp_path):
@@ -422,6 +435,10 @@ class TestUsage:
         (["invariant", DRAG_N5, "--method", "s7a", "--threshold", "-1"], "--threshold"),
         (["kummer-liouville", KL_GENERALIZED, "--threshold", "0"], "--threshold"),
         (["kummer-liouville", KL_GENERALIZED, "--threshold", "-1e-6"], "--threshold"),
+        (["integrate", DRAG_N5, "--samples", "1"], "--samples"),
+        (["superpose", "--x1", "1", "--K", "1", "--samples", "1"], "--samples"),
+        (["invariant", DRAG_N5, "--method", "particular:lane_emden_n5", "--samples", "1"],
+         "--samples"),
     ])
     def test_verdict_that_checks_nothing_is_refused(self, capsys, tmp_path, argv, name):
         argv = with_spec_files(tmp_path, argv)

@@ -188,7 +188,7 @@ class TestDenseOutput:
         traj = integrate(_oscillator, 0.0, [1.0, 0.0], 10.0)
         d = 1e-6
         for t in traj.t[1:-1][:10]:
-            fd = (traj(t + d) - traj(t - d)) / (2 * d)
+            fd = (np.asarray(traj(t + d)) - np.asarray(traj(t - d))) / (2 * d)
             assert np.max(np.abs(fd - _oscillator(t, traj(t)))) < 1e-5
 
     def test_outside_the_interval_is_refused(self):
@@ -204,8 +204,43 @@ class TestDenseOutput:
             t = float(t)
             i = min(max(bisect.bisect_right(keys, -t) - 1, 0), len(keys) - 1)
             th = (t - traj._seg_t[i]) / traj._seg_h[i]
-            want = traj._seg_y[i] + traj._seg_q[i] @ np.array([th, th * th, th ** 3, th ** 4])
-            assert np.array_equal(traj(t), want)
+            powers = (th, th * th, th ** 3, th ** 4)
+            want = tuple(y + sum(q * p for q, p in zip(coeffs, powers))
+                         for y, *coeffs in zip(traj._seg_y[i], *traj._seg_q[i]))
+            assert traj(t) == want
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 10.0), (10.0, 0.0)])
+    def test_states_are_tuples_of_floats(self, t0, t_end):
+        traj = integrate(_oscillator, t0, [1.0, 0.0], t_end)
+        for t in [t0, 0.5 * (t0 + t_end), t_end, np.float64(3.3)]:
+            state = traj(t)
+            assert type(state) is tuple
+            assert [type(c) for c in state] == [float, float]
+
+
+class TestLinspace:
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            a = rng.uniform(-1, 1) * 10.0 ** rng.integers(-8, 9)
+            if rng.random() < 0.5:
+                b = a + rng.uniform(-1, 1) * 10.0 ** rng.integers(-12, 9)
+            else:
+                b = rng.uniform(-1, 1) * 10.0 ** rng.integers(-8, 9)
+            count = int(rng.integers(2, 400))
+            got = numerics.linspace(a, b, count)
+            want = np.linspace(a, b, count)
+            assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_returns_plain_floats_with_both_ends(self):
+        ts = numerics.linspace(1, 2, 3)
+        assert ts == [1.0, 1.5, 2.0]
+        assert all(type(t) is float for t in ts)
+
+    @pytest.mark.parametrize("count", [1, 0, -2])
+    def test_needs_two_points(self, count):
+        with pytest.raises(ValueError, match="count >= 2"):
+            numerics.linspace(0.0, 1.0, count)
 
 
 class TestQuad:

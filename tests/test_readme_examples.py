@@ -5,6 +5,7 @@ The README's problem file is taken from the README itself; the ``plain``,
 same names.
 """
 
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -55,3 +56,20 @@ def test_readme_command_passes(command, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert out.rstrip("\n").splitlines()[-1].startswith("VERDICT: PASS")
+
+
+def test_integrate_csv_bytes_are_pinned(capsys, tmp_path):
+    # the integrator sums in a fixed order in plain floats, so these bytes
+    # do not depend on the host's BLAS build
+    path = tmp_path / "lane-emden-n5.spec"
+    path.write_text(README_SPEC)
+    assert main(["integrate", str(path)]) == 0
+    out = capsys.readouterr().out
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == 201
+    assert rows[0] == "0.5,1.3,-0.20000000000000001"
+    assert rows[99] == "2.7275,0.38096961264310764,-0.17382481336371861"
+    assert rows[-1] == "5,0.16128273063971535,-0.053319544383505633"
+    assert out.endswith("VERDICT: PASS steps=115\n")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "8812e6418650508fa9b822f9d00d2a31680c37c5e32150a6109fdbca01f7a945")
