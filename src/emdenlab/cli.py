@@ -79,17 +79,21 @@ def _number(flag: str, positive: bool = False):
     return parse
 
 
-def _samples(text: str) -> int:
-    """argparse type for --samples: a span is sampled at both ends at least."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
-    return value
+def _count(flag: str, minimum: int):
+    """argparse type for an integer of at least minimum."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{flag} = {text!r} must be at least {minimum}")
+        return value
+
+    return count
 
 
-def _pair(flag: str):
+def _pair(flag: str, positive_first: bool = False):
     """argparse type for two comma-separated finite floats."""
     number = _number(flag)
+    first = _number(flag, positive_first)
 
     def parse(text: str) -> Tuple[float, float]:
         body = text.strip()
@@ -100,7 +104,7 @@ def _pair(flag: str):
             raise argparse.ArgumentTypeError(
                 f"expected two comma-separated numbers, got {text!r}"
             )
-        return (number(parts[0]), number(parts[1]))
+        return (first(parts[0]), number(parts[1]))
 
     return parse
 
@@ -262,13 +266,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyses of Emden-Fowler drag equations from plain problem files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    samples = _count("--samples", 2)  # a span is sampled at both ends at least
 
     p = sub.add_parser("scheme-check", help="verify the bracket tables of the built-in scheme")
     p.set_defaults(func=_cmd_scheme_check)
 
     p = sub.add_parser("integrate", help="integrate a problem file to CSV")
     p.add_argument("spec", help="problem file")
-    p.add_argument("--samples", type=_samples, default=201, help="CSV rows (default 201)")
+    p.add_argument("--samples", type=samples, default=201, help="CSV rows (default 201)")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_integrate)
 
@@ -280,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="particular:<catalog id>, generic (with --solution), s7a, or s7b",
     )
     p.add_argument("--solution", help="particular solution expression for --method generic")
-    p.add_argument("--samples", type=_samples, default=200, help="drift samples (default 200)")
+    p.add_argument("--samples", type=samples, default=200, help="drift samples (default 200)")
     p.add_argument("--threshold", type=_number("--threshold", positive=True), default=1e-6,
                    help="drift verdict bound")
     p.add_argument("--output", help="drift CSV file (default stdout)")
@@ -290,14 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="problem file")
     p.add_argument(
         "--gamma-init",
-        type=_pair("--gamma-init"),
+        type=_pair("--gamma-init", positive_first=True),
         default=(1.0, 0.0),
         metavar="G0,DG0",
-        help="initial scale and slope (default 1,0)",
+        help="initial scale (positive) and slope (default 1,0)",
     )
     p.add_argument("--threshold", type=_number("--threshold", positive=True), default=1e-6,
                    help="canonical residual bound")
-    p.add_argument("--grid", type=int, default=81, help="comparison times (default 81)")
+    p.add_argument("--grid", type=_count("--grid", 5), default=81,
+                   help="comparison times (default 81)")
     p.set_defaults(func=_cmd_kummer_liouville)
 
     p = sub.add_parser("reduce", help="reduce via a particular solution with decaying slope")
@@ -316,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=(0.0, 2.0),
         help="evaluation window as 't0,t1' (default 0,2)",
     )
-    p.add_argument("--samples", type=_samples, default=101, help="CSV rows (default 101)")
+    p.add_argument("--samples", type=samples, default=101, help="CSV rows (default 101)")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_superpose)
 

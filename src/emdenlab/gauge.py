@@ -594,10 +594,9 @@ def kummer_liouville(
     linear = integrate(lin_rhs, t0, (g0, dg0), t_end, cfg)
     truncated = False
     end = t_end
-    mesh = linear.t.tolist()
-    crossing = next((i for i, (gamma, _) in enumerate(linear.y.tolist()) if gamma <= 0.0), None)
+    crossing = next((i for i, (gamma, _) in enumerate(linear.ys) if gamma <= 0.0), None)
     if crossing is not None:
-        lo, hi = mesh[crossing - 1], mesh[crossing]  # crossing >= 1, since gamma(t0) > 0
+        lo, hi = linear.ts[crossing - 1], linear.ts[crossing]  # crossing >= 1, since gamma(t0) > 0
         for _ in range(80):  # bisect the crossing within that step
             mid = 0.5 * (lo + hi)
             if linear(mid)[0] > 0.0:

@@ -11,7 +11,8 @@ The states here have 1-6 components, so the loop runs on tuples of plain
 floats: each stage is y + h * sum_j a_ij K_j, summed in j order.  At that
 size array calls cost more than the arithmetic, and the fixed order gives
 the same bytes on every host (libm's exp and pow aside), where a BLAS
-kernel chosen by CPU sums in its own order.  The mesh is kept as arrays.
+kernel chosen by CPU sums in its own order.  The mesh is kept as lists;
+``t``, ``y`` and ``sample`` import numpy and build arrays on first use.
 
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
@@ -24,14 +25,14 @@ caller under src/; they stay for ``perfbench/tracing.py``, which wraps them.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 from typing import Callable, Sequence
-
-import numpy as np
 
 __all__ = [
     "IntegratorConfig", "Trajectory", "integrate", "linspace",
@@ -129,11 +130,11 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Accepted mesh (arrays t, y) plus a per-step interpolant of the method's
+    """Accepted mesh (lists ts, ys) plus a per-step interpolant of the method's
     order; calling it gives the state at any time as a tuple of floats."""
 
-    t: np.ndarray
-    y: np.ndarray
+    ts: list
+    ys: list
     accepted: int
     rejected: int
     _seg_t: list = field(repr=False, default_factory=list)
@@ -143,19 +144,29 @@ class Trajectory:
     _seg_q: list = field(repr=False, default_factory=list)
     _t_end: float = field(repr=False, default=0.0)
 
+    @functools.cached_property
+    def t(self):
+        import numpy as np
+        return np.array(self.ts)
+
+    @functools.cached_property
+    def y(self):
+        import numpy as np
+        return np.array(self.ys)
+
     @property
     def t0(self) -> float:
-        return float(self.t[0])
+        return self.ts[0]
 
     @property
     def t_end(self) -> float:
-        return float(self.t[-1])
+        return self.ts[-1]
 
     def __call__(self, t: float) -> tuple:
         seg_t = self._seg_t
         if not seg_t:
             if t == self.t0:
-                return tuple(self.y[0].tolist())
+                return self.ys[0]
             raise ValueError("trajectory has no extent")
         t = float(t)
         t0, t_end = seg_t[0], self._t_end
@@ -173,7 +184,8 @@ class Trajectory:
         return tuple([y + (a * th + b * th2 + c * th3 + d * th4)
                       for y, a, b, c, d in zip(self._seg_y[i], *self._seg_q[i])])
 
-    def sample(self, ts: Sequence[float]) -> np.ndarray:
+    def sample(self, ts: Sequence[float]):
+        import numpy as np
         return np.array([self(t) for t in ts])
 
 
@@ -253,7 +265,7 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
         return out
 
     ts, ys = [t], [y]
-    traj = Trajectory(np.array(ts), np.array(ys), 0, 0, _t_end=float(t_end))
+    traj = Trajectory(ts, ys, 0, 0, _t_end=float(t_end))
     if t_end == t0:
         return traj
 
@@ -331,8 +343,6 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
             f"right-hand side failed in the step from t={t}: {exc}",
             t_reached=t) from exc
 
-    traj.t = np.array(ts)
-    traj.y = np.array(ys)
     traj.accepted, traj.rejected = accepted, rejected
     return traj
 
@@ -340,16 +350,22 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
 # ---------------------------------------------------------------------------
 # quadrature
 
-_G_NODES, _G_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_QUAD_DEPTH = 60
 # disagreement at this level is double-precision noise, not truncation error
-_QUAD_NOISE = 55.0 * np.finfo(float).eps
+_QUAD_NOISE = 55.0 * sys.float_info.epsilon
+
+
+@functools.cache
+def _gauss_rule() -> tuple:
+    """15-point Gauss-Legendre (node, weight) pairs as plain floats."""
+    from numpy.polynomial.legendre import leggauss
+    return tuple(zip(*(v.tolist() for v in leggauss(15))))
 
 
 def _panel(f, a: float, b: float) -> float:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     total = 0.0
-    for x, w in zip(_G_NODES, _G_WEIGHTS):
+    for x, w in _gauss_rule():
         v = f(mid + half * x)
         if not math.isfinite(v):
             raise QuadratureError(

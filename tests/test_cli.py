@@ -420,9 +420,9 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv, name", [
         (["kummer-liouville", KL_GENERALIZED, "--gamma-init", "1,-1", "--grid", "4"],
-         "grid_points"),
+         "--grid"),
         (["kummer-liouville", KL_GENERALIZED, "--gamma-init", "1,-1", "--grid", "1"],
-         "grid_points"),
+         "--grid"),
         (["invariant", DRAG_N5, "--method", "particular:lane_emden_n5", "--samples", "1"],
          "samples"),
         (["invariant", DRAG_N5, "--method", "particular:lane_emden_n5", "--samples", "0"],
@@ -439,17 +439,18 @@ class TestUsage:
         (["superpose", "--x1", "1", "--K", "1", "--samples", "1"], "--samples"),
         (["invariant", DRAG_N5, "--method", "particular:lane_emden_n5", "--samples", "1"],
          "--samples"),
+        (["kummer-liouville", KL_GENERALIZED, "--gamma-init", "0,1"], "--gamma-init"),
+        (["kummer-liouville", KL_GENERALIZED, "--gamma-init=-0.5,1"], "--gamma-init"),
     ])
     def test_verdict_that_checks_nothing_is_refused(self, capsys, tmp_path, argv, name):
+        # refused while parsing the arguments, before any work or output
         argv = with_spec_files(tmp_path, argv)
-        try:
-            code, out, err = run(capsys, *argv)
-        except SystemExit as exc:  # refused while parsing the arguments
-            captured = capsys.readouterr()
-            code, out, err = exc.code, captured.out, captured.err
-        assert code == 2
-        assert name in err
-        assert "VERDICT" not in out
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert name in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["superpose", "--x1", "(2*t)^(-1/2)", "--K", "nan", "1,2", "--samples", "3"],

@@ -218,6 +218,29 @@ class TestDenseOutput:
             assert [type(c) for c in state] == [float, float]
 
 
+class TestMesh:
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 10.0), (10.0, 0.0)])
+    def test_mesh_is_lists_of_plain_floats(self, t0, t_end):
+        traj = integrate(_oscillator, t0, [1.0, 0.0], t_end)
+        assert type(traj.ts) is list and type(traj.ys) is list
+        assert len(traj.ts) == len(traj.ys) == traj.accepted + 1
+        assert (traj.ts[0], traj.ts[-1]) == (t0, t_end)
+        assert all(type(t) is float for t in traj.ts)
+        for y in traj.ys:
+            assert type(y) is tuple
+            assert [type(c) for c in y] == [float, float]
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 10.0), (10.0, 0.0)])
+    def test_arrays_are_built_once_from_the_lists(self, t0, t_end):
+        traj = integrate(_oscillator, t0, [1.0, 0.0], t_end)
+        assert isinstance(traj.t, np.ndarray) and isinstance(traj.y, np.ndarray)
+        assert traj.t.tolist() == traj.ts
+        assert traj.y.shape == (len(traj.ys), 2)
+        assert traj.y.tolist() == [list(y) for y in traj.ys]
+        assert traj.t is traj.t
+        assert traj.y is traj.y
+
+
 class TestLinspace:
     def test_matches_numpy_bit_for_bit(self):
         rng = np.random.default_rng(20261018)
@@ -264,6 +287,12 @@ class TestQuad:
     def test_orientation_and_degenerate_interval(self):
         assert quad(math.exp, 1.0, 1.0) == 0.0
         assert abs(quad(math.exp, 1.0, 0.0) + (math.e - 1.0)) < 1e-12
+
+    def test_refined_value_is_unchanged(self):
+        # 105 evaluations over several panels; the value of the numpy-built rule
+        got = quad(lambda t: math.exp(-t * t) * math.cos(3 * t), 0.0, 4.0)
+        assert type(got) is float
+        assert got.hex() == "0x1.7e98fc92057e0p-4"
 
     def test_unresolvable_singularity_raises(self):
         with pytest.raises(QuadratureError):

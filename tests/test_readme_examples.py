@@ -6,8 +6,12 @@ same names.
 """
 
 import hashlib
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +20,8 @@ from emdenlab.cli import main
 
 from test_cli import INVERSE_CUBE, KL_GENERALIZED, PLAIN_CUBIC
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"```(?:sh)?\n(.*?)```", README, flags=re.S)
 README_SPEC = next(b for b in BLOCKS if b.startswith("# lane-emden-n5.spec"))
 COMMANDS = [
@@ -41,8 +46,8 @@ def test_readme_lists_every_subcommand():
     }
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_readme_command_passes(command, capsys, tmp_path):
+def readme_argv(command, tmp_path):
+    """The command's arguments, its files written to or placed in tmp_path."""
     argv = []
     for word in shlex.split(command)[1:]:
         if word in SPECS:
@@ -52,7 +57,12 @@ def test_readme_command_passes(command, capsys, tmp_path):
         elif word.endswith(".csv"):
             word = str(tmp_path / word)
         argv.append(word)
-    code = main(argv)
+    return argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_passes(command, capsys, tmp_path):
+    code = main(readme_argv(command, tmp_path))
     out = capsys.readouterr().out
     assert code == 0
     assert out.rstrip("\n").splitlines()[-1].startswith("VERDICT: PASS")
@@ -73,3 +83,24 @@ def test_integrate_csv_bytes_are_pinned(capsys, tmp_path):
     assert out.endswith("VERDICT: PASS steps=115\n")
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "8812e6418650508fa9b822f9d00d2a31680c37c5e32150a6109fdbca01f7a945")
+
+
+def test_readme_commands_never_import_numpy(tmp_path):
+    # numpy costs more start-up than the rest of the package; only .t, .y
+    # and sample() of a Trajectory build arrays, and no subcommand reads them
+    runs = [readme_argv(command, tmp_path) for command in COMMANDS]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from emdenlab import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
