@@ -1,4 +1,4 @@
-"""Closed-form scalar functions of time: parsing, evaluation, printing.
+"""Closed-form scalar functions of time: parsing, compilation, printing.
 
 The language covers numeric literals, the time variable ``t``, named constants
 bound at evaluation time, unary minus, the binary operators ``+ - * / ^``, and
@@ -9,12 +9,15 @@ is right-associative, so ``2^3^2`` is 512; unary minus binds more loosely than
 
 Domain violations (log of a nonpositive number, division by zero, a negative
 base under a fractional exponent, ...) raise EvalDomainError instead of
-producing NaN or a complex value.  This module also owns ``real_power``, the
-powering rule used across the package.
+producing NaN or a complex value.  ``compile_fn`` turns each expression into
+one generated, straight-line Python function of t that makes the same float
+operations and checks, in the same order, as a walk of the tree would.  This
+module also owns ``real_power``, the powering rule used across the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ __all__ = [
     "Expr", "Num", "Name", "Neg", "Bin", "Call",
     "ExprError", "ExprSyntaxError", "UnknownFunctionError",
     "UnboundIdentifierError", "EvalDomainError",
-    "parse", "evaluate", "to_source", "free_names", "compile_fn", "real_power",
+    "parse", "to_source", "free_names", "compile_fn", "real_power",
 ]
 
 
@@ -234,7 +237,10 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.next()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} is not finite", pos)
+            return Num(value)
         if kind == "name":
             k2, t2, _ = self.peek()
             if k2 == "op" and t2 == "(":
@@ -278,24 +284,7 @@ def parse(src: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-def _check_finite(r, what):
-    if not math.isfinite(r):
-        raise EvalDomainError(f"{what} is not finite")
-    return r
-
-
-def evaluate(expr: Expr, t: float | None = None, constants: dict | None = None) -> float:
-    """Evaluate the tree at time t with the given constant bindings.
-
-    Every identifier must be bound ('t' by the t argument, anything else via
-    constants); an unbound name raises UnboundIdentifierError.
-    """
-    if t is None and "t" in free_names(expr):
-        raise UnboundIdentifierError("no value supplied for 't'")
-    return compile_fn(expr, constants)(t)
-
+# compilation
 
 def free_names(expr: Expr) -> set:
     if isinstance(expr, Name):
@@ -316,55 +305,73 @@ def compile_fn(src, constants: dict | None = None):
     """Compile source text (or a tree) to a fast callable of t.
 
     All names other than 't' must appear in constants; checked here, at bind
-    time, rather than on first call.
+    time, rather than on first call.  Every call returns a new function
+    object, so callers may set attributes on it.
     """
     expr = parse(src) if isinstance(src, str) else src
     constants = dict(constants or {})
     missing = free_names(expr) - {"t"} - set(constants)
     if missing:
         raise UnboundIdentifierError(f"unbound identifier(s): {', '.join(sorted(missing))}")
-    return _compile(expr, constants)
+    source, namespace = _generate(expr, constants)
+    exec(_code(source), namespace)
+    return namespace.pop("_fn")
 
 
-def _compile(expr, constants):
-    # nested closures, one per tree node
-    if isinstance(expr, Num):
-        v = expr.value
-        return lambda t: v
-    if isinstance(expr, Name):
-        if expr.id == "t":
-            return lambda t: t
-        v = float(constants[expr.id])
-        return lambda t: v
-    if isinstance(expr, Neg):
-        f = _compile(expr.arg, constants)
-        return lambda t: -f(t)
-    if isinstance(expr, Bin):
-        fa = _compile(expr.left, constants)
-        fb = _compile(expr.right, constants)
-        op = expr.op
-        if op == "+":
-            return lambda t: _check_finite(fa(t) + fb(t), "sum")
-        if op == "-":
-            return lambda t: _check_finite(fa(t) - fb(t), "difference")
-        if op == "*":
-            return lambda t: _check_finite(fa(t) * fb(t), "product")
-        if op == "/":
-            def div(t):
-                b = fb(t)
-                if b == 0.0:
-                    raise EvalDomainError("division by zero")
-                return _check_finite(fa(t) / b, "quotient")
-            return div
-        return lambda t: real_power(fa(t), fb(t))
-    if isinstance(expr, Call):
-        fn = FUNCTIONS[expr.fn][1]
-        fargs = tuple(_compile(a, constants) for a in expr.args)
-        if len(fargs) == 1:
-            fa = fargs[0]
-            return lambda t: fn(fa(t))
-        return lambda t: fn(*(g(t) for g in fargs))
-    raise TypeError(f"not an Expr node: {expr!r}")
+_FINITE_WHAT = {"+": "sum", "-": "difference", "*": "product"}
+
+
+def _generate(expr, constants):
+    """Straight-line source for expr, and the namespace it runs in.
+
+    The source names only t and identifiers made up here; every number,
+    constant and function reaches it through a ``_vN`` namespace slot.
+    """
+    lines = []
+    namespace = {"_isfinite": math.isfinite, "_Err": EvalDomainError, "_pow": real_power}
+
+    def slot(value):
+        name = f"_v{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def emit(rhs, what=None):
+        name = f"_r{len(lines)}"
+        lines.append(f"{name} = {rhs}")
+        if what:
+            lines.append(f"if not _isfinite({name}): raise _Err('{what} is not finite')")
+        return name
+
+    def walk(node):
+        if isinstance(node, Num):
+            return slot(node.value)
+        if isinstance(node, Name):
+            return "t" if node.id == "t" else slot(float(constants[node.id]))
+        if isinstance(node, Neg):
+            return emit(f"-{walk(node.arg)}")
+        if isinstance(node, Bin):
+            if node.op == "/":
+                b = walk(node.right)
+                lines.append(f"if {b} == 0.0: raise _Err('division by zero')")
+                return emit(f"{walk(node.left)} / {b}", "quotient")
+            a = walk(node.left)
+            b = walk(node.right)
+            if node.op == "^":
+                return emit(f"_pow({a}, {b})")
+            return emit(f"{a} {node.op} {b}", _FINITE_WHAT[node.op])
+        if isinstance(node, Call):
+            args = ", ".join([walk(a) for a in node.args])
+            return emit(f"{slot(FUNCTIONS[node.fn][1])}({args})")
+        raise TypeError(f"not an Expr node: {node!r}")
+
+    result = walk(expr)
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def _fn(t):\n{body}    return {result}\n", namespace
+
+
+@functools.lru_cache(maxsize=512)
+def _code(source):
+    return compile(source, "<exprlang>", "exec")
 
 
 # ---------------------------------------------------------------------------

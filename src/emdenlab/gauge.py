@@ -410,11 +410,10 @@ class Reduction:
         )
 
 
-def _sup_rel_gap(pair_fn, ts):
-    """Largest relative gap between a pair of samples, and where it occurs."""
+def _sup_rel_gap(pairs, ts):
+    """Largest relative gap between paired samples at ts, and where it occurs."""
     worst, where = 0.0, ts[0]
-    for t in ts:
-        got, want = pair_fn(t)
+    for t, (got, want) in zip(ts, pairs):
         gap = abs(got - want) / max(1.0, abs(got), abs(want))
         if gap > worst:
             worst, where = gap, t
@@ -455,12 +454,22 @@ def reduce_via_particular_solution(
     ts = _sample_points(interval, samples)
     a, b, n = prob.a, prob.b, prob.n
 
-    cond_gap, cond_t = _sup_rel_gap(
-        lambda t: (dxp(t) ** 2, real_power(xp(t), n + 1.0)), ts
-    )
-    res_gap, res_t = _sup_rel_gap(
-        lambda t: (ddxp(t), a(t) * dxp(t) + b(t) * real_power(xp(t), n)), ts
-    )
+    # each function is evaluated once per sample, in the order the checks
+    # below need it, and later checks read the stored values
+    xs, ds, slope_pairs = [], [], []
+    for t in ts:
+        d, x = dxp(t), xp(t)
+        xs.append(x)
+        ds.append(d)
+        slope_pairs.append((d ** 2, real_power(x, n + 1.0)))
+    cond_gap, cond_t = _sup_rel_gap(slope_pairs, ts)
+    rate_terms, residual_pairs = [], []
+    for t, d, x in zip(ts, ds, xs):
+        dd, av = ddxp(t), a(t)
+        bx = b(t) * real_power(x, n)
+        rate_terms.append((d, dd, av, bx))
+        residual_pairs.append((dd, av * d + bx))
+    res_gap, res_t = _sup_rel_gap(residual_pairs, ts)
     failures = []
     if cond_gap > tol:
         failures.append(
@@ -475,25 +484,23 @@ def reduce_via_particular_solution(
     if failures:
         raise ReductionError("; ".join(failures))
 
-    for t in ts:
-        if xp(t) <= 0.0:
+    for t, x, d in zip(ts, xs, ds):
+        if x <= 0.0:
             raise ReductionError(f"particular solution is not positive at t={t:.6g}")
-        if dxp(t) >= 0.0:
+        if d >= 0.0:
             raise ReductionError(
-                f"slope of the particular solution is {dxp(t):.6g} at t={t:.6g}; "
+                f"slope of the particular solution is {d:.6g} at t={t:.6g}; "
                 "a negative slope is required so the frame scale stays positive"
             )
 
     def rate(t, _b=b, _xp=xp, _dxp=dxp, _n=n):
         return _b(t) * real_power(_xp(t), _n) / _dxp(t)
 
-    # independent derivation of the same rate, used as a cross-check only
-    def rate_alt(t, _a=a, _dxp=dxp, _ddxp=ddxp):
-        return -_a(t) + _ddxp(t) / _dxp(t)
-
+    # the rate f = b xp^n / dxp against the independent route -a + ddxp/dxp,
+    # a cross-check only
     worst = 0.0
-    for t in ts:
-        f1, f2 = rate(t), rate_alt(t)
+    for d, dd, av, bx in rate_terms:
+        f1, f2 = bx / d, -av + dd / d
         worst = max(worst, abs(f1 - f2) / max(1.0, abs(f1)))
     if worst > tol:
         raise ReductionError(
@@ -667,8 +674,8 @@ def canonical_residual(
     g0 = kl.gamma(t0)
     tau_end = kl.tau(t_end)
     canon = integrate(rhs, 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)), tau_end, cfg)
+    ts = _sample_points((t0, t_end), grid_points)
     worst, _ = _sup_rel_gap(
-        lambda t: (canon(min(kl.tau(t), tau_end))[1], orig(t)[0] / kl.gamma(t)),
-        _sample_points((t0, t_end), grid_points),
+        ((canon(min(kl.tau(t), tau_end))[1], orig(t)[0] / kl.gamma(t)) for t in ts), ts
     )
     return worst

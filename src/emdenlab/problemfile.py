@@ -44,8 +44,8 @@ class SpecError(ValueError):
     """A problem file is malformed or self-inconsistent."""
 
 
-def compile_expression(src: str, what: str = "expression") -> TimeFn:
-    """Parse an expression of t into a callable, rejecting unbound names."""
+def _expression_tree(src: str, what: str):
+    """Parse an expression of t, rejecting unbound names; compiles nothing."""
     try:
         tree = parse(src)
     except ExprError as exc:
@@ -55,7 +55,12 @@ def compile_expression(src: str, what: str = "expression") -> TimeFn:
         raise SpecError(
             f"{what} {src!r} uses unbound identifier(s) {sorted(stray)}; only t is available"
         )
-    fn = compile_fn(tree)
+    return tree
+
+
+def compile_expression(src: str, what: str = "expression") -> TimeFn:
+    """Parse an expression of t into a callable, rejecting unbound names."""
+    fn = compile_fn(_expression_tree(src, what))
     fn.expression_text = src  # type: ignore[attr-defined]
     return fn
 
@@ -168,7 +173,7 @@ def parse_spec(text: str) -> ProblemSpec:
     for key in coeff_keys:
         if key in entries:
             expressions[key] = entries.pop(key)
-            compile_expression(expressions[key], f"coefficient {key}")
+            _expression_tree(expressions[key], f"coefficient {key}")
     required = [k for k in coeff_keys if k != "q"]
     missing = [k for k in required if k not in expressions]
     if missing:

@@ -137,6 +137,20 @@ class TestIntegrate:
         assert f": {key} = " in err
         assert "VERDICT" not in out
 
+    @pytest.mark.parametrize("argv, what", [
+        (["integrate", DRAG_N5.replace("b = -1", "b = -1e999")], "coefficient b"),
+        (["integrate", DRAG_N5.replace("b = -1", "b = -(0-t)^1e999")], "coefficient b"),
+        (["reduce", DRAG_N5, "--solution", "1e999*t"], "--solution"),
+        (["superpose", "--x1", "2e400", "--K", "2", "0.1,5"], "--x1"),
+    ])
+    def test_non_finite_literals_are_input_errors(self, capsys, tmp_path, argv, what):
+        argv = [spec_file(tmp_path, a) if a.startswith("kind =") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert what in err
+        assert "is not finite" in err
+        assert "VERDICT" not in out
+
     def test_failure_mid_run_names_its_time(self, capsys, tmp_path):
         # x crosses zero near t = 0.8, where x^1.5 has no real value
         text = (

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from emdenlab.exprlang import (
     Bin, Call, EvalDomainError, ExprSyntaxError, Name, Neg, Num,
     UnboundIdentifierError, UnknownFunctionError,
-    compile_fn, evaluate, free_names, parse, real_power, to_source,
+    compile_fn, free_names, parse, real_power, to_source,
 )
 
 
 def ev(src, t=None, **consts):
-    return evaluate(parse(src), t, consts or None)
+    return compile_fn(src, consts or None)(t)
 
 
 class TestParsing:
@@ -21,6 +21,15 @@ class TestParsing:
         assert parse("2.5") == Num(2.5)
         assert parse("1e-10") == Num(1e-10)
         assert parse(".5") == Num(0.5)
+
+    def test_literal_that_overflows_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError, match="not finite") as ei:
+            parse("-(0-t)^1e999")
+        assert ei.value.offset == 7
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse("-1e999")
+        assert ei.value.offset == 1
+        assert parse("1e308") == Num(1e308)
 
     def test_power_is_right_associative(self):
         assert ev("2^3^2") == 512.0
@@ -81,12 +90,17 @@ class TestEvaluation:
     def test_unbound_identifier(self):
         with pytest.raises(UnboundIdentifierError):
             ev("K + 1")
-        with pytest.raises(UnboundIdentifierError):
-            evaluate(parse("t"))
 
     def test_division_by_zero(self):
         with pytest.raises(EvalDomainError):
             ev("-2/t", t=0.0)
+
+    def test_division_evaluates_its_right_operand_first(self):
+        # log(-1) would fail first if the left operand were evaluated first
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            ev("log(0-1)/(t-t)", t=1.0)
+        with pytest.raises(EvalDomainError, match="log of nonpositive"):
+            ev("(t-t)/log(0-1)", t=1.0)
 
     def test_log_domain(self):
         with pytest.raises(EvalDomainError):
@@ -110,18 +124,36 @@ class TestEvaluation:
             ev("exp(1000)")
         with pytest.raises(EvalDomainError):
             ev("10^400")
+        for src, what in [("1e300*1e300", "product"), ("1e308 + 1e308", "sum"),
+                          ("0 - 1e308 - 1e308", "difference"), ("1e300/1e-300", "quotient")]:
+            with pytest.raises(EvalDomainError, match=f"^{what} is not finite$"):
+                ev(src)
 
-    def test_compile_fn_matches_evaluate(self):
+    def test_compile_fn_matches_reference(self):
         f = compile_fn("exp(-2*t) * (1 + t^2/3)^(-1/2)")
         e = parse("exp(-2*t) * (1 + t^2/3)^(-1/2)")
         for t in [0.0, 0.3, 1.7, 9.0]:
-            assert f(t) == evaluate(e, t)
+            assert f(t) == _reference_eval(e, t, {})
 
     def test_compile_fn_binds_eagerly(self):
         with pytest.raises(UnboundIdentifierError):
             compile_fn("K*t")
         f = compile_fn("K*t", {"K": -1.5})
         assert f(2.0) == -3.0
+
+    def test_constants_named_like_generated_identifiers_bind(self):
+        consts = {"_E": 2.0, "_f": 3.0, "_fn": 5.0, "_v0": 7.0, "_r0": 11.0, "_pow": 13.0}
+        f = compile_fn("_E*t + _f + _fn + _v0 + _r0 + _pow", consts)
+        assert f(1.0) == 2.0 + 3.0 + 5.0 + 7.0 + 11.0 + 13.0
+
+    def test_each_compile_gives_its_own_function(self):
+        f, g = compile_fn("2*t"), compile_fn("2*t")
+        assert f is not g
+        f.expression_text = "2*t"
+        assert not hasattr(g, "expression_text")
+        h = compile_fn("3*t")
+        assert (f(1.0), h(1.0)) == (2.0, 3.0)
+        assert h.__code__ is f.__code__  # same shape, one code object
 
     def test_free_names(self):
         assert free_names(parse("K*t + exp(c*t)")) == {"K", "t", "c"}
@@ -192,14 +224,15 @@ def test_print_parse_round_trip(expr):
 @given(_exprs, st.floats(min_value=0.1, max_value=4.0, allow_nan=False))
 def test_eval_matches_reference_recursion_exactly(expr, t):
     consts = {"K": 1.75}
+    fn = compile_fn(expr, consts)
     try:
-        mine = evaluate(expr, t, consts)
+        mine = fn(t)
     except EvalDomainError:
         return  # reference would raise or leave the reals here; nothing to compare
-    ref = _reference_eval(expr, t, consts)
-    # 0 ULP: both walks perform the identical float operations in order
-    assert mine == ref
-    assert compile_fn(expr, consts)(t) == ref
+    # anything other than EvalDomainError propagates and fails the test
+    # 0 ULP: the generated code performs the walk's float operations in order,
+    # so even the sign of a zero agrees
+    assert mine.hex() == _reference_eval(expr, t, consts).hex()
 
 
 def test_round_trip_on_seeded_source_corpus():

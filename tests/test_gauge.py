@@ -20,6 +20,7 @@ from emdenlab.gauge import (
     verify_pushforward,
 )
 from emdenlab.numerics import IntegratorConfig, integrate
+from emdenlab.problemfile import compile_expression
 from emdenlab.timefn import ZERO_FN, PowerFn, constant
 
 
@@ -238,6 +239,23 @@ class TestReduceViaParticularSolution:
         xp = PowerFn(1, 10, -2, Fraction(-1, 2))
         with pytest.raises(ReductionError, match="negative slope"):
             reduce_via_particular_solution(prob, xp, (0.5, 2.0))
+
+
+    def test_text_profile_is_evaluated_once_per_sample(self):
+        # a profile from text has no exact derivative: dxp and ddxp are
+        # nested finite differences that call xp 4 and 16 times per sample
+        calls = []
+        profile = compile_expression("(2*t)^(-1/2)")
+
+        def xp(t):
+            calls.append(t)
+            return profile(t)
+
+        prob = EmdenProblem(a=compile_expression("-2/t"), b=compile_expression("-1"), n=5)
+        red = reduce_via_particular_solution(prob, xp, (0.5, 5.0))
+        assert len(calls) == 200 * (1 + 4 + 16)
+        # the bits the README's reduce command has always reported
+        assert red.rate_consistency.hex() == "0x1.b9927bff39700p-30"
 
 
 class TestKummerLiouville:

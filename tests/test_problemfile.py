@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from emdenlab import problemfile
 from emdenlab.gauge import EmdenProblem, GeneralizedProblem
 from emdenlab.problemfile import (
     SpecError,
@@ -43,6 +44,17 @@ class TestCompileExpression:
     def test_label_appears_in_message(self):
         with pytest.raises(SpecError, match="coefficient a"):
             compile_expression("(", what="coefficient a")
+
+    def test_parse_spec_checks_coefficients_without_compiling_them(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_spec compiled a coefficient")
+
+        monkeypatch.setattr(problemfile, "compile_fn", refuse)
+        spec = parse_spec(DRAG_N5)
+        with pytest.raises(SpecError, match="coefficient b"):
+            parse_spec(DRAG_N5.replace("b = -1", "b = -c"))
+        with pytest.raises(AssertionError):
+            spec.coefficient("a")
 
 
 class TestParseSpec:

@@ -1,4 +1,5 @@
-"""Every ``emdenlab`` command in the README runs and passes.
+"""Every ``emdenlab`` command in the README runs, passes, and prints the
+pinned bytes.
 
 The README's problem file is taken from the README itself; the ``plain``,
 ``cube`` and ``damped`` files it names are the test suite's specs of the
@@ -68,6 +69,55 @@ def test_readme_command_passes(command, capsys, tmp_path):
     assert out.rstrip("\n").splitlines()[-1].startswith("VERDICT: PASS")
 
 
+# sha256 of each README command's stdout, and of the file it writes with
+# --output; float results are pinned bit for bit, so a change that claims
+# identical output must keep these
+PINNED = {
+    "emdenlab scheme-check": (
+        "437384e339e91a47f964d7da7782577d6c7fcc38fa5c03f123a5bae9ff8611cd", None),
+    "emdenlab integrate lane-emden-n5.spec --output traj.csv": (
+        "640684eb41869a3c75f96a36a8018c412affdb183d7b727127134d31f7eb434d",
+        "14d4578ef2a60a93f6236bbab96f8b5a4ea15c27aa6460fee570b9e20fa9cc44"),
+    "emdenlab invariant lane-emden-n5.spec --method particular:lane_emden_n5": (
+        "a9b7024666e36b471481f0ca584edc5f64dc0a20116a4b9db458d43975246c97", None),
+    "emdenlab invariant lane-emden-n5.spec --method generic --solution '(2*t)^(-1/2)'": (
+        "d6b5334f533275c286a40f08bbd9339cdd997cc90c56cc7a81c9a5cfd750c039", None),
+    "emdenlab invariant plain.spec --method s7a": (
+        "2722bce4cd37a7ffde2dc2f21f82fdb8706e5a4901b820ecd7b625165d5d99a6", None),
+    "emdenlab invariant cube.spec --method s7b": (
+        "84adef2c7e3b728d1128c39e344060948c638015b84d2ea06b815f16e07abbb8", None),
+    "emdenlab kummer-liouville lane-emden-n5.spec": (
+        "0764d638afe30ad113e94ca9e67bb5a78bbec3284d04f6816dda38ffd57ea85e", None),
+    "emdenlab kummer-liouville damped.spec --gamma-init 1,-1": (
+        "dd9ba2cda30a83eb51ae0090bbdfdd94755b76ef441933afe0d385795da54bd8", None),
+    "emdenlab reduce lane-emden-n5.spec --solution '(2*t)^(-1/2)'": (
+        "d472f42ca1ab59f1499624ca9ace63d37a2346cc17382ed2533dc6589d8b5bf5", None),
+    "emdenlab superpose --x1 '(1+t^2/3)^(-1/2)' --K 2 0.1,5": (
+        "e17159a8a66d203ba0e011e1c8eb11bc9a4777b38be73540ebcc51b3ef753c74", None),
+    "emdenlab construct --n 5 --K 1": (
+        "54266cd150002c1c1113243f7a75ce713548d428a893ef77098afacd1525ceb3", None),
+    "emdenlab catalog": (
+        "85ed7f911d2797499be663e67963ac979bbdf001003090b08adc8e5da0ac89c9", None),
+}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_readme_command_is_pinned():
+    assert sorted(PINNED) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_output_is_pinned(command, capsys, tmp_path):
+    assert main(readme_argv(command, tmp_path)) == 0
+    out = capsys.readouterr().out
+    written = [tmp_path / w for w in shlex.split(command) if w.endswith(".csv")]
+    csv = sha256(written[0].read_bytes()) if written else None
+    assert (sha256(out.encode("ascii")), csv) == PINNED[command]
+
+
 def test_integrate_csv_bytes_are_pinned(capsys, tmp_path):
     # the integrator sums in a fixed order in plain floats, so these bytes
     # do not depend on the host's BLAS build
@@ -81,7 +131,7 @@ def test_integrate_csv_bytes_are_pinned(capsys, tmp_path):
     assert rows[99] == "2.7275,0.38096961264310764,-0.17382481336371861"
     assert rows[-1] == "5,0.16128273063971535,-0.053319544383505633"
     assert out.endswith("VERDICT: PASS steps=115\n")
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+    assert sha256(out.encode("ascii")) == (
         "8812e6418650508fa9b822f9d00d2a31680c37c5e32150a6109fdbca01f7a945")
 
 

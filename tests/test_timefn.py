@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from emdenlab.exprlang import evaluate, parse
+from emdenlab.exprlang import compile_fn
 from emdenlab.timefn import (
     ExactnessError, PowerFn, constant, frac_power, nderiv,
 )
@@ -105,10 +105,10 @@ class TestPowerFn:
                   PowerFn(Fraction(-3, 4), 0, 1, 5),
                   PowerFn(1.5, 2, -0.25, Fraction(2, 3)),
                   PowerFn(7, 2, 0, 0)):
-            expr = parse(f.to_source())
+            fn = compile_fn(f.to_source())
             for t in (0.1, 1.0, 3.7):
                 try:
                     want = f(t)
                 except Exception:
                     continue
-                assert evaluate(expr, t=t) == pytest.approx(want, rel=1e-15, abs=0)
+                assert fn(t) == pytest.approx(want, rel=1e-15, abs=0)
