@@ -17,7 +17,6 @@ module also owns ``real_power``, the powering rule used across the package.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -314,7 +313,7 @@ def compile_fn(src, constants: dict | None = None):
     if missing:
         raise UnboundIdentifierError(f"unbound identifier(s): {', '.join(sorted(missing))}")
     source, namespace = _generate(expr, constants)
-    exec(_code(source), namespace)
+    exec(compile(source, "<exprlang>", "exec"), namespace)
     return namespace.pop("_fn")
 
 
@@ -368,10 +367,6 @@ def _generate(expr, constants):
     body = "".join(f"    {line}\n" for line in lines)
     return f"def _fn(t):\n{body}    return {result}\n", namespace
 
-
-@functools.lru_cache(maxsize=512)
-def _code(source):
-    return compile(source, "<exprlang>", "exec")
 
 
 # ---------------------------------------------------------------------------
