@@ -174,11 +174,20 @@ def _tokenize(src: str):
     return out
 
 
+# Each operator, sign, call and pair of parentheses is one level.  The parser
+# recurses up to eight frames per level and the tree walkers up to two, so
+# this keeps them well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, levels of nesting in it)."""
+
     def __init__(self, src: str):
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.open = 0  # levels open at the cursor
 
     def peek(self):
         return self.toks[self.i]
@@ -194,44 +203,60 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         return self.next()
 
+    def bound(self, depth, pos):
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested more than {MAX_DEPTH} levels deep", pos)
+        return depth
+
+    def nested(self, rule, pos):
+        """rule's (node, depth) one level down; refused before descending past the bound."""
+        self.open = self.bound(self.open + 1, pos)
+        node, depth = rule()
+        self.open -= 1
+        return node, self.bound(depth + 1, pos)
+
     # expr := term (('+' | '-') term)*
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.next()
-                node = Bin(text, node, self.term())
+                right, d = self.term()
+                node, depth = Bin(text, node, right), self.bound(max(depth, d) + 1, pos)
             else:
-                return node
+                return node, depth
 
     # term := unary (('*' | '/') unary)*
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.next()
-                node = Bin(text, node, self.unary())
+                right, d = self.unary()
+                node, depth = Bin(text, node, right), self.bound(max(depth, d) + 1, pos)
             else:
-                return node
+                return node, depth
 
     # unary := '-' unary | power
     def unary(self):
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.next()
-            return Neg(self.unary())
+            arg, depth = self.nested(self.unary, pos)
+            return Neg(arg), depth
         return self.power()
 
     # power := atom ('^' unary)?     right-associative, exponent may be signed
     def power(self):
-        node = self.atom()
-        kind, text, _ = self.peek()
+        node, depth = self.atom()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.next()
-            return Bin("^", node, self.unary())
-        return node
+            right, d = self.nested(self.unary, pos)
+            return Bin("^", node, right), self.bound(max(depth + 1, d), pos)
+        return node, depth
 
     def atom(self):
         kind, text, pos = self.next()
@@ -239,22 +264,32 @@ class _Parser:
             value = float(text)
             if not math.isfinite(value):
                 raise ExprSyntaxError(f"number {text!r} is not finite", pos)
-            return Num(value)
+            return Num(value), 0
         if kind == "name":
             k2, t2, _ = self.peek()
             if k2 == "op" and t2 == "(":
                 return self.call(text, pos)
-            return Name(text)
+            return Name(text), 0
         if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            return self.nested(self.group, pos)
         raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
+
+    def group(self):
+        node, depth = self.expr()
+        self.expect_op(")")
+        return node, depth
 
     def call(self, fn, pos):
         if fn not in FUNCTIONS:
             raise UnknownFunctionError(f"unknown function {fn!r}", pos)
         self.expect_op("(")
+        args, depth = self.nested(self.arguments, pos)
+        arity = FUNCTIONS[fn][0]
+        if len(args) != arity:
+            raise ExprSyntaxError(f"{fn} takes {arity} argument(s), got {len(args)}", pos)
+        return Call(fn, args), depth
+
+    def arguments(self):
         args = [self.expr()]
         while True:
             kind, text, p = self.peek()
@@ -263,19 +298,16 @@ class _Parser:
                 args.append(self.expr())
             elif kind == "op" and text == ")":
                 self.next()
-                break
+                return tuple(a for a, _ in args), max(d for _, d in args)
             else:
                 raise ExprSyntaxError("expected ',' or ')'", p)
-        arity = FUNCTIONS[fn][0]
-        if len(args) != arity:
-            raise ExprSyntaxError(f"{fn} takes {arity} argument(s), got {len(args)}", pos)
-        return Call(fn, tuple(args))
 
 
 def parse(src: str) -> Expr:
-    """Parse source text to a tree.  Syntax errors carry the byte offset."""
+    """Parse source text to a tree.  Syntax errors carry the byte offset;
+    nesting deeper than MAX_DEPTH levels is one."""
     p = _Parser(src)
-    node = p.expr()
+    node, _ = p.expr()
     kind, text, pos = p.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {text!r}", pos)
@@ -303,9 +335,9 @@ def free_names(expr: Expr) -> set:
 def compile_fn(src, constants: dict | None = None):
     """Compile source text (or a tree) to a fast callable of t.
 
-    All names other than 't' must appear in constants; checked here, at bind
-    time, rather than on first call.  Every call returns a new function
-    object, so callers may set attributes on it.
+    All names other than 't' must appear in constants, bound to finite
+    values; checked here, at bind time, rather than on first call.  Every
+    call returns a new function object, so callers may set attributes on it.
     """
     expr = parse(src) if isinstance(src, str) else src
     constants = dict(constants or {})
@@ -345,7 +377,12 @@ def _generate(expr, constants):
         if isinstance(node, Num):
             return slot(node.value)
         if isinstance(node, Name):
-            return "t" if node.id == "t" else slot(float(constants[node.id]))
+            if node.id == "t":
+                return "t"
+            value = float(constants[node.id])
+            if not math.isfinite(value):
+                raise ExprError(f"constant {node.id} = {value!r} is not finite")
+            return slot(value)
         if isinstance(node, Neg):
             return emit(f"-{walk(node.arg)}")
         if isinstance(node, Bin):

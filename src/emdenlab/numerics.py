@@ -7,12 +7,15 @@ sequence.  Tableau entries are spelled as exact rationals; the test suite
 checks their internal consistency identities (stage sums, interpolant
 endpoint conditions) in exact arithmetic.
 
-The states here have 1-6 components, so the loop runs on tuples of plain
-floats: each stage is y + h * sum_j a_ij K_j, summed in j order.  At that
-size array calls cost more than the arithmetic, and the fixed order gives
-the same bytes on every host (libm's exp and pow aside), where a BLAS
-kernel chosen by CPU sums in its own order.  The mesh is kept as lists;
-``t``, ``y`` and ``sample`` import numpy and build arrays on first use.
+The states here have 1-6 components, so a step runs on tuples of plain
+floats: each stage is y + h * (0.0 + sum_j a_ij K_j), summed in j order.
+At that size array calls cost more than the arithmetic, and the fixed order
+gives the same bytes on every host (libm's exp and pow aside), where a BLAS
+kernel chosen by CPU sums in its own order.  The first run with n
+components generates one straight-line Python step for n, with every
+tableau entry written out as a float literal, so no loop over components
+or entries is left to interpret.  The mesh is kept as lists; ``t``, ``y``
+and ``sample`` import numpy and build arrays on first use.
 
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
@@ -98,7 +101,7 @@ _P = [
      F(69997945, 29380423)],
 ]
 
-# Float forms for the integration loop.  Zero entries are dropped: adding
+# Float forms for the generated step.  Zero entries are dropped: adding
 # 0 * K_j to a sum of finite terms leaves it unchanged.
 _CF = tuple(float(c) for c in _C)
 _AF = tuple(tuple((j, float(a)) for j, a in enumerate(row) if a) for row in _A)
@@ -126,6 +129,12 @@ class IntegratorConfig:
                 raise ValueError(f"{key} = {value!r} must be finite and positive")
         if self.rel_tol >= 1.0:
             raise ValueError(f"rel_tol = {self.rel_tol!r} must be below 1")
+        if not self.max_step > 0.0:
+            raise ValueError(f"max_step = {self.max_step!r} must be positive")
+        if self.first_step is not None and not 0.0 < self.first_step < math.inf:
+            raise ValueError(f"first_step = {self.first_step!r} must be finite and positive")
+        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            raise ValueError(f"max_steps = {self.max_steps!r} must be an integer >= 1")
 
 
 @dataclass
@@ -200,15 +209,56 @@ def linspace(a: float, b: float, count: int) -> list:
     return [a + i * step for i in range(count - 1)] + [b]
 
 
-def _combine(y, h, K, row):
-    """y + h * sum_j a_j K_j for each component, summed in j order."""
-    out = []
-    for c, yc in enumerate(y):
-        s = 0.0
-        for j, a in row:
-            s += a * K[j][c]
-        out.append(yc + h * s)
-    return tuple(out)
+@functools.cache
+def _kernel(n: int):
+    """Generated step functions (stages, dense) for n-component states.
+
+    stages(f, t, y, hd, k0, abs_tol, rel_tol) calls f on the six new stage
+    inputs, checking each slope, and returns (y_new, K, err), or
+    (None, None, inf) at the first slope that is not finite.  dense(hd, K)
+    returns an accepted step's four theta-coefficient rows.  The source
+    names only identifiers made up here and the exact reprs of the tableaux.
+    """
+    comps = range(n)
+
+    def tup(items):
+        return "(" + "".join(f"{x}, " for x in items) + ")"
+
+    def unpack(name):
+        return f"[{', '.join(f'{name}_{c}' for c in comps)}] = {name}"
+
+    def combine(base, row, c):
+        return base + " + hd * (0.0" + "".join(f" + {a!r} * k{j}_{c}" for j, a in row) + ")"
+
+    stages = ["def _stages(f, t, y, hd, k0, abs_tol, rel_tol):", unpack("y"), unpack("k0")]
+    for i in range(1, 7):
+        stages.append(f"y{i} = " + tup(combine(f"y_{c}", _AF[i], c) for c in comps))
+        stages.append(f"k{i} = f(t + {_CF[i]!r} * hd, y{i})")
+        stages.append(unpack(f"k{i}"))
+        finite = " and ".join(f"_isfinite(k{i}_{c})" for c in comps) or "True"
+        stages.append(f"if not ({finite}): return None, None, _inf")
+    # y6 is the new state, since _A[6] == _B.  The error is _rms of e / scale,
+    # with max(a, b) spelled as what it returns for two floats.
+    stages.append(unpack("y6"))
+    for c in comps:
+        stages.append(f"a_{c} = _abs(y_{c})")
+        stages.append(f"b_{c} = _abs(y6_{c})")
+        stages.append(f"e_{c} = ({combine('0.0', _EF, c)}) / "
+                      f"(abs_tol + rel_tol * (b_{c} if b_{c} > a_{c} else a_{c}))")
+    squares = ", ".join(f"e_{c} * e_{c}" for c in comps)
+    stages.append(f"return y6, {tup(f'k{i}' for i in range(7))}, _sqrt(_sum([{squares}]) / {n})")
+
+    used = sorted({j for row in _PF for j, _ in row})
+    dense = ["def _dense(hd, K):", f"[{', '.join(f'k{i}' for i in range(7))}] = K"]
+    dense += [unpack(f"k{j}") for j in used]
+    rows = [tup(combine("0.0", row, c) for c in comps) for row in _PF]
+    dense.append(f"return {tup(rows)}")
+
+    namespace = {"_isfinite": math.isfinite, "_abs": abs, "_sqrt": math.sqrt,
+                 "_sum": sum, "_inf": math.inf}
+    source = "\n    ".join(stages) + "\n" + "\n    ".join(dense) + "\n"
+    exec(compile(source, f"<dopri5 n={n}>", "exec"), namespace)
+    return namespace["_stages"], namespace["_dense"]
 
 
 def _rms(v) -> float:
@@ -280,12 +330,11 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     span = abs(t_end - t0)
     span_floor = 5e-15 * span
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
-    K = [k0] * 7
-    zero = (0.0,) * n
+    stages, dense = _kernel(n)
     accepted = rejected = 0
     try:
         if cfg.first_step is not None:
-            h = min(abs(cfg.first_step), span)
+            h = min(cfg.first_step, span)
         else:
             h = _initial_step(f, t, y, k0, direction, rel_tol, abs_tol, span)
         h = min(h, cfg.max_step)
@@ -306,17 +355,7 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
             h_use = abs(t_end - t) if clipped else h
             hd = h_use * direction
 
-            for i in range(1, 7):
-                yi = _combine(y, hd, K, _AF[i])
-                K[i] = f(t + _CF[i] * hd, yi)
-                if not _finite(K[i]):
-                    err = math.inf
-                    break
-            else:
-                y_new = yi  # the last stage's input, since _A[6] == _B
-                e = _combine(zero, hd, K, _EF)
-                err = _rms([ec / (abs_tol + rel_tol * max(abs(a), abs(b)))
-                            for ec, a, b in zip(e, y, y_new)])
+            y_new, K, err = stages(f, t, y, hd, k0, abs_tol, rel_tol)
             if not math.isfinite(err):
                 rejected += 1
                 h = h_use * _MIN_FACTOR
@@ -327,11 +366,11 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
                 traj._seg_t.append(t)
                 traj._seg_h.append(t_new - t)
                 traj._seg_y.append(y)
-                traj._seg_q.append(tuple(_combine(zero, hd, K, row) for row in _PF))
+                traj._seg_q.append(dense(hd, K))
                 ts.append(t_new)
                 ys.append(y_new)
                 accepted += 1
-                t, y, K[0] = t_new, y_new, K[6]
+                t, y, k0 = t_new, y_new, K[6]
                 factor = _MAX_FACTOR if err == 0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _ORDER_EXP)
             else:

@@ -151,6 +151,28 @@ class TestIntegrate:
         assert "is not finite" in err
         assert "VERDICT" not in out
 
+    @pytest.mark.parametrize("argv, what", [
+        (["integrate", DRAG_N5.replace("b = -1", "b = -1" + "+t-t" * 1500)], "coefficient b"),
+        (["integrate", DRAG_N5.replace("b = -1", "b = " + "(" * 400 + "-1" + ")" * 400)],
+         "coefficient b"),
+        (["reduce", DRAG_N5, "--solution", "(" * 400 + "t" + ")" * 400], "--solution"),
+        (["superpose", "--x1", "t" + "+t-t" * 1500, "--K", "2", "0.1,5"], "--x1"),
+    ])
+    def test_deeply_nested_expressions_are_input_errors(self, capsys, tmp_path, argv, what):
+        argv = [spec_file(tmp_path, a) if a.startswith("kind =") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert what in err
+        assert "nested more than 64 levels deep" in err
+        assert "Traceback" not in err
+        assert "VERDICT" not in out
+
+    def test_moderately_nested_coefficient_runs(self, capsys, tmp_path):
+        b = "(" * 30 + "-1" + ")" * 30 + "+t-t" * 15
+        code, out, _ = run(capsys, "integrate", spec_file(tmp_path, DRAG_N5.replace("b = -1", f"b = {b}")))
+        assert code == 0
+        assert verdict(out)[0] == "PASS"
+
     def test_failure_mid_run_names_its_time(self, capsys, tmp_path):
         # x crosses zero near t = 0.8, where x^1.5 has no real value
         text = (

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from emdenlab.exprlang import (
     Bin, Call, EvalDomainError, ExprSyntaxError, Name, Neg, Num,
-    UnboundIdentifierError, UnknownFunctionError,
+    MAX_DEPTH, UnboundIdentifierError, UnknownFunctionError,
     compile_fn, free_names, parse, real_power, to_source,
 )
 
@@ -82,6 +82,27 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse("exp(1, 2)")
 
+    @pytest.mark.parametrize("src, offset", [
+        ("-1" + "+t-t" * 750, 128),  # the chain's 64th operator
+        ("(" * 400 + "-1" + ")" * 400, 64),  # the 65th parenthesis
+        ("-" * 300 + "1", 64),
+        ("2^" * 300 + "2", 129),
+        ("exp(" * 200 + "t" + ")" * 200, 256),
+        ("-(" + "t" + "+t" * 63 + ")", 0),
+    ])
+    def test_nesting_past_the_bound_is_a_syntax_error_at_its_offset(self, src, offset):
+        with pytest.raises(ExprSyntaxError, match=f"nested more than {MAX_DEPTH} levels") as ei:
+            parse(src)
+        assert ei.value.offset == offset
+
+    def test_moderate_nesting_compiles(self):
+        for src in ["(" * 30 + "-1" + ")" * 30 + "+t-t" * 16,
+                    "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+                    "t" + "+t" * (MAX_DEPTH - 1) + "-t"]:
+            tree = parse(src)
+            assert parse(to_source(tree)) == tree
+            assert compile_fn(tree)(2.0) == _reference_eval(tree, 2.0, {})
+
 
 class TestEvaluation:
     def test_constants_bound_at_eval(self):
@@ -140,6 +161,13 @@ class TestEvaluation:
             compile_fn("K*t")
         f = compile_fn("K*t", {"K": -1.5})
         assert f(2.0) == -3.0
+
+    @pytest.mark.parametrize("src, value", [
+        ("K", math.nan), ("(0-t)^K", math.inf), ("K*t", -math.inf),
+    ])
+    def test_compile_fn_refuses_non_finite_constants(self, src, value):
+        with pytest.raises(ValueError, match="constant K = .* is not finite"):
+            compile_fn(src, {"K": value})
 
     def test_constants_named_like_generated_identifiers_bind(self):
         consts = {"_E": 2.0, "_f": 3.0, "_fn": 5.0, "_v0": 7.0, "_r0": 11.0, "_pow": 13.0}

@@ -10,8 +10,12 @@ import bisect
 import gc
 import io
 import math
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,10 +152,31 @@ class TestIntegrate:
         ("rel_tol", -1.0), ("rel_tol", 0.0), ("abs_tol", 0.0),
         ("abs_tol", -1e-12), ("rel_tol", math.nan), ("abs_tol", math.inf),
         ("rel_tol", 1.0), ("rel_tol", 2.0),
+        ("max_step", 0.0), ("max_step", -1.0), ("max_step", math.nan),
+        ("first_step", 0.0), ("first_step", -0.1), ("first_step", math.nan),
+        ("first_step", math.inf), ("max_steps", 0), ("max_steps", -3), ("max_steps", 10.0),
     ])
     def test_config_rejects_unusable_tolerances(self, field, value):
         with pytest.raises(ValueError, match=field):
             IntegratorConfig(**{field: value})
+
+    def test_config_accepts_the_step_field_limits(self):
+        cfg = IntegratorConfig(max_step=math.inf, first_step=None, max_steps=1)
+        assert (cfg.max_step, cfg.first_step, cfg.max_steps) == (math.inf, None, 1)
+        IntegratorConfig(max_step=1e-300, first_step=5e-324)
+
+    @pytest.mark.parametrize("bad_call", [1, 2, 4, 9])
+    def test_rhs_with_the_wrong_number_of_components_is_refused(self, bad_call):
+        # call 1 gives the initial slope, 2 the initial-step probe, 3-8 the first step's stages
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [y[1], -y[0]] + ([0.0] if len(calls) == bad_call else [])
+
+        with pytest.raises(IntegrationError, match="returned 3 components, expected 2"):
+            integrate(rhs, 0.0, [1.0, 0.0], 10.0)
+        assert len(calls) == bad_call
 
     @pytest.mark.parametrize("t0, t_end", [
         (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
@@ -159,6 +184,147 @@ class TestIntegrate:
     def test_non_finite_limits_rejected(self, t0, t_end):
         with pytest.raises(ValueError, match="must be finite"):
             integrate(_oscillator, t0, [1.0, 0.0], t_end)
+
+
+def _combine(y, h, K, row):
+    """y + h * sum_j a_j K_j for each component, summed in j order."""
+    out = []
+    for c, yc in enumerate(y):
+        s = 0.0
+        for j, a in row:
+            s += a * K[j][c]
+        out.append(yc + h * s)
+    return tuple(out)
+
+
+def _loop_integrate(rhs, t0, y0, t_end, cfg):
+    """The step as loops over components and tableau entries, under
+    integrate's controller; returns the mesh, the dense rows and the counts."""
+    def f(t, y):
+        return tuple(map(float, rhs(t, y)))
+
+    t, y = float(t0), tuple(map(float, y0))
+    k0 = f(t, y)
+    direction = 1.0 if t_end > t0 else -1.0
+    span = abs(t_end - t0)
+    if cfg.first_step is None:
+        h = numerics._initial_step(f, t, y, k0, direction, cfg.rel_tol, cfg.abs_tol, span)
+    else:
+        h = min(cfg.first_step, span)
+    h = min(h, cfg.max_step)
+    K, zero = [k0] * 7, (0.0,) * len(y)
+    ts, ys, qs, accepted, rejected = [t], [y], [], 0, 0
+    while (t_end - t) * direction > 0:
+        clipped = h >= abs(t_end - t)
+        h_use = abs(t_end - t) if clipped else h
+        hd = h_use * direction
+        for i in range(1, 7):
+            yi = _combine(y, hd, K, numerics._AF[i])
+            K[i] = f(t + numerics._CF[i] * hd, yi)
+            if not all(map(math.isfinite, K[i])):
+                err = math.inf
+                break
+        else:
+            e = _combine(zero, hd, K, numerics._EF)
+            err = numerics._rms([ec / (cfg.abs_tol + cfg.rel_tol * max(abs(a), abs(b)))
+                                 for ec, a, b in zip(e, y, yi)])
+        if not math.isfinite(err):
+            rejected += 1
+            h = h_use * numerics._MIN_FACTOR
+            continue
+        if err <= 1.0:
+            t_new = t_end if clipped else t + hd
+            qs.append(tuple(_combine(zero, hd, K, row) for row in numerics._PF))
+            ts.append(t_new)
+            ys.append(yi)
+            accepted += 1
+            t, y, K[0] = t_new, yi, K[6]
+            factor = numerics._MAX_FACTOR if err == 0 else min(
+                numerics._MAX_FACTOR, numerics._SAFETY * err ** numerics._ORDER_EXP)
+        else:
+            rejected += 1
+            factor = max(numerics._MIN_FACTOR, numerics._SAFETY * err ** numerics._ORDER_EXP)
+        h = min(h_use * factor, cfg.max_step)
+    return ts, ys, qs, accepted, rejected
+
+
+def _hex(v):
+    return v.hex() if isinstance(v, float) else [_hex(x) for x in v]
+
+
+def _coupled(n):
+    def rhs(t, y):
+        return [math.cos(t + i) * y[(i + 1) % n] - 0.3 * math.sin(y[i]) ** 3 for i in range(n)]
+    return rhs
+
+
+class TestKernel:
+    """The generated step against the loop it replaced, compared bit for bit."""
+
+    @staticmethod
+    def assert_same_run(rhs, t0, y0, t_end, cfg):
+        traj = integrate(rhs, t0, y0, t_end, cfg)
+        ts, ys, qs, accepted, rejected = _loop_integrate(rhs, t0, y0, t_end, cfg)
+        assert _hex(traj.ts) == _hex(ts)
+        assert _hex(traj.ys) == _hex(ys)
+        assert _hex(traj._seg_q) == _hex(qs)
+        assert (traj.accepted, traj.rejected) == (accepted, rejected)
+        return traj
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 5.0), (5.0, -1.0)])
+    def test_matches_the_loop_reference(self, n, t0, t_end):
+        y0 = [0.5 + 0.1 * i for i in range(n)]
+        self.assert_same_run(_coupled(n), t0, y0, t_end, IntegratorConfig())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 5.0), (5.0, -1.0)])
+    def test_matches_the_loop_reference_through_rejected_steps(self, n, t0, t_end):
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, first_step=3.0)
+        y0 = [0.5 + 0.1 * i for i in range(n)]
+        traj = self.assert_same_run(_coupled(n), t0, y0, t_end, cfg)
+        assert traj.rejected > 0
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 4.0), (4.0, 0.0)])
+    def test_matches_the_loop_reference_through_non_finite_stages(self, n, t0, t_end):
+        # decay in the direction of integration, with no slope for the last
+        # component below zero: a long first step overshoots zero in a stage
+        rate = -1.0 if t_end > t0 else 1.0
+        nans = []
+
+        def rhs(t, y):
+            last = rate * y[-1] if y[-1] >= 0.0 else math.nan
+            nans.append(math.isnan(last))
+            return [rate * v for v in y[:-1]] + [last]
+
+        traj = self.assert_same_run(rhs, t0, [1.0] * n, t_end, IntegratorConfig(first_step=3.0))
+        assert any(nans) and traj.rejected > 0
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 3.0), (3.0, 0.0)])
+    def test_matches_the_loop_reference_on_signed_zeros(self, t0, t_end):
+        # sums start from 0.0, so a zero component keeps the loop's sign of zero
+        rhs = lambda t, y: [-0.0, 0.0, -y[3], y[2]]
+        traj = self.assert_same_run(rhs, t0, [-0.0, -0.0, 1.0, 0.0], t_end, IntegratorConfig())
+        zero = (0.0 if t_end > t0 else -0.0).hex()  # -0.0 + hd * 0.0 with hd < 0 stays -0.0
+        assert _hex(traj.ys[-1][:2]) == [zero, zero]
+
+    def test_one_kernel_per_dimension_and_none_at_import(self):
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import emdenlab.cli\n"
+            "from emdenlab import numerics\n"
+            "before = numerics._kernel.cache_info().currsize\n"
+            "for n in (2, 2, 3, 2):\n"
+            "    numerics.integrate(lambda t, y: [-v for v in y], 0.0, [1.0] * n, 1.0)\n"
+            "print(before, numerics._kernel.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 2\n"
 
 
 class TestDenseOutput:
