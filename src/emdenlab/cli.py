@@ -147,7 +147,7 @@ def _cmd_invariant(args) -> int:
         except KeyError as exc:
             raise InputError(exc.args[0])
         inv = invariant_from_particular_solution(
-            prob, entry.xp, spec.interval, dxp=entry.dxp
+            prob, entry.xp, spec.interval, dxp=entry.dxp, ddxp=entry.ddxp
         )
     elif method == "generic":
         if not args.solution:

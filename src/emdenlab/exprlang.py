@@ -11,12 +11,15 @@ Domain violations (log of a nonpositive number, division by zero, a negative
 base under a fractional exponent, ...) raise EvalDomainError instead of
 producing NaN or a complex value.  ``compile_fn`` turns each expression into
 one generated, straight-line Python function of t that makes the same float
-operations and checks, in the same order, as a walk of the tree would.  This
-module also owns ``real_power``, the powering rule used across the package.
+operations and checks, in the same order, as a walk of the tree would.
+``derive`` differentiates a tree symbolically, and every compiled function
+carries its exact derivative as ``fn.deriv()``.  This module also owns
+``real_power``, the powering rule used across the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ __all__ = [
     "Expr", "Num", "Name", "Neg", "Bin", "Call",
     "ExprError", "ExprSyntaxError", "UnknownFunctionError",
     "UnboundIdentifierError", "EvalDomainError",
-    "parse", "to_source", "free_names", "compile_fn", "real_power",
+    "parse", "to_source", "free_names", "compile_fn", "derive", "real_power",
 ]
 
 
@@ -338,6 +341,8 @@ def compile_fn(src, constants: dict | None = None):
     All names other than 't' must appear in constants, bound to finite
     values; checked here, at bind time, rather than on first call.  Every
     call returns a new function object, so callers may set attributes on it.
+    Its ``deriv()`` compiles ``derive`` of the tree on first call and then
+    returns that same function.
     """
     expr = parse(src) if isinstance(src, str) else src
     constants = dict(constants or {})
@@ -346,7 +351,10 @@ def compile_fn(src, constants: dict | None = None):
         raise UnboundIdentifierError(f"unbound identifier(s): {', '.join(sorted(missing))}")
     source, namespace = _generate(expr, constants)
     exec(compile(source, "<exprlang>", "exec"), namespace)
-    return namespace.pop("_fn")
+    fn = namespace.pop("_fn")
+    # a function attribute, not a method, so functools.wraps carries it over
+    fn.deriv = functools.cache(lambda: compile_fn(derive(expr), constants))
+    return fn
 
 
 _FINITE_WHAT = {"+": "sum", "-": "difference", "*": "product"}
@@ -366,14 +374,18 @@ def _generate(expr, constants):
         namespace[name] = value
         return name
 
-    def emit(rhs, what=None):
-        name = f"_r{len(lines)}"
+    done = {}  # id(node) -> its name; a subtree shared by derived trees is computed once
+
+    def emit(node, rhs, what=None):
+        name = done[id(node)] = f"_r{len(lines)}"
         lines.append(f"{name} = {rhs}")
         if what:
             lines.append(f"if not _isfinite({name}): raise _Err('{what} is not finite')")
         return name
 
     def walk(node):
+        if id(node) in done:
+            return done[id(node)]
         if isinstance(node, Num):
             return slot(node.value)
         if isinstance(node, Name):
@@ -384,25 +396,99 @@ def _generate(expr, constants):
                 raise ExprError(f"constant {node.id} = {value!r} is not finite")
             return slot(value)
         if isinstance(node, Neg):
-            return emit(f"-{walk(node.arg)}")
+            return emit(node, f"-{walk(node.arg)}")
         if isinstance(node, Bin):
             if node.op == "/":
                 b = walk(node.right)
                 lines.append(f"if {b} == 0.0: raise _Err('division by zero')")
-                return emit(f"{walk(node.left)} / {b}", "quotient")
+                return emit(node, f"{walk(node.left)} / {b}", "quotient")
             a = walk(node.left)
             b = walk(node.right)
             if node.op == "^":
-                return emit(f"_pow({a}, {b})")
-            return emit(f"{a} {node.op} {b}", _FINITE_WHAT[node.op])
+                return emit(node, f"_pow({a}, {b})")
+            return emit(node, f"{a} {node.op} {b}", _FINITE_WHAT[node.op])
         if isinstance(node, Call):
             args = ", ".join([walk(a) for a in node.args])
-            return emit(f"{slot(FUNCTIONS[node.fn][1])}({args})")
+            return emit(node, f"{slot(FUNCTIONS[node.fn][1])}({args})")
         raise TypeError(f"not an Expr node: {node!r}")
 
     result = walk(expr)
     body = "".join(f"    {line}\n" for line in lines)
     return f"def _fn(t):\n{body}    return {result}\n", namespace
+
+
+# ---------------------------------------------------------------------------
+# differentiation
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _is(node, value):
+    return isinstance(node, Num) and node.value == value
+
+
+def _add(a, b, op="+"):
+    if _is(b, 0.0):
+        return a
+    if _is(a, 0.0):
+        return b if op == "+" else Neg(b)
+    return Bin(op, a, b)
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    if _is(a, 1.0):
+        return b
+    return a if _is(b, 1.0) else Bin("*", a, b)
+
+
+def _div(a, b):
+    return _ZERO if _is(a, 0.0) else Bin("/", a, b)
+
+
+def _power_rule(e, u, v, du, dv):
+    """d/dt of e = u^v; a t-free exponent keeps negative bases in the domain."""
+    if _is(dv, 0.0):
+        return _mul(_mul(v, Bin("^", u, Bin("-", v, _ONE))), du)
+    return _mul(e, _add(_mul(dv, Call("log", (u,))), _mul(v, _div(du, u))))
+
+
+def derive(expr: Expr) -> Expr:
+    """d/dt of expr as a tree, exact to rounding wherever expr is differentiable.
+
+    Every form the parser builds differentiates.  The rules' output is left
+    unsimplified, apart from dropping zero terms and zero and one factors;
+    where the derivative does not exist (abs at 0, sqrt at 0, ...) the
+    compiled derivative raises EvalDomainError.
+    """
+    if isinstance(expr, Num):
+        return _ZERO
+    if isinstance(expr, Name):
+        return _ONE if expr.id == "t" else _ZERO
+    if isinstance(expr, Neg):
+        d = derive(expr.arg)
+        return d if _is(d, 0.0) else Neg(d)
+    if isinstance(expr, Bin):
+        u, v = expr.left, expr.right
+        du, dv = derive(u), derive(v)
+        if expr.op in "+-":
+            return _add(du, dv, expr.op)
+        if expr.op == "*":
+            return _add(_mul(du, v), _mul(u, dv))
+        if expr.op == "/":
+            return _div(_add(du, _mul(expr, dv), "-"), v)
+        return _power_rule(expr, u, v, du, dv)
+    if isinstance(expr, Call):
+        u = expr.args[0]
+        du = derive(u)
+        if expr.fn == "pow":
+            return _power_rule(expr, u, expr.args[1], du, derive(expr.args[1]))
+        outer = {"exp": expr, "log": Bin("/", _ONE, u), "sin": Call("cos", (u,)),
+                 "cos": Neg(Call("sin", (u,))), "abs": Bin("/", u, expr),
+                 "sqrt": Bin("/", _ONE, Bin("*", Num(2.0), expr))}[expr.fn]  # d fn(u)/du
+        return _mul(outer, du)
+    raise TypeError(f"not an Expr node: {expr!r}")
 
 
 

@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .exprlang import real_power
+from .exprlang import EvalDomainError, real_power
 from .numerics import IntegratorConfig, integrate, linspace
-from .timefn import ZERO_FN, PowerFn, TimeFn, as_timefn, constant, nderiv
+from .timefn import ZERO_FN, PowerFn, TimeFn, as_timefn, constant
 
 __all__ = [
     "GaugeError",
@@ -60,16 +60,12 @@ class ReductionError(ValueError):
     """A reduction's preconditions fail on the supplied data."""
 
 
-def _auto_deriv(fn: TimeFn, scale: float = 1.0) -> TimeFn:
-    """Best available derivative of a time function.
-
-    Exact for PowerFn; central finite differences otherwise.
-    """
-    if isinstance(fn, PowerFn):
-        return fn.deriv()
-    if fn is ZERO_FN:
-        return ZERO_FN
-    return nderiv(fn, scale=scale)
+def _auto_deriv(fn: TimeFn, slot: str) -> TimeFn:
+    """The exact derivative of the time function in slot, from its deriv()."""
+    deriv = getattr(fn, "deriv", None)
+    if deriv is None:
+        raise TypeError(f"{slot} has no deriv(); supply its derivative")
+    return deriv()
 
 
 def _sample_points(interval: Tuple[float, float], count: int) -> List[float]:
@@ -166,8 +162,9 @@ class GaugeTransform:
 
     alpha=None means the shear term is exactly absent (not merely zero at
     the sampled points); several pushforward formulas simplify exactly in
-    that case.  Derivatives may be supplied; missing ones fall back to
-    finite differences, except PowerFn inputs, which differentiate exactly.
+    that case.  Derivatives may be supplied; a missing one is the function's
+    own exact ``deriv()`` (compiled expressions, constants and PowerFn have
+    one), and a function without one needs its derivative supplied.
 
     beta and gamma must stay positive on any interval the transform is
     used on; ``validate_on`` enforces that by sampling.
@@ -187,11 +184,11 @@ class GaugeTransform:
         object.__setattr__(self, "beta", as_timefn(self.beta))
         object.__setattr__(self, "gamma", as_timefn(self.gamma))
         if self.alpha is not None and self.dalpha is None:
-            object.__setattr__(self, "dalpha", _auto_deriv(self.alpha))
+            object.__setattr__(self, "dalpha", _auto_deriv(self.alpha, "alpha"))
         if self.dbeta is None:
-            object.__setattr__(self, "dbeta", _auto_deriv(self.beta))
+            object.__setattr__(self, "dbeta", _auto_deriv(self.beta, "beta"))
         if self.dgamma is None:
-            object.__setattr__(self, "dgamma", _auto_deriv(self.gamma))
+            object.__setattr__(self, "dgamma", _auto_deriv(self.gamma, "gamma"))
 
     def _scales(self, t: float) -> Tuple[float, float, float]:
         b, g = self.beta(t), self.gamma(t)
@@ -427,7 +424,7 @@ def reduce_via_particular_solution(
     dxp: Optional[TimeFn] = None,
     ddxp: Optional[TimeFn] = None,
     samples: int = 200,
-    tol: float = 1e-8,
+    tol: float = 1e-12,
 ) -> Reduction:
     """Collapse the problem onto a frozen field using a known solution.
 
@@ -440,16 +437,11 @@ def reduce_via_particular_solution(
         f = b gamma^n / dgamma        with gamma = xp,
 
     which must agree with the independent route f = -a + ddgamma/dgamma.
+    Missing derivatives are the exact ``deriv()`` of xp and dxp.
     """
     xp = as_timefn(xp)
-    if dxp is None:
-        dxp = _auto_deriv(xp)
-    else:
-        dxp = as_timefn(dxp)
-    if ddxp is None:
-        ddxp = _auto_deriv(dxp)
-    else:
-        ddxp = as_timefn(ddxp)
+    dxp = _auto_deriv(xp, "xp") if dxp is None else as_timefn(dxp)
+    ddxp = _auto_deriv(dxp, "dxp") if ddxp is None else as_timefn(ddxp)
 
     ts = _sample_points(interval, samples)
     a, b, n = prob.a, prob.b, prob.n
@@ -457,18 +449,21 @@ def reduce_via_particular_solution(
     # each function is evaluated once per sample, in the order the checks
     # below need it, and later checks read the stored values
     xs, ds, slope_pairs = [], [], []
-    for t in ts:
-        d, x = dxp(t), xp(t)
-        xs.append(x)
-        ds.append(d)
-        slope_pairs.append((d ** 2, real_power(x, n + 1.0)))
-    cond_gap, cond_t = _sup_rel_gap(slope_pairs, ts)
     rate_terms, residual_pairs = [], []
-    for t, d, x in zip(ts, ds, xs):
-        dd, av = ddxp(t), a(t)
-        bx = b(t) * real_power(x, n)
-        rate_terms.append((d, dd, av, bx))
-        residual_pairs.append((dd, av * d + bx))
+    try:
+        for t in ts:
+            d, x = dxp(t), xp(t)
+            xs.append(x)
+            ds.append(d)
+            slope_pairs.append((d ** 2, real_power(x, n + 1.0)))
+        for t, d, x in zip(ts, ds, xs):
+            dd, av = ddxp(t), a(t)
+            bx = b(t) * real_power(x, n)
+            rate_terms.append((d, dd, av, bx))
+            residual_pairs.append((dd, av * d + bx))
+    except (EvalDomainError, ArithmeticError) as exc:
+        raise ReductionError(f"evaluation failed at t={t:.6g}: {exc}") from exc
+    cond_gap, cond_t = _sup_rel_gap(slope_pairs, ts)
     res_gap, res_t = _sup_rel_gap(residual_pairs, ts)
     failures = []
     if cond_gap > tol:
@@ -507,15 +502,8 @@ def reduce_via_particular_solution(
             f"the two rate derivations disagree (sup relative gap {worst:.3e})"
         )
 
-    neg_dxp = dxp.scaled(-1) if isinstance(dxp, PowerFn) else (
-        lambda t, _d=dxp: -_d(t)
-    )
-    neg_ddxp = ddxp.scaled(-1) if isinstance(ddxp, PowerFn) else (
-        lambda t, _d=ddxp: -_d(t)
-    )
-    gauge = GaugeTransform(
-        alpha=None, beta=neg_dxp, gamma=xp, dbeta=neg_ddxp, dgamma=dxp
-    )
+    gauge = GaugeTransform(alpha=None, beta=lambda t: -dxp(t), gamma=xp,
+                           dbeta=lambda t: -ddxp(t), dgamma=dxp)
     system = ReducedLieSystem(f=rate, c11=1.0, c12=1.0, c21=-1.0, c22=-1.0, cx=0.0, n=n)
     return Reduction(
         system=system,
@@ -611,6 +599,9 @@ def kummer_liouville(
             else:
                 hi = mid
         end = lo * (1.0 - 1e-9) if lo > 0 else lo - 1e-12 * (t_end - t0)
+        if end <= t0:
+            raise GaugeError(f"scale function reaches zero at t={lo!r}, too close to "
+                             f"the window start {t0:g} to leave a window")
         truncated = True
 
     def rhs(t, y):

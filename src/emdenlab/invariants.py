@@ -63,6 +63,7 @@ def invariant_from_particular_solution(
     xp: TimeFn,
     interval: Tuple[float, float],
     dxp: Optional[TimeFn] = None,
+    ddxp: Optional[TimeFn] = None,
 ) -> Invariant:
     """Time-dependent constant of motion built from one known solution.
 
@@ -75,7 +76,7 @@ def invariant_from_particular_solution(
     is constant along every solution of the problem, not just xp.  For
     n = -1 the first term becomes log(x/xp).
     """
-    red = reduce_via_particular_solution(prob, xp, interval, dxp=dxp)
+    red = reduce_via_particular_solution(prob, xp, interval, dxp=dxp, ddxp=ddxp)
     profile = red.gauge.gamma          # = xp, coerced
     slope = red.gauge.dgamma           # = dxp, exact or supplied
     n = prob.n

@@ -46,14 +46,15 @@ class SpecError(ValueError):
 
 def _expression_tree(src: str, what: str):
     """Parse an expression of t, rejecting unbound names; compiles nothing."""
+    shown = repr(src if len(src) <= 60 else src[:60] + "...")  # errors echo only the start
     try:
         tree = parse(src)
     except ExprError as exc:
-        raise SpecError(f"{what} {src!r} does not parse: {exc}") from exc
+        raise SpecError(f"{what} {shown} does not parse: {exc}") from exc
     stray = free_names(tree) - {"t"}
     if stray:
         raise SpecError(
-            f"{what} {src!r} uses unbound identifier(s) {sorted(stray)}; only t is available"
+            f"{what} {shown} uses unbound identifier(s) {sorted(stray)}; only t is available"
         )
     return tree
 

@@ -1,8 +1,10 @@
-"""Scalar functions of time: derivative helper and exact power-law forms.
+"""Scalar functions of time: constants and exact power-law forms.
 
 A "time function" anywhere in this package is just a callable float -> float.
 Parsed expressions (exprlang.compile_fn), plain lambdas, components read
 from a trajectory's dense output and the PowerFn class below all qualify.
+Where a derivative is needed it comes from the function's own ``deriv()``,
+which compiled expressions, constants and PowerFn all provide exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "constant",
     "as_timefn",
     "ZERO_FN",
-    "nderiv",
     "PowerFn",
     "ExactnessError",
     "frac_power",
@@ -34,7 +35,9 @@ class ExactnessError(ArithmeticError):
 
 def constant(c: float) -> TimeFn:
     v = float(c)
-    return lambda t: v
+    fn = lambda t: v
+    fn.deriv = lambda: ZERO_FN
+    return fn
 
 
 ZERO_FN: TimeFn = constant(0.0)
@@ -53,22 +56,6 @@ def as_timefn(value: Union[float, int, Fraction, TimeFn]) -> TimeFn:
     if v == 0.0:
         return ZERO_FN
     return constant(v)
-
-
-def nderiv(f: TimeFn, scale: float = 1.0) -> TimeFn:
-    """Numerical derivative of f by Richardson-extrapolated central differences.
-
-    Fourth-order accurate; roughly 1e-10 relative accuracy on smooth inputs,
-    which is enough for every consistency check in this package that falls
-    back to it.  Supply an analytic derivative where one is available.
-    """
-    def d(t: float) -> float:
-        h = 1.8e-3 * (abs(t) + scale)
-        d1 = (f(t + h) - f(t - h)) / (2.0 * h)
-        d2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
-        return (4.0 * d2 - d1) / 3.0
-
-    return d
 
 
 def _nth_root(a: int, q: int) -> int | None:

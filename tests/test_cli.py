@@ -164,6 +164,9 @@ class TestIntegrate:
         assert code == 2
         assert what in err
         assert "nested more than 64 levels deep" in err
+        assert "(at offset " in err
+        # the echoed source is cut short, not copied whole
+        assert len(err.encode()) < 300 + len(str(tmp_path))
         assert "Traceback" not in err
         assert "VERDICT" not in out
 
@@ -222,11 +225,25 @@ class TestInvariant:
         )
         assert code == 0
         assert float(verdict(out_gen)[2]) < 1e-6
-        # the two routes agree on the reference value to the accuracy of
-        # the numerically differentiated profile
+        # the text profile differentiates exactly, so the two routes agree
+        # on the reference value to rounding
         ref_cat = float(out_cat.split("I0 = ")[1].split()[0].rstrip(","))
         ref_gen = float(out_gen.split("I0 = ")[1].split()[0].rstrip(","))
-        assert ref_gen == pytest.approx(ref_cat, rel=1e-9)
+        assert ref_gen == pytest.approx(ref_cat, rel=1e-14)
+
+    @pytest.mark.parametrize("method, solution", [
+        ("generic", ["--solution", "(2*t)^(-1/2)*(1+1e-9*t)"]),
+        ("particular:lane_emden_n5_bounded", []),
+    ])
+    def test_profile_that_fails_the_reduction_is_refused(self, capsys, tmp_path, method, solution):
+        # (2t)^(-1/2) off by one part in a billion is not a solution; the
+        # bounded profile solves the problem but is not slope-compatible
+        code, out, err = run(
+            capsys, "invariant", spec_file(tmp_path, DRAG_N5), "--method", method, *solution
+        )
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "ReductionError")
+        assert "slope compatibility" in err
 
     def test_generic_needs_solution(self, capsys, tmp_path):
         code, _, err = run(
@@ -342,6 +359,18 @@ class TestKummerLiouville:
         assert "truncated" in out
         assert verdict(out)[1] == "residual"
 
+    def test_scale_reaching_zero_at_the_window_start_is_refused(self, capsys, tmp_path):
+        # gamma = 1 - 1e9 (t - 1000) reaches zero 1e-9 after t0, closer than
+        # the truncation margin; the window would run backward
+        text = KL_GENERALIZED.replace("interval = 1, 5", "interval = 1000, 1001")
+        code, out, err = run(
+            capsys, "kummer-liouville", spec_file(tmp_path, text), "--gamma-init", "1,-1e9"
+        )
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "GaugeError")
+        assert "reaches zero at t=1000.000000001" in err
+        assert "valid on" not in out
+
     @pytest.mark.parametrize("grid", ["21", "81", "161"])
     def test_default_gauge_passes_at_every_grid(self, capsys, tmp_path, grid):
         # the default gauge compresses the clock (dt/dtau reaches 100 at
@@ -367,7 +396,7 @@ class TestReduce:
         assert code == 0
         status, key, value = verdict(out)
         assert (status, key) == ("PASS", "rate_agreement")
-        assert float(value) < 1e-6
+        assert float(value) <= 1e-15
 
     def test_wrong_solution_is_verification_failure(self, capsys, tmp_path):
         code, out, err = run(
@@ -380,6 +409,26 @@ class TestReduce:
         assert code == 1
         assert verdict(out) == ("FAIL", "error", "ReductionError")
         assert "slope compatibility" in err
+
+    def test_solution_off_by_one_part_in_a_billion_is_refused(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "reduce",
+            spec_file(tmp_path, DRAG_N5),
+            "--solution",
+            "(2*t)^(-1/2)*(1+1e-9*t)",
+        )
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "ReductionError")
+        assert "slope compatibility" in err
+
+    def test_failing_evaluation_names_its_sample(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "reduce", spec_file(tmp_path, DRAG_N5), "--solution", "sqrt(t-1)"
+        )
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "ReductionError")
+        assert "t=0.5" in err
 
 
 class TestSuperpose:

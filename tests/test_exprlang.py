@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from emdenlab.exprlang import (
     Bin, Call, EvalDomainError, ExprSyntaxError, Name, Neg, Num,
     MAX_DEPTH, UnboundIdentifierError, UnknownFunctionError,
-    compile_fn, free_names, parse, real_power, to_source,
+    compile_fn, derive, free_names, parse, real_power, to_source,
 )
 
 
@@ -186,6 +187,49 @@ class TestEvaluation:
         assert free_names(parse("K*t + exp(c*t)")) == {"K", "t", "c"}
 
 
+class TestDerive:
+    @pytest.mark.parametrize("src, want", [
+        ("3", lambda t: 0.0),
+        ("K*t", lambda t: 1.75),
+        ("-t^2", lambda t: -2.0 * t),
+        ("t - 1/t", lambda t: 1.0 + 1.0 / t ** 2),
+        ("t/(1 + t)", lambda t: 1.0 / (1.0 + t) ** 2),
+        ("(t - 3)^2", lambda t: 2.0 * (t - 3.0)),
+        ("(2*t)^(-1/2)", lambda t: -((2.0 * t) ** -1.5)),
+        ("pow(t, 3)", lambda t: 3.0 * t * t),
+        ("t^t", lambda t: t ** t * (math.log(t) + 1.0)),
+        ("pow(2, t)", lambda t: 2.0 ** t * math.log(2.0)),
+        ("exp(2*t)", lambda t: 2.0 * math.exp(2.0 * t)),
+        ("log(t)", lambda t: 1.0 / t),
+        ("sin(t)", math.cos),
+        ("cos(t)", lambda t: -math.sin(t)),
+        ("sqrt(t)", lambda t: 0.5 / math.sqrt(t)),
+        ("abs(t - 3)", lambda t: math.copysign(1.0, t - 3.0)),
+    ])
+    def test_each_form(self, src, want):
+        df = compile_fn(derive(parse(src)), {"K": 1.75})
+        for t in (0.5, 1.3, 4.0):
+            assert df(t) == pytest.approx(want(t), rel=1e-14, abs=1e-300)
+
+    def test_constants_and_leading_terms_drop_out(self):
+        assert derive(parse("K + 2")) == Num(0.0)
+        assert to_source(derive(parse("3*t + K"))) == "3.0"
+        assert to_source(derive(parse("1 - t"))) == "-1.0"
+
+    def test_deriv_is_compiled_once_and_survives_wrapping(self):
+        f = compile_fn("K*t^3", {"K": 2.0})
+        assert f.deriv() is f.deriv()
+        assert f.deriv()(2.0) == 24.0
+        assert f.deriv().deriv()(2.0) == 24.0
+        wrapped = functools.wraps(f)(lambda t: f(t))
+        assert wrapped.deriv() is f.deriv()
+
+    def test_undefined_derivative_raises_on_evaluation(self):
+        for src, t in (("sqrt(t)", 0.0), ("abs(t)", 0.0), ("t^t", -1.0)):
+            with pytest.raises(EvalDomainError):
+                compile_fn(src).deriv()(t)
+
+
 class TestRealPower:
     def test_integer_exponents_allow_negative_base(self):
         assert real_power(-2.0, 2.0) == 4.0
@@ -260,6 +304,30 @@ def test_eval_matches_reference_recursion_exactly(expr, t):
     # 0 ULP: the generated code performs the walk's float operations in order,
     # so even the sign of a zero agrees
     assert mine.hex() == _reference_eval(expr, t, consts).hex()
+
+
+_small_exprs = st.recursive(_leaf, _branch, max_leaves=8)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_small_exprs, st.floats(min_value=0.5, max_value=3.0))
+def test_derive_agrees_with_central_differences(expr, t):
+    consts = {"K": 1.75}
+    d = derive(expr)
+    assert parse(to_source(d)) == d
+    f, df = compile_fn(expr, consts), compile_fn(d, consts)
+
+    def stencil(h):  # fourth-order central difference
+        return (f(t - 2 * h) - 8 * f(t - h) + 8 * f(t + h) - f(t + 2 * h)) / (12 * h)
+
+    try:
+        got, coarse, fine = df(t), stencil(1e-3), stencil(5e-4)
+        scale = max(1.0, abs(f(t)), abs(fine))
+    except (EvalDomainError, OverflowError):
+        return  # a side leaves the reals near t; nothing to compare
+    if abs(coarse - fine) > 1e-7 * scale:
+        return  # a pole, kink or domain edge within the stencil
+    assert abs(got - fine) <= 1e-6 * scale, (to_source(expr), to_source(d))
 
 
 def test_round_trip_on_seeded_source_corpus():

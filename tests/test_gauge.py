@@ -82,7 +82,7 @@ class TestProblems:
 class TestGaugeTransform:
     def shear_frame(self):
         return GaugeTransform(
-            alpha=lambda t: math.sin(t),
+            alpha=compile_expression("sin(t)"),
             beta=PowerFn(1, 2, 1, 1),
             gamma=PowerFn(2, 1, 1, 1),
         )
@@ -94,6 +94,21 @@ class TestGaugeTransform:
             rx, rv = g.inverse(t, x, v)
             assert rx == pytest.approx(xp, abs=1e-12)
             assert rv == pytest.approx(vp, abs=1e-12)
+
+    def test_missing_derivatives_come_from_deriv(self):
+        g = self.shear_frame()
+        for t in (0.7, 2.0):
+            assert g.dalpha(t) == math.cos(t)
+            assert g.dbeta(t) == 1.0
+            assert g.dgamma(t) == 2.0
+
+    @pytest.mark.parametrize("slot", ["alpha", "beta", "gamma"])
+    def test_function_without_deriv_needs_its_derivative(self, slot):
+        fns = {"alpha": PowerFn(1, 0, 1, 1), "beta": constant(1.0), "gamma": constant(1.0)}
+        fns[slot] = lambda t: 1.0 + t * t
+        with pytest.raises(TypeError, match=f"^{slot} has no deriv"):
+            GaugeTransform(**fns)
+        GaugeTransform(**fns, **{"d" + slot: lambda t: 2.0 * t})
 
     def test_zero_shear_coerces_to_absent(self):
         g = GaugeTransform(alpha=0.0, beta=constant(1.0), gamma=constant(1.0))
@@ -242,20 +257,51 @@ class TestReduceViaParticularSolution:
 
 
     def test_text_profile_is_evaluated_once_per_sample(self):
-        # a profile from text has no exact derivative: dxp and ddxp are
-        # nested finite differences that call xp 4 and 16 times per sample
-        calls = []
-        profile = compile_expression("(2*t)^(-1/2)")
+        # a profile from text differentiates exactly; each of xp, dxp and
+        # ddxp is called once per sample, and only inside the interval
+        calls = {"xp": [], "dxp": [], "ddxp": []}
 
-        def xp(t):
-            calls.append(t)
-            return profile(t)
+        def counted(name, fn, deriv=None):
+            def f(t):
+                calls[name].append(t)
+                return fn(t)
+            f.deriv = deriv
+            return f
+
+        profile = compile_expression("(2*t)^(-1/2)")
+        ddxp = counted("ddxp", profile.deriv().deriv())
+        dxp = counted("dxp", profile.deriv(), lambda: ddxp)
+        xp = counted("xp", profile, lambda: dxp)
 
         prob = EmdenProblem(a=compile_expression("-2/t"), b=compile_expression("-1"), n=5)
         red = reduce_via_particular_solution(prob, xp, (0.5, 5.0))
-        assert len(calls) == 200 * (1 + 4 + 16)
-        # the bits the README's reduce command has always reported
-        assert red.rate_consistency.hex() == "0x1.b9927bff39700p-30"
+        for ts in calls.values():
+            assert len(ts) == 200
+            assert min(ts) == 0.5 and max(ts) == 5.0
+        # the bits the README's reduce command reports
+        assert red.rate_consistency.hex() == "0x1.8000000000000p-51"
+
+    def test_profile_without_deriv_needs_its_derivatives(self):
+        prob = drag_problem_n5()
+        xp = lambda t: (2.0 * t) ** -0.5
+        with pytest.raises(TypeError, match="^xp has no deriv"):
+            reduce_via_particular_solution(prob, xp, (0.5, 5.0))
+        with pytest.raises(TypeError, match="^dxp has no deriv"):
+            reduce_via_particular_solution(prob, xp, (0.5, 5.0), dxp=lambda t: -((2.0 * t) ** -1.5))
+
+    def test_failing_evaluation_names_its_sample(self):
+        prob = drag_problem_n5()
+        xp = compile_expression("sqrt(t - 1)")
+        with pytest.raises(ReductionError, match=r"^evaluation failed at t=0\.5: sqrt of negative"):
+            reduce_via_particular_solution(prob, xp, (0.5, 5.0))
+        with pytest.raises(ReductionError, match=r"^evaluation failed at t=0: 0 raised"):
+            reduce_via_particular_solution(prob, compile_expression("t^(-1/2)"), (0.0, 5.0))
+
+    def test_solution_off_by_one_part_in_a_billion_is_refused(self):
+        prob = EmdenProblem(a=compile_expression("-2/t"), b=compile_expression("-1"), n=5)
+        xp = compile_expression("(2*t)^(-1/2)*(1+1e-9*t)")
+        with pytest.raises(ReductionError, match="slope compatibility"):
+            reduce_via_particular_solution(prob, xp, (0.5, 5.0))
 
 
 class TestKummerLiouville:

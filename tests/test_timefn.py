@@ -1,11 +1,10 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from emdenlab.exprlang import compile_fn
+from emdenlab.exprlang import compile_fn, parse
 from emdenlab.timefn import (
-    ExactnessError, PowerFn, constant, frac_power, nderiv,
+    ZERO_FN, ExactnessError, PowerFn, constant, frac_power,
 )
 
 
@@ -13,17 +12,7 @@ def test_constant_ignores_t():
     f = constant(3)
     assert f(0.0) == 3.0
     assert f(-17.5) == 3.0
-
-
-def test_nderiv_accuracy_on_exp():
-    d = nderiv(math.exp)
-    for t in (0.0, 0.3, -1.2, 4.0):
-        assert abs(d(t) - math.exp(t)) <= 1e-9 * math.exp(t)
-
-
-def test_nderiv_scale_keeps_step_sane_near_zero():
-    d = nderiv(lambda t: math.sin(10 * t), scale=0.1)
-    assert abs(d(0.0) - 10.0) <= 1e-7
+    assert f.deriv() is ZERO_FN and ZERO_FN.deriv() is ZERO_FN
 
 
 class TestFracPower:
@@ -60,14 +49,17 @@ class TestPowerFn:
         g = PowerFn(2.0, 1, 3, Fraction(-1, 2))
         assert not g.is_exact
 
-    def test_deriv_is_exact_and_agrees_with_nderiv(self):
+    def test_deriv_is_exact_and_agrees_with_the_compiled_source(self):
         f = PowerFn(2, 1, 3, Fraction(-1, 2))
         df = f.deriv()
         assert (df.c, df.e) == (Fraction(-3), Fraction(-3, 2))
         assert df(1.0) == pytest.approx(-3 / 8, abs=0)
-        nd = nderiv(f)
-        for t in (0.5, 1.0, 2.0):
-            assert abs(df(t) - nd(t)) <= 1e-9
+        for p in (f, PowerFn(Fraction(1, 2), 1, Fraction(1, 2), Fraction(-1, 2)),
+                  PowerFn(4, 1, 1, -2), PowerFn(-2, 0, 1, -1), PowerFn(3, 2, 1, 1)):
+            text = compile_fn(parse(p.to_source()))
+            for dp, dt in ((p.deriv(), text.deriv()), (p.deriv().deriv(), text.deriv().deriv())):
+                for t in (0.5, 1.0, 2.0, 4.5):
+                    assert dt(t) == pytest.approx(dp(t), rel=1e-14, abs=1e-300)
 
     def test_same_base_product(self):
         f = PowerFn(2, 1, 3, Fraction(1, 2))
