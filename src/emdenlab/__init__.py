@@ -7,3 +7,11 @@ family of the n = 5 equation.
 """
 
 __version__ = "0.1.0"
+
+
+class VerificationFailure(Exception):
+    """Base of the errors that mean a check ran and failed (CLI exit code 1)."""
+
+
+class UnusableInput(Exception):
+    """Base of the errors that mean the input cannot be used (CLI exit code 2)."""

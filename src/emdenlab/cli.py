@@ -7,7 +7,8 @@ Every analysis subcommand finishes with a machine-readable line
 as the last line of stdout, and the exit code distinguishes verification
 failures (1) from unusable input (2).  CSV goes to stdout unless --output
 names a file; formatting is fixed, so identical inputs give identical
-bytes.
+bytes.  Each subcommand imports the modules it runs when it runs, so a
+command loads only what it uses.
 """
 
 from __future__ import annotations
@@ -16,44 +17,14 @@ import argparse
 import sys
 from typing import Optional, Sequence, Tuple
 
-from .exprlang import EvalDomainError
-from .gauge import (
-    EmdenProblem,
-    GaugeError,
-    ReductionError,
-    canonical_residual,
-    kummer_liouville,
-    reduce_via_particular_solution,
-)
-from .invariants import (
-    InvariantDomainError,
-    dilation_invariant,
-    drift,
-    invariant_from_particular_solution,
-    rescaled_energy_invariant,
-)
-from .numerics import IntegrationError, integrate, linspace, write_csv
-from .problemfile import (
-    ProblemSpec,
-    SpecError,
-    _parse_float,
-    compile_expression,
-    load_spec,
-    render_spec,
-)
-from .solutions import (
-    SuperpositionDomainError,
-    catalog,
-    catalog_entry,
-    construct_equation,
-    superpose,
-)
+from . import UnusableInput, VerificationFailure
+# eager: perfbench/tracing.py needs sys.modules["emdenlab.vfields"] in runs without scheme-check
 from .vfields import emden_v_basis, emden_w_basis, verify_scheme
 
 __all__ = ["main"]
 
 
-class InputError(Exception):
+class InputError(UnusableInput):
     """Unusable command-line input (exit code 2)."""
 
 
@@ -65,12 +36,16 @@ def _finish(passed: bool, metric: str, value) -> int:
 
 
 def _emit_csv(output: Optional[str], header, rows) -> None:
+    from .numerics import write_csv
+
     write_csv(output if output else sys.stdout, header, rows)
 
 
 def _number(flag: str, positive: bool = False):
     """argparse type for a finite float, checked as problem files are."""
     def parse(text: str) -> float:
+        from .problemfile import SpecError, _parse_float
+
         try:
             return _parse_float(flag, text, positive)
         except SpecError as exc:
@@ -122,6 +97,9 @@ def _cmd_scheme_check(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    from .numerics import integrate, linspace
+    from .problemfile import load_spec
+
     spec = load_spec(args.spec)
     prob = spec.build()
     t0, t1 = spec.interval
@@ -135,12 +113,23 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    from .invariants import (
+        dilation_invariant,
+        drift,
+        invariant_from_particular_solution,
+        rescaled_energy_invariant,
+    )
+    from .numerics import integrate
+    from .problemfile import compile_expression, load_spec
+
     spec = load_spec(args.spec)
     prob = spec.build_emden()
     t0, t1 = spec.interval
     method = args.method
 
     if method.startswith("particular:"):
+        from .solutions import catalog_entry
+
         entry_id = method.split(":", 1)[1]
         try:
             entry = catalog_entry(entry_id)
@@ -193,6 +182,10 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_kummer_liouville(args) -> int:
+    from .gauge import canonical_residual, kummer_liouville
+    from .problemfile import load_spec
+    from .problems import EmdenProblem
+
     spec = load_spec(args.spec)
     prob = spec.build()
     gen = prob.as_generalized() if isinstance(prob, EmdenProblem) else prob
@@ -206,6 +199,9 @@ def _cmd_kummer_liouville(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .gauge import reduce_via_particular_solution
+    from .problemfile import compile_expression, load_spec
+
     spec = load_spec(args.spec)
     prob = spec.build_emden()
     xp = compile_expression(args.solution, "--solution")
@@ -215,6 +211,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_superpose(args) -> int:
+    from .numerics import linspace
+    from .problemfile import compile_expression
+    from .solutions import superpose
+
     if args.K < 0:
         raise InputError(f"--K must be nonnegative, got {args.K}")
     x1 = compile_expression(args.x1, "--x1")
@@ -230,6 +230,9 @@ def _cmd_superpose(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .problemfile import ProblemSpec, render_spec
+    from .solutions import construct_equation
+
     if args.n in (1.0, -1.0):
         raise InputError(f"no slope-compatible profile exists for n = {args.n:g}")
     prob, entry = construct_equation(args.n, args.K)
@@ -251,6 +254,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .solutions import catalog
+
     entries = catalog()
     print("\n\n".join(e.describe() for e in entries))
     return _finish(True, "entries", len(entries))
@@ -341,18 +346,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, InputError) as exc:
+    except UnusableInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ReductionError,
-        GaugeError,
-        InvariantDomainError,
-        SuperpositionDomainError,
-        IntegrationError,
-        EvalDomainError,
-        ArithmeticError,
-    ) as exc:
+    except (VerificationFailure, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"VERDICT: FAIL error={type(exc).__name__}")
         return 1

@@ -24,6 +24,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import VerificationFailure
+
 __all__ = [
     "Expr", "Num", "Name", "Neg", "Bin", "Call",
     "ExprError", "ExprSyntaxError", "UnknownFunctionError",
@@ -52,7 +54,7 @@ class UnboundIdentifierError(ExprError):
     pass
 
 
-class EvalDomainError(ExprError):
+class EvalDomainError(ExprError, VerificationFailure):
     pass
 
 
@@ -460,18 +462,33 @@ def derive(expr: Expr) -> Expr:
     Every form the parser builds differentiates.  The rules' output is left
     unsimplified, apart from dropping zero terms and zero and one factors;
     where the derivative does not exist (abs at 0, sqrt at 0, ...) the
-    compiled derivative raises EvalDomainError.
+    compiled derivative raises EvalDomainError.  A node object met twice
+    (derived trees share subtrees) is differentiated once, so the
+    derivative of a derivative stays proportional to its tree.
     """
+    done = {}  # id(node) -> (node, its derivative); holding node keeps its id unique
+
+    def d(node):
+        hit = done.get(id(node))
+        if hit is None:
+            hit = done[id(node)] = (node, _rule(node, d))
+        return hit[1]
+
+    return d(expr)
+
+
+def _rule(expr: Expr, d) -> Expr:
+    """d/dt of one node, differentiating its children with d."""
     if isinstance(expr, Num):
         return _ZERO
     if isinstance(expr, Name):
         return _ONE if expr.id == "t" else _ZERO
     if isinstance(expr, Neg):
-        d = derive(expr.arg)
-        return d if _is(d, 0.0) else Neg(d)
+        du = d(expr.arg)
+        return du if _is(du, 0.0) else Neg(du)
     if isinstance(expr, Bin):
         u, v = expr.left, expr.right
-        du, dv = derive(u), derive(v)
+        du, dv = d(u), d(v)
         if expr.op in "+-":
             return _add(du, dv, expr.op)
         if expr.op == "*":
@@ -481,15 +498,14 @@ def derive(expr: Expr) -> Expr:
         return _power_rule(expr, u, v, du, dv)
     if isinstance(expr, Call):
         u = expr.args[0]
-        du = derive(u)
+        du = d(u)
         if expr.fn == "pow":
-            return _power_rule(expr, u, expr.args[1], du, derive(expr.args[1]))
+            return _power_rule(expr, u, expr.args[1], du, d(expr.args[1]))
         outer = {"exp": expr, "log": Bin("/", _ONE, u), "sin": Call("cos", (u,)),
                  "cos": Neg(Call("sin", (u,))), "abs": Bin("/", u, expr),
                  "sqrt": Bin("/", _ONE, Bin("*", Num(2.0), expr))}[expr.fn]  # d fn(u)/du
         return _mul(outer, du)
     raise TypeError(f"not an Expr node: {expr!r}")
-
 
 
 # ---------------------------------------------------------------------------

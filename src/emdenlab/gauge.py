@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from . import VerificationFailure
 from .exprlang import EvalDomainError, real_power
 from .numerics import IntegratorConfig, integrate, linspace
-from .timefn import ZERO_FN, PowerFn, TimeFn, as_timefn, constant
+from .problems import EmdenProblem, GeneralizedProblem
+from .timefn import ZERO_FN, TimeFn, as_timefn, constant
 
 __all__ = [
     "GaugeError",
@@ -52,11 +54,11 @@ __all__ = [
 ]
 
 
-class GaugeError(ValueError):
+class GaugeError(ValueError, VerificationFailure):
     """A transform violates its positivity or shape requirements."""
 
 
-class ReductionError(ValueError):
+class ReductionError(ValueError, VerificationFailure):
     """A reduction's preconditions fail on the supplied data."""
 
 
@@ -73,83 +75,6 @@ def _sample_points(interval: Tuple[float, float], count: int) -> List[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
         raise ValueError(f"degenerate interval ({lo}, {hi})")
     return linspace(lo, hi, count)
-
-
-# ---------------------------------------------------------------------------
-# problems
-
-
-@dataclass(frozen=True)
-class EmdenProblem:
-    """x'' = a(t) x' + b(t) x^n, first-order in z = (x, v)."""
-
-    a: TimeFn
-    b: TimeFn
-    n: float
-    singular_points: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_timefn(self.a))
-        object.__setattr__(self, "b", as_timefn(self.b))
-        object.__setattr__(self, "n", float(self.n))
-        object.__setattr__(
-            self, "singular_points", tuple(float(s) for s in self.singular_points)
-        )
-        if abs(self.n - 1.0) < 1e-12:
-            raise ValueError("exponent n = 1 is the linear case; not handled here")
-
-    def rhs(self, t: float, z):
-        x, v = z
-        return (v, self.a(t) * v + self.b(t) * real_power(x, self.n))
-
-    def as_generalized(self) -> "GeneralizedProblem":
-        neg_a = self.a.scaled(-1) if isinstance(self.a, PowerFn) else (
-            lambda t, _a=self.a: -_a(t)
-        )
-        return GeneralizedProblem(
-            p=neg_a, q=None, r=self.b, n=self.n, singular_points=self.singular_points
-        )
-
-
-@dataclass(frozen=True)
-class GeneralizedProblem:
-    """x'' = -p(t) x' - q(t) x + r(t) x^n.  q=None means exactly zero."""
-
-    p: TimeFn
-    q: Optional[TimeFn]
-    r: TimeFn
-    n: float
-    singular_points: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_timefn(self.p))
-        if self.q is not None:
-            q = as_timefn(self.q)
-            object.__setattr__(self, "q", None if q is ZERO_FN else q)
-        object.__setattr__(self, "r", as_timefn(self.r))
-        object.__setattr__(self, "n", float(self.n))
-        object.__setattr__(
-            self, "singular_points", tuple(float(s) for s in self.singular_points)
-        )
-        if abs(self.n - 1.0) < 1e-12:
-            raise ValueError("exponent n = 1 is the linear case; not handled here")
-
-    def rhs(self, t: float, z):
-        x, v = z
-        acc = -self.p(t) * v + self.r(t) * real_power(x, self.n)
-        if self.q is not None:
-            acc -= self.q(t) * x
-        return (v, acc)
-
-    def as_emden(self) -> EmdenProblem:
-        if self.q is not None:
-            raise ValueError("has a linear restoring term; not of the two-slot form")
-        neg_p = self.p.scaled(-1) if isinstance(self.p, PowerFn) else (
-            lambda t, _p=self.p: -_p(t)
-        )
-        return EmdenProblem(
-            a=neg_p, b=self.r, n=self.n, singular_points=self.singular_points
-        )
 
 
 # ---------------------------------------------------------------------------

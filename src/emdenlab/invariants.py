@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
+from . import VerificationFailure
 from .exprlang import real_power
-from .gauge import EmdenProblem, reduce_via_particular_solution
+from .gauge import reduce_via_particular_solution
 from .numerics import IntegratorConfig, Trajectory, integrate, linspace, write_csv
+from .problems import EmdenProblem
 from .timefn import ExactnessError, PowerFn, TimeFn, as_timefn
 
 __all__ = [
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 
-class InvariantDomainError(ValueError):
+class InvariantDomainError(ValueError, VerificationFailure):
     """An invariant was evaluated where it is not defined."""
 
 

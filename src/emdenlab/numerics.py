@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 from typing import Callable, Sequence
 
+from . import VerificationFailure
+
 __all__ = [
     "IntegratorConfig", "Trajectory", "integrate", "linspace",
     "IntegrationError", "RhsError", "StepSizeUnderflowError", "StepEvaluationError",
@@ -45,7 +47,7 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(RuntimeError, VerificationFailure):
     """A run could not finish; t_reached is where it stopped, when known."""
 
     def __init__(self, message: str, t_reached: float | None = None):

@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
+from . import UnusableInput
 from .exprlang import ExprError, compile_fn, free_names, parse
-from .gauge import EmdenProblem, GeneralizedProblem
 from .numerics import IntegratorConfig
+from .problems import EmdenProblem, GeneralizedProblem
 from .timefn import TimeFn
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 
-class SpecError(ValueError):
+class SpecError(ValueError, UnusableInput):
     """A problem file is malformed or self-inconsistent."""
 
 

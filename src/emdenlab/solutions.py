@@ -18,14 +18,16 @@ Three kinds of exact material live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+from . import VerificationFailure
 from .exprlang import real_power
-from .gauge import EmdenProblem
 from .numerics import linspace
+from .problems import EmdenProblem
 from .timefn import ExactnessError, PowerFn, TimeFn, frac_power
 
 __all__ = [
@@ -41,13 +43,12 @@ __all__ = [
     "bounded_family",
     "frozen_level",
     "mixing_constant",
-    "CATALOG",
     "catalog",
     "catalog_entry",
 ]
 
 
-class SuperpositionDomainError(ValueError):
+class SuperpositionDomainError(ValueError, VerificationFailure):
     """A state lies outside the region where the mixing rule is real."""
 
 
@@ -525,24 +526,22 @@ def bounded_profile_entry() -> CatalogEntry:
     )
 
 
-CATALOG: Tuple[CatalogEntry, ...] = (
-    lane_emden_entry(),
-    inverse_square_entry(),
-    quartic_root_entry(),
-    cube_root_entry(),
-    powerlaw_solution(5, 1.0, window=(0.5, 5.0)),
-    bounded_profile_entry(),
-)
-
-
+@functools.cache
 def catalog() -> Tuple[CatalogEntry, ...]:
-    """The shipped entries, re-verified at import time."""
-    return CATALOG
+    """The shipped entries, built and re-verified on first use."""
+    return (
+        lane_emden_entry(),
+        inverse_square_entry(),
+        quartic_root_entry(),
+        cube_root_entry(),
+        powerlaw_solution(5, 1.0, window=(0.5, 5.0)),
+        bounded_profile_entry(),
+    )
 
 
 def catalog_entry(entry_id: str) -> CatalogEntry:
-    for entry in CATALOG:
+    for entry in catalog():
         if entry.id == entry_id:
             return entry
-    known = ", ".join(e.id for e in CATALOG)
+    known = ", ".join(e.id for e in catalog())
     raise KeyError(f"no catalog entry {entry_id!r}; known ids: {known}")

@@ -1,12 +1,25 @@
 """Command-line behaviour: verdict lines, exit codes, CSV determinism."""
 
+import contextlib
+import dataclasses
+import io
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emdenlab.cli import main
-from emdenlab.problemfile import parse_spec
+from emdenlab import cli, gauge, invariants, numerics
+from emdenlab.cli import InputError, main
+from emdenlab.exprlang import EvalDomainError, ExprSyntaxError
+from emdenlab.gauge import GaugeError, ReductionError
+from emdenlab.invariants import InvariantDomainError
+from emdenlab.numerics import IntegrationError
+from emdenlab.problemfile import SpecError, parse_spec
+from emdenlab.solutions import SuperpositionDomainError
+from emdenlab.timefn import ExactnessError
 
 DRAG_N5 = """\
 kind = emden
@@ -556,6 +569,31 @@ class TestUsage:
         assert "is not finite" in captured.err
         assert "VERDICT" not in captured.out
 
+    @pytest.mark.parametrize("error, code", [
+        (SpecError("bad file"), 2),
+        (InputError("bad flag"), 2),
+        (ExprSyntaxError("bad expression", 0), 2),
+        (ReductionError("no reduction"), 1),
+        (GaugeError("no gauge"), 1),
+        (InvariantDomainError("undefined"), 1),
+        (SuperpositionDomainError("not real"), 1),
+        (IntegrationError("stopped"), 1),
+        (EvalDomainError("log of zero"), 1),
+        (ExactnessError("inexact"), 1),
+        (ArithmeticError("overflow"), 1),
+        (ValueError("bad value"), 2),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_each_error_class_keeps_its_exit_code(self, capsys, monkeypatch, error, code):
+        def raises(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_catalog", raises)
+        assert main(["catalog"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        failed = f"VERDICT: FAIL error={type(error).__name__}\n"
+        assert captured.out == (failed if code == 1 else "")
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "emdenlab", "scheme-check"],
@@ -565,3 +603,122 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.rstrip().splitlines()[-1] == "VERDICT: PASS failures=0"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: problem files and argument lists for every subcommand
+
+EXPRESSIONS = ["-2/t", "-1", "0", "t", "2/t", "1/(t-1)", "log(t)", "sqrt(t-2)",
+               "(2*t)^(-1/2)", "(1+t^2/3)^(-1/2)", "exp(t^2)", "t^t", "K*t", "1/0",
+               "(", "1e999", "abs(t-1)", "-t^5"]
+NUMBERS = ["0", "1", "-1", "0.5", "2.5", "5", "-3", "1e-10", "1e300", "nan", "1e999", "abc"]
+COUNTS = ["2", "3", "17", "50", "0", "1", "x"]
+PAIRS = ["0.1,5", "1,0", "1,-1", "0.5,0.5", "[0.5, 2]", "0,1", "5,0.1", "1", "a,b",
+         "nan,0", "1,1e308"]
+# replacement values for each key of a problem file
+SPEC_VALUES = {
+    "kind": ["emden", "generalized", "other"],
+    "n": ["5", "3", "-3", "2.5", "0.5", "1", "-1", "nan"],
+    "a": EXPRESSIONS, "b": EXPRESSIONS, "p": EXPRESSIONS, "q": EXPRESSIONS,
+    "r": EXPRESSIONS,
+    "singular_points": ["0", "", "1, 2", "3", "x"],
+    "interval": ["0.5, 5", "1, 5", "1, 1.5", "5, 0.5", "0, 1e6", "1, 1", "0.5", "a, b",
+                 "0.5, inf", "-1, 1"],
+    "x0": NUMBERS, "v0": NUMBERS,
+    "rel_tol": ["1e-10", "1e-6", "0", "1", "nan"],
+    "abs_tol": ["1e-12", "1e-8", "0", "-1"],
+    "unknown": ["3"],
+}
+VALID_SPECS = [dict(line.split(" = ", 1) for line in text.splitlines())
+               for text in (DRAG_N5, PLAIN_CUBIC, INVERSE_CUBE, KL_GENERALIZED)]
+SPEC = "<problem file>"  # stands for the path of the generated problem file
+# each subcommand's arguments in order: "spec" is the problem file, and a
+# (flag, values, required) triple an option, or a positional when flag is ""
+ARGUMENTS = {
+    "scheme-check": [],
+    "integrate": ["spec", ("--samples", COUNTS, False)],
+    "invariant": ["spec", ("--method", ["particular:lane_emden_n5", "particular:nope",
+                                         "generic", "s7a", "s7b", "rescaled-energy",
+                                         "dilation", "bogus"], True),
+                  ("--solution", EXPRESSIONS, False), ("--samples", COUNTS, False),
+                  ("--threshold", ["1e-6", "1e-3", "1", "0", "nan"], False)],
+    "kummer-liouville": ["spec", ("--gamma-init", PAIRS, False),
+                         ("--threshold", ["1e-6", "1e-3", "0", "nan"], False),
+                         ("--grid", ["5", "9", "4", "x"], False)],
+    "reduce": ["spec", ("--solution", EXPRESSIONS, True)],
+    "superpose": [("--x1", EXPRESSIONS, True), ("--K", NUMBERS, True), ("", PAIRS, False),
+                  ("--samples", COUNTS, False)],
+    "construct": [("--n", NUMBERS + ["3", "7", "9"], True), ("--K", NUMBERS, False)],
+    "catalog": [],
+}
+
+
+@st.composite
+def problem_files(draw):
+    """One of the valid problem files, with up to two keys replaced or dropped."""
+    entries = dict(draw(st.sampled_from(VALID_SPECS)))
+    for key in draw(st.lists(st.sampled_from(sorted(SPEC_VALUES)), max_size=2)):
+        value = draw(st.one_of(st.sampled_from(SPEC_VALUES[key]), st.none()))
+        if value is None:
+            entries.pop(key, None)
+        else:
+            entries[key] = value
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+@st.composite
+def command_lines(draw):
+    """An argument list for one subcommand; SPEC marks the problem file."""
+    command = draw(st.sampled_from(sorted(ARGUMENTS)))
+    argv = [command]
+    for argument in ARGUMENTS[command]:
+        if argument == "spec":
+            argv.append(SPEC)
+            continue
+        flag, values, required = argument
+        value = draw(st.sampled_from(values) if required
+                     else st.one_of(st.none(), st.sampled_from(values)))
+        if value is not None:
+            argv += [flag, value] if flag else [value]
+    return argv
+
+
+@contextlib.contextmanager
+def step_budget(steps):
+    """Cap every integration at steps, so no case runs for long."""
+    original = numerics.integrate
+
+    def capped(rhs, t0, y0, t_end, config=None):
+        config = dataclasses.replace(config or numerics.IntegratorConfig(), max_steps=steps)
+        return original(rhs, t0, y0, t_end, config)
+
+    callers = (numerics, gauge, invariants)  # every module holding integrate
+    for module in callers:
+        module.integrate = capped
+    try:
+        yield
+    finally:
+        for module in callers:
+            module.integrate = original
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(command_lines(), problem_files())
+def test_every_command_line_ends_in_an_exit_code_and_a_verdict(argv, spec_text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/problem.spec"
+        with open(path, "w") as fh:
+            fh.write(spec_text)
+        argv = [path if a == SPEC else a for a in argv]
+        with step_budget(2000), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing the arguments
+                code = exc.code
+    # any other exception escapes main and fails the test with its traceback
+    assert code in (0, 1, 2), (code, argv)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        lines = out.getvalue().rstrip("\n").splitlines()
+        assert lines and lines[-1].startswith("VERDICT: "), (argv, out.getvalue()[-300:])

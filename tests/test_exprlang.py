@@ -224,6 +224,23 @@ class TestDerive:
         wrapped = functools.wraps(f)(lambda t: f(t))
         assert wrapped.deriv() is f.deriv()
 
+    def test_second_derivative_of_a_tower_stays_proportional_to_it(self):
+        # derived trees share subtrees; differentiating each shared node
+        # once keeps derive(derive(e)) near the tree's size (25,008 distinct
+        # nodes when every meeting re-derived it)
+        def distinct(node, seen):
+            if id(node) not in seen:
+                seen.add(id(node))
+                for child in (getattr(node, "arg", None), getattr(node, "left", None),
+                              getattr(node, "right", None), *getattr(node, "args", ())):
+                    if child is not None:
+                        distinct(child, seen)
+            return len(seen)
+
+        tower = parse("^".join(["t"] * 64))
+        assert distinct(tower, set()) == 127
+        assert distinct(derive(derive(tower)), set()) < 20 * 127
+
     def test_undefined_derivative_raises_on_evaluation(self):
         for src, t in (("sqrt(t)", 0.0), ("abs(t)", 0.0), ("t^t", -1.0)):
             with pytest.raises(EvalDomainError):

@@ -155,3 +155,52 @@ def test_readme_commands_never_import_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# start-up is most of a command's run, so each subcommand imports only the
+# modules it runs; `emdenlab.cli` itself loads the scheme algebra eagerly
+CLI_ONLY = {"emdenlab", "emdenlab.cli", "emdenlab.exprlang", "emdenlab.vfields"}
+
+
+def package_modules_after(argv):
+    """emdenlab modules loaded by a fresh interpreter that imports the CLI
+    and, unless argv is None, runs it on argv."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from emdenlab import cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            assert cli.main(argv) == 0, argv\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('emdenlab'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_importing_the_cli_loads_only_the_scheme_algebra():
+    assert package_modules_after(None) == CLI_ONLY
+
+
+def test_help_loads_nothing_beyond_the_cli():
+    assert package_modules_after(["--help"]) == CLI_ONLY
+
+
+@pytest.mark.parametrize("command, never", [
+    ("emdenlab integrate lane-emden-n5.spec --output traj.csv",
+     {"gauge", "invariants", "solutions"}),
+    ("emdenlab scheme-check", {"numerics", "problemfile", "timefn"}),
+    ("emdenlab invariant plain.spec --method s7a", {"solutions"}),
+])
+def test_command_never_loads_what_it_does_not_run(command, never, tmp_path):
+    loaded = package_modules_after(readme_argv(command, tmp_path))
+    assert loaded >= CLI_ONLY
+    assert not loaded & {f"emdenlab.{name}" for name in never}

@@ -19,7 +19,6 @@ from emdenlab.invariants import (
 )
 from emdenlab.numerics import IntegratorConfig, integrate
 from emdenlab.solutions import (
-    CATALOG,
     SuperpositionDomainError,
     bounded_family,
     catalog,
@@ -109,7 +108,7 @@ class TestCatalog:
         ]
 
     def test_every_entry_verifies(self):
-        for entry in CATALOG:
+        for entry in catalog():
             rep = entry.residual_report()
             assert rep.passed, entry.id
             if entry.slope_compatible:
@@ -149,7 +148,7 @@ class TestCatalog:
         # every slope-compatible entry yields a constant of motion that
         # stays flat along an unrelated solution of its own problem
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        for entry in CATALOG:
+        for entry in catalog():
             if not entry.slope_compatible:
                 continue
             t0, t1 = entry.window
