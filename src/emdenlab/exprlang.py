@@ -344,42 +344,54 @@ def compile_fn(src, constants: dict | None = None):
     values; checked here, at bind time, rather than on first call.  Every
     call returns a new function object, so callers may set attributes on it.
     Its ``deriv()`` compiles ``derive`` of the tree on first call and then
-    returns that same function.
+    returns that same function; ``fn.tree`` and ``fn.constants`` let a
+    generated caller emit the same lines inline (``timefn.Inliner``).
     """
     expr = parse(src) if isinstance(src, str) else src
     constants = dict(constants or {})
     missing = free_names(expr) - {"t"} - set(constants)
     if missing:
         raise UnboundIdentifierError(f"unbound identifier(s): {', '.join(sorted(missing))}")
-    source, namespace = _generate(expr, constants)
-    exec(compile(source, "<exprlang>", "exec"), namespace)
+    namespace = _namespace()
+    lines, result = _generate(expr, constants, namespace)
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(compile(f"def _fn(t):\n{body}    return {result}\n", "<exprlang>", "exec"), namespace)
     fn = namespace.pop("_fn")
-    # a function attribute, not a method, so functools.wraps carries it over
+    # function attributes, not methods, so functools.wraps carries them over;
+    # tree and constants let a generated caller inline the function
     fn.deriv = functools.cache(lambda: compile_fn(derive(expr), constants))
+    fn.tree, fn.constants = expr, constants
     return fn
 
 
 _FINITE_WHAT = {"+": "sum", "-": "difference", "*": "product"}
 
 
-def _generate(expr, constants):
-    """Straight-line source for expr, and the namespace it runs in.
+def _namespace() -> dict:
+    """The helpers that generated lines name, in a fresh namespace."""
+    return {"_isfinite": math.isfinite, "_Err": EvalDomainError, "_pow": real_power}
 
-    The source names only t and identifiers made up here; every number,
-    constant and function reaches it through a ``_vN`` namespace slot.
+
+def _slot(namespace: dict, value) -> str:
+    """A new ``_vN`` name bound to value in namespace."""
+    name = f"_v{len(namespace)}"
+    namespace[name] = value
+    return name
+
+
+def _generate(expr, constants, namespace, prefix="_r"):
+    """Straight-line lines that compute expr at t, and the name of its value.
+
+    The lines name only t, the helpers of ``_namespace()`` and identifiers
+    made up here: temporaries ``prefix`` + N, and a ``_vN`` slot added to
+    namespace for every number, constant and function.
     """
     lines = []
-    namespace = {"_isfinite": math.isfinite, "_Err": EvalDomainError, "_pow": real_power}
-
-    def slot(value):
-        name = f"_v{len(namespace)}"
-        namespace[name] = value
-        return name
-
+    slot = functools.partial(_slot, namespace)
     done = {}  # id(node) -> its name; a subtree shared by derived trees is computed once
 
     def emit(node, rhs, what=None):
-        name = done[id(node)] = f"_r{len(lines)}"
+        name = done[id(node)] = f"{prefix}{len(lines)}"
         lines.append(f"{name} = {rhs}")
         if what:
             lines.append(f"if not _isfinite({name}): raise _Err('{what} is not finite')")
@@ -415,8 +427,7 @@ def _generate(expr, constants):
         raise TypeError(f"not an Expr node: {node!r}")
 
     result = walk(expr)
-    body = "".join(f"    {line}\n" for line in lines)
-    return f"def _fn(t):\n{body}    return {result}\n", namespace
+    return lines, result
 
 
 # ---------------------------------------------------------------------------

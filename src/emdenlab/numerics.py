@@ -17,6 +17,18 @@ tableau entry written out as a float literal, so no loop over components
 or entries is left to interpret.  The mesh is kept as lists; ``t``, ``y``
 and ``sample`` import numpy and build arrays on first use.
 
+Each stage of that step gets its slopes in one of two ways, from the one
+generator.  Given a problem's own bound ``rhs`` (an ``EmdenProblem`` or
+``GeneralizedProblem``, found by duck typing), the stage computes
+``a(t)*v + b(t)*x^n`` or ``-p*v + r*x^n - q*x`` inline from the problem's
+``stage_body``: the same float operations and domain checks in the same
+order, so meshes, states and the first error are those of the call, bit
+for bit.  Any other callable, including a wrapper made by functools.wraps,
+is called once per stage through a wrapper that checks what it returns.
+The step for a stage body is compiled once per source text; the numbers
+reach it through namespace slots, so problems that differ only in their
+numbers share it.
+
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
 come from the same dense output (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -211,15 +223,21 @@ def linspace(a: float, b: float, count: int) -> list:
     return [a + i * step for i in range(count - 1)] + [b]
 
 
-@functools.cache
-def _kernel(n: int):
-    """Generated step functions (stages, dense) for n-component states.
+@functools.lru_cache(maxsize=64)
+def _kernel(n: int, body: tuple | None = None):
+    """Compiled code that defines the step functions for n-component states.
 
-    stages(f, t, y, hd, k0, abs_tol, rel_tol) calls f on the six new stage
-    inputs, checking each slope, and returns (y_new, K, err), or
-    (None, None, inf) at the first slope that is not finite.  dense(hd, K)
-    returns an accepted step's four theta-coefficient rows.  The source
-    names only identifiers made up here and the exact reprs of the tableaux.
+    Run in a namespace, it defines _stages and _dense.  stages(f, t0, y, hd,
+    k0, abs_tol, rel_tol) forms the six new stage inputs in x0 ... x{n-1}
+    and the stage time in t, gets each stage's slopes and checks them, and
+    returns (y_new, K, err), or (None, None, inf) at the first slope that is
+    not finite.  With body None, each stage calls f.  Otherwise body is
+    (lines, slopes): lines that read t and x0 ... and the n slope
+    expressions, written into every stage in place of the call; the names
+    they use beyond those come from the namespace.  dense(hd, K) returns an
+    accepted step's four theta-coefficient rows.  The source names only
+    identifiers made up here, the body's, and the exact reprs of the
+    tableaux, so code is shared by every body of the same text.
     """
     comps = range(n)
 
@@ -232,23 +250,30 @@ def _kernel(n: int):
     def combine(base, row, c):
         return base + " + hd * (0.0" + "".join(f" + {a!r} * k{j}_{c}" for j, a in row) + ")"
 
-    stages = ["def _stages(f, t, y, hd, k0, abs_tol, rel_tol):", unpack("y"), unpack("k0")]
+    state = tup(f"x{c}" for c in comps)
+    stages = ["def _stages(f, t0, y, hd, k0, abs_tol, rel_tol):", unpack("y"), unpack("k0")]
     for i in range(1, 7):
-        stages.append(f"y{i} = " + tup(combine(f"y_{c}", _AF[i], c) for c in comps))
-        stages.append(f"k{i} = f(t + {_CF[i]!r} * hd, y{i})")
-        stages.append(unpack(f"k{i}"))
+        stages += [f"x{c} = {combine(f'y_{c}', _AF[i], c)}" for c in comps]
+        if body is None:
+            stages.append(f"k{i} = f(t0 + {_CF[i]!r} * hd, {state})")
+            stages.append(unpack(f"k{i}"))
+        else:
+            stages.append(f"t = t0 + {_CF[i]!r} * hd")
+            stages += body[0]
+            stages += [f"k{i}_{c} = {slope}" for c, slope in zip(comps, body[1])]
         finite = " and ".join(f"_isfinite(k{i}_{c})" for c in comps) or "True"
         stages.append(f"if not ({finite}): return None, None, _inf")
-    # y6 is the new state, since _A[6] == _B.  The error is _rms of e / scale,
-    # with max(a, b) spelled as what it returns for two floats.
-    stages.append(unpack("y6"))
+    # x0 ... now hold the new state, since _A[6] == _B.  The error is _rms of
+    # e / scale, with max(a, b) spelled as what it returns for two floats.
     for c in comps:
         stages.append(f"a_{c} = _abs(y_{c})")
-        stages.append(f"b_{c} = _abs(y6_{c})")
+        stages.append(f"b_{c} = _abs(x{c})")
         stages.append(f"e_{c} = ({combine('0.0', _EF, c)}) / "
                       f"(abs_tol + rel_tol * (b_{c} if b_{c} > a_{c} else a_{c}))")
+    slopes = ["k0"] + [f"k{i}" if body is None else tup(f"k{i}_{c}" for c in comps)
+                       for i in range(1, 7)]
     squares = ", ".join(f"e_{c} * e_{c}" for c in comps)
-    stages.append(f"return y6, {tup(f'k{i}' for i in range(7))}, _sqrt(_sum([{squares}]) / {n})")
+    stages.append(f"return {state}, {tup(slopes)}, _sqrt(_sum([{squares}]) / {n})")
 
     used = sorted({j for row in _PF for j, _ in row})
     dense = ["def _dense(hd, K):", f"[{', '.join(f'k{i}' for i in range(7))}] = K"]
@@ -256,11 +281,26 @@ def _kernel(n: int):
     rows = [tup(combine("0.0", row, c) for c in comps) for row in _PF]
     dense.append(f"return {tup(rows)}")
 
-    namespace = {"_isfinite": math.isfinite, "_abs": abs, "_sqrt": math.sqrt,
-                 "_sum": sum, "_inf": math.inf}
     source = "\n    ".join(stages) + "\n" + "\n    ".join(dense) + "\n"
-    exec(compile(source, f"<dopri5 n={n}>", "exec"), namespace)
-    return namespace["_stages"], namespace["_dense"]
+    return compile(source, f"<dopri5 n={n}>", "exec")
+
+
+def _problem_body(rhs, n: int):
+    """The n-slope stage body of the problem whose own rhs method rhs is, or None.
+
+    Duck-typed, since this module does not import ``problems``: rhs must be
+    bound to an object whose class defines both ``rhs`` and ``stage_body``.
+    A plain function, and a wrapper made by functools.wraps, give None.
+    """
+    func = getattr(rhs, "__func__", None)
+    owner = getattr(rhs, "__self__", None)
+    cls = next((c for c in type(owner).__mro__ if "rhs" in vars(c)), None)
+    if func is None or cls is None or vars(cls)["rhs"] is not func:
+        return None
+    if "stage_body" not in vars(cls):
+        return None
+    body = owner.stage_body
+    return body if len(body[1]) == n else None
 
 
 def _rms(v) -> float:
@@ -294,9 +334,11 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     """Integrate y' = rhs(t, y) from t0 to t_end, either direction.
 
     rhs receives the state as a tuple of floats and returns a sequence of
-    the same length.  Raises RhsError when the right-hand side is not
-    finite at the starting point (a singular initial time),
-    StepSizeUnderflowError with the reached time when the error controller
+    as many real numbers; anything else is an IntegrationError that names
+    the t of the call (mid-run, with t_reached the start of its step).
+    Raises RhsError when the right-hand side is not finite at the starting
+    point (a singular initial time), StepSizeUnderflowError with the
+    reached time when the error controller
     cannot advance (a finite-time blow-up inside the interval, or an
     interval too long to resolve in double precision), and
     StepEvaluationError with the reached time when the right-hand side
@@ -311,9 +353,16 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     n = len(y)
 
     def f(t, y):
-        out = tuple(map(float, rhs(t, y)))
+        out = rhs(t, y)
+        try:
+            out = tuple(map(float, out))
+        except (TypeError, ValueError):
+            raise IntegrationError(
+                f"right-hand side returned {out!r} at t={t}, not a sequence of real numbers"
+            ) from None
         if len(out) != n:
-            raise IntegrationError(f"right-hand side returned {len(out)} components, expected {n}")
+            raise IntegrationError(
+                f"right-hand side returned {len(out)} components, expected {n}, at t={t}")
         return out
 
     ts, ys = [t], [y]
@@ -332,7 +381,11 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     span = abs(t_end - t0)
     span_floor = 5e-15 * span
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
-    stages, dense = _kernel(n)
+    body = _problem_body(rhs, n)
+    namespace = {"_isfinite": math.isfinite, "_abs": abs, "_sqrt": math.sqrt,
+                 "_sum": sum, "_inf": math.inf, **(body[2] if body else {})}
+    exec(_kernel(n, body and body[:2]), namespace)
+    stages, dense = namespace["_stages"], namespace["_dense"]
     accepted = rejected = 0
     try:
         if cfg.first_step is not None:
@@ -383,6 +436,10 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
         raise StepEvaluationError(
             f"right-hand side failed in the step from t={t}: {exc}",
             t_reached=t) from exc
+    except IntegrationError as exc:
+        if exc.t_reached is None:  # f refused what rhs returned in this step
+            exc.t_reached = t
+        raise
 
     traj.accepted, traj.rejected = accepted, rejected
     return traj

@@ -8,11 +8,12 @@ loads only what building a problem needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .exprlang import real_power
-from .timefn import ZERO_FN, PowerFn, TimeFn, as_timefn
+from .exprlang import Neg, compile_fn, real_power
+from .timefn import ZERO_FN, Inliner, PowerFn, TimeFn, as_timefn
 
 __all__ = ["EmdenProblem", "GeneralizedProblem"]
 
@@ -40,12 +41,19 @@ class EmdenProblem:
         x, v = z
         return (v, self.a(t) * v + self.b(t) * real_power(x, self.n))
 
+    @functools.cached_property
+    def stage_body(self):
+        """``rhs`` as source for the generated Dormand-Prince stages, in the
+        form ``numerics.integrate`` inlines; built on the first integrate."""
+        src = Inliner()
+        a, b = src.value(self.a, "_a"), src.value(self.b, "_b")
+        w = src.power("x0", self.n, "_w")
+        return src.body(("x1", f"{a} * x1 + {b} * {w}"))
+
     def as_generalized(self) -> "GeneralizedProblem":
-        neg_a = self.a.scaled(-1) if isinstance(self.a, PowerFn) else (
-            lambda t, _a=self.a: -_a(t)
-        )
         return GeneralizedProblem(
-            p=neg_a, q=None, r=self.b, n=self.n, singular_points=self.singular_points
+            p=_negated(self.a), q=None, r=self.b, n=self.n,
+            singular_points=self.singular_points,
         )
 
 
@@ -79,12 +87,30 @@ class GeneralizedProblem:
             acc -= self.q(t) * x
         return (v, acc)
 
+    @functools.cached_property
+    def stage_body(self):
+        """``rhs`` as source for the generated Dormand-Prince stages, in the
+        form ``numerics.integrate`` inlines; built on the first integrate."""
+        src = Inliner()
+        p, r = src.value(self.p, "_p"), src.value(self.r, "_r")
+        acc = f"-{p} * x1 + {r} * {src.power('x0', self.n, '_w')}"
+        if self.q is not None:
+            acc += f" - {src.value(self.q, '_q')} * x0"
+        return src.body(("x1", acc))
+
     def as_emden(self) -> EmdenProblem:
         if self.q is not None:
             raise ValueError("has a linear restoring term; not of the two-slot form")
-        neg_p = self.p.scaled(-1) if isinstance(self.p, PowerFn) else (
-            lambda t, _p=self.p: -_p(t)
-        )
         return EmdenProblem(
-            a=neg_p, b=self.r, n=self.n, singular_points=self.singular_points
+            a=_negated(self.p), b=self.r, n=self.n, singular_points=self.singular_points
         )
+
+
+def _negated(fn: TimeFn) -> TimeFn:
+    """t -> -fn(t), kept inlinable where fn is: a PowerFn scales by -1, and a
+    compiled expression compiles Neg of its tree, which gives the same float."""
+    if isinstance(fn, PowerFn):
+        return fn.scaled(-1)
+    if getattr(fn, "tree", None) is not None and getattr(fn, "__wrapped__", None) is None:
+        return compile_fn(Neg(fn.tree), fn.constants)
+    return lambda t, _fn=fn: -_fn(t)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
-from .exprlang import EvalDomainError, real_power
+from .exprlang import EvalDomainError, _generate, _namespace, _slot, real_power
 
 TimeFn = Callable[[float], float]
 
@@ -26,6 +26,7 @@ __all__ = [
     "PowerFn",
     "ExactnessError",
     "frac_power",
+    "Inliner",
 ]
 
 
@@ -37,6 +38,7 @@ def constant(c: float) -> TimeFn:
     v = float(c)
     fn = lambda t: v
     fn.deriv = lambda: ZERO_FN
+    fn.value = v
     return fn
 
 
@@ -203,3 +205,64 @@ class PowerFn:
 
     def __str__(self):
         return self.to_source()
+
+
+class Inliner:
+    """Straight-line source that evaluates time functions at t, for a caller
+    that is generated code (the Dormand-Prince stages in ``numerics``).
+
+    ``value(fn, name)`` appends the lines that compute fn(t) and returns the
+    expression that holds the result.  The lines make the float operations
+    and checks that calling fn makes, in the same order, so the values and
+    the first EvalDomainError are the same:
+
+    - a compiled expression emits its ``exprlang`` lines;
+    - a PowerFn emits ``c * _pow(k + m*t, e)`` from its float fields, or
+      ``0.0`` when c is zero, as its ``__call__`` does;
+    - ``constant(c)`` is its value;
+    - anything else, and anything ``functools.wraps`` made, stays a call.
+
+    Numbers and functions reach the source through ``_vN`` slots of
+    ``namespace``, so sources that differ only in numbers are the same text.
+    """
+
+    def __init__(self):
+        self.lines: list = []
+        self.namespace = _namespace()
+        self.calls = False  # a value comes from a call, so its type is unknown
+
+    def slot(self, value) -> str:
+        return _slot(self.namespace, value)
+
+    def value(self, fn: TimeFn, name: str) -> str:
+        if getattr(fn, "__wrapped__", None) is None:
+            if type(fn) is PowerFn:
+                if fn._floats[0] == 0.0:
+                    return "0.0"
+                c, k, m, e = map(self.slot, fn._floats)
+                self.lines.append(f"{name} = {c} * _pow({k} + {m} * t, {e})")
+                return name
+            if isinstance(getattr(fn, "value", None), float):
+                return self.slot(fn.value)
+            tree = getattr(fn, "tree", None)
+            if tree is not None:
+                lines, result = _generate(tree, fn.constants, self.namespace, name)
+                self.lines += lines
+                return result
+        self.calls = True
+        self.lines.append(f"{name} = {self.slot(fn)}(t)")
+        return name
+
+    def power(self, x: str, p: float, name: str) -> str:
+        """real_power(x, p), as the line that leaves it in name."""
+        self.lines.append(f"{name} = _pow({x}, {self.slot(p)})")
+        return name
+
+    def body(self, slopes) -> tuple:
+        """(lines, slopes, namespace); with a call among the values, each
+        compound slope is converted with float, as ``integrate`` converts
+        what a right-hand side returns."""
+        if self.calls:
+            self.namespace["_float"] = float
+            slopes = [s if s.isidentifier() else f"_float({s})" for s in slopes]
+        return tuple(self.lines), tuple(slopes), self.namespace

@@ -11,6 +11,7 @@ import gc
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -174,9 +175,21 @@ class TestIntegrate:
             calls.append(t)
             return [y[1], -y[0]] + ([0.0] if len(calls) == bad_call else [])
 
-        with pytest.raises(IntegrationError, match="returned 3 components, expected 2"):
+        with pytest.raises(IntegrationError, match="returned 3 components, expected 2") as err:
             integrate(rhs, 0.0, [1.0, 0.0], 10.0)
         assert len(calls) == bad_call
+        assert f"at t={calls[-1]}" in str(err.value)
+        # mid-run the step's start is reached: t = 0 for the probe and the
+        # first step, and for call 9 the first step's end, where stage 7 was
+        step_start = None if bad_call == 1 else calls[7] if bad_call == 9 else 0.0
+        assert err.value.t_reached == step_start
+
+    @pytest.mark.parametrize("bad", [None, 1j, "x", [1.0]])
+    def test_rhs_with_a_non_real_component_is_refused(self, bad):
+        with pytest.raises(IntegrationError, match="not a sequence of real numbers") as err:
+            integrate(lambda t, y: (1.0,) if t < 1 else (bad,), 0.0, (0.0,), 2.0)
+        t = float(re.search(r"at t=(\S+),", str(err.value)).group(1))
+        assert err.value.t_reached < 1.0 <= t <= 2.0
 
     @pytest.mark.parametrize("t0, t_end", [
         (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),

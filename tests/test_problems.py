@@ -1,0 +1,205 @@
+"""The problems' right-hand sides inlined into the generated step.
+
+``integrate`` writes an ``EmdenProblem`` or ``GeneralizedProblem`` rhs into
+each Dormand-Prince stage when it is given the problem's own bound ``rhs``.
+Any other callable, such as a lambda around ``prob.rhs``, takes the call
+path, which is the reference here: both must give the same mesh, states,
+dense rows, step counts and errors, bit for bit.
+"""
+
+import functools
+import math
+
+import pytest
+
+from emdenlab import numerics, problemfile
+from emdenlab.exprlang import EvalDomainError
+from emdenlab.numerics import IntegratorConfig, StepEvaluationError, integrate
+from emdenlab.problems import EmdenProblem, GeneralizedProblem
+from emdenlab.solutions import catalog
+from emdenlab.timefn import PowerFn, constant
+
+from test_numerics import _hex
+from test_readme_examples import SPECS
+
+WITH_Q = """\
+kind = generalized
+n = 3
+p = 1/t
+q = 0.5 + sin(t)^2
+r = -1
+interval = 1, 6
+x0 = 0.8
+v0 = 0.1
+"""
+
+GENERALIZED_NO_Q = """\
+kind = generalized
+n = 5
+p = 2/t
+r = 1
+interval = 1, 5
+x0 = 0.3
+v0 = 0
+"""
+
+
+def _spec_case(text):
+    spec = problemfile.parse_spec(text)
+    return spec.build(), spec.initial, spec.interval, spec.config()
+
+
+def _cases():
+    """(id, problem, z0, (t0, t1), config) for every problem form covered."""
+    out = [(name, *_spec_case(text)) for name, text in SPECS.items()]
+    out += [(f"generalized-{name}", *_spec_case(text))
+            for name, text in (("with-q", WITH_Q), ("no-q", GENERALIZED_NO_Q))]
+    le, _, le_interval, le_cfg = _spec_case(SPECS["lane-emden-n5.spec"])
+    gen, gen_z0, gen_interval, gen_cfg = _spec_case(GENERALIZED_NO_Q)
+    out.append(("negated-emden", le.as_generalized(), (1.3, -0.2), le_interval, le_cfg))
+    out.append(("negated-generalized", gen.as_emden(), gen_z0, gen_interval, gen_cfg))
+    for entry in catalog():
+        z0 = (entry.xp(entry.window[0]) * 1.01, entry.dxp(entry.window[0]))
+        out.append((entry.id, entry.problem, z0, entry.window, IntegratorConfig()))
+    out.append(("zero-powerfn-and-lambda", EmdenProblem(
+        PowerFn(0, 1, 1, -1), lambda t: -1.0 - 0.1 * t, 3), (1.0, 0.0), (0.5, 4.0),
+        IntegratorConfig()))
+    return out
+
+
+CASES = _cases()
+
+
+def _both(prob, z0, t0, t1, cfg):
+    inline = integrate(prob.rhs, t0, z0, t1, cfg)
+    called = integrate(lambda t, z: prob.rhs(t, z), t0, z0, t1, cfg)
+    return inline, called
+
+
+def _assert_same(inline, called):
+    assert _hex(inline.ts) == _hex(called.ts)
+    assert _hex(inline.ys) == _hex(called.ys)
+    assert _hex(inline._seg_q) == _hex(called._seg_q)
+    assert (inline.accepted, inline.rejected) == (called.accepted, called.rejected)
+
+
+class TestInlinedRhs:
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_takes_the_inline_path(self, case):
+        _, prob, *_ = case
+        assert numerics._problem_body(prob.rhs, 2) is not None
+        assert numerics._problem_body(prob.rhs, 3) is None
+        assert numerics._problem_body(lambda t, z: prob.rhs(t, z), 2) is None
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_forward_and_backward_runs_match_the_call_path(self, case):
+        _, prob, z0, (t0, t1), cfg = case
+        inline, called = _both(prob, z0, t0, t1, cfg)
+        _assert_same(inline, called)
+        back_inline, back_called = _both(prob, inline.ys[-1], t1, t0, cfg)
+        _assert_same(back_inline, back_called)
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_rejected_steps_match_the_call_path(self, case):
+        _, prob, z0, (t0, t1), cfg = case
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, first_step=0.8 * (t1 - t0))
+        inline, called = _both(prob, z0, t0, t1, cfg)
+        _assert_same(inline, called)
+        assert inline.rejected > 0
+
+    def test_states_stay_plain_floats_when_a_coefficient_is_a_call(self):
+        np = pytest.importorskip("numpy")
+        prob = EmdenProblem(lambda t: np.float64(-2.0) / t, -1.0, 5)
+        inline, called = _both(prob, (1.3, -0.2), 0.5, 5.0, IntegratorConfig())
+        _assert_same(inline, called)
+        assert {type(v) for y in inline.ys for v in y} == {float}
+
+
+class TestNegation:
+    def test_a_compiled_coefficient_negates_to_a_compiled_expression(self):
+        prob, *_ = _spec_case(SPECS["lane-emden-n5.spec"])
+        neg = prob.as_generalized().p
+        assert neg.tree is not None
+        for t in (0.5, 1.0, 2.7, -3.25):
+            assert (-prob.a(t)).hex() == neg(t).hex()
+        assert neg.deriv()(2.0) == -prob.a.deriv()(2.0)
+
+    def test_powerfn_and_wrapped_coefficients_keep_their_negation(self):
+        prob = EmdenProblem(PowerFn(-2, 0, 1, -1), -1.0, 5)
+        assert prob.as_generalized().p == PowerFn(2, 0, 1, -1)
+        fn = problemfile.compile_expression("2/t")
+        wrapped = functools.wraps(fn)(lambda t: fn(t))
+        neg = GeneralizedProblem(wrapped, None, 1.0, 5).as_emden().a
+        assert not hasattr(neg, "tree")
+        assert neg(2.0) == -1.0
+
+
+# problem file, first step, and the EvalDomainError both paths must raise;
+# a first step of 5 from t = 0 puts the first stage at t = 0.2 * 5 = 1
+ERRORS = {
+    "sqrt-past-its-domain": ("kind = emden\nn = 3\na = sqrt(2-t)\nb = -1\n"
+                             "interval = 0.5, 3\nx0 = 1\nv0 = 0\n", None, "sqrt of negative"),
+    "pole-hit-in-a-stage": ("kind = emden\nn = 3\na = 1/(t-1)\nb = -1\n"
+                            "interval = 0, 10\nx0 = 1\nv0 = 0\n", 5.0, "division by zero"),
+    "negative-base": ("kind = emden\nn = 1.5\na = 0\nb = -1\n"
+                      "interval = 0, 10\nx0 = 1\nv0 = -1\n", None, "negative base"),
+}
+
+
+@pytest.mark.parametrize("name", list(ERRORS))
+def test_errors_match_the_call_path(name):
+    text, first_step, cause = ERRORS[name]
+    spec = problemfile.parse_spec(text)
+    prob, (t0, t1) = spec.build(), spec.interval
+    cfg = IntegratorConfig(first_step=first_step)
+    raised = []
+    for rhs in (prob.rhs, lambda t, z: prob.rhs(t, z)):
+        with pytest.raises(StepEvaluationError) as err:
+            integrate(rhs, t0, spec.initial, t1, cfg)
+        raised.append(err.value)
+    inline, called = raised
+    assert str(inline) == str(called)
+    assert inline.t_reached.hex() == called.t_reached.hex()
+    assert type(inline.__cause__) is type(called.__cause__) is EvalDomainError
+    assert str(inline.__cause__) == str(called.__cause__)
+    assert cause in str(inline)
+
+
+def test_a_wrapped_rhs_is_called_for_every_stage():
+    prob, z0, (t0, t1), cfg = _spec_case(SPECS["lane-emden-n5.spec"])
+    calls = []
+
+    @functools.wraps(prob.rhs)
+    def counted(t, z):
+        calls.append(t)
+        return prob.rhs(t, z)
+
+    assert numerics._problem_body(counted, 2) is None
+    traj = integrate(counted, t0, z0, t1, cfg)
+    assert len(calls) == 6 * (traj.accepted + traj.rejected) + 2
+    _assert_same(integrate(prob.rhs, t0, z0, t1, cfg), traj)
+
+
+def test_kernels_are_built_on_first_use_and_shared_by_shape():
+    misses = numerics._kernel.cache_info().misses
+    one = EmdenProblem(problemfile.compile_expression("-2/t"), constant(-1.0), 5)
+    two = EmdenProblem(problemfile.compile_expression("-3/t"), constant(-0.5), 7)
+    assert "stage_body" not in vars(one) and "stage_body" not in vars(two)
+    assert numerics._kernel.cache_info().misses == misses
+    integrate(one.rhs, 0.5, (1.0, 0.0), 2.0)
+    integrate(two.rhs, 0.5, (1.0, 0.0), 2.0)
+    assert one.stage_body[:2] == two.stage_body[:2]
+    assert one.stage_body[2] != two.stage_body[2]
+    assert numerics._kernel(2, one.stage_body[:2]) is numerics._kernel(2, two.stage_body[:2])
+
+
+def test_a_subclass_that_overrides_rhs_is_called():
+    class Damped(EmdenProblem):
+        def rhs(self, t, z):
+            x, v = z
+            return (v, -v - math.sin(x))
+
+    prob = Damped(0.0, -1.0, 3)
+    assert numerics._problem_body(prob.rhs, 2) is None
+    inline, called = _both(prob, (1.0, 0.0), 0.0, 3.0, IntegratorConfig())
+    _assert_same(inline, called)
