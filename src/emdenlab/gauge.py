@@ -24,6 +24,7 @@ integrates the canonical form in its own clock against a mapped trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -32,7 +33,7 @@ from . import VerificationFailure
 from .exprlang import EvalDomainError, real_power
 from .numerics import IntegratorConfig, integrate, linspace
 from .problems import EmdenProblem, GeneralizedProblem
-from .timefn import ZERO_FN, TimeFn, as_timefn, constant
+from .timefn import ZERO_FN, Inliner, TimeFn, as_timefn, constant
 
 __all__ = [
     "GaugeError",
@@ -476,6 +477,34 @@ class KummerLiouvilleReduction:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class _ScaleSystem:
+    """The scale equation gamma'' = -q gamma - p gamma' as (gamma, gamma');
+    with clock, also P' = p and tau' = exp(-P)/gamma^2, as (gamma, gamma',
+    P, tau).  q None means zero.  ``integrate`` inlines ``rhs`` from
+    ``stage_body``, as it does a problem's."""
+
+    p: TimeFn
+    q: Optional[TimeFn]
+    clock: bool
+
+    def rhs(self, t: float, y):
+        qg = None if self.q is None else -self.q(t) * y[0]
+        p = self.p(t)
+        ddg = -p * y[1] if qg is None else qg - p * y[1]
+        return (y[1], ddg, p, math.exp(-y[2]) / (y[0] * y[0])) if self.clock else (y[1], ddg)
+
+    @functools.cached_property
+    def stage_body(self):
+        src = Inliner()
+        qg = None if self.q is None else f"-{src.value(self.q, '_q')} * x0"
+        p = src.value(self.p, "_p")
+        ddg = f"-{p} * x1" if qg is None else f"{qg} - {p} * x1"
+        # math.exp itself, so an overflow is the OverflowError of the call
+        clock = (p, f"{src.slot(math.exp)}(-x2) / (x0 * x0)") if self.clock else ()
+        return src.body(("x1", ddg) + clock)
+
+
 def kummer_liouville(
     prob: GeneralizedProblem,
     t0: float,
@@ -506,12 +535,7 @@ def kummer_liouville(
     if g0 <= 0.0:
         raise GaugeError(f"initial scale {g0} must be positive")
 
-    if q is None:
-        lin_rhs = lambda t, y: (y[1], -p(t) * y[1])
-    else:
-        lin_rhs = lambda t, y: (y[1], -q(t) * y[0] - p(t) * y[1])
-
-    linear = integrate(lin_rhs, t0, (g0, dg0), t_end, cfg)
+    linear = integrate(_ScaleSystem(p, q, clock=False).rhs, t0, (g0, dg0), t_end, cfg)
     truncated = False
     end = t_end
     crossing = next((i for i, (gamma, _) in enumerate(linear.ys) if gamma <= 0.0), None)
@@ -529,11 +553,7 @@ def kummer_liouville(
                              f"the window start {t0:g} to leave a window")
         truncated = True
 
-    def rhs(t, y):
-        dg, ddg = lin_rhs(t, y)
-        return (dg, ddg, p(t), math.exp(-y[2]) / (y[0] * y[0]))
-
-    traj = integrate(rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
+    traj = integrate(_ScaleSystem(p, q, clock=True).rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
 
     def beta(t):
         g, _, int_p, _ = traj(t)

@@ -11,6 +11,7 @@ construction here is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .exprlang import real_power
 from .gauge import reduce_via_particular_solution
 from .numerics import IntegratorConfig, Trajectory, integrate, linspace, write_csv
 from .problems import EmdenProblem
-from .timefn import ExactnessError, PowerFn, TimeFn, as_timefn
+from .timefn import ExactnessError, Inliner, PowerFn, TimeFn
 
 __all__ = [
     "Invariant",
@@ -178,6 +179,33 @@ class ConditionedInvariant:
 _INTEGRAL_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
+@dataclass(frozen=True)
+class _TimeIntegrals:
+    """A' = a(t) as (A,); with with_g, also G' = exp(A) as (A, G).
+    ``integrate`` inlines ``rhs`` from ``stage_body``, as it does a problem's."""
+
+    a: TimeFn
+    with_g: bool
+
+    def rhs(self, t: float, y):
+        return (self.a(t), math.exp(y[0])) if self.with_g else (self.a(t),)
+
+    @functools.cached_property
+    def stage_body(self):
+        src = Inliner()
+        a = src.value(self.a, "_a")
+        # math.exp itself, so an overflow is the OverflowError of the call
+        return src.body((a, f"{src.slot(math.exp)}(x0)") if self.with_g else (a,))
+
+
+def _forward(interval: Tuple[float, float]) -> Tuple[float, float]:
+    """The interval's ends as floats; it must end after it starts."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not hi > lo:
+        raise ValueError(f"interval ({lo}, {hi}) must end after it starts")
+    return lo, hi
+
+
 def _condition_report(
     label: str,
     cond: Callable[[float], float],
@@ -223,8 +251,12 @@ def rescaled_energy_invariant(
     the interval, which must not start before the anchor; on failure the
     report carries the sampled values.
     """
+    t_start, t_end = _forward(interval)
+    if t_start < float(anchor):
+        raise ValueError(f"interval ({t_start}, {t_end}) must not start before "
+                         f"the anchor {anchor}")
     a, b, n = prob.a, prob.b, prob.n
-    A = integrate(lambda t, y: (a(t),), float(anchor), (0.0,), float(interval[1]),
+    A = integrate(_TimeIntegrals(a, with_g=False).rhs, float(anchor), (0.0,), t_end,
                   _INTEGRAL_CONFIG)
     pot = _power_potential(n)
 
@@ -238,7 +270,7 @@ def rescaled_energy_invariant(
         return Invariant(
             evaluator=evaluator,
             provenance="rescaled-energy",
-            validity_interval=(float(interval[0]), float(interval[1])),
+            validity_interval=(t_start, t_end),
         )
 
     return _condition_report(
@@ -265,15 +297,15 @@ def dilation_invariant(
     the invariant keeps the same shape.  G vanishes at the anchor, so the
     condition and the invariant are only sampled strictly after it.
     """
-    t_start = float(interval[0])
+    t_start, t_end = _forward(interval)
     if t_start <= float(anchor):
         raise ValueError(
-            f"interval must start strictly after the anchor {anchor} "
-            "(the inner antiderivative vanishes there)"
+            f"interval ({t_start}, {t_end}) must start strictly after the anchor "
+            f"{anchor} (the inner antiderivative vanishes there)"
         )
     a, b, n = prob.a, prob.b, prob.n
-    AG = integrate(lambda t, y: (a(t), math.exp(y[0])), float(anchor), (0.0, 0.0),
-                   float(interval[1]), _INTEGRAL_CONFIG)
+    AG = integrate(_TimeIntegrals(a, with_g=True).rhs, float(anchor), (0.0, 0.0), t_end,
+                   _INTEGRAL_CONFIG)
     pot = _power_potential(n)
     degenerate = abs(n + 3.0) < 1e-12
     half_shift = (n + 3.0) / 2.0
@@ -295,7 +327,7 @@ def dilation_invariant(
         return Invariant(
             evaluator=evaluator,
             provenance="dilation",
-            validity_interval=(t_start, float(interval[1])),
+            validity_interval=(t_start, t_end),
         )
 
     return _condition_report(

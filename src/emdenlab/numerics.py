@@ -14,20 +14,21 @@ gives the same bytes on every host (libm's exp and pow aside), where a BLAS
 kernel chosen by CPU sums in its own order.  The first run with n
 components generates one straight-line Python step for n, with every
 tableau entry written out as a float literal, so no loop over components
-or entries is left to interpret.  The mesh is kept as lists; ``t``, ``y``
-and ``sample`` import numpy and build arrays on first use.
+or entries is left to interpret; dense output is read by one generated
+reader per state size.  The mesh is kept as lists; ``t``, ``y`` and
+``sample`` import numpy and build arrays on first use.
 
 Each stage of that step gets its slopes in one of two ways, from the one
-generator.  Given a problem's own bound ``rhs`` (an ``EmdenProblem`` or
-``GeneralizedProblem``, found by duck typing), the stage computes
-``a(t)*v + b(t)*x^n`` or ``-p*v + r*x^n - q*x`` inline from the problem's
-``stage_body``: the same float operations and domain checks in the same
-order, so meshes, states and the first error are those of the call, bit
-for bit.  Any other callable, including a wrapper made by functools.wraps,
-is called once per stage through a wrapper that checks what it returns.
-The step for a stage body is compiled once per source text; the numbers
-reach it through namespace slots, so problems that differ only in their
-numbers share it.
+generator.  Given the bound ``rhs`` of an object with a ``stage_body``
+(found by duck typing: the problems, the Kummer-Liouville scale and clock
+systems in ``gauge``, the time integrals in ``invariants``), the stage
+computes the slopes inline from that body: the same float operations and
+checks in the same order, so meshes, states and the first error are those
+of the call, bit for bit.  Any other callable, including a wrapper made by
+functools.wraps, is called once per stage through a wrapper that checks
+what it returns.  The step for a stage body is compiled once per source
+text; the numbers reach it through namespace slots, so problems that
+differ only in their numbers share it.
 
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
@@ -202,10 +203,11 @@ class Trajectory:
         else:
             i = bisect.bisect_right(seg_t, -t, key=operator.neg) - 1
         i = min(max(i, 0), len(seg_t) - 1)
-        th = (t - seg_t[i]) / self._seg_h[i]
-        th2, th3, th4 = th * th, th ** 3, th ** 4
-        return tuple([y + (a * th + b * th2 + c * th3 + d * th4)
-                      for y, a, b, c, d in zip(self._seg_y[i], *self._seg_q[i])])
+        return self._read((t - seg_t[i]) / self._seg_h[i], self._seg_y[i], self._seg_q[i])
+
+    @functools.cached_property
+    def _read(self):
+        return _reader(len(self.ys[0]))
 
     def sample(self, ts: Sequence[float]):
         import numpy as np
@@ -285,11 +287,30 @@ def _kernel(n: int, body: tuple | None = None):
     return compile(source, f"<dopri5 n={n}>", "exec")
 
 
-def _problem_body(rhs, n: int):
-    """The n-slope stage body of the problem whose own rhs method rhs is, or None.
+@functools.cache
+def _reader(n: int):
+    """read(th, y, q): the n-component state at theta = th of the segment
+    from y with theta-coefficient rows q, y + (a*th + b*th^2 + ...) each."""
+    comps = range(n)
+    rows = ", ".join(f"[{', '.join(f'{r}_{c}' for c in comps)}]" for r in "abcd")
+    values = "".join(f"y_{c} + (a_{c} * th + b_{c} * th2 + c_{c} * th3 + d_{c} * th4), "
+                     for c in comps)
+    source = (f"def _read(th, y, q):\n"
+              f"    th2, th3, th4 = th * th, th ** 3, th ** 4\n"
+              f"    [{', '.join(f'y_{c}' for c in comps)}] = y\n"
+              f"    [{rows}] = q\n"
+              f"    return ({values})\n")
+    namespace = {}
+    exec(compile(source, f"<dense n={n}>", "exec"), namespace)
+    return namespace["_read"]
 
-    Duck-typed, since this module does not import ``problems``: rhs must be
-    bound to an object whose class defines both ``rhs`` and ``stage_body``.
+
+def _problem_body(rhs, n: int):
+    """The n-slope stage body of the object whose own rhs method rhs is, or None.
+
+    Duck-typed, since this module imports none of the modules that define
+    them: rhs must be bound to an object whose class defines both ``rhs``
+    and ``stage_body``.
     A plain function, and a wrapper made by functools.wraps, give None.
     """
     func = getattr(rhs, "__func__", None)
@@ -301,6 +322,23 @@ def _problem_body(rhs, n: int):
         return None
     body = owner.stage_body
     return body if len(body[1]) == n else None
+
+
+def _reals(out, n: int, t: float) -> tuple:
+    """What a right-hand side returned at t as n floats, or an IntegrationError.
+    ldexp(v, 0) is float(v) for a real v, but it does not parse text."""
+    try:
+        if isinstance(out, (str, bytes, bytearray)):
+            raise TypeError
+        values = tuple([math.ldexp(v, 0) for v in out])
+    except (TypeError, ValueError):
+        raise IntegrationError(
+            f"right-hand side returned {out!r} at t={t}, not a sequence of real numbers"
+        ) from None
+    if len(values) != n:
+        raise IntegrationError(
+            f"right-hand side returned {len(values)} components, expected {n}, at t={t}")
+    return values
 
 
 def _rms(v) -> float:
@@ -353,17 +391,7 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     n = len(y)
 
     def f(t, y):
-        out = rhs(t, y)
-        try:
-            out = tuple(map(float, out))
-        except (TypeError, ValueError):
-            raise IntegrationError(
-                f"right-hand side returned {out!r} at t={t}, not a sequence of real numbers"
-            ) from None
-        if len(out) != n:
-            raise IntegrationError(
-                f"right-hand side returned {len(out)} components, expected {n}, at t={t}")
-        return out
+        return _reals(rhs(t, y), n, t)
 
     ts, ys = [t], [y]
     traj = Trajectory(ts, ys, 0, 0, _t_end=float(t_end))
@@ -383,7 +411,8 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     body = _problem_body(rhs, n)
     namespace = {"_isfinite": math.isfinite, "_abs": abs, "_sqrt": math.sqrt,
-                 "_sum": sum, "_inf": math.inf, **(body[2] if body else {})}
+                 "_sum": sum, "_inf": math.inf, "_reals": _reals,
+                 **(body[2] if body else {})}
     exec(_kernel(n, body and body[:2]), namespace)
     stages, dense = namespace["_stages"], namespace["_dense"]
     accepted = rejected = 0

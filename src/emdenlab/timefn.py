@@ -259,10 +259,13 @@ class Inliner:
         return name
 
     def body(self, slopes) -> tuple:
-        """(lines, slopes, namespace); with a call among the values, each
-        compound slope is converted with float, as ``integrate`` converts
-        what a right-hand side returns."""
+        """(lines, slopes, namespace).  With a call among the values, the
+        slopes pass as one tuple through the ``_reals`` check that
+        ``integrate`` applies to what a right-hand side returns, so a value
+        of another type converts, or fails, as it does there."""
         if self.calls:
-            self.namespace["_float"] = float
-            slopes = [s if s.isidentifier() else f"_float({s})" for s in slopes]
+            names = [f"_k{c}" for c in range(len(slopes))]
+            self.lines.append(f"[{', '.join(names)}] = "
+                              f"_reals(({''.join(s + ', ' for s in slopes)}), {len(names)}, t)")
+            slopes = names
         return tuple(self.lines), tuple(slopes), self.namespace

@@ -1,0 +1,199 @@
+"""The time-integral systems inlined into the generated step.
+
+``kummer_liouville`` integrates the scale equation (gamma, gamma') and then
+(gamma, gamma', P, tau); ``rescaled_energy_invariant`` integrates A = int a
+and ``dilation_invariant`` (A, G = int exp(A)).  Each hands ``integrate`` the
+bound ``rhs`` of a small system object, which is written into the stages.
+The references are the same ``rhs`` behind a lambda, which takes the call
+path, and the lambdas these systems replaced: all three must give the same
+mesh, states, dense rows, step counts and errors, bit for bit.
+"""
+
+import math
+
+import pytest
+
+from emdenlab import gauge, invariants, numerics, problemfile
+from emdenlab.gauge import _ScaleSystem, kummer_liouville
+from emdenlab.invariants import (
+    _INTEGRAL_CONFIG, _TimeIntegrals, dilation_invariant, rescaled_energy_invariant,
+)
+from emdenlab.numerics import IntegrationError, IntegratorConfig, StepEvaluationError, integrate
+from emdenlab.problems import EmdenProblem, GeneralizedProblem
+from emdenlab.timefn import PowerFn
+
+from test_problems import WITH_Q, _assert_same
+from test_readme_examples import SPECS
+
+KL_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def _spec(name_or_text):
+    spec = problemfile.parse_spec(SPECS.get(name_or_text, name_or_text))
+    return spec.build(), spec.interval
+
+
+def _old_scale(p, q):
+    """The scale equation as kummer_liouville spelled it before."""
+    if q is None:
+        return lambda t, y: (y[1], -p(t) * y[1])
+    return lambda t, y: (y[1], -q(t) * y[0] - p(t) * y[1])
+
+
+def _old_clock(p, q):
+    lin = _old_scale(p, q)
+
+    def rhs(t, y):
+        dg, ddg = lin(t, y)
+        return (dg, ddg, p(t), math.exp(-y[2]) / (y[0] * y[0]))
+
+    return rhs
+
+
+def _old_integrals(a, with_g):
+    if with_g:
+        return lambda t, y: (a(t), math.exp(y[0]))
+    return lambda t, y: (a(t),)
+
+
+def _cases():
+    """(id, system, the lambda it replaced, t0, y0, t1, config)."""
+    damped, _ = _spec("damped.spec")
+    with_q, _ = _spec(WITH_Q)
+    out = []
+    # the clock runs to where kummer_liouville ends it, before any zero of
+    # gamma; the README's damped.spec --gamma-init 1,-1 has gamma = 1/t
+    for name, prob, start, truncated in (
+        ("damped", damped, (1.0, -0.5), False),
+        ("damped-readme", damped, (1.0, -1.0), False),
+        ("damped-truncated", damped, (1.0, -2.0), True),
+        ("with-q", with_q, (1.0, 0.2), True),
+        ("powerfn", GeneralizedProblem(PowerFn(2, 0, 1, -1), None, 1.0, 5), (1.0, 0.3), False),
+    ):
+        p, q = prob.p, prob.q
+        kl = kummer_liouville(prob, 1.0, 5.0, gamma_init=start)
+        assert kl.truncated == truncated
+        out.append((f"scale-{name}", _ScaleSystem(p, q, clock=False), _old_scale(p, q),
+                    1.0, start, 5.0, KL_CONFIG))
+        out.append((f"clock-{name}", _ScaleSystem(p, q, clock=True), _old_clock(p, q),
+                    1.0, start + (0.0, 0.0), kl.t_end, KL_CONFIG))
+    drag, (d0, d1) = _spec("lane-emden-n5.spec")
+    for name, a in (("spec", drag.a), ("powerfn", PowerFn(-2, 0, 1, -1)),
+                    ("lambda", lambda t: -2.0 / t)):
+        out.append((f"A-{name}", _TimeIntegrals(a, with_g=False), _old_integrals(a, False),
+                    d0, (0.0,), d1, _INTEGRAL_CONFIG))
+        out.append((f"AG-{name}", _TimeIntegrals(a, with_g=True), _old_integrals(a, True),
+                    d0, (0.0, 0.0), d1, _INTEGRAL_CONFIG))
+    return out
+
+
+CASES = _cases()
+IDS = [c[0] for c in CASES]
+
+
+def _runs(system, old, t0, y0, t1, cfg):
+    return [integrate(rhs, t0, y0, t1, cfg)
+            for rhs in (system.rhs, lambda t, y: system.rhs(t, y), old)]
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_takes_the_inline_path(case):
+    _, system, _, _, y0, _, _ = case
+    assert numerics._problem_body(system.rhs, len(y0)) is not None
+    assert numerics._problem_body(system.rhs, len(y0) + 1) is None
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_forward_and_backward_runs_match_the_call_path(case):
+    _, system, old, t0, y0, t1, cfg = case
+    inline, called, before = _runs(system, old, t0, y0, t1, cfg)
+    _assert_same(inline, called)
+    _assert_same(inline, before)
+    back = _runs(system, old, t1, inline.ys[-1], t0, cfg)
+    _assert_same(back[0], back[1])
+    _assert_same(back[0], back[2])
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_rejected_steps_match_the_call_path(case):
+    _, system, old, t0, y0, t1, _ = case
+    cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, first_step=0.8 * (t1 - t0))
+    inline, called, before = _runs(system, old, t0, y0, t1, cfg)
+    _assert_same(inline, called)
+    _assert_same(inline, before)
+    assert inline.rejected > 0
+
+
+def test_a_call_result_slope_is_converted_as_the_call_path_converts_it():
+    # A' = a(t) is a bare name in the stage; what the call returns still
+    # passes the same check as a returned component
+    np = pytest.importorskip("numpy")
+    system = _TimeIntegrals(lambda t: np.float64(-2.0) / t, with_g=True)
+    inline, called, _ = _runs(system, _old_integrals(system.a, True), 0.5, (0.0, 0.0), 5.0,
+                              _INTEGRAL_CONFIG)
+    _assert_same(inline, called)
+    assert {type(v) for y in inline.ys for v in y} == {float}
+    text = _TimeIntegrals(lambda t: "1.5" if t > 1.0 else 1.5, with_g=False)
+    raised = []
+    for rhs in (text.rhs, lambda t, y: text.rhs(t, y)):
+        with pytest.raises(IntegrationError, match="not a sequence of real numbers") as err:
+            integrate(rhs, 0.5, (0.0,), 5.0, _INTEGRAL_CONFIG)
+        raised.append(err.value)
+    assert str(raised[0]) == str(raised[1])
+    assert raised[0].t_reached.hex() == raised[1].t_reached.hex()
+
+
+def _error_parity(system, old, t0, y0, t1, cfg):
+    raised = []
+    for rhs in (system.rhs, lambda t, y: system.rhs(t, y), old):
+        with pytest.raises(StepEvaluationError) as err:
+            integrate(rhs, t0, y0, t1, cfg)
+        raised.append(err.value)
+    for other in raised[1:]:
+        assert str(raised[0]) == str(other)
+        assert raised[0].t_reached.hex() == other.t_reached.hex()
+        assert type(raised[0].__cause__) is type(other.__cause__)
+        assert str(raised[0].__cause__) == str(other.__cause__)
+    return raised[0]
+
+
+def test_exp_overflow_in_G_matches_the_call_path():
+    a = problemfile.compile_expression("1000")
+    err = _error_parity(_TimeIntegrals(a, with_g=True), _old_integrals(a, True),
+                        0.0, (0.0, 0.0), 1.0, _INTEGRAL_CONFIG)
+    assert type(err.__cause__) is OverflowError
+    assert 0.0 < err.t_reached < 1.0
+
+
+def test_scale_reaching_zero_in_the_clock_slope_matches_the_call_path():
+    # gamma'' = 0 from (1, -1): a first step of 5 puts the first stage at
+    # gamma = 1 + 5 * (0.2 * -1) = 0, where tau' divides by gamma^2
+    p = problemfile.compile_expression("0")
+    err = _error_parity(_ScaleSystem(p, None, clock=True), _old_clock(p, None),
+                        0.0, (1.0, -1.0, 0.0, 0.0), 10.0, IntegratorConfig(first_step=5.0))
+    assert type(err.__cause__) is ZeroDivisionError
+    assert err.t_reached == 0.0
+
+
+def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
+    seen = []
+
+    def recording(module):
+        real = module.integrate
+
+        def integrate_and_record(rhs, t0, y0, *args):
+            seen.append((rhs, len(y0)))
+            return real(rhs, t0, y0, *args)
+
+        monkeypatch.setattr(module, "integrate", integrate_and_record)
+
+    recording(gauge)
+    recording(invariants)
+    damped, (t0, t1) = _spec("damped.spec")
+    kummer_liouville(damped, t0, t1, gamma_init=(1.0, -1.0))
+    drag = EmdenProblem(PowerFn(-2, 0, 1, -1), PowerFn(1, 0, 1, -4), 5)
+    rescaled_energy_invariant(drag, 0.5, (0.5, 5.0))
+    dilation_invariant(drag, 0.5, (0.6, 5.0))
+    assert [n for _, n in seen] == [2, 4, 1, 2]
+    for rhs, n in seen:
+        assert numerics._problem_body(rhs, n) is not None

@@ -188,6 +188,30 @@ class TestDilationInvariant:
             dilation_invariant(prob, 0.5, (0.5, 3.0))
 
 
+class TestConditionWindows:
+    """Each constructor refuses a window it cannot sample, naming it."""
+
+    PROB = EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=1.0, n=3)
+
+    @pytest.mark.parametrize("start", [0.5, 0.999])
+    def test_rescaled_energy_window_must_not_start_before_the_anchor(self, start):
+        with pytest.raises(ValueError, match=rf"interval \({start}, 5.0\) must not start "
+                                             "before the anchor 1.0"):
+            rescaled_energy_invariant(self.PROB, 1.0, (start, 5.0))
+
+    def test_dilation_window_names_itself_and_the_anchor(self):
+        with pytest.raises(ValueError, match=r"interval \(0.5, 3.0\) must start strictly "
+                                             "after the anchor 0.5"):
+            dilation_invariant(self.PROB, 0.5, (0.5, 3.0))
+
+    @pytest.mark.parametrize("construct", [rescaled_energy_invariant, dilation_invariant])
+    @pytest.mark.parametrize("interval", [(2.0, 0.8), (2.0, 2.0), (2.0, math.nan)])
+    def test_window_must_end_after_it_starts(self, construct, interval):
+        with pytest.raises(ValueError, match=rf"interval \(2.0, {interval[1]}\) must end "
+                                             "after it starts"):
+            construct(self.PROB, 0.5, interval)
+
+
 class TestDrift:
     def trajectory(self):
         prob = drag_problem_n5()

@@ -184,12 +184,18 @@ class TestIntegrate:
         step_start = None if bad_call == 1 else calls[7] if bad_call == 9 else 0.0
         assert err.value.t_reached == step_start
 
-    @pytest.mark.parametrize("bad", [None, 1j, "x", [1.0]])
+    @pytest.mark.parametrize("bad", [None, 1j, "x", [1.0], "1.5", b"1.5", bytearray(b"1.5")])
     def test_rhs_with_a_non_real_component_is_refused(self, bad):
         with pytest.raises(IntegrationError, match="not a sequence of real numbers") as err:
             integrate(lambda t, y: (1.0,) if t < 1 else (bad,), 0.0, (0.0,), 2.0)
         t = float(re.search(r"at t=(\S+),", str(err.value)).group(1))
         assert err.value.t_reached < 1.0 <= t <= 2.0
+
+    @pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")])
+    def test_rhs_that_returns_text_is_refused(self, text):
+        # float() would parse "1" and "2", and bytes iterate as ints
+        with pytest.raises(IntegrationError, match="at t=0.0, not a sequence of real numbers"):
+            integrate(lambda t, y: text, 0.0, (0.0, 0.0), 1.0)
 
     @pytest.mark.parametrize("t0, t_end", [
         (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
@@ -327,17 +333,79 @@ class TestKernel:
         script = (
             "import emdenlab.cli\n"
             "from emdenlab import numerics\n"
-            "before = numerics._kernel.cache_info().currsize\n"
+            "before = [f.cache_info().currsize for f in (numerics._kernel, numerics._reader)]\n"
             "for n in (2, 2, 3, 2):\n"
-            "    numerics.integrate(lambda t, y: [-v for v in y], 0.0, [1.0] * n, 1.0)\n"
-            "print(before, numerics._kernel.cache_info().currsize)\n"
+            "    numerics.integrate(lambda t, y: [-v for v in y], 0.0, [1.0] * n, 1.0)(0.5)\n"
+            "print(*before, numerics._kernel.cache_info().currsize,\n"
+            "      numerics._reader.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0 2\n"
+        assert proc.stdout == "0 0 2 2\n"
+
+
+def _list_read(traj, t):
+    """Trajectory.__call__ as it was before the generated reader, with the
+    list comprehension over zipped rows; the reference for the reader."""
+    seg_t = traj._seg_t
+    if not seg_t:
+        if t == traj.t0:
+            return traj.ys[0]
+        raise ValueError("trajectory has no extent")
+    t = float(t)
+    t0, t_end = seg_t[0], traj._t_end
+    lo, hi = (t0, t_end) if t_end >= t0 else (t_end, t0)
+    slack = 1e-10 * (hi - lo)
+    if not (lo - slack <= t <= hi + slack):
+        raise ValueError(f"t={t} outside the integrated interval [{lo}, {hi}]")
+    if t_end >= t0:
+        i = bisect.bisect_right(seg_t, t) - 1
+    else:
+        i = bisect.bisect_right(seg_t, -t, key=lambda s: -s) - 1
+    i = min(max(i, 0), len(seg_t) - 1)
+    th = (t - seg_t[i]) / traj._seg_h[i]
+    th2, th3, th4 = th * th, th ** 3, th ** 4
+    return tuple([y + (a * th + b * th2 + c * th3 + d * th4)
+                  for y, a, b, c, d in zip(traj._seg_y[i], *traj._seg_q[i])])
+
+
+class TestDenseReader:
+    """The generated per-size reader against the list reader, bit for bit."""
+
+    @staticmethod
+    def assert_same_reads(traj, inside, outside):
+        for t in inside:
+            assert _hex(traj(t)) == _hex(_list_read(traj, t))
+        for t in outside:
+            with pytest.raises(ValueError) as got:
+                traj(t)
+            with pytest.raises(ValueError) as want:
+                _list_read(traj, t)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 5.0), (5.0, -1.0)])
+    def test_matches_the_list_reader(self, n, t0, t_end):
+        traj = integrate(_coupled(n), t0, [0.5 + 0.1 * i for i in range(n)], t_end)
+        lo, hi = sorted((t0, t_end))
+        slack = 1e-10 * (hi - lo)
+        inside = traj.ts + [s + f * h for s, h in zip(traj._seg_t, traj._seg_h)
+                            for f in (0.25, 0.5, 0.9)]
+        inside += [lo - slack, hi + slack, 0.0, -0.0, np.float64(1.3)]
+        self.assert_same_reads(traj, inside, [lo - 3 * slack, hi + 3 * slack])
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 3.0), (3.0, 0.0)])
+    def test_matches_the_list_reader_on_signed_zeros(self, t0, t_end):
+        rhs = lambda t, y: [-0.0, 0.0, -y[3], y[2]]
+        traj = integrate(rhs, t0, [-0.0, -0.0, 1.0, 0.0], t_end)
+        self.assert_same_reads(traj, traj.ts + [0.0, -0.0, 1.5], [])
+
+    def test_matches_the_list_reader_without_extent(self):
+        traj = integrate(_coupled(3), 1.0, [0.5, 0.6, 0.7], 1.0)
+        self.assert_same_reads(traj, [1.0], [1.5, 0.5])
 
 
 class TestDenseOutput:
