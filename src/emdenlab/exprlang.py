@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 from . import VerificationFailure
 
@@ -63,35 +62,60 @@ class EvalDomainError(ExprError, VerificationFailure):
 
 
 class Expr:
+    """A syntax tree node.  Nodes compare, hash and print by the fields
+    named in their ``__slots__``, so equal trees are equal values."""
+
     __slots__ = ()
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
-@dataclass(frozen=True, slots=True)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(frozen=True, slots=True)
 class Name(Expr):
-    id: str
+    __slots__ = ("id",)
+
+    def __init__(self, id: str):
+        self.id = id
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
 
 
-@dataclass(frozen=True, slots=True)
 class Bin(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expr):
-    fn: str
-    args: tuple
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple):
+        self.fn, self.args = fn, args
 
 
 def real_power(x: float, p: float) -> float:

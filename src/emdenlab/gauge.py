@@ -26,6 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
+# KummerLiouvilleReduction stays a dataclass, since perfbench/test_perfbench.py
+# copies it with dataclasses.replace; the other classes are plain, because a
+# dataclass generates its methods with exec at every import
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -82,7 +85,6 @@ def _sample_points(interval: Tuple[float, float], count: int) -> List[float]:
 # transforms
 
 
-@dataclass(frozen=True)
 class GaugeTransform:
     """The frame change x = gamma x', v = beta v' + alpha x'.
 
@@ -96,25 +98,19 @@ class GaugeTransform:
     used on; ``validate_on`` enforces that by sampling.
     """
 
-    alpha: Optional[TimeFn]
-    beta: TimeFn
-    gamma: TimeFn
-    dalpha: Optional[TimeFn] = None
-    dbeta: Optional[TimeFn] = None
-    dgamma: Optional[TimeFn] = None
+    __slots__ = ("alpha", "beta", "gamma", "dalpha", "dbeta", "dgamma")
 
-    def __post_init__(self):
-        if self.alpha is not None:
-            alpha = as_timefn(self.alpha)
-            object.__setattr__(self, "alpha", None if alpha is ZERO_FN else alpha)
-        object.__setattr__(self, "beta", as_timefn(self.beta))
-        object.__setattr__(self, "gamma", as_timefn(self.gamma))
-        if self.alpha is not None and self.dalpha is None:
-            object.__setattr__(self, "dalpha", _auto_deriv(self.alpha, "alpha"))
-        if self.dbeta is None:
-            object.__setattr__(self, "dbeta", _auto_deriv(self.beta, "beta"))
-        if self.dgamma is None:
-            object.__setattr__(self, "dgamma", _auto_deriv(self.gamma, "gamma"))
+    def __init__(self, alpha: Optional[TimeFn], beta: TimeFn, gamma: TimeFn,
+                 dalpha: Optional[TimeFn] = None, dbeta: Optional[TimeFn] = None,
+                 dgamma: Optional[TimeFn] = None):
+        alpha = None if alpha is None else as_timefn(alpha)
+        self.alpha = None if alpha is ZERO_FN else alpha
+        self.beta, self.gamma = as_timefn(beta), as_timefn(gamma)
+        if self.alpha is not None and dalpha is None:
+            dalpha = _auto_deriv(self.alpha, "alpha")
+        self.dalpha = dalpha
+        self.dbeta = _auto_deriv(self.beta, "beta") if dbeta is None else dbeta
+        self.dgamma = _auto_deriv(self.gamma, "gamma") if dgamma is None else dgamma
 
     def _scales(self, t: float) -> Tuple[float, float, float]:
         b, g = self.beta(t), self.gamma(t)
@@ -145,18 +141,17 @@ class GaugeTransform:
 # pushforward
 
 
-@dataclass(frozen=True)
 class PushedSystem:
     """The image system  dx'/dt = gain v' + drift_x x',
     dv'/dt = feedback x' + nonlin x'^n + drift_v v'.
     """
 
-    drift_x: TimeFn
-    gain: TimeFn
-    drift_v: TimeFn
-    feedback: TimeFn
-    nonlin: TimeFn
-    n: float
+    __slots__ = ("drift_x", "gain", "drift_v", "feedback", "nonlin", "n")
+
+    def __init__(self, drift_x: TimeFn, gain: TimeFn, drift_v: TimeFn, feedback: TimeFn,
+                 nonlin: TimeFn, n: float):
+        self.drift_x, self.gain, self.drift_v = drift_x, gain, drift_v
+        self.feedback, self.nonlin, self.n = feedback, nonlin, n
 
     def rhs(self, t: float, z):
         x, v = z
@@ -220,13 +215,13 @@ def push_system(prob: EmdenProblem, g: GaugeTransform) -> PushedSystem:
     return PushedSystem(*table, n=prob.n)
 
 
-@dataclass(frozen=True)
 class PushforwardReport:
-    passed: bool
-    discrepancy: float
-    tolerance: float
-    samples: int
-    interval: Tuple[float, float]
+    __slots__ = ("passed", "discrepancy", "tolerance", "samples", "interval")
+
+    def __init__(self, passed: bool, discrepancy: float, tolerance: float, samples: int,
+                 interval: Tuple[float, float]):
+        self.passed, self.discrepancy, self.tolerance = passed, discrepancy, tolerance
+        self.samples, self.interval = samples, interval
 
     def render(self) -> str:
         lines = [
@@ -288,7 +283,6 @@ def verify_pushforward(
 # reduction through a particular solution
 
 
-@dataclass(frozen=True)
 class ReducedLieSystem:
     """dx'/dt = f (c11 x' + c12 v'),  dv'/dt = f (c21 v' + cx x' + c22 x'^n).
 
@@ -296,13 +290,12 @@ class ReducedLieSystem:
     time dependence is confined to the clock.
     """
 
-    f: TimeFn
-    c11: float
-    c12: float
-    c21: float
-    c22: float
-    cx: float
-    n: float
+    __slots__ = ("f", "c11", "c12", "c21", "c22", "cx", "n")
+
+    def __init__(self, f: TimeFn, c11: float, c12: float, c21: float, c22: float,
+                 cx: float, n: float):
+        self.f, self.n = f, n
+        self.c11, self.c12, self.c21, self.c22, self.cx = c11, c12, c21, c22, cx
 
     def rhs(self, t: float, z):
         x, v = z
@@ -313,12 +306,13 @@ class ReducedLieSystem:
         )
 
 
-@dataclass(frozen=True)
 class Reduction:
-    system: ReducedLieSystem
-    gauge: GaugeTransform
-    interval: Tuple[float, float]
-    rate_consistency: float  # sup relative gap between the two rate routes
+    __slots__ = ("system", "gauge", "interval", "rate_consistency")
+
+    def __init__(self, system: ReducedLieSystem, gauge: GaugeTransform,
+                 interval: Tuple[float, float], rate_consistency: float):
+        self.system, self.gauge, self.interval = system, gauge, interval
+        self.rate_consistency = rate_consistency  # sup relative gap between the two rate routes
 
     def render(self) -> str:
         s = self.system
@@ -477,16 +471,14 @@ class KummerLiouvilleReduction:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class _ScaleSystem:
     """The scale equation gamma'' = -q gamma - p gamma' as (gamma, gamma');
     with clock, also P' = p and tau' = exp(-P)/gamma^2, as (gamma, gamma',
     P, tau).  q None means zero.  ``integrate`` inlines ``rhs`` from
     ``stage_body``, as it does a problem's."""
 
-    p: TimeFn
-    q: Optional[TimeFn]
-    clock: bool
+    def __init__(self, p: TimeFn, q: Optional[TimeFn], clock: bool):
+        self.p, self.q, self.clock = p, q, clock
 
     def rhs(self, t: float, y):
         qg = None if self.q is None else -self.q(t) * y[0]
@@ -503,6 +495,13 @@ class _ScaleSystem:
         # math.exp itself, so an overflow is the OverflowError of the call
         clock = (p, f"{src.slot(math.exp)}(-x2) / (x0 * x0)") if self.clock else ()
         return src.body(("x1", ddg) + clock)
+
+
+@functools.lru_cache(maxsize=32)
+def _scale_system(p: TimeFn, q: Optional[TimeFn], clock: bool) -> _ScaleSystem:
+    """One system per coefficient set, so repeated runs build its stage
+    source once."""
+    return _ScaleSystem(p, q, clock)
 
 
 def kummer_liouville(
@@ -535,7 +534,7 @@ def kummer_liouville(
     if g0 <= 0.0:
         raise GaugeError(f"initial scale {g0} must be positive")
 
-    linear = integrate(_ScaleSystem(p, q, clock=False).rhs, t0, (g0, dg0), t_end, cfg)
+    linear = integrate(_scale_system(p, q, False).rhs, t0, (g0, dg0), t_end, cfg)
     truncated = False
     end = t_end
     crossing = next((i for i, (gamma, _) in enumerate(linear.ys) if gamma <= 0.0), None)
@@ -553,7 +552,7 @@ def kummer_liouville(
                              f"the window start {t0:g} to leave a window")
         truncated = True
 
-    traj = integrate(_ScaleSystem(p, q, clock=True).rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
+    traj = integrate(_scale_system(p, q, True).rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
 
     def beta(t):
         g, _, int_p, _ = traj(t)

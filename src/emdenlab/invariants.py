@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
+# Invariant, ConditionedInvariant and DriftReport stay dataclasses, since
+# perfbench/test_perfbench.py copies them with dataclasses.replace;
+# _TimeIntegrals is plain, because a dataclass generates its methods with
+# exec at every import
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -179,13 +183,12 @@ class ConditionedInvariant:
 _INTEGRAL_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
-@dataclass(frozen=True)
 class _TimeIntegrals:
     """A' = a(t) as (A,); with with_g, also G' = exp(A) as (A, G).
     ``integrate`` inlines ``rhs`` from ``stage_body``, as it does a problem's."""
 
-    a: TimeFn
-    with_g: bool
+    def __init__(self, a: TimeFn, with_g: bool):
+        self.a, self.with_g = a, with_g
 
     def rhs(self, t: float, y):
         return (self.a(t), math.exp(y[0])) if self.with_g else (self.a(t),)
@@ -196,6 +199,12 @@ class _TimeIntegrals:
         a = src.value(self.a, "_a")
         # math.exp itself, so an overflow is the OverflowError of the call
         return src.body((a, f"{src.slot(math.exp)}(x0)") if self.with_g else (a,))
+
+
+@functools.lru_cache(maxsize=32)
+def _time_integrals(a: TimeFn, with_g: bool) -> _TimeIntegrals:
+    """One system per coefficient, so repeated runs build its stage source once."""
+    return _TimeIntegrals(a, with_g)
 
 
 def _forward(interval: Tuple[float, float]) -> Tuple[float, float]:
@@ -256,7 +265,7 @@ def rescaled_energy_invariant(
         raise ValueError(f"interval ({t_start}, {t_end}) must not start before "
                          f"the anchor {anchor}")
     a, b, n = prob.a, prob.b, prob.n
-    A = integrate(_TimeIntegrals(a, with_g=False).rhs, float(anchor), (0.0,), t_end,
+    A = integrate(_time_integrals(a, False).rhs, float(anchor), (0.0,), t_end,
                   _INTEGRAL_CONFIG)
     pot = _power_potential(n)
 
@@ -304,7 +313,7 @@ def dilation_invariant(
             f"{anchor} (the inner antiderivative vanishes there)"
         )
     a, b, n = prob.a, prob.b, prob.n
-    AG = integrate(_TimeIntegrals(a, with_g=True).rhs, float(anchor), (0.0, 0.0), t_end,
+    AG = integrate(_time_integrals(a, True).rhs, float(anchor), (0.0, 0.0), t_end,
                    _INTEGRAL_CONFIG)
     pot = _power_potential(n)
     degenerate = abs(n + 3.0) < 1e-12

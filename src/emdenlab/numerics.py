@@ -46,7 +46,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction as F
 from typing import Callable, Sequence
 
@@ -130,43 +129,41 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
 class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    first_step: float | None = None
-    max_steps: int = 1_000_000
+    """Tolerances and step limits of one ``integrate`` run, checked here."""
 
-    def __post_init__(self):
-        for key, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
+    __slots__ = ("rel_tol", "abs_tol", "max_step", "first_step", "max_steps")
+
+    def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+                 max_step: float = math.inf, first_step: float | None = None,
+                 max_steps: int = 1_000_000):
+        for key, value in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{key} = {value!r} must be finite and positive")
-        if self.rel_tol >= 1.0:
-            raise ValueError(f"rel_tol = {self.rel_tol!r} must be below 1")
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step = {self.max_step!r} must be positive")
-        if self.first_step is not None and not 0.0 < self.first_step < math.inf:
-            raise ValueError(f"first_step = {self.first_step!r} must be finite and positive")
-        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
-            raise ValueError(f"max_steps = {self.max_steps!r} must be an integer >= 1")
+        if rel_tol >= 1.0:
+            raise ValueError(f"rel_tol = {rel_tol!r} must be below 1")
+        if not max_step > 0.0:
+            raise ValueError(f"max_step = {max_step!r} must be positive")
+        if first_step is not None and not 0.0 < first_step < math.inf:
+            raise ValueError(f"first_step = {first_step!r} must be finite and positive")
+        # a bool is an int, but True is no step count
+        if isinstance(max_steps, bool) or not (isinstance(max_steps, int) and max_steps >= 1):
+            raise ValueError(f"max_steps = {max_steps!r} must be an integer >= 1")
+        self.rel_tol, self.abs_tol = rel_tol, abs_tol
+        self.max_step, self.first_step, self.max_steps = max_step, first_step, max_steps
 
 
-@dataclass
 class Trajectory:
     """Accepted mesh (lists ts, ys) plus a per-step interpolant of the method's
     order; calling it gives the state at any time as a tuple of floats."""
 
-    ts: list
-    ys: list
-    accepted: int
-    rejected: int
-    _seg_t: list = field(repr=False, default_factory=list)
-    _seg_h: list = field(repr=False, default_factory=list)
-    _seg_y: list = field(repr=False, default_factory=list)
-    # per segment, the interpolant's coefficients of theta, ..., theta^4
-    _seg_q: list = field(repr=False, default_factory=list)
-    _t_end: float = field(repr=False, default=0.0)
+    def __init__(self, ts: list, ys: list, t_end: float):
+        self.ts, self.ys = ts, ys
+        self.accepted = self.rejected = 0
+        self._seg_t, self._seg_h, self._seg_y = [], [], []
+        # per segment, the interpolant's coefficients of theta, ..., theta^4
+        self._seg_q = []
+        self._t_end = t_end
 
     @functools.cached_property
     def t(self):
@@ -367,6 +364,11 @@ def _initial_step(f, t0, y0, f0, direction, rel_tol, abs_tol, span):
     return min(100 * h0, h1, span)
 
 
+# what a failing right-hand side raises; a coefficient that returns text or
+# None raises a TypeError in the arithmetic on it
+_RHS_FAULTS = (ArithmeticError, ValueError, TypeError)
+
+
 def integrate(rhs: Callable, t0: float, y0, t_end: float,
               config: IntegratorConfig | None = None) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to t_end, either direction.
@@ -380,8 +382,9 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     cannot advance (a finite-time blow-up inside the interval, or an
     interval too long to resolve in double precision), and
     StepEvaluationError with the reached time when the right-hand side
-    raises an ArithmeticError or ValueError inside a step.  A non-finite t0
-    or t_end is a ValueError.
+    raises an ArithmeticError, ValueError or TypeError inside a step (a
+    coefficient that returns text or None fails in the arithmetic).  A
+    non-finite t0 or t_end is a ValueError.
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"integration limits t0={t0}, t_end={t_end} must be finite")
@@ -394,13 +397,13 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
         return _reals(rhs(t, y), n, t)
 
     ts, ys = [t], [y]
-    traj = Trajectory(ts, ys, 0, 0, _t_end=float(t_end))
+    traj = Trajectory(ts, ys, float(t_end))
     if t_end == t0:
         return traj
 
     try:
         k0 = f(t, y)
-    except (ArithmeticError, ValueError) as exc:
+    except _RHS_FAULTS as exc:
         raise RhsError(f"right-hand side failed at t={t}: {exc}") from exc
     if not _finite(k0):
         raise RhsError(f"right-hand side is not finite at t={t}")
@@ -461,7 +464,7 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
                 rejected += 1
                 factor = max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXP)
             h = min(h_use * factor, cfg.max_step)
-    except (ArithmeticError, ValueError) as exc:
+    except _RHS_FAULTS as exc:
         raise StepEvaluationError(
             f"right-hand side failed in the step from t={t}: {exc}",
             t_reached=t) from exc

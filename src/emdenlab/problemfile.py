@@ -22,7 +22,6 @@ integration interval must stay clear of every declared singular point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
 from . import UnusableInput
@@ -104,18 +103,18 @@ def _parse_float_list(key: str, text: str) -> Tuple[float, ...]:
     return tuple(_parse_float(key, part) for part in body.split(","))
 
 
-@dataclass(frozen=True)
 class ProblemSpec:
     """A parsed problem file; ``build`` produces the runnable problem."""
 
-    kind: str
-    n: float
-    expressions: Dict[str, str]
-    singular_points: Tuple[float, ...]
-    interval: Tuple[float, float]
-    initial: Tuple[float, float]
-    rel_tol: float
-    abs_tol: float
+    __slots__ = ("kind", "n", "expressions", "singular_points", "interval", "initial",
+                 "rel_tol", "abs_tol")
+
+    def __init__(self, kind: str, n: float, expressions: Dict[str, str],
+                 singular_points: Tuple[float, ...], interval: Tuple[float, float],
+                 initial: Tuple[float, float], rel_tol: float, abs_tol: float):
+        self.kind, self.n, self.expressions = kind, n, expressions
+        self.singular_points, self.interval, self.initial = singular_points, interval, initial
+        self.rel_tol, self.abs_tol = rel_tol, abs_tol
 
     def coefficient(self, key: str) -> TimeFn:
         return compile_expression(self.expressions[key], f"coefficient {key}")

@@ -9,7 +9,6 @@ loads only what building a problem needs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .exprlang import Neg, compile_fn, real_power
@@ -18,22 +17,13 @@ from .timefn import ZERO_FN, Inliner, PowerFn, TimeFn, as_timefn
 __all__ = ["EmdenProblem", "GeneralizedProblem"]
 
 
-@dataclass(frozen=True)
 class EmdenProblem:
     """x'' = a(t) x' + b(t) x^n, first-order in z = (x, v)."""
 
-    a: TimeFn
-    b: TimeFn
-    n: float
-    singular_points: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_timefn(self.a))
-        object.__setattr__(self, "b", as_timefn(self.b))
-        object.__setattr__(self, "n", float(self.n))
-        object.__setattr__(
-            self, "singular_points", tuple(float(s) for s in self.singular_points)
-        )
+    def __init__(self, a: TimeFn, b: TimeFn, n: float,
+                 singular_points: Tuple[float, ...] = ()):
+        self.a, self.b, self.n = as_timefn(a), as_timefn(b), float(n)
+        self.singular_points = tuple(float(s) for s in singular_points)
         if abs(self.n - 1.0) < 1e-12:
             raise ValueError("exponent n = 1 is the linear case; not handled here")
 
@@ -57,26 +47,16 @@ class EmdenProblem:
         )
 
 
-@dataclass(frozen=True)
 class GeneralizedProblem:
     """x'' = -p(t) x' - q(t) x + r(t) x^n.  q=None means exactly zero."""
 
-    p: TimeFn
-    q: Optional[TimeFn]
-    r: TimeFn
-    n: float
-    singular_points: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_timefn(self.p))
-        if self.q is not None:
-            q = as_timefn(self.q)
-            object.__setattr__(self, "q", None if q is ZERO_FN else q)
-        object.__setattr__(self, "r", as_timefn(self.r))
-        object.__setattr__(self, "n", float(self.n))
-        object.__setattr__(
-            self, "singular_points", tuple(float(s) for s in self.singular_points)
-        )
+    def __init__(self, p: TimeFn, q: Optional[TimeFn], r: TimeFn, n: float,
+                 singular_points: Tuple[float, ...] = ()):
+        self.p = as_timefn(p)
+        q = None if q is None else as_timefn(q)
+        self.q = None if q is ZERO_FN else q
+        self.r, self.n = as_timefn(r), float(n)
+        self.singular_points = tuple(float(s) for s in singular_points)
         if abs(self.n - 1.0) < 1e-12:
             raise ValueError("exponent n = 1 is the linear case; not handled here")
 

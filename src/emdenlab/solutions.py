@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -56,15 +55,15 @@ class SuperpositionDomainError(ValueError, VerificationFailure):
 # residual verification
 
 
-@dataclass(frozen=True)
 class ResidualReport:
     """Sampled residual of a claimed solution of x'' = a x' + b x^n."""
 
-    max_residual: float
-    mean_residual: float
-    threshold: float
-    samples: int
-    interval: Tuple[float, float]
+    __slots__ = ("max_residual", "mean_residual", "threshold", "samples", "interval")
+
+    def __init__(self, max_residual: float, mean_residual: float, threshold: float,
+                 samples: int, interval: Tuple[float, float]):
+        self.max_residual, self.mean_residual = max_residual, mean_residual
+        self.threshold, self.samples, self.interval = threshold, samples, interval
 
     @property
     def passed(self) -> bool:
@@ -113,7 +112,6 @@ def verify_solution(
 # catalog entries
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
     """A drag/power-law problem bundled with one exact particular solution.
 
@@ -124,17 +122,20 @@ class CatalogEntry:
     particular-solution reduction machinery requires.
     """
 
-    id: str
-    problem: EmdenProblem
-    xp: TimeFn
-    dxp: TimeFn
-    ddxp: TimeFn
-    window: Tuple[float, float]
-    parameters: Dict[str, float] = field(default_factory=dict)
-    slope_compatible: bool = False
-    equation_text: str = ""
-    solution_text: str = ""
-    description: str = ""
+    __slots__ = ("id", "problem", "xp", "dxp", "ddxp", "window", "parameters",
+                 "slope_compatible", "equation_text", "solution_text", "description")
+
+    def __init__(self, id: str, problem: EmdenProblem, xp: TimeFn, dxp: TimeFn,
+                 ddxp: TimeFn, window: Tuple[float, float],
+                 parameters: Optional[Dict[str, float]] = None,
+                 slope_compatible: bool = False, equation_text: str = "",
+                 solution_text: str = "", description: str = ""):
+        self.id, self.problem, self.window = id, problem, window
+        self.xp, self.dxp, self.ddxp = xp, dxp, ddxp
+        self.parameters = {} if parameters is None else parameters
+        self.slope_compatible = slope_compatible
+        self.equation_text, self.solution_text = equation_text, solution_text
+        self.description = description
 
     def residual_report(self, threshold: float = 1e-10, samples: int = 100) -> ResidualReport:
         return verify_solution(
@@ -329,7 +330,6 @@ def superpose(x1: float, t: float, mix: float) -> float:
     return math.sqrt(num / den)
 
 
-@dataclass(frozen=True)
 class BoundedFamilyMember:
     """One member of the bounded family for  x'' = -2 x'/t - x^5.
 
@@ -345,7 +345,10 @@ class BoundedFamilyMember:
     seam itself).
     """
 
-    mix: float
+    __slots__ = ("mix",)
+
+    def __init__(self, mix: float):
+        self.mix = mix
 
     def __call__(self, t: float) -> float:
         k = self.mix

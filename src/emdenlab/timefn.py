@@ -10,7 +10,6 @@ which compiled expressions, constants and PowerFn all provide exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -107,7 +106,6 @@ def _coerce(v: Scalarish):
     return float(v)
 
 
-@dataclass(frozen=True)
 class PowerFn:
     """The function t -> c * (k + m*t)**e with exact arithmetic where possible.
 
@@ -116,23 +114,30 @@ class PowerFn:
     and exact algebraic identities.  Fields default to Fractions; a float in
     any slot simply drops that entry to floating point (is_exact turns False).
     The domain is where the affine base is positive, except that integer
-    exponents extend it in the usual way.
+    exponents extend it in the usual way.  Two PowerFns are equal when their
+    fields are.
     """
 
-    c: Scalarish
-    k: Scalarish
-    m: Scalarish
-    e: Scalarish
-    # float copies of the fields, made once for __call__
-    _floats: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("c", "k", "m", "e", "_floats")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", _coerce(self.c))
-        object.__setattr__(self, "k", _coerce(self.k))
-        object.__setattr__(self, "m", _coerce(self.m))
-        object.__setattr__(self, "e", _coerce(self.e))
-        object.__setattr__(
-            self, "_floats", (float(self.c), float(self.k), float(self.m), float(self.e)))
+    def __init__(self, c: Scalarish, k: Scalarish, m: Scalarish, e: Scalarish):
+        self.c, self.k, self.m, self.e = _coerce(c), _coerce(k), _coerce(m), _coerce(e)
+        # float copies of the fields, made once for __call__
+        self._floats = (float(self.c), float(self.k), float(self.m), float(self.e))
+
+    def _fields(self) -> tuple:
+        return (self.c, self.k, self.m, self.e)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"PowerFn(c={self.c!r}, k={self.k!r}, m={self.m!r}, e={self.e!r})"
 
     @property
     def is_exact(self) -> bool:

@@ -15,7 +15,6 @@ span(V), reporting every structure constant or the offending bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -225,11 +224,11 @@ def n_sym() -> Scalar:
     return Scalar.symbol()
 
 
-@dataclass(frozen=True)
 class Monomial:
-    coeff: Scalar
-    xexp: Scalar
-    vexp: Scalar
+    __slots__ = ("coeff", "xexp", "vexp")
+
+    def __init__(self, coeff: Scalar, xexp: Scalar, vexp: Scalar):
+        self.coeff, self.xexp, self.vexp = coeff, xexp, vexp
 
     def pattern(self):
         return (self.xexp, self.vexp)
@@ -276,12 +275,13 @@ def _merge(terms: Iterable[Monomial]) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class MonomialVF:
     """A planar vector field with monomial components, exact where possible."""
 
-    x: tuple = ()
-    v: tuple = ()
+    __slots__ = ("x", "v")
+
+    def __init__(self, x: tuple = (), v: tuple = ()):
+        self.x, self.v = x, v
 
     @classmethod
     def of(cls, xterms: Sequence = (), vterms: Sequence = ()) -> "MonomialVF":
@@ -469,10 +469,11 @@ def _isolating_solve(fields, target):
     return coeffs
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    coefficients: tuple
-    residual: MonomialVF
+    __slots__ = ("coefficients", "residual")
+
+    def __init__(self, coefficients: tuple, residual: MonomialVF):
+        self.coefficients, self.residual = coefficients, residual
 
     @property
     def in_span(self) -> bool:
@@ -525,17 +526,19 @@ def _check_independent(fields, what):
     _ge_solve(mat, zero, _matrix_is_exact(mat))  # raises LinearDependenceError on rank loss
 
 
-@dataclass(frozen=True)
 class SchemeReport:
     """Everything verify_scheme learned, tables plus failures."""
 
-    ok: bool
-    w_in_v: tuple            # decomposition coefficients of each W field in V
-    ww: dict                 # (i, j) -> coefficient tuple in W, i < j
-    wv: dict                 # (i, j) -> coefficient tuple in V
-    failures: tuple          # (description, bracket, residual) triples
-    w_labels: tuple
-    v_labels: tuple
+    __slots__ = ("ok", "w_in_v", "ww", "wv", "failures", "w_labels", "v_labels")
+
+    def __init__(self, ok: bool, w_in_v: tuple, ww: dict, wv: dict, failures: tuple,
+                 w_labels: tuple, v_labels: tuple):
+        self.ok = ok
+        self.w_in_v = w_in_v      # decomposition coefficients of each W field in V
+        self.ww = ww              # (i, j) -> coefficient tuple in W, i < j
+        self.wv = wv              # (i, j) -> coefficient tuple in V
+        self.failures = failures  # (description, bracket, residual) triples
+        self.w_labels, self.v_labels = w_labels, v_labels
 
     def render(self) -> str:
         wl, vl = self.w_labels, self.v_labels

@@ -1,7 +1,6 @@
 """Command-line behaviour: verdict lines, exit codes, CSV determinism."""
 
 import contextlib
-import dataclasses
 import io
 import subprocess
 import sys
@@ -689,7 +688,9 @@ def step_budget(steps):
     original = numerics.integrate
 
     def capped(rhs, t0, y0, t_end, config=None):
-        config = dataclasses.replace(config or numerics.IntegratorConfig(), max_steps=steps)
+        cfg = config or numerics.IntegratorConfig()
+        config = numerics.IntegratorConfig(cfg.rel_tol, cfg.abs_tol, cfg.max_step,
+                                           cfg.first_step, max_steps=steps)
         return original(rhs, t0, y0, t_end, config)
 
     callers = (numerics, gauge, invariants)  # every module holding integrate

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,7 @@ from emdenlab.gauge import (
     GaugeError,
     GaugeTransform,
     GeneralizedProblem,
+    KummerLiouvilleReduction,
     ReductionError,
     canonical_residual,
     kummer_liouville,
@@ -357,8 +357,12 @@ class TestKummerLiouville:
         # with gamma identically 1 such a defect could not show
         gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
         kl = kummer_liouville(gp, 1.0, 5.0, gamma_init=(1.0, -1.0))
+        fields = dict(gamma=kl.gamma, dgamma=kl.dgamma, beta=kl.beta, tau=kl.tau,
+                      coefficient=kl.coefficient, t0=kl.t0, t_end=kl.t_end,
+                      truncated=kl.truncated, n=kl.n)
         if defect == "coefficient exponent n+2":
-            wrong = replace(kl, coefficient=lambda t: kl.coefficient(t) / kl.gamma(t))
+            fields["coefficient"] = lambda t: kl.coefficient(t) / kl.gamma(t)
         else:
-            wrong = replace(kl, beta=lambda t: kl.beta(t) * kl.gamma(t))
+            fields["beta"] = lambda t: kl.beta(t) * kl.gamma(t)
+        wrong = KummerLiouvilleReduction(**fields)
         assert canonical_residual(wrong, gp, (0.3, 0.0), grid_points=41) > 1e-6

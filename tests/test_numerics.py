@@ -156,6 +156,7 @@ class TestIntegrate:
         ("max_step", 0.0), ("max_step", -1.0), ("max_step", math.nan),
         ("first_step", 0.0), ("first_step", -0.1), ("first_step", math.nan),
         ("first_step", math.inf), ("max_steps", 0), ("max_steps", -3), ("max_steps", 10.0),
+        ("max_steps", True),
     ])
     def test_config_rejects_unusable_tolerances(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -14,7 +14,7 @@ import pytest
 
 from emdenlab import numerics, problemfile
 from emdenlab.exprlang import EvalDomainError
-from emdenlab.numerics import IntegratorConfig, StepEvaluationError, integrate
+from emdenlab.numerics import IntegratorConfig, RhsError, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
 from emdenlab.solutions import catalog
 from emdenlab.timefn import PowerFn, constant
@@ -163,6 +163,28 @@ def test_errors_match_the_call_path(name):
     assert type(inline.__cause__) is type(called.__cause__) is EvalDomainError
     assert str(inline.__cause__) == str(called.__cause__)
     assert cause in str(inline)
+
+
+@pytest.mark.parametrize("bad", ["1.5", None])
+def test_a_coefficient_that_returns_no_number_fails_naming_t(bad):
+    # a(t) * v raises a TypeError; at the start and inside a step, the inline
+    # and the call path turn it into the same IntegrationError
+    at_start = EmdenProblem(lambda t: bad, -1.0, 3)
+    mid_run = EmdenProblem(lambda t: 1.5 if t < 0.3 else bad, -1.0, 3)
+    assert numerics._problem_body(mid_run.rhs, 2) is not None
+    for rhs in (at_start.rhs, lambda t, z: at_start.rhs(t, z)):
+        with pytest.raises(RhsError, match="failed at t=0.0: "):
+            integrate(rhs, 0.0, (1.0, 0.1), 1.0)
+    raised = []
+    for rhs in (mid_run.rhs, lambda t, z: mid_run.rhs(t, z)):
+        with pytest.raises(StepEvaluationError) as err:
+            integrate(rhs, 0.0, (1.0, 0.1), 1.0)
+        raised.append(err.value)
+    inline, called = raised
+    assert str(inline) == str(called)
+    assert 0.0 < inline.t_reached == called.t_reached < 1.0
+    assert f"from t={inline.t_reached}" in str(inline)
+    assert type(inline.__cause__) is type(called.__cause__) is TypeError
 
 
 def test_a_wrapped_rhs_is_called_for_every_stage():

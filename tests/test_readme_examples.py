@@ -136,25 +136,59 @@ def test_integrate_csv_bytes_are_pinned(capsys, tmp_path):
         "8812e6418650508fa9b822f9d00d2a31680c37c5e32150a6109fdbca01f7a945")
 
 
-def test_readme_commands_never_import_numpy(tmp_path):
-    # numpy costs more start-up than the rest of the package; only .t, .y
-    # and sample() of a Trajectory build arrays, and no subcommand reads them
-    runs = [readme_argv(command, tmp_path) for command in COMMANDS]
+# a dataclass generates its methods with exec in every process that imports
+# it, and `dataclasses` itself loads inspect, ast and dis, so the package's
+# classes are plain.  These four stay dataclasses while
+# perfbench/test_perfbench.py copies them with dataclasses.replace.
+REPLACED_BY_THE_BENCHMARK = {
+    "emdenlab.gauge.KummerLiouvilleReduction", "emdenlab.invariants.ConditionedInvariant",
+    "emdenlab.invariants.DriftReport", "emdenlab.invariants.Invariant",
+}
+
+
+def loaded_after(argvs):
+    """(modules, dataclasses) of a fresh interpreter that imports the CLI and
+    runs it on each argv: every module it loaded, and the names of the
+    emdenlab classes declared with @dataclass."""
     script = (
         "import contextlib, io, json, sys\n"
         "from emdenlab import cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv) == 0, argv\n"
-        "print('numpy' in sys.modules)\n"
+        "        try:\n"
+        "            assert cli.main(argv) == 0, argv\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, argv\n"
+        "records = [f'{name}.{key}' for name, module in list(sys.modules.items())\n"
+        "           if name.startswith('emdenlab') for key, value in vars(module).items()\n"
+        "           if isinstance(value, type) and value.__module__ == name\n"
+        "           and '__dataclass_fields__' in vars(value)]\n"
+        "print(json.dumps([sorted(sys.modules), records]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(runs)],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    modules, records = json.loads(proc.stdout)
+    return set(modules), set(records)
+
+
+def test_readme_commands_never_import_numpy(tmp_path):
+    # numpy costs more start-up than the rest of the package; only .t, .y
+    # and sample() of a Trajectory build arrays, and no subcommand reads them
+    modules, records = loaded_after([readme_argv(command, tmp_path) for command in COMMANDS])
+    assert "numpy" not in modules
+    assert records == REPLACED_BY_THE_BENCHMARK
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_generates_no_class_code(command, tmp_path):
+    modules, records = loaded_after([readme_argv(command, tmp_path)])
+    assert records <= REPLACED_BY_THE_BENCHMARK
+    if not records:
+        assert not modules & {"dataclasses", "inspect"}
 
 
 # start-up is most of a command's run, so each subcommand imports only the
@@ -165,25 +199,8 @@ CLI_ONLY = {"emdenlab", "emdenlab.cli", "emdenlab.exprlang", "emdenlab.vfields"}
 def package_modules_after(argv):
     """emdenlab modules loaded by a fresh interpreter that imports the CLI
     and, unless argv is None, runs it on argv."""
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from emdenlab import cli\n"
-        "argv = json.loads(sys.argv[1])\n"
-        "if argv is not None:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        try:\n"
-        "            assert cli.main(argv) == 0, argv\n"
-        "        except SystemExit as exc:\n"
-        "            assert exc.code == 0, argv\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('emdenlab'))))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argv)],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    modules, _ = loaded_after([] if argv is None else [argv])
+    return {m for m in modules if m.startswith("emdenlab")}
 
 
 def test_importing_the_cli_loads_only_the_scheme_algebra():
