@@ -497,13 +497,6 @@ class _ScaleSystem:
         return src.body(("x1", ddg) + clock)
 
 
-@functools.lru_cache(maxsize=32)
-def _scale_system(p: TimeFn, q: Optional[TimeFn], clock: bool) -> _ScaleSystem:
-    """One system per coefficient set, so repeated runs build its stage
-    source once."""
-    return _ScaleSystem(p, q, clock)
-
-
 def kummer_liouville(
     prob: GeneralizedProblem,
     t0: float,
@@ -534,7 +527,7 @@ def kummer_liouville(
     if g0 <= 0.0:
         raise GaugeError(f"initial scale {g0} must be positive")
 
-    linear = integrate(_scale_system(p, q, False).rhs, t0, (g0, dg0), t_end, cfg)
+    linear = integrate(_ScaleSystem(p, q, clock=False).rhs, t0, (g0, dg0), t_end, cfg)
     truncated = False
     end = t_end
     crossing = next((i for i, (gamma, _) in enumerate(linear.ys) if gamma <= 0.0), None)
@@ -552,7 +545,7 @@ def kummer_liouville(
                              f"the window start {t0:g} to leave a window")
         truncated = True
 
-    traj = integrate(_scale_system(p, q, True).rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
+    traj = integrate(_ScaleSystem(p, q, clock=True).rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
 
     def beta(t):
         g, _, int_p, _ = traj(t)

@@ -201,12 +201,6 @@ class _TimeIntegrals:
         return src.body((a, f"{src.slot(math.exp)}(x0)") if self.with_g else (a,))
 
 
-@functools.lru_cache(maxsize=32)
-def _time_integrals(a: TimeFn, with_g: bool) -> _TimeIntegrals:
-    """One system per coefficient, so repeated runs build its stage source once."""
-    return _TimeIntegrals(a, with_g)
-
-
 def _forward(interval: Tuple[float, float]) -> Tuple[float, float]:
     """The interval's ends as floats; it must end after it starts."""
     lo, hi = float(interval[0]), float(interval[1])
@@ -265,7 +259,7 @@ def rescaled_energy_invariant(
         raise ValueError(f"interval ({t_start}, {t_end}) must not start before "
                          f"the anchor {anchor}")
     a, b, n = prob.a, prob.b, prob.n
-    A = integrate(_time_integrals(a, False).rhs, float(anchor), (0.0,), t_end,
+    A = integrate(_TimeIntegrals(a, with_g=False).rhs, float(anchor), (0.0,), t_end,
                   _INTEGRAL_CONFIG)
     pot = _power_potential(n)
 
@@ -313,7 +307,7 @@ def dilation_invariant(
             f"{anchor} (the inner antiderivative vanishes there)"
         )
     a, b, n = prob.a, prob.b, prob.n
-    AG = integrate(_time_integrals(a, True).rhs, float(anchor), (0.0, 0.0), t_end,
+    AG = integrate(_TimeIntegrals(a, with_g=True).rhs, float(anchor), (0.0, 0.0), t_end,
                    _INTEGRAL_CONFIG)
     pot = _power_potential(n)
     degenerate = abs(n + 3.0) < 1e-12

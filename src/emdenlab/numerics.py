@@ -364,9 +364,21 @@ def _initial_step(f, t0, y0, f0, direction, rel_tol, abs_tol, span):
     return min(100 * h0, h1, span)
 
 
-# what a failing right-hand side raises; a coefficient that returns text or
-# None raises a TypeError in the arithmetic on it
-_RHS_FAULTS = (ArithmeticError, ValueError, TypeError)
+def _raised_by_rhs(exc: BaseException, f, stages=None) -> bool:
+    """Whether exc is the right-hand side failing: an ArithmeticError or
+    ValueError, or a TypeError raised inside rhs (a coefficient that returns
+    text or None fails in the arithmetic on it), in the stage code that
+    inlines rhs or below f's call of it.  A TypeError from calling rhs with
+    arguments it does not take is raised in f's own frame, and one from the
+    integrator's own arithmetic in neither, so both stay TypeErrors."""
+    if not isinstance(exc, TypeError):
+        return True
+    codes = []
+    tb = exc.__traceback__
+    while tb is not None:
+        codes.append(tb.tb_frame.f_code)
+        tb = tb.tb_next
+    return (stages is not None and codes[-1] is stages.__code__) or f.__code__ in codes[:-1]
 
 
 def integrate(rhs: Callable, t0: float, y0, t_end: float,
@@ -384,7 +396,8 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     StepEvaluationError with the reached time when the right-hand side
     raises an ArithmeticError, ValueError or TypeError inside a step (a
     coefficient that returns text or None fails in the arithmetic).  A
-    non-finite t0 or t_end is a ValueError.
+    non-finite t0 or t_end is a ValueError; an rhs that does not take
+    (t, y) gives the TypeError of the call.
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"integration limits t0={t0}, t_end={t_end} must be finite")
@@ -403,7 +416,9 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
 
     try:
         k0 = f(t, y)
-    except _RHS_FAULTS as exc:
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        if not _raised_by_rhs(exc, f):
+            raise
         raise RhsError(f"right-hand side failed at t={t}: {exc}") from exc
     if not _finite(k0):
         raise RhsError(f"right-hand side is not finite at t={t}")
@@ -464,7 +479,9 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
                 rejected += 1
                 factor = max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXP)
             h = min(h_use * factor, cfg.max_step)
-    except _RHS_FAULTS as exc:
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        if not _raised_by_rhs(exc, f, stages):
+            raise
         raise StepEvaluationError(
             f"right-hand side failed in the step from t={t}: {exc}",
             t_reached=t) from exc

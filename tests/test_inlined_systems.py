@@ -175,36 +175,25 @@ def test_scale_reaching_zero_in_the_clock_slope_matches_the_call_path():
     assert err.t_reached == 0.0
 
 
-@pytest.fixture
-def handed(monkeypatch):
-    """(rhs, state size) of every run the gauge and invariants modules start."""
+def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
     seen = []
-    for module in (gauge, invariants):
-        def integrate_and_record(rhs, t0, y0, *args, _real=module.integrate):
+
+    def recording(module):
+        real = module.integrate
+
+        def integrate_and_record(rhs, t0, y0, *args):
             seen.append((rhs, len(y0)))
-            return _real(rhs, t0, y0, *args)
+            return real(rhs, t0, y0, *args)
 
         monkeypatch.setattr(module, "integrate", integrate_and_record)
-    return seen
 
-
-def test_the_constructors_hand_integrate_an_inlined_rhs(handed):
+    recording(gauge)
+    recording(invariants)
     damped, (t0, t1) = _spec("damped.spec")
     kummer_liouville(damped, t0, t1, gamma_init=(1.0, -1.0))
     drag = EmdenProblem(PowerFn(-2, 0, 1, -1), PowerFn(1, 0, 1, -4), 5)
     rescaled_energy_invariant(drag, 0.5, (0.5, 5.0))
     dilation_invariant(drag, 0.5, (0.6, 5.0))
-    assert [n for _, n in handed] == [2, 4, 1, 2]
-    for rhs, n in handed:
+    assert [n for _, n in seen] == [2, 4, 1, 2]
+    for rhs, n in seen:
         assert numerics._problem_body(rhs, n) is not None
-
-
-def test_equal_coefficients_share_one_system_and_its_stage_source(handed):
-    for _ in range(2):
-        drag = EmdenProblem(PowerFn(-2, 0, 1, -1), PowerFn(1, 0, 1, -4), 5)
-        kummer_liouville(drag.as_generalized(), 0.5, 5.0)
-        rescaled_energy_invariant(drag, 0.5, (0.5, 5.0))
-        dilation_invariant(drag, 0.5, (0.6, 5.0))
-    systems = [rhs.__self__ for rhs, _ in handed]
-    assert len(set(map(id, systems[:4]))) == 4
-    assert all(again is first for first, again in zip(systems[:4], systems[4:]))

@@ -192,6 +192,20 @@ class TestIntegrate:
         t = float(re.search(r"at t=(\S+),", str(err.value)).group(1))
         assert err.value.t_reached < 1.0 <= t <= 2.0
 
+    @pytest.mark.parametrize("rhs", [lambda t: (1.0,), lambda t, y, z: (1.0,)])
+    def test_rhs_that_does_not_take_t_and_y_gives_the_type_error(self, rhs):
+        with pytest.raises(TypeError, match="positional argument") as err:
+            integrate(rhs, 0.0, (0.0,), 1.0)
+        assert not isinstance(err.value, IntegrationError)
+
+    def test_a_type_error_of_the_integrator_itself_is_not_blamed_on_rhs(self, monkeypatch):
+        def broken(v):
+            raise TypeError("in the step-size norm")
+
+        monkeypatch.setattr(numerics, "_rms", broken)
+        with pytest.raises(TypeError, match="in the step-size norm"):
+            integrate(lambda t, y: (1.0,), 0.0, (0.0,), 1.0)
+
     @pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")])
     def test_rhs_that_returns_text_is_refused(self, text):
         # float() would parse "1" and "2", and bytes iterate as ints

@@ -178,9 +178,8 @@ def loaded_after(argvs):
 def test_readme_commands_never_import_numpy(tmp_path):
     # numpy costs more start-up than the rest of the package; only .t, .y
     # and sample() of a Trajectory build arrays, and no subcommand reads them
-    modules, records = loaded_after([readme_argv(command, tmp_path) for command in COMMANDS])
+    modules, _ = loaded_after([readme_argv(command, tmp_path) for command in COMMANDS])
     assert "numpy" not in modules
-    assert records == REPLACED_BY_THE_BENCHMARK
 
 
 @pytest.mark.parametrize("command", COMMANDS)
