@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import VerificationFailure
 from .exprlang import EvalDomainError, real_power
-from .numerics import IntegratorConfig, integrate, linspace
+from .numerics import IntegratorConfig, _compiled_rhs, integrate, linspace
 from .problems import EmdenProblem, GeneralizedProblem
 from .timefn import ZERO_FN, Inliner, TimeFn, as_timefn, constant
 
@@ -474,27 +474,21 @@ class KummerLiouvilleReduction:
 class _ScaleSystem:
     """The scale equation gamma'' = -q gamma - p gamma' as (gamma, gamma');
     with clock, also P' = p and tau' = exp(-P)/gamma^2, as (gamma, gamma',
-    P, tau).  q None means zero.  ``integrate`` inlines ``rhs`` from
-    ``stage_body``, as it does a problem's."""
+    P, tau).  q None means zero.  ``rhs`` is generated from the stage body
+    that ``integrate`` inlines, as a problem's is."""
 
     def __init__(self, p: TimeFn, q: Optional[TimeFn], clock: bool):
         self.p, self.q, self.clock = p, q, clock
 
-    def rhs(self, t: float, y):
-        qg = None if self.q is None else -self.q(t) * y[0]
-        p = self.p(t)
-        ddg = -p * y[1] if qg is None else qg - p * y[1]
-        return (y[1], ddg, p, math.exp(-y[2]) / (y[0] * y[0])) if self.clock else (y[1], ddg)
-
     @functools.cached_property
-    def stage_body(self):
+    def rhs(self):
         src = Inliner()
         qg = None if self.q is None else f"-{src.value(self.q, '_q')} * x0"
         p = src.value(self.p, "_p")
         ddg = f"-{p} * x1" if qg is None else f"{qg} - {p} * x1"
-        # math.exp itself, so an overflow is the OverflowError of the call
+        # math.exp itself, so an overflow is an OverflowError from exp
         clock = (p, f"{src.slot(math.exp)}(-x2) / (x0 * x0)") if self.clock else ()
-        return src.body(("x1", ddg) + clock)
+        return _compiled_rhs(src.body(("x1", ddg) + clock))
 
 
 def kummer_liouville(

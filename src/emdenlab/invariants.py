@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import VerificationFailure
 from .exprlang import real_power
 from .gauge import reduce_via_particular_solution
-from .numerics import IntegratorConfig, Trajectory, integrate, linspace, write_csv
+from .numerics import IntegratorConfig, Trajectory, _compiled_rhs, integrate, linspace, write_csv
 from .problems import EmdenProblem
 from .timefn import ExactnessError, Inliner, PowerFn, TimeFn
 
@@ -184,21 +184,19 @@ _INTEGRAL_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 class _TimeIntegrals:
-    """A' = a(t) as (A,); with with_g, also G' = exp(A) as (A, G).
-    ``integrate`` inlines ``rhs`` from ``stage_body``, as it does a problem's."""
+    """A' = a(t) as (A,); with with_g, also G' = exp(A) as (A, G).  ``rhs``
+    is generated from the stage body that ``integrate`` inlines, as a
+    problem's is."""
 
     def __init__(self, a: TimeFn, with_g: bool):
         self.a, self.with_g = a, with_g
 
-    def rhs(self, t: float, y):
-        return (self.a(t), math.exp(y[0])) if self.with_g else (self.a(t),)
-
     @functools.cached_property
-    def stage_body(self):
+    def rhs(self):
         src = Inliner()
         a = src.value(self.a, "_a")
-        # math.exp itself, so an overflow is the OverflowError of the call
-        return src.body((a, f"{src.slot(math.exp)}(x0)") if self.with_g else (a,))
+        # math.exp itself, so an overflow is an OverflowError from exp
+        return _compiled_rhs(src.body((a, f"{src.slot(math.exp)}(x0)") if self.with_g else (a,)))
 
 
 def _forward(interval: Tuple[float, float]) -> Tuple[float, float]:

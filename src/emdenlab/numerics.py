@@ -18,17 +18,14 @@ or entries is left to interpret; dense output is read by one generated
 reader per state size.  The mesh is kept as lists; ``t``, ``y`` and
 ``sample`` import numpy and build arrays on first use.
 
-Each stage of that step gets its slopes in one of two ways, from the one
-generator.  Given the bound ``rhs`` of an object with a ``stage_body``
-(found by duck typing: the problems, the Kummer-Liouville scale and clock
-systems in ``gauge``, the time integrals in ``invariants``), the stage
-computes the slopes inline from that body: the same float operations and
-checks in the same order, so meshes, states and the first error are those
-of the call, bit for bit.  Any other callable, including a wrapper made by
-functools.wraps, is called once per stage through a wrapper that checks
-what it returns.  The step for a stage body is compiled once per source
-text; the numbers reach it through namespace slots, so problems that
-differ only in their numbers share it.
+A system's right-hand side is written once, as a stage body: lines that
+read t and x0 ... and give the slopes.  The problems, the scale and clock
+systems in ``gauge`` and the time integrals in ``invariants`` compile their
+``rhs`` from one (``_compiled_rhs``); given such an ``rhs``, each stage of
+the step runs the same lines inline, so the meshes, states and first error
+are the call's, bit for bit.  Any other callable, a functools.wraps wrapper
+too, is called once per stage and what it returns is checked.  The code is
+compiled once per source text; numbers reach it through namespace slots.
 
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
@@ -302,22 +299,32 @@ def _reader(n: int):
     return namespace["_read"]
 
 
-def _problem_body(rhs, n: int):
-    """The n-slope stage body of the object whose own rhs method rhs is, or None.
+@functools.lru_cache(maxsize=64)
+def _rhs_code(lines: tuple, slopes: tuple):
+    """Code that defines rhs(t, y): unpack y to x0 ..., run lines, return slopes."""
+    head = f"def rhs(t, y):\n    [{', '.join(f'x{c}' for c in range(len(slopes)))}] = y\n"
+    body = "".join(f"    {line}\n" for line in lines)
+    return compile(f"{head}{body}    return ({''.join(s + ', ' for s in slopes)})\n",
+                   "<rhs>", "exec")
 
-    Duck-typed, since this module imports none of the modules that define
-    them: rhs must be bound to an object whose class defines both ``rhs``
-    and ``stage_body``.
-    A plain function, and a wrapper made by functools.wraps, give None.
-    """
-    func = getattr(rhs, "__func__", None)
-    owner = getattr(rhs, "__self__", None)
-    cls = next((c for c in type(owner).__mro__ if "rhs" in vars(c)), None)
-    if func is None or cls is None or vars(cls)["rhs"] is not func:
+
+def _compiled_rhs(body: tuple):
+    """rhs(t, y) that runs the stage body (lines, slopes, namespace) in its
+    namespace and carries it, so ``integrate`` inlines the same lines."""
+    namespace = body[2]
+    namespace["_reals"] = _reals
+    exec(_rhs_code(*body[:2]), namespace)
+    rhs = namespace.pop("rhs")
+    rhs.stage_body = body
+    return rhs
+
+
+def _problem_body(rhs, n: int):
+    """The n-slope stage body that rhs runs if _compiled_rhs made it, else None.
+    A functools.wraps wrapper copies ``stage_body`` but runs in its own module."""
+    body = getattr(rhs, "stage_body", None)
+    if body is None or getattr(rhs, "__globals__", None) is not body[2]:
         return None
-    if "stage_body" not in vars(cls):
-        return None
-    body = owner.stage_body
     return body if len(body[1]) == n else None
 
 
@@ -429,8 +436,7 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     body = _problem_body(rhs, n)
     namespace = {"_isfinite": math.isfinite, "_abs": abs, "_sqrt": math.sqrt,
-                 "_sum": sum, "_inf": math.inf, "_reals": _reals,
-                 **(body[2] if body else {})}
+                 "_sum": sum, "_inf": math.inf, **(body[2] if body else {})}
     exec(_kernel(n, body and body[:2]), namespace)
     stages, dense = namespace["_stages"], namespace["_dense"]
     accepted = rejected = 0

@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 from typing import Optional, Tuple
 
-from .exprlang import Neg, compile_fn, real_power
+from .exprlang import Neg, compile_fn
+from .numerics import _compiled_rhs
 from .timefn import ZERO_FN, Inliner, PowerFn, TimeFn, as_timefn
 
 __all__ = ["EmdenProblem", "GeneralizedProblem"]
@@ -27,18 +28,14 @@ class EmdenProblem:
         if abs(self.n - 1.0) < 1e-12:
             raise ValueError("exponent n = 1 is the linear case; not handled here")
 
-    def rhs(self, t: float, z):
-        x, v = z
-        return (v, self.a(t) * v + self.b(t) * real_power(x, self.n))
-
     @functools.cached_property
-    def stage_body(self):
-        """``rhs`` as source for the generated Dormand-Prince stages, in the
-        form ``numerics.integrate`` inlines; built on the first integrate."""
+    def rhs(self):
+        """z' at (t, z), generated from the stage body that
+        ``numerics.integrate`` inlines; built on first use."""
         src = Inliner()
         a, b = src.value(self.a, "_a"), src.value(self.b, "_b")
         w = src.power("x0", self.n, "_w")
-        return src.body(("x1", f"{a} * x1 + {b} * {w}"))
+        return _compiled_rhs(src.body(("x1", f"{a} * x1 + {b} * {w}")))
 
     def as_generalized(self) -> "GeneralizedProblem":
         return GeneralizedProblem(
@@ -60,23 +57,16 @@ class GeneralizedProblem:
         if abs(self.n - 1.0) < 1e-12:
             raise ValueError("exponent n = 1 is the linear case; not handled here")
 
-    def rhs(self, t: float, z):
-        x, v = z
-        acc = -self.p(t) * v + self.r(t) * real_power(x, self.n)
-        if self.q is not None:
-            acc -= self.q(t) * x
-        return (v, acc)
-
     @functools.cached_property
-    def stage_body(self):
-        """``rhs`` as source for the generated Dormand-Prince stages, in the
-        form ``numerics.integrate`` inlines; built on the first integrate."""
+    def rhs(self):
+        """z' at (t, z), generated from the stage body that
+        ``numerics.integrate`` inlines; built on first use."""
         src = Inliner()
         p, r = src.value(self.p, "_p"), src.value(self.r, "_r")
         acc = f"-{p} * x1 + {r} * {src.power('x0', self.n, '_w')}"
         if self.q is not None:
             acc += f" - {src.value(self.q, '_q')} * x0"
-        return src.body(("x1", acc))
+        return _compiled_rhs(src.body(("x1", acc)))
 
     def as_emden(self) -> EmdenProblem:
         if self.q is not None:

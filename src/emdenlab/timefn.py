@@ -213,8 +213,9 @@ class PowerFn:
 
 
 class Inliner:
-    """Straight-line source that evaluates time functions at t, for a caller
-    that is generated code (the Dormand-Prince stages in ``numerics``).
+    """Straight-line source that evaluates time functions at t: the stage
+    body of a system's right-hand side, which ``numerics`` compiles into the
+    system's ``rhs`` and writes into its Dormand-Prince stages.
 
     ``value(fn, name)`` appends the lines that compute fn(t) and returns the
     expression that holds the result.  The lines make the float operations
@@ -264,10 +265,10 @@ class Inliner:
         return name
 
     def body(self, slopes) -> tuple:
-        """(lines, slopes, namespace).  With a call among the values, the
-        slopes pass as one tuple through the ``_reals`` check that
-        ``integrate`` applies to what a right-hand side returns, so a value
-        of another type converts, or fails, as it does there."""
+        """The stage body (lines, slopes, namespace).  With a call among the
+        values, the slopes pass as one tuple through the ``_reals`` check
+        that ``integrate`` applies to what a right-hand side returns, so a
+        value of another type converts, or fails, as it does there."""
         if self.calls:
             names = [f"_k{c}" for c in range(len(slopes))]
             self.lines.append(f"[{', '.join(names)}] = "

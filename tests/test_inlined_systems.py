@@ -3,10 +3,11 @@
 ``kummer_liouville`` integrates the scale equation (gamma, gamma') and then
 (gamma, gamma', P, tau); ``rescaled_energy_invariant`` integrates A = int a
 and ``dilation_invariant`` (A, G = int exp(A)).  Each hands ``integrate`` the
-bound ``rhs`` of a small system object, which is written into the stages.
-The references are the same ``rhs`` behind a lambda, which takes the call
-path, and the lambdas these systems replaced: all three must give the same
-mesh, states, dense rows, step counts and errors, bit for bit.
+``rhs`` of a small system object, generated from the stage body that is
+written into the stages.  The same ``rhs`` behind a lambda takes the call
+path; the independent references are ``_old_scale``, ``_old_clock`` and
+``_old_integrals``, the lambdas these systems replaced.  All three runs must
+give the same mesh, states, dense rows, step counts and errors, bit for bit.
 """
 
 import math

@@ -1,10 +1,12 @@
 """The problems' right-hand sides inlined into the generated step.
 
-``integrate`` writes an ``EmdenProblem`` or ``GeneralizedProblem`` rhs into
-each Dormand-Prince stage when it is given the problem's own bound ``rhs``.
-Any other callable, such as a lambda around ``prob.rhs``, takes the call
-path, which is the reference here: both must give the same mesh, states,
-dense rows, step counts and errors, bit for bit.
+An ``EmdenProblem`` or ``GeneralizedProblem`` ``rhs`` is generated from its
+stage body, and ``integrate`` writes that body into each Dormand-Prince stage
+when it is given the problem's own ``rhs``.  Any other callable, such as a
+lambda around ``prob.rhs``, takes the call path.  The independent references
+are ``_old_emden`` and ``_old_generalized``, the right-hand sides as they were
+written by hand: the inline run, the call run and the reference run must give
+the same mesh, states, dense rows, step counts and errors, bit for bit.
 """
 
 import functools
@@ -13,7 +15,7 @@ import math
 import pytest
 
 from emdenlab import numerics, problemfile
-from emdenlab.exprlang import EvalDomainError
+from emdenlab.exprlang import EvalDomainError, real_power
 from emdenlab.numerics import IntegratorConfig, RhsError, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
 from emdenlab.solutions import catalog
@@ -70,10 +72,40 @@ def _cases():
 CASES = _cases()
 
 
+def _old_emden(prob):
+    """EmdenProblem.rhs as it was written by hand before it was generated."""
+    return lambda t, z: (z[1], prob.a(t) * z[1] + prob.b(t) * real_power(z[0], prob.n))
+
+
+def _old_generalized(prob):
+    """GeneralizedProblem.rhs as it was written by hand before it was generated."""
+    def rhs(t, z):
+        x, v = z
+        acc = -prob.p(t) * v + prob.r(t) * real_power(x, prob.n)
+        if prob.q is not None:
+            acc -= prob.q(t) * x
+        return (v, acc)
+
+    return rhs
+
+
+def _old_rhs(prob):
+    return _old_emden(prob) if isinstance(prob, EmdenProblem) else _old_generalized(prob)
+
+
 def _both(prob, z0, t0, t1, cfg):
     inline = integrate(prob.rhs, t0, z0, t1, cfg)
     called = integrate(lambda t, z: prob.rhs(t, z), t0, z0, t1, cfg)
     return inline, called
+
+
+def _all_three(prob, z0, t0, t1, cfg):
+    """The inline, the call and the reference run, checked to be the same."""
+    inline, called = _both(prob, z0, t0, t1, cfg)
+    reference = integrate(_old_rhs(prob), t0, z0, t1, cfg)
+    _assert_same(inline, called)
+    _assert_same(inline, reference)
+    return inline
 
 
 def _assert_same(inline, called):
@@ -94,24 +126,20 @@ class TestInlinedRhs:
     @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
     def test_forward_and_backward_runs_match_the_call_path(self, case):
         _, prob, z0, (t0, t1), cfg = case
-        inline, called = _both(prob, z0, t0, t1, cfg)
-        _assert_same(inline, called)
-        back_inline, back_called = _both(prob, inline.ys[-1], t1, t0, cfg)
-        _assert_same(back_inline, back_called)
+        inline = _all_three(prob, z0, t0, t1, cfg)
+        _all_three(prob, inline.ys[-1], t1, t0, cfg)
 
     @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
     def test_rejected_steps_match_the_call_path(self, case):
         _, prob, z0, (t0, t1), cfg = case
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, first_step=0.8 * (t1 - t0))
-        inline, called = _both(prob, z0, t0, t1, cfg)
-        _assert_same(inline, called)
+        inline = _all_three(prob, z0, t0, t1, cfg)
         assert inline.rejected > 0
 
     def test_states_stay_plain_floats_when_a_coefficient_is_a_call(self):
         np = pytest.importorskip("numpy")
         prob = EmdenProblem(lambda t: np.float64(-2.0) / t, -1.0, 5)
-        inline, called = _both(prob, (1.3, -0.2), 0.5, 5.0, IntegratorConfig())
-        _assert_same(inline, called)
+        inline = _all_three(prob, (1.3, -0.2), 0.5, 5.0, IntegratorConfig())
         assert {type(v) for y in inline.ys for v in y} == {float}
 
 
@@ -153,16 +181,35 @@ def test_errors_match_the_call_path(name):
     prob, (t0, t1) = spec.build(), spec.interval
     cfg = IntegratorConfig(first_step=first_step)
     raised = []
-    for rhs in (prob.rhs, lambda t, z: prob.rhs(t, z)):
+    for rhs in (prob.rhs, lambda t, z: prob.rhs(t, z), _old_rhs(prob)):
         with pytest.raises(StepEvaluationError) as err:
             integrate(rhs, t0, spec.initial, t1, cfg)
+        raised.append(err.value)
+    inline = raised[0]
+    for other in raised[1:]:
+        assert str(inline) == str(other)
+        assert inline.t_reached.hex() == other.t_reached.hex()
+        assert type(inline.__cause__) is type(other.__cause__) is EvalDomainError
+        assert str(inline.__cause__) == str(other.__cause__)
+    assert cause in str(inline)
+
+
+def test_a_failing_coefficient_fails_first_on_both_paths():
+    # a returns text from t = 0.3 and b leaves its domain there; both paths
+    # run the same lines, so the same one fails first: b, whose lines come
+    # before the product with a
+    prob = EmdenProblem(lambda t: 1.5 if t < 0.3 else "x",
+                        problemfile.compile_expression("sqrt(0.3-t)"), 3)
+    raised = []
+    for rhs in (prob.rhs, lambda t, z: prob.rhs(t, z)):
+        with pytest.raises(StepEvaluationError) as err:
+            integrate(rhs, 0.0, (1.0, 0.1), 1.0)
         raised.append(err.value)
     inline, called = raised
     assert str(inline) == str(called)
     assert inline.t_reached.hex() == called.t_reached.hex()
-    assert type(inline.__cause__) is type(called.__cause__) is EvalDomainError
+    assert type(inline.__cause__) is type(called.__cause__)
     assert str(inline.__cause__) == str(called.__cause__)
-    assert cause in str(inline)
 
 
 @pytest.mark.parametrize("bad", ["1.5", None])
@@ -204,15 +251,41 @@ def test_a_wrapped_rhs_is_called_for_every_stage():
 
 def test_kernels_are_built_on_first_use_and_shared_by_shape():
     misses = numerics._kernel.cache_info().misses
+    rhs_misses = numerics._rhs_code.cache_info().misses
     one = EmdenProblem(problemfile.compile_expression("-2/t"), constant(-1.0), 5)
     two = EmdenProblem(problemfile.compile_expression("-3/t"), constant(-0.5), 7)
-    assert "stage_body" not in vars(one) and "stage_body" not in vars(two)
+    assert "rhs" not in vars(one) and "rhs" not in vars(two)
     assert numerics._kernel.cache_info().misses == misses
+    assert numerics._rhs_code.cache_info().misses == rhs_misses
     integrate(one.rhs, 0.5, (1.0, 0.0), 2.0)
     integrate(two.rhs, 0.5, (1.0, 0.0), 2.0)
-    assert one.stage_body[:2] == two.stage_body[:2]
-    assert one.stage_body[2] != two.stage_body[2]
-    assert numerics._kernel(2, one.stage_body[:2]) is numerics._kernel(2, two.stage_body[:2])
+    assert one.rhs.stage_body[:2] == two.rhs.stage_body[:2]
+    assert one.rhs.stage_body[2] != two.rhs.stage_body[2]
+    assert one.rhs.__code__ is two.rhs.__code__
+    assert (numerics._kernel(2, one.rhs.stage_body[:2])
+            is numerics._kernel(2, two.rhs.stage_body[:2]))
+
+
+def test_the_inline_path_outlasts_the_code_caches():
+    # 70 bodies of distinct text push the first out of the bounded caches
+    # of rhs and step code; its rhs is still recognised by what it carries
+    def drag(i):
+        term = "t"  # sin and negation nested in the order of i's seven bits
+        for bit in f"{i:07b}":
+            term = f"sin({term})" if bit == "1" else f"-({term})"
+        return EmdenProblem(problemfile.compile_expression(f"-2/t + 0*{term}"), -1.0, 5)
+
+    first = drag(0)
+    cfg = IntegratorConfig(rel_tol=1e-8)
+    before = integrate(first.rhs, 0.5, (1.0, 0.0), 2.0, cfg)
+    misses = numerics._rhs_code.cache_info().misses
+    for i in range(1, 71):
+        integrate(drag(i).rhs, 0.5, (1.0, 0.0), 0.6, cfg)
+    assert numerics._rhs_code.cache_info().misses - misses == 70
+    assert numerics._problem_body(first.rhs, 2) is not None
+    after = integrate(first.rhs, 0.5, (1.0, 0.0), 2.0, cfg)
+    _assert_same(after, before)
+    _assert_same(after, integrate(_old_emden(first), 0.5, (1.0, 0.0), 2.0, cfg))
 
 
 def test_a_subclass_that_overrides_rhs_is_called():
