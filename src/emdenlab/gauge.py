@@ -539,7 +539,15 @@ def kummer_liouville(
                              f"the window start {t0:g} to leave a window")
         truncated = True
 
-    traj = integrate(_ScaleSystem(p, q, clock=True).rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
+    clock = integrate(_ScaleSystem(p, q, clock=True).rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
+    # the last (t, state) read, one tuple: the tau-run reads gamma, beta and coefficient at one t
+    last = [(None, None)]
+
+    def traj(t):
+        seen = last[0]
+        if t != seen[0] or t == 0.0:  # equal nonzero numbers are one float; 0.0, -0.0 are not
+            seen = last[0] = (t, clock(t))
+        return seen[1]
 
     def beta(t):
         g, _, int_p, _ = traj(t)
@@ -562,6 +570,18 @@ def kummer_liouville(
         truncated=truncated,
         n=prob.n,
     )
+
+
+def _tau_rhs(kl: KummerLiouvilleReduction):
+    """The tau-run's (t, x', dx'/dtau)', generated from its stage body."""
+    src = Inliner()
+    # the t state overshoots by round-off; t is set back to tau at the end,
+    # so a value of another type is refused, and named, at tau
+    src.lines += ["_tau = t", f"t = min(max(x0, {src.slot(kl.t0)}), {src.slot(kl.t_end)})"]
+    src.lines.append(f"_rate = {src.value(kl.gamma, '_g')} / {src.value(kl.beta, '_b')}")
+    force = f"{src.value(kl.coefficient, '_c')} * _pow(x1, {src.slot(kl.n)})"
+    src.lines += [f"_force = {force}", "t = _tau"]
+    return _compiled_rhs(src.body(("_rate", "x2", "_force")))
 
 
 def canonical_residual(
@@ -588,14 +608,10 @@ def canonical_residual(
     t0, t_end = kl.t0, kl.t_end
     orig = integrate(prob.rhs, t0, z0, t_end, cfg)
 
-    def rhs(tau, y):
-        t = min(max(y[0], t0), t_end)  # the t state overshoots by round-off
-        return (kl.gamma(t) / kl.beta(t), y[2], kl.coefficient(t) * real_power(y[1], kl.n))
-
     x0, v0 = z0
     g0 = kl.gamma(t0)
     tau_end = kl.tau(t_end)
-    canon = integrate(rhs, 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)), tau_end, cfg)
+    canon = integrate(_tau_rhs(kl), 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)), tau_end, cfg)
     ts = _sample_points((t0, t_end), grid_points)
     worst, _ = _sup_rel_gap(
         ((canon(min(kl.tau(t), tau_end))[1], orig(t)[0] / kl.gamma(t)) for t in ts), ts

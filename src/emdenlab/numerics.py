@@ -7,25 +7,25 @@ sequence.  Tableau entries are spelled as exact rationals; the test suite
 checks their internal consistency identities (stage sums, interpolant
 endpoint conditions) in exact arithmetic.
 
-The states here have 1-6 components, so a step runs on tuples of plain
-floats: each stage is y + h * (0.0 + sum_j a_ij K_j), summed in j order.
-At that size array calls cost more than the arithmetic, and the fixed order
-gives the same bytes on every host (libm's exp and pow aside), where a BLAS
-kernel chosen by CPU sums in its own order.  The first run with n
-components generates one straight-line Python step for n, with every
-tableau entry written out as a float literal, so no loop over components
-or entries is left to interpret; dense output is read by one generated
-reader per state size.  The mesh is kept as lists; ``t``, ``y`` and
-``sample`` import numpy and build arrays on first use.
+The states here have 1-6 components, so a step runs on plain floats: each
+stage is y + h * (0.0 + sum_j a_ij K_j), summed in j order.  At that size
+array calls cost more than the arithmetic, and the fixed order gives the
+same bytes on every host (libm's exp and pow aside), where a BLAS kernel
+chosen by CPU sums in its own order.  The first run with n components
+generates one function that runs the whole adaptive loop for n, with every
+tableau entry a float literal, so no loop over components or entries is
+left to interpret; dense output is read by one generated reader per state
+size.  The mesh is kept as lists; ``t``, ``y`` and ``sample`` import numpy
+and build arrays on first use.
 
 A system's right-hand side is written once, as a stage body: lines that
-read t and x0 ... and give the slopes.  The problems, the scale and clock
-systems in ``gauge`` and the time integrals in ``invariants`` compile their
-``rhs`` from one (``_compiled_rhs``); given such an ``rhs``, each stage of
-the step runs the same lines inline, so the meshes, states and first error
-are the call's, bit for bit.  Any other callable, a functools.wraps wrapper
-too, is called once per stage and what it returns is checked.  The code is
-compiled once per source text; numbers reach it through namespace slots.
+read t and x0 ... and give the slopes.  The problems, the scale, clock and
+tau-run systems in ``gauge`` and the time integrals in ``invariants``
+compile their ``rhs`` from one (``_compiled_rhs``); given such an ``rhs``,
+each stage runs the same lines inline, so the meshes, states and first
+error are the call's, bit for bit.  Any other callable (a functools.wraps
+wrapper too) is called once per stage and what it returns is checked.
+Code is compiled once per source text; numbers reach it through slots.
 
 Time integrals are carried as extra components of the state: F' = f(t)
 rides along in the same run as the quantities it depends on, and its values
@@ -146,8 +146,9 @@ class IntegratorConfig:
         # a bool is an int, but True is no step count
         if isinstance(max_steps, bool) or not (isinstance(max_steps, int) and max_steps >= 1):
             raise ValueError(f"max_steps = {max_steps!r} must be an integer >= 1")
-        self.rel_tol, self.abs_tol = rel_tol, abs_tol
-        self.max_step, self.first_step, self.max_steps = max_step, first_step, max_steps
+        # floats, so the step control's own arithmetic raises no TypeError
+        self.rel_tol, self.abs_tol, self.max_step = float(rel_tol), float(abs_tol), float(max_step)
+        self.first_step, self.max_steps = first_step and float(first_step), max_steps
 
 
 class Trajectory:
@@ -187,17 +188,20 @@ class Trajectory:
                 return self.ys[0]
             raise ValueError("trajectory has no extent")
         t = float(t)
-        t0, t_end = seg_t[0], self._t_end
+        lo, hi, low, high, key = self._window
+        if not low <= t <= high:
+            raise ValueError(f"t={t} outside the integrated interval [{lo}, {hi}]")
+        # the search starts at 1, so a t in the slack before seg_t[0] reads segment 0
+        i = bisect.bisect_right(seg_t, t if key is None else -t, 1, key=key) - 1
+        return self._read((t - seg_t[i]) / self._seg_h[i], self._seg_y[i], self._seg_q[i])
+
+    @functools.cached_property
+    def _window(self):
+        """[lo, hi], what a call accepts (1e-10 of it wider) and seg_t's search key."""
+        t0, t_end = self._seg_t[0], self._t_end
         lo, hi = (t0, t_end) if t_end >= t0 else (t_end, t0)
         slack = 1e-10 * (hi - lo)
-        if not (lo - slack <= t <= hi + slack):
-            raise ValueError(f"t={t} outside the integrated interval [{lo}, {hi}]")
-        if t_end >= t0:
-            i = bisect.bisect_right(seg_t, t) - 1
-        else:
-            i = bisect.bisect_right(seg_t, -t, key=operator.neg) - 1
-        i = min(max(i, 0), len(seg_t) - 1)
-        return self._read((t - seg_t[i]) / self._seg_h[i], self._seg_y[i], self._seg_q[i])
+        return lo, hi, lo - slack, hi + slack, None if t_end >= t0 else operator.neg
 
     @functools.cached_property
     def _read(self):
@@ -219,65 +223,86 @@ def linspace(a: float, b: float, count: int) -> list:
     return [a + i * step for i in range(count - 1)] + [b]
 
 
+# The adaptive loop; _kernel fills in the stages, the error terms and the
+# dense rows for n components, and the controller's constants.
+_LOOP = """\
+def _run(f, t0, y, k0, h, t_end, direction, span_floor, abs_tol, rel_tol,
+         max_step, max_steps, ts, ys, seg_t, seg_h, seg_y, seg_q):
+    [{y}], [{k0}] = y, k0
+    toward, accepted, rejected = direction * _inf, 0, 0
+    while (t_end - t0) * direction > 0:
+        h_min = max(10.0 * _abs(_nextafter(t0, toward) - t0), span_floor)
+        if h < h_min or accepted + rejected >= max_steps: break
+        clipped = h >= _abs(t_end - t0)
+        h_use = _abs(t_end - t0) if clipped else h
+        hd = h_use * direction
+        {stages}
+        if not _isfinite(err): {reject}
+        if err <= 1.0:
+            t_new = t_end if clipped else t0 + hd
+            seg_t.append(t0)
+            seg_h.append(t_new - t0)
+            seg_y.append(y)
+            seg_q.append({rows})
+            t0, y, [{y}], [{k0}] = t_new, {state}, {state}, {k6}
+            ts.append(t0)
+            ys.append(y)
+            accepted += 1
+            factor = {max_f} if err == 0 else min({max_f}, {grow})
+        else:
+            rejected += 1
+            factor = max({min_f}, {grow})
+        h = min(h_use * factor, max_step)
+    return accepted, rejected, h, h_min
+"""
+
+
 @functools.lru_cache(maxsize=64)
 def _kernel(n: int, body: tuple | None = None):
-    """Compiled code that defines the step functions for n-component states.
+    """Compiled code that defines _LOOP's _run for n components.
 
-    Run in a namespace, it defines _stages and _dense.  stages(f, t0, y, hd,
-    k0, abs_tol, rel_tol) forms the six new stage inputs in x0 ... x{n-1}
-    and the stage time in t, gets each stage's slopes and checks them, and
-    returns (y_new, K, err), or (None, None, inf) at the first slope that is
-    not finite.  With body None, each stage calls f.  Otherwise body is
-    (lines, slopes): lines that read t and x0 ... and the n slope
-    expressions, written into every stage in place of the call; the names
-    they use beyond those come from the namespace.  dense(hd, K) returns an
-    accepted step's four theta-coefficient rows.  The source names only
-    identifiers made up here, the body's, and the exact reprs of the
-    tableaux, so code is shared by every body of the same text.
-    """
+    _run steps from t0, y, slopes k0 toward t_end, appends each accepted
+    step to ts, ys and the segment lists, and returns (accepted, rejected,
+    h, h_min); short of t_end, h fell below h_min or the steps hit max_steps.
+    Each stage forms x0 ... x{n-1} and t, then calls f or runs body's lines
+    and n slopes (other names come from the namespace).  The source holds
+    only names made up here, the body's and float reprs, so it is shared."""
     comps = range(n)
 
     def tup(items):
         return "(" + "".join(f"{x}, " for x in items) + ")"
 
-    def unpack(name):
-        return f"[{', '.join(f'{name}_{c}' for c in comps)}] = {name}"
+    def names(name):
+        return ", ".join(f"{name}_{c}" for c in comps)
 
     def combine(base, row, c):
         return base + " + hd * (0.0" + "".join(f" + {a!r} * k{j}_{c}" for j, a in row) + ")"
 
     state = tup(f"x{c}" for c in comps)
-    stages = ["def _stages(f, t0, y, hd, k0, abs_tol, rel_tol):", unpack("y"), unpack("k0")]
+    reject = f"rejected += 1; h = h_use * {_MIN_FACTOR!r}; continue"
+    stages = []
     for i in range(1, 7):
         stages += [f"x{c} = {combine(f'y_{c}', _AF[i], c)}" for c in comps]
         if body is None:
-            stages.append(f"k{i} = f(t0 + {_CF[i]!r} * hd, {state})")
-            stages.append(unpack(f"k{i}"))
+            stages.append(f"[{names(f'k{i}')}] = f(t0 + {_CF[i]!r} * hd, {state})")
         else:
             stages.append(f"t = t0 + {_CF[i]!r} * hd")
             stages += body[0]
             stages += [f"k{i}_{c} = {slope}" for c, slope in zip(comps, body[1])]
         finite = " and ".join(f"_isfinite(k{i}_{c})" for c in comps) or "True"
-        stages.append(f"if not ({finite}): return None, None, _inf")
+        stages.append(f"if not ({finite}): {reject}")
     # x0 ... now hold the new state, since _A[6] == _B.  The error is _rms of
     # e / scale, with max(a, b) spelled as what it returns for two floats.
     for c in comps:
-        stages.append(f"a_{c} = _abs(y_{c})")
-        stages.append(f"b_{c} = _abs(x{c})")
-        stages.append(f"e_{c} = ({combine('0.0', _EF, c)}) / "
-                      f"(abs_tol + rel_tol * (b_{c} if b_{c} > a_{c} else a_{c}))")
-    slopes = ["k0"] + [f"k{i}" if body is None else tup(f"k{i}_{c}" for c in comps)
-                       for i in range(1, 7)]
-    squares = ", ".join(f"e_{c} * e_{c}" for c in comps)
-    stages.append(f"return {state}, {tup(slopes)}, _sqrt(_sum([{squares}]) / {n})")
-
-    used = sorted({j for row in _PF for j, _ in row})
-    dense = ["def _dense(hd, K):", f"[{', '.join(f'k{i}' for i in range(7))}] = K"]
-    dense += [unpack(f"k{j}") for j in used]
-    rows = [tup(combine("0.0", row, c) for c in comps) for row in _PF]
-    dense.append(f"return {tup(rows)}")
-
-    source = "\n    ".join(stages) + "\n" + "\n    ".join(dense) + "\n"
+        stages += [f"a_{c} = _abs(y_{c})", f"b_{c} = _abs(x{c})",
+                   f"e_{c} = ({combine('0.0', _EF, c)}) / "
+                   f"(abs_tol + rel_tol * (b_{c} if b_{c} > a_{c} else a_{c}))"]
+    stages.append(f"err = _sqrt(_sum([{', '.join(f'e_{c} * e_{c}' for c in comps)}]) / {n})")
+    source = _LOOP.format(
+        y=names("y"), k0=names("k0"), stages="\n        ".join(stages), reject=reject,
+        rows=tup(tup(combine("0.0", row, c) for c in comps) for row in _PF),
+        state=state, k6=tup(f"k6_{c}" for c in comps), max_f=repr(_MAX_FACTOR),
+        min_f=repr(_MIN_FACTOR), grow=f"{_SAFETY!r} * err ** ({_ORDER_EXP!r})")
     return compile(source, f"<dopri5 n={n}>", "exec")
 
 
@@ -371,21 +396,21 @@ def _initial_step(f, t0, y0, f0, direction, rel_tol, abs_tol, span):
     return min(100 * h0, h1, span)
 
 
-def _raised_by_rhs(exc: BaseException, f, stages=None) -> bool:
+def _raised_by_rhs(exc: BaseException, f, run=None) -> bool:
     """Whether exc is the right-hand side failing: an ArithmeticError or
-    ValueError, or a TypeError raised inside rhs (a coefficient that returns
-    text or None fails in the arithmetic on it), in the stage code that
-    inlines rhs or below f's call of it.  A TypeError from calling rhs with
-    arguments it does not take is raised in f's own frame, and one from the
-    integrator's own arithmetic in neither, so both stay TypeErrors."""
+    ValueError, or a TypeError raised in or below the generated loop run,
+    which inlines rhs, or below f's call of rhs (a coefficient that returns
+    text or None fails in the arithmetic on it).  One raised in f's own frame
+    (rhs does not take (t, y)) or in _initial_step stays a TypeError; run's
+    step control, on floats, raises none."""
     if not isinstance(exc, TypeError):
         return True
-    codes = []
-    tb = exc.__traceback__
+    codes, tb = [], exc.__traceback__
     while tb is not None:
         codes.append(tb.tb_frame.f_code)
         tb = tb.tb_next
-    return (stages is not None and codes[-1] is stages.__code__) or f.__code__ in codes[:-1]
+    return codes[-1] is not f.__code__ and (
+        f.__code__ in codes or getattr(run, "__code__", None) in codes)
 
 
 def integrate(rhs: Callable, t0: float, y0, t_end: float,
@@ -397,14 +422,13 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     the t of the call (mid-run, with t_reached the start of its step).
     Raises RhsError when the right-hand side is not finite at the starting
     point (a singular initial time), StepSizeUnderflowError with the
-    reached time when the error controller
-    cannot advance (a finite-time blow-up inside the interval, or an
-    interval too long to resolve in double precision), and
-    StepEvaluationError with the reached time when the right-hand side
-    raises an ArithmeticError, ValueError or TypeError inside a step (a
-    coefficient that returns text or None fails in the arithmetic).  A
-    non-finite t0 or t_end is a ValueError; an rhs that does not take
-    (t, y) gives the TypeError of the call.
+    reached time when the error controller cannot advance (a finite-time
+    blow-up inside the interval, or an interval too long to resolve in
+    double precision), and StepEvaluationError with the reached time when
+    the right-hand side raises an ArithmeticError, ValueError or TypeError
+    inside a step (a coefficient that returns text or None fails in the
+    arithmetic).  A non-finite t0 or t_end is a ValueError; an rhs that
+    does not take (t, y) gives the TypeError of the call.
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"integration limits t0={t0}, t_end={t_end} must be finite")
@@ -432,71 +456,39 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
 
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
-    span_floor = 5e-15 * span
-    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     body = _problem_body(rhs, n)
-    namespace = {"_isfinite": math.isfinite, "_abs": abs, "_sqrt": math.sqrt,
-                 "_sum": sum, "_inf": math.inf, **(body[2] if body else {})}
+    namespace = {"_isfinite": math.isfinite, "_abs": abs, "_sqrt": math.sqrt, "_sum": sum,
+                 "_inf": math.inf, "_nextafter": math.nextafter, **(body[2] if body else {})}
     exec(_kernel(n, body and body[:2]), namespace)
-    stages, dense = namespace["_stages"], namespace["_dense"]
-    accepted = rejected = 0
+    run = namespace.pop("_run")  # run holds namespace; a cycle would wait for the collector
+    # every step starts at the last accepted time, so ts[-1] is where a failure stops
     try:
-        if cfg.first_step is not None:
-            h = min(cfg.first_step, span)
-        else:
-            h = _initial_step(f, t, y, k0, direction, rel_tol, abs_tol, span)
-        h = min(h, cfg.max_step)
-        while (t_end - t) * direction > 0:
-            h_min = max(10.0 * abs(math.nextafter(t, direction * math.inf) - t), span_floor)
-            if h < h_min:
-                reason = "solution likely blows up here"
-                if accepted + rejected == 0 and h_min == span_floor:
-                    reason = (f"the first step {h:.3g} is below 5e-15 of the interval length "
-                              f"{span:.3g}: too long to resolve in double precision")
-                raise StepSizeUnderflowError(
-                    f"step size underflow at t={t} ({reason})", t_reached=t)
-            if accepted + rejected >= cfg.max_steps:
-                raise IntegrationError(
-                    f"exceeded {cfg.max_steps} steps at t={t}", t_reached=t)
-
-            clipped = h >= abs(t_end - t)
-            h_use = abs(t_end - t) if clipped else h
-            hd = h_use * direction
-
-            y_new, K, err = stages(f, t, y, hd, k0, abs_tol, rel_tol)
-            if not math.isfinite(err):
-                rejected += 1
-                h = h_use * _MIN_FACTOR
-                continue
-
-            if err <= 1.0:
-                t_new = t_end if clipped else t + hd
-                traj._seg_t.append(t)
-                traj._seg_h.append(t_new - t)
-                traj._seg_y.append(y)
-                traj._seg_q.append(dense(hd, K))
-                ts.append(t_new)
-                ys.append(y_new)
-                accepted += 1
-                t, y, k0 = t_new, y_new, K[6]
-                factor = _MAX_FACTOR if err == 0 else min(
-                    _MAX_FACTOR, _SAFETY * err ** _ORDER_EXP)
-            else:
-                rejected += 1
-                factor = max(_MIN_FACTOR, _SAFETY * err ** _ORDER_EXP)
-            h = min(h_use * factor, cfg.max_step)
+        h = cfg.first_step or _initial_step(f, t, y, k0, direction, cfg.rel_tol, cfg.abs_tol, span)
+        h = min(h, span, cfg.max_step)
+        traj.accepted, traj.rejected, h, h_min = run(
+            f, t, y, k0, h, t_end, direction, 5e-15 * span, cfg.abs_tol, cfg.rel_tol,
+            cfg.max_step, cfg.max_steps, ts, ys, traj._seg_t, traj._seg_h, traj._seg_y,
+            traj._seg_q)
     except (ArithmeticError, ValueError, TypeError) as exc:
-        if not _raised_by_rhs(exc, f, stages):
+        if not _raised_by_rhs(exc, f, run):
             raise
         raise StepEvaluationError(
-            f"right-hand side failed in the step from t={t}: {exc}",
-            t_reached=t) from exc
+            f"right-hand side failed in the step from t={ts[-1]}: {exc}",
+            t_reached=ts[-1]) from exc
     except IntegrationError as exc:
         if exc.t_reached is None:  # f refused what rhs returned in this step
-            exc.t_reached = t
+            exc.t_reached = ts[-1]
         raise
 
-    traj.accepted, traj.rejected = accepted, rejected
+    t = ts[-1]
+    if (t_end - t) * direction > 0:
+        if h < h_min:
+            reason = "solution likely blows up here"
+            if traj.accepted + traj.rejected == 0 and h_min == 5e-15 * span:
+                reason = (f"the first step {h:.3g} is below 5e-15 of the interval length "
+                          f"{span:.3g}: too long to resolve in double precision")
+            raise StepSizeUnderflowError(f"step size underflow at t={t} ({reason})", t_reached=t)
+        raise IntegrationError(f"exceeded {cfg.max_steps} steps at t={t}", t_reached=t)
     return traj
 
 

@@ -1,21 +1,25 @@
 """The time-integral systems inlined into the generated step.
 
 ``kummer_liouville`` integrates the scale equation (gamma, gamma') and then
-(gamma, gamma', P, tau); ``rescaled_energy_invariant`` integrates A = int a
-and ``dilation_invariant`` (A, G = int exp(A)).  Each hands ``integrate`` the
-``rhs`` of a small system object, generated from the stage body that is
-written into the stages.  The same ``rhs`` behind a lambda takes the call
-path; the independent references are ``_old_scale``, ``_old_clock`` and
-``_old_integrals``, the lambdas these systems replaced.  All three runs must
-give the same mesh, states, dense rows, step counts and errors, bit for bit.
+(gamma, gamma', P, tau); ``canonical_residual`` integrates the canonical
+tau-run (t, x', dx'/dtau); ``rescaled_energy_invariant`` integrates A = int a
+and ``dilation_invariant`` (A, G = int exp(A)).  Each hands ``integrate`` an
+``rhs`` generated from the stage body that is written into the stages.  The
+same ``rhs`` behind a lambda takes the call path; the independent references
+are ``_old_scale``, ``_old_clock``, ``_old_tau`` and ``_old_integrals``, the
+closures these systems replaced.  All three runs must give the same mesh,
+states, dense rows, step counts and errors, bit for bit.
 """
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from emdenlab import gauge, invariants, numerics, problemfile
-from emdenlab.gauge import _ScaleSystem, kummer_liouville
+from emdenlab.exprlang import real_power
+from emdenlab.gauge import _ScaleSystem, canonical_residual, kummer_liouville
 from emdenlab.invariants import (
     _INTEGRAL_CONFIG, _TimeIntegrals, dilation_invariant, rescaled_energy_invariant,
 )
@@ -51,26 +55,54 @@ def _old_clock(p, q):
     return rhs
 
 
+def _old_tau(kl):
+    """canonical_residual's tau-run as it was written before it was generated."""
+    t0, t_end = kl.t0, kl.t_end
+
+    def rhs(tau, y):
+        t = min(max(y[0], t0), t_end)  # the t state overshoots by round-off
+        return (kl.gamma(t) / kl.beta(t), y[2], kl.coefficient(t) * real_power(y[1], kl.n))
+
+    return rhs
+
+
+def _tau_case(kl, z0):
+    """(system, t0, y0, t1) of the tau-run that canonical_residual makes from
+    z0.  A truncated window's run stops at tau(t) for t in mid-window: near
+    its end tau' = exp(-P)/gamma^2 grows without bound, so a backward run
+    from there would not get back."""
+    x0, v0 = z0
+    g0 = kl.gamma(kl.t0)
+    y0 = (kl.t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(kl.t0))
+    t1 = 0.5 * (kl.t0 + kl.t_end) if kl.truncated else kl.t_end
+    return SimpleNamespace(rhs=gauge._tau_rhs(kl)), 0.0, y0, kl.tau(t1)
+
+
 def _old_integrals(a, with_g):
     if with_g:
         return lambda t, y: (a(t), math.exp(y[0]))
     return lambda t, y: (a(t),)
 
 
-def _cases():
-    """(id, system, the lambda it replaced, t0, y0, t1, config)."""
+def _windows():
+    """(name, problem, gamma_init, truncated) of the Kummer-Liouville windows
+    on [1, 5]; the README's damped.spec --gamma-init 1,-1 has gamma = 1/t."""
     damped, _ = _spec("damped.spec")
     with_q, _ = _spec(WITH_Q)
-    out = []
-    # the clock runs to where kummer_liouville ends it, before any zero of
-    # gamma; the README's damped.spec --gamma-init 1,-1 has gamma = 1/t
-    for name, prob, start, truncated in (
+    return [
         ("damped", damped, (1.0, -0.5), False),
         ("damped-readme", damped, (1.0, -1.0), False),
         ("damped-truncated", damped, (1.0, -2.0), True),
         ("with-q", with_q, (1.0, 0.2), True),
         ("powerfn", GeneralizedProblem(PowerFn(2, 0, 1, -1), None, 1.0, 5), (1.0, 0.3), False),
-    ):
+    ]
+
+
+def _cases():
+    """(id, system, the closure it replaced, t0, y0, t1, config)."""
+    out = []
+    # the clock runs to where kummer_liouville ends it, before any zero of gamma
+    for name, prob, start, truncated in _windows():
         p, q = prob.p, prob.q
         kl = kummer_liouville(prob, 1.0, 5.0, gamma_init=start)
         assert kl.truncated == truncated
@@ -78,6 +110,8 @@ def _cases():
                     1.0, start, 5.0, KL_CONFIG))
         out.append((f"clock-{name}", _ScaleSystem(p, q, clock=True), _old_clock(p, q),
                     1.0, start + (0.0, 0.0), kl.t_end, KL_CONFIG))
+        tau, s0, y0, s1 = _tau_case(kl, (0.3, 0.0))
+        out.append((f"tau-{name}", tau, _old_tau(kl), s0, y0, s1, KL_CONFIG))
     drag, (d0, d1) = _spec("lane-emden-n5.spec")
     for name, a in (("spec", drag.a), ("powerfn", PowerFn(-2, 0, 1, -1)),
                     ("lambda", lambda t: -2.0 / t)):
@@ -191,10 +225,83 @@ def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
     recording(gauge)
     recording(invariants)
     damped, (t0, t1) = _spec("damped.spec")
-    kummer_liouville(damped, t0, t1, gamma_init=(1.0, -1.0))
+    kl = kummer_liouville(damped, t0, t1, gamma_init=(1.0, -1.0))
+    canonical_residual(kl, damped, (0.3, 0.0))
     drag = EmdenProblem(PowerFn(-2, 0, 1, -1), PowerFn(1, 0, 1, -4), 5)
     rescaled_energy_invariant(drag, 0.5, (0.5, 5.0))
     dilation_invariant(drag, 0.5, (0.6, 5.0))
-    assert [n for _, n in seen] == [2, 4, 1, 2]
+    # the scale and clock runs; the problem and the tau-run; A; (A, G)
+    assert [n for _, n in seen] == [2, 4, 2, 3, 1, 2]
     for rhs, n in seen:
         assert numerics._problem_body(rhs, n) is not None
+
+
+def test_the_tau_run_calls_the_functions_of_the_reduction():
+    damped, (t0, t1) = _spec("damped.spec")
+    kl = kummer_liouville(damped, t0, t1, gamma_init=(1.0, -1.0))
+    for field in ("gamma", "beta", "coefficient"):
+        fn, calls = getattr(kl, field), []
+        same = dataclasses.replace(kl, **{field: lambda t, fn=fn: calls.append(t) or fn(t)})
+        assert numerics._problem_body(gauge._tau_rhs(same), 3) is not None
+        # the same values through the replaced function, so the same residual
+        assert (canonical_residual(same, damped, (0.3, 0.0)).hex()
+                == canonical_residual(kl, damped, (0.3, 0.0)).hex())
+        assert calls
+
+
+@pytest.mark.parametrize("window", _windows(), ids=[w[0] for w in _windows()])
+def test_the_whole_tau_run_matches_the_call_path(window):
+    # the tau-run to the end of the window, as canonical_residual makes it
+    _, prob, start, _ = window
+    kl = kummer_liouville(prob, 1.0, 5.0, gamma_init=start)
+    system, s0, y0, _ = _tau_case(kl, (0.3, 0.0))
+    inline, called, before = _runs(system, _old_tau(kl), s0, y0, kl.tau(kl.t_end), KL_CONFIG)
+    _assert_same(inline, called)
+    _assert_same(inline, before)
+
+
+def test_a_coefficient_leaving_its_domain_stops_the_tau_run_as_the_call_path_does():
+    # r = sqrt(3 - t) is not real past t = 3, inside the window
+    prob = GeneralizedProblem(PowerFn(2, 0, 1, -1), None,
+                              problemfile.compile_expression("sqrt(3 - t)"), 5)
+    kl = kummer_liouville(prob, 1.0, 5.0, gamma_init=(1.0, -1.0))
+    system, s0, y0, s1 = _tau_case(kl, (0.3, 0.0))
+    err = _error_parity(system, _old_tau(kl), s0, y0, s1, KL_CONFIG)
+    assert "sqrt" in str(err.__cause__)
+    assert 0.0 < err.t_reached < s1
+
+
+def test_a_coefficient_that_returns_no_real_is_refused_at_tau_as_on_the_call_path():
+    # r is called at the clamped t, but what the slopes come to is checked,
+    # and named, at the stage's tau, as the call path checks what rhs returns
+    prob = GeneralizedProblem(PowerFn(2, 0, 1, -1), None, lambda t: 1.0 if t < 1.2 else 1j, 5)
+    kl = kummer_liouville(prob, 1.0, 2.0, gamma_init=(1.0, -1.0))
+    system, s0, y0, s1 = _tau_case(kl, (0.3, 0.0))
+    raised = []
+    for rhs in (system.rhs, lambda t, y: system.rhs(t, y), _old_tau(kl)):
+        with pytest.raises(IntegrationError, match="not a sequence of real numbers") as err:
+            integrate(rhs, s0, y0, s1, KL_CONFIG)
+        raised.append(err.value)
+    for other in raised[1:]:
+        assert str(raised[0]) == str(other)
+        assert raised[0].t_reached.hex() == other.t_reached.hex()
+    assert 0.0 < raised[0].t_reached < s1
+
+
+def test_the_reduction_reads_its_clock_run_once_per_t(monkeypatch):
+    # the five functions at one t read the (gamma, gamma', P, tau) run once;
+    # another t reads it again, and so does every read at 0.0 or -0.0
+    prob = GeneralizedProblem(0.5, None, 1.0, 5)
+    kl, other = (kummer_liouville(prob, 0.0, 1.0, gamma_init=(1.0, -0.5)) for _ in range(2))
+    fields = ("gamma", "dgamma", "beta", "tau", "coefficient")
+    reads, call = [], numerics.Trajectory.__call__
+    monkeypatch.setattr(numerics.Trajectory, "__call__",
+                        lambda self, t: reads.append(t) or call(self, t))
+    ts = (0.3, 0.3, 0.7, -0.0, 0.0, 1.0)
+    got = [[getattr(kl, field)(t) for field in fields] for t in ts]
+    assert [t.hex() for t in reads] == [t.hex() for t in (0.3, 0.7, *[-0.0] * 5, *[0.0] * 5, 1.0)]
+    # the same values as reads made afresh, each after a read at another t
+    for t, values in zip(ts, got):
+        for field, value in zip(fields, values):
+            other.gamma(0.5)
+            assert getattr(other, field)(t).hex() == value.hex()

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,6 +207,16 @@ class TestIntegrate:
         with pytest.raises(TypeError, match="in the step-size norm"):
             integrate(lambda t, y: (1.0,), 0.0, (0.0,), 1.0)
 
+    def test_a_decimal_step_limit_runs_as_its_float(self):
+        # the config keeps floats, so the generated loop's step control does
+        # not fail on a Decimal (and blame it on rhs) but runs as with 0.1
+        runs = [integrate(_oscillator, 0.0, [1.0, 0.0], 3.0,
+                          IntegratorConfig(1e-4, 1e-6, max_step=step, first_step=first))
+                for step, first in ((Decimal("0.1"), Decimal("0.01")), (0.1, 0.01))]
+        assert [t.hex() for t in runs[0].ts] == [t.hex() for t in runs[1].ts]
+        assert 0.1 in [b - a for a, b in zip(runs[1].ts, runs[1].ts[1:])]  # max_step binds
+        assert runs[0].ys == runs[1].ys
+
     @pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")])
     def test_rhs_that_returns_text_is_refused(self, text):
         # float() would parse "1" and "2", and bytes iterate as ints
@@ -302,6 +313,10 @@ class TestKernel:
         assert _hex(traj.ts) == _hex(ts)
         assert _hex(traj.ys) == _hex(ys)
         assert _hex(traj._seg_q) == _hex(qs)
+        # each segment starts at a mesh point and spans the step to the next
+        assert _hex(traj._seg_t) == _hex(ts[:-1])
+        assert _hex(traj._seg_h) == _hex([b - a for a, b in zip(ts, ts[1:])])
+        assert _hex(traj._seg_y) == _hex(ys[:-1])
         assert (traj.accepted, traj.rejected) == (accepted, rejected)
         return traj
 

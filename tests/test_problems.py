@@ -14,8 +14,9 @@ import math
 
 import pytest
 
-from emdenlab import numerics, problemfile
+from emdenlab import gauge, numerics, problemfile
 from emdenlab.exprlang import EvalDomainError, real_power
+from emdenlab.gauge import canonical_residual, kummer_liouville
 from emdenlab.numerics import IntegratorConfig, RhsError, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
 from emdenlab.solutions import catalog
@@ -234,6 +235,24 @@ def test_a_coefficient_that_returns_no_number_fails_naming_t(bad):
     assert type(inline.__cause__) is type(called.__cause__) is TypeError
 
 
+def test_a_type_error_inside_a_called_coefficient_fails_as_on_the_call_path():
+    # the inlined body calls a; the TypeError is raised in a's own frame,
+    # below the generated loop, as on the call path it is below rhs
+    def a(t):
+        return 1.5 if t < 0.3 else None + t
+
+    prob = EmdenProblem(a, -1.0, 3)
+    raised = []
+    for rhs in (prob.rhs, lambda t, z: prob.rhs(t, z)):
+        with pytest.raises(StepEvaluationError) as err:
+            integrate(rhs, 0.0, (1.0, 0.1), 1.0)
+        raised.append(err.value)
+    inline, called = raised
+    assert str(inline) == str(called)
+    assert 0.0 < inline.t_reached == called.t_reached < 0.3
+    assert type(inline.__cause__) is type(called.__cause__) is TypeError
+
+
 def test_a_wrapped_rhs_is_called_for_every_stage():
     prob, z0, (t0, t1), cfg = _spec_case(SPECS["lane-emden-n5.spec"])
     calls = []
@@ -258,12 +277,27 @@ def test_kernels_are_built_on_first_use_and_shared_by_shape():
     assert numerics._kernel.cache_info().misses == misses
     assert numerics._rhs_code.cache_info().misses == rhs_misses
     integrate(one.rhs, 0.5, (1.0, 0.0), 2.0)
+    misses = numerics._kernel.cache_info().misses
     integrate(two.rhs, 0.5, (1.0, 0.0), 2.0)
+    assert numerics._kernel.cache_info().misses == misses
     assert one.rhs.stage_body[:2] == two.rhs.stage_body[:2]
     assert one.rhs.stage_body[2] != two.rhs.stage_body[2]
     assert one.rhs.__code__ is two.rhs.__code__
     assert (numerics._kernel(2, one.rhs.stage_body[:2])
             is numerics._kernel(2, two.rhs.stage_body[:2]))
+    # one compiled loop per (n, body text): a second Kummer-Liouville
+    # operation with other numbers compiles none, its tau-run's included
+    taus, counts = [], []
+    for c, r in ((2, 1.0), (3, 0.5)):
+        prob = GeneralizedProblem(PowerFn(c, 0, 1, -1), None, r, 5)
+        kl = kummer_liouville(prob, 1.0, 2.0, gamma_init=(1.0, -0.5))
+        canonical_residual(kl, prob, (0.3, 0.0), grid_points=9)
+        taus.append(gauge._tau_rhs(kl).stage_body)
+        counts.append(numerics._kernel.cache_info().misses)
+    assert counts[1] == counts[0]
+    assert taus[0][:2] == taus[1][:2] and taus[0][2] != taus[1][2]
+    assert numerics._kernel(3, taus[0][:2]) is numerics._kernel(3, taus[1][:2])
+    assert numerics._kernel(3, taus[0][:2]) is not numerics._kernel(2, one.rhs.stage_body[:2])
 
 
 def test_the_inline_path_outlasts_the_code_caches():
