@@ -1,6 +1,7 @@
 """Command-line behaviour: verdict lines, exit codes, CSV determinism."""
 
 import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -492,6 +493,17 @@ class TestConstruct:
         prob = spec.build()
         t0 = spec.interval[0]
         assert prob.a(t0) == pytest.approx(4.0 / (1.0 - 2.0 * t0), rel=1e-12)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--n", "2", "--K", "0.5"),
+         "5e2846a43e786619e05935940c894020c3dd5c0f40ad18c835ded7f98bb15f02"),
+        (("--n", "-3", "--K", "2"),
+         "8043f65b502cb0b0aab7df59b8ff16d7a9eb296e3c44fbbccb1ba67d8e2be6ac"),
+    ])
+    def test_output_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "construct", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_linear_exponent_rejected(self, capsys):
         code, _, err = run(capsys, "construct", "--n", "1")

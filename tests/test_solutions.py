@@ -160,6 +160,269 @@ class TestCatalog:
             assert rep.relative_drift < 1e-6, entry.id
 
 
+def _shape(fn):
+    """repr of a PowerFn; the qualified name of anything else, whose repr
+    holds an address."""
+    return repr(fn) if type(fn) is PowerFn else getattr(fn, "__qualname__", type(fn).__qualname__)
+
+
+def _pin(entry):
+    prob = entry.problem
+    return {
+        "id": entry.id, "a": repr(prob.a), "xp": _shape(entry.xp),
+        "dxp": _shape(entry.dxp), "ddxp": _shape(entry.ddxp), "n": prob.n,
+        # hex, so a -0.0 shows
+        "singular_points": [s.hex() for s in prob.singular_points],
+        "window": entry.window, "parameters": entry.parameters, "describe": entry.describe(),
+    }
+
+
+# what each catalog builder hands out: the shipped catalog, then the
+# shifted entries, a power law and two constructed equations
+PINNED_ENTRIES = [
+    {
+        "id": "lane_emden_n5",
+        "a": "PowerFn(c=Fraction(-2, 1), k=Fraction(0, 1), m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=Fraction(1, 1), k=Fraction(0, 1), m=Fraction(2, 1), e=Fraction(-1, 2))",
+        "dxp": "PowerFn(c=Fraction(-1, 1), k=Fraction(0, 1), m=Fraction(2, 1), e=Fraction(-3, 2))",
+        "ddxp": "PowerFn(c=Fraction(3, 1), k=Fraction(0, 1), m=Fraction(2, 1), e=Fraction(-5, 2))",
+        "n": 5.0,
+        "singular_points": ["0x0.0p+0"],
+        "window": (0.5, 5.0),
+        "parameters": {},
+        "describe": (
+            "id: lane_emden_n5\n"
+            "equation: x'' = -2/t x' - x^5\n"
+            "solution: x(t) = (2 t)^(-1/2)\n"
+            "window: [0.5, 5]\n"
+            "parameters: (none)\n"
+            "slope-compatible: yes\n"
+            "note: inverse-square-root decay under 2/t drag"),
+    },
+    {
+        "id": "inverse_square_n2",
+        "a": "PowerFn(c=Fraction(-5, 1), k=1.0, m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=Fraction(4, 1), k=1.0, m=Fraction(1, 1), e=Fraction(-2, 1))",
+        "dxp": "PowerFn(c=Fraction(-8, 1), k=1.0, m=Fraction(1, 1), e=Fraction(-3, 1))",
+        "ddxp": "PowerFn(c=Fraction(24, 1), k=1.0, m=Fraction(1, 1), e=Fraction(-4, 1))",
+        "n": 2.0,
+        "singular_points": ["-0x1.0000000000000p+0"],
+        "window": (0.5, 5.0),
+        "parameters": {"shift": 1.0},
+        "describe": (
+            "id: inverse_square_n2\n"
+            "equation: x'' = -5/(t + 1) x' - x^2\n"
+            "solution: x(t) = 4 (t + 1)^(-2)\n"
+            "window: [0.5, 5]\n"
+            "parameters: shift = 1\n"
+            "slope-compatible: yes\n"
+            "note: inverse-square decay for the quadratic nonlinearity"),
+    },
+    {
+        "id": "quartic_root_n9",
+        "a": "PowerFn(c=Fraction(-3, 2), k=1.0, m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=0.7071067811865476, k=1.0, m=Fraction(1, 1), e=Fraction(-1, 4))",
+        "dxp": "PowerFn(c=-0.1767766952966369, k=1.0, m=Fraction(1, 1), e=Fraction(-5, 4))",
+        "ddxp": "PowerFn(c=0.2209708691207961, k=1.0, m=Fraction(1, 1), e=Fraction(-9, 4))",
+        "n": 9.0,
+        "singular_points": ["-0x1.0000000000000p+0"],
+        "window": (0.5, 5.0),
+        "parameters": {"shift": 1.0},
+        "describe": (
+            "id: quartic_root_n9\n"
+            "equation: x'' = -3/(2 (t + 1)) x' - x^9\n"
+            "solution: x(t) = 2^(-1/2) (t + 1)^(-1/4)\n"
+            "window: [0.5, 5]\n"
+            "parameters: shift = 1\n"
+            "slope-compatible: yes\n"
+            "note: slow quartic-root decay for the n = 9 nonlinearity"),
+    },
+    {
+        "id": "cube_root_n7",
+        "a": "PowerFn(c=Fraction(-5, 3), k=1.0, m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=0.6933612743506348, k=1.0, m=Fraction(1, 1), e=Fraction(-1, 3))",
+        "dxp": "PowerFn(c=-0.23112042478354491, k=1.0, m=Fraction(1, 1), e=Fraction(-4, 3))",
+        "ddxp": "PowerFn(c=0.3081605663780599, k=1.0, m=Fraction(1, 1), e=Fraction(-7, 3))",
+        "n": 7.0,
+        "singular_points": ["-0x1.0000000000000p+0"],
+        "window": (0.5, 5.0),
+        "parameters": {"shift": 1.0},
+        "describe": (
+            "id: cube_root_n7\n"
+            "equation: x'' = -5/(3 (t + 1)) x' - x^7\n"
+            "solution: x(t) = 3^(-1/3) (t + 1)^(-1/3)\n"
+            "window: [0.5, 5]\n"
+            "parameters: shift = 1\n"
+            "slope-compatible: yes\n"
+            "note: cube-root decay for the n = 7 nonlinearity"),
+    },
+    {
+        "id": "powerlaw_n5",
+        "a": "PowerFn(c=Fraction(-1, 1), k=1.0, m=Fraction(1, 2), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=Fraction(1, 2), k=1.0, m=Fraction(1, 2), e=Fraction(-1, 2))",
+        "dxp": "PowerFn(c=Fraction(-1, 8), k=1.0, m=Fraction(1, 2), e=Fraction(-3, 2))",
+        "ddxp": "PowerFn(c=Fraction(3, 32), k=1.0, m=Fraction(1, 2), e=Fraction(-5, 2))",
+        "n": 5.0,
+        "singular_points": ["-0x1.0000000000000p+1"],
+        "window": (0.5, 5.0),
+        "parameters": {"n": 5.0, "shift": 1.0},
+        "describe": (
+            "id: powerlaw_n5\n"
+            "equation: x'' = -x'/(1 + (0.5) t) - x^5\n"
+            "solution: x(t) = (1/2)*(1 + (1/2)*t)^(-1/2)\n"
+            "window: [0.5, 5]\n"
+            "parameters: n = 5, shift = 1\n"
+            "slope-compatible: yes\n"
+            "note: pure power-law decay with the drag slope forced by the exponent"),
+    },
+    {
+        "id": "lane_emden_n5_bounded",
+        "a": "PowerFn(c=Fraction(-2, 1), k=Fraction(0, 1), m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp": "BoundedFamilyMember",
+        "dxp": "BoundedFamilyMember.slope",
+        "ddxp": "BoundedFamilyMember.curvature",
+        "n": 5.0,
+        "singular_points": ["0x0.0p+0"],
+        "window": (0.5, 5.0),
+        "parameters": {},
+        "describe": (
+            "id: lane_emden_n5_bounded\n"
+            "equation: x'' = -2/t x' - x^5\n"
+            "solution: x(t) = sqrt(3) (3 + t^2)^(-1/2)\n"
+            "window: [0.5, 5]\n"
+            "parameters: (none)\n"
+            "slope-compatible: no\n"
+            "note: globally bounded profile for the same drag problem"),
+    },
+    {
+        "id": "inverse_square_n2",
+        "a": "PowerFn(c=Fraction(-5, 1), k=0.5, m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=Fraction(4, 1), k=0.5, m=Fraction(1, 1), e=Fraction(-2, 1))",
+        "dxp": "PowerFn(c=Fraction(-8, 1), k=0.5, m=Fraction(1, 1), e=Fraction(-3, 1))",
+        "ddxp": "PowerFn(c=Fraction(24, 1), k=0.5, m=Fraction(1, 1), e=Fraction(-4, 1))",
+        "n": 2.0,
+        "singular_points": ["-0x1.0000000000000p-1"],
+        "window": (0.5, 5.0),
+        "parameters": {"shift": 0.5},
+        "describe": (
+            "id: inverse_square_n2\n"
+            "equation: x'' = -5/(t + 0.5) x' - x^2\n"
+            "solution: x(t) = 4 (t + 0.5)^(-2)\n"
+            "window: [0.5, 5]\n"
+            "parameters: shift = 0.5\n"
+            "slope-compatible: yes\n"
+            "note: inverse-square decay for the quadratic nonlinearity"),
+    },
+    {
+        "id": "quartic_root_n9",
+        "a": "PowerFn(c=Fraction(-3, 2), k=3.0, m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=0.7071067811865476, k=3.0, m=Fraction(1, 1), e=Fraction(-1, 4))",
+        "dxp": "PowerFn(c=-0.1767766952966369, k=3.0, m=Fraction(1, 1), e=Fraction(-5, 4))",
+        "ddxp": "PowerFn(c=0.2209708691207961, k=3.0, m=Fraction(1, 1), e=Fraction(-9, 4))",
+        "n": 9.0,
+        "singular_points": ["-0x1.8000000000000p+1"],
+        "window": (0.5, 5.0),
+        "parameters": {"shift": 3.0},
+        "describe": (
+            "id: quartic_root_n9\n"
+            "equation: x'' = -3/(2 (t + 3)) x' - x^9\n"
+            "solution: x(t) = 2^(-1/2) (t + 3)^(-1/4)\n"
+            "window: [0.5, 5]\n"
+            "parameters: shift = 3\n"
+            "slope-compatible: yes\n"
+            "note: slow quartic-root decay for the n = 9 nonlinearity"),
+    },
+    {
+        "id": "cube_root_n7",
+        "a": "PowerFn(c=Fraction(-5, 3), k=0.5, m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=0.6933612743506348, k=0.5, m=Fraction(1, 1), e=Fraction(-1, 3))",
+        "dxp": "PowerFn(c=-0.23112042478354491, k=0.5, m=Fraction(1, 1), e=Fraction(-4, 3))",
+        "ddxp": "PowerFn(c=0.3081605663780599, k=0.5, m=Fraction(1, 1), e=Fraction(-7, 3))",
+        "n": 7.0,
+        "singular_points": ["-0x1.0000000000000p-1"],
+        "window": (0.5, 5.0),
+        "parameters": {"shift": 0.5},
+        "describe": (
+            "id: cube_root_n7\n"
+            "equation: x'' = -5/(3 (t + 0.5)) x' - x^7\n"
+            "solution: x(t) = 3^(-1/3) (t + 0.5)^(-1/3)\n"
+            "window: [0.5, 5]\n"
+            "parameters: shift = 0.5\n"
+            "slope-compatible: yes\n"
+            "note: cube-root decay for the n = 7 nonlinearity"),
+    },
+    {
+        "id": "powerlaw_n3",
+        "a": "PowerFn(c=Fraction(-1, 1), k=2.0, m=Fraction(1, 3), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=Fraction(1, 3), k=2.0, m=Fraction(1, 3), e=Fraction(-1, 1))",
+        "dxp": "PowerFn(c=Fraction(-1, 9), k=2.0, m=Fraction(1, 3), e=Fraction(-2, 1))",
+        "ddxp": "PowerFn(c=Fraction(2, 27), k=2.0, m=Fraction(1, 3), e=Fraction(-3, 1))",
+        "n": 3.0,
+        "singular_points": ["-0x1.8000000000000p+2"],
+        "window": (-5.6, -2.0),
+        "parameters": {"n": 3.0, "shift": 2.0},
+        "describe": (
+            "id: powerlaw_n3\n"
+            "equation: x'' = -x'/(2 + (0.333333) t) - x^3\n"
+            "solution: x(t) = (1/3)*(2 + (1/3)*t)^(-1)\n"
+            "window: [-5.6, -2]\n"
+            "parameters: n = 3, shift = 2\n"
+            "slope-compatible: yes\n"
+            "note: pure power-law decay with the drag slope forced by the exponent"),
+    },
+    {
+        "id": "constructed_n2",
+        "a": "PowerFn(c=Fraction(5, 1), k=Fraction(-1, 1), m=Fraction(-1, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=Fraction(1, 1), k=Fraction(-1, 2), m=Fraction(-1, 2), e=Fraction(-2, 1))",
+        "dxp":
+            "PowerFn(c=Fraction(1, 1), k=Fraction(-1, 2), m=Fraction(-1, 2), e=Fraction(-3, 1))",
+        "ddxp":
+            "PowerFn(c=Fraction(3, 2), k=Fraction(-1, 2), m=Fraction(-1, 2), e=Fraction(-4, 1))",
+        "n": 2.0,
+        "singular_points": ["-0x1.0000000000000p+0"],
+        "window": (-5.0, -1.4),
+        "parameters": {"n": 2.0, "shift": -0.5},
+        "describe": (
+            "id: constructed_n2\n"
+            "equation: x'' = (5)/(-1 + (-1) t) x' - x^2\n"
+            "solution: x(t) = (-1/2 + (-1/2)*t)^(-2)\n"
+            "window: [-5, -1.4]\n"
+            "parameters: n = 2, shift = -0.5\n"
+            "slope-compatible: yes\n"
+            "note: drag equation built around its slope-compatible profile"),
+    },
+    {
+        "id": "constructed_n9",
+        "a": "PowerFn(c=Fraction(12, 1), k=Fraction(2, 1), m=Fraction(-8, 1), e=Fraction(-1, 1))",
+        "xp": "PowerFn(c=Fraction(1, 1), k=Fraction(1, 1), m=Fraction(-4, 1), e=Fraction(-1, 4))",
+        "dxp": "PowerFn(c=Fraction(1, 1), k=Fraction(1, 1), m=Fraction(-4, 1), e=Fraction(-5, 4))",
+        "ddxp":
+            "PowerFn(c=Fraction(5, 1), k=Fraction(1, 1), m=Fraction(-4, 1), e=Fraction(-9, 4))",
+        "n": 9.0,
+        "singular_points": ["0x1.0000000000000p-2"],
+        "window": (-3.75, -0.15000000000000002),
+        "parameters": {"n": 9.0, "shift": 1.0},
+        "describe": (
+            "id: constructed_n9\n"
+            "equation: x'' = (12)/(2 + (-8) t) x' - x^9\n"
+            "solution: x(t) = (1 + (-4)*t)^(-1/4)\n"
+            "window: [-3.75, -0.15]\n"
+            "parameters: n = 9, shift = 1\n"
+            "slope-compatible: yes\n"
+            "note: drag equation built around its slope-compatible profile"),
+    },
+]
+
+
+def test_builder_output_is_pinned():
+    entries = list(catalog()) + [
+        inverse_square_entry(0.5), quartic_root_entry(3.0), cube_root_entry(0.5),
+        powerlaw_solution(3, 2.0), construct_equation(2, Fraction(-1, 2))[1],
+        construct_equation(9, 1)[1],
+    ]
+    assert [_pin(entry) for entry in entries] == PINNED_ENTRIES
+
+
 class TestSlopeCompatibleFamily:
     def test_n5_lives_on_the_negative_halfline(self):
         fam = slope_compatible_family(5, 0)
