@@ -410,48 +410,57 @@ def _generate(expr, constants, namespace, prefix="_r"):
     made up here: temporaries ``prefix`` + N, and a ``_vN`` slot added to
     namespace for every number, constant and function.
     """
-    lines = []
-    slot = functools.partial(_slot, namespace)
-    done = {}  # id(node) -> its name; a subtree shared by derived trees is computed once
+    gen = _Generator(constants, namespace, prefix)
+    return gen.lines, gen.walk(expr)
 
-    def emit(node, rhs, what=None):
-        name = done[id(node)] = f"{prefix}{len(lines)}"
-        lines.append(f"{name} = {rhs}")
+
+class _Generator:
+    """One ``_generate`` run.  Its recursion goes through methods, not nested
+    functions that name themselves, so no reference cycle keeps the lines and
+    the names for the collector."""
+
+    __slots__ = ("constants", "namespace", "prefix", "lines", "done")
+
+    def __init__(self, constants, namespace, prefix):
+        self.constants, self.namespace, self.prefix = constants, namespace, prefix
+        self.lines = []
+        self.done = {}  # id(node) -> its name; a subtree shared by derived trees is computed once
+
+    def emit(self, node, rhs, what=None):
+        name = self.done[id(node)] = f"{self.prefix}{len(self.lines)}"
+        self.lines.append(f"{name} = {rhs}")
         if what:
-            lines.append(f"if not _isfinite({name}): raise _Err('{what} is not finite')")
+            self.lines.append(f"if not _isfinite({name}): raise _Err('{what} is not finite')")
         return name
 
-    def walk(node):
-        if id(node) in done:
-            return done[id(node)]
+    def walk(self, node):
+        if id(node) in self.done:
+            return self.done[id(node)]
         if isinstance(node, Num):
-            return slot(node.value)
+            return _slot(self.namespace, node.value)
         if isinstance(node, Name):
             if node.id == "t":
                 return "t"
-            value = float(constants[node.id])
+            value = float(self.constants[node.id])
             if not math.isfinite(value):
                 raise ExprError(f"constant {node.id} = {value!r} is not finite")
-            return slot(value)
+            return _slot(self.namespace, value)
         if isinstance(node, Neg):
-            return emit(node, f"-{walk(node.arg)}")
+            return self.emit(node, f"-{self.walk(node.arg)}")
         if isinstance(node, Bin):
             if node.op == "/":
-                b = walk(node.right)
-                lines.append(f"if {b} == 0.0: raise _Err('division by zero')")
-                return emit(node, f"{walk(node.left)} / {b}", "quotient")
-            a = walk(node.left)
-            b = walk(node.right)
+                b = self.walk(node.right)
+                self.lines.append(f"if {b} == 0.0: raise _Err('division by zero')")
+                return self.emit(node, f"{self.walk(node.left)} / {b}", "quotient")
+            a = self.walk(node.left)
+            b = self.walk(node.right)
             if node.op == "^":
-                return emit(node, f"_pow({a}, {b})")
-            return emit(node, f"{a} {node.op} {b}", _FINITE_WHAT[node.op])
+                return self.emit(node, f"_pow({a}, {b})")
+            return self.emit(node, f"{a} {node.op} {b}", _FINITE_WHAT[node.op])
         if isinstance(node, Call):
-            args = ", ".join([walk(a) for a in node.args])
-            return emit(node, f"{slot(FUNCTIONS[node.fn][1])}({args})")
+            args = ", ".join([self.walk(a) for a in node.args])
+            return self.emit(node, f"{_slot(self.namespace, FUNCTIONS[node.fn][1])}({args})")
         raise TypeError(f"not an Expr node: {node!r}")
-
-    result = walk(expr)
-    return lines, result
 
 
 # ---------------------------------------------------------------------------
@@ -501,29 +510,30 @@ def derive(expr: Expr) -> Expr:
     (derived trees share subtrees) is differentiated once, so the
     derivative of a derivative stays proportional to its tree.
     """
-    done = {}  # id(node) -> (node, its derivative); holding node keeps its id unique
-
-    def d(node):
-        hit = done.get(id(node))
-        if hit is None:
-            hit = done[id(node)] = (node, _rule(node, d))
-        return hit[1]
-
-    return d(expr)
+    return _derive(expr, {})
 
 
-def _rule(expr: Expr, d) -> Expr:
-    """d/dt of one node, differentiating its children with d."""
+def _derive(node: Expr, done: dict) -> Expr:
+    """derive of node, memoized in done: id(node) -> (node, its derivative);
+    holding node keeps its id unique."""
+    hit = done.get(id(node))
+    if hit is None:
+        hit = done[id(node)] = (node, _rule(node, done))
+    return hit[1]
+
+
+def _rule(expr: Expr, done: dict) -> Expr:
+    """d/dt of one node, differentiating its children with ``_derive``."""
     if isinstance(expr, Num):
         return _ZERO
     if isinstance(expr, Name):
         return _ONE if expr.id == "t" else _ZERO
     if isinstance(expr, Neg):
-        du = d(expr.arg)
+        du = _derive(expr.arg, done)
         return du if _is(du, 0.0) else Neg(du)
     if isinstance(expr, Bin):
         u, v = expr.left, expr.right
-        du, dv = d(u), d(v)
+        du, dv = _derive(u, done), _derive(v, done)
         if expr.op in "+-":
             return _add(du, dv, expr.op)
         if expr.op == "*":
@@ -533,9 +543,9 @@ def _rule(expr: Expr, d) -> Expr:
         return _power_rule(expr, u, v, du, dv)
     if isinstance(expr, Call):
         u = expr.args[0]
-        du = d(u)
+        du = _derive(u, done)
         if expr.fn == "pow":
-            return _power_rule(expr, u, expr.args[1], du, d(expr.args[1]))
+            return _power_rule(expr, u, expr.args[1], du, _derive(expr.args[1], done))
         outer = {"exp": expr, "log": Bin("/", _ONE, u), "sin": Call("cos", (u,)),
                  "cos": Neg(Call("sin", (u,))), "abs": Bin("/", u, expr),
                  "sqrt": Bin("/", _ONE, Bin("*", Num(2.0), expr))}[expr.fn]  # d fn(u)/du

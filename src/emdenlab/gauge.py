@@ -24,7 +24,6 @@ integrates the canonical form in its own clock against a mapped trajectory.
 
 from __future__ import annotations
 
-import functools
 import math
 # KummerLiouvilleReduction stays a dataclass, since perfbench/test_perfbench.py
 # copies it with dataclasses.replace; the other classes are plain, because a
@@ -471,24 +470,18 @@ class KummerLiouvilleReduction:
         return "\n".join(lines)
 
 
-class _ScaleSystem:
+def _scale_rhs(p: TimeFn, q: Optional[TimeFn], clock: bool):
     """The scale equation gamma'' = -q gamma - p gamma' as (gamma, gamma');
     with clock, also P' = p and tau' = exp(-P)/gamma^2, as (gamma, gamma',
-    P, tau).  q None means zero.  ``rhs`` is generated from the stage body
-    that ``integrate`` inlines, as a problem's is."""
-
-    def __init__(self, p: TimeFn, q: Optional[TimeFn], clock: bool):
-        self.p, self.q, self.clock = p, q, clock
-
-    @functools.cached_property
-    def rhs(self):
-        src = Inliner()
-        qg = None if self.q is None else f"-{src.value(self.q, '_q')} * x0"
-        p = src.value(self.p, "_p")
-        ddg = f"-{p} * x1" if qg is None else f"{qg} - {p} * x1"
-        # math.exp itself, so an overflow is an OverflowError from exp
-        clock = (p, f"{src.slot(math.exp)}(-x2) / (x0 * x0)") if self.clock else ()
-        return _compiled_rhs(src.body(("x1", ddg) + clock))
+    P, tau).  q None means zero.  Generated from the stage body that
+    ``integrate`` inlines, as a problem's rhs is."""
+    src = Inliner()
+    qg = None if q is None else f"-{src.value(q, '_q')} * x0"
+    p = src.value(p, "_p")
+    ddg = f"-{p} * x1" if qg is None else f"{qg} - {p} * x1"
+    # math.exp itself, so an overflow is an OverflowError from exp
+    slopes = (p, f"{src.slot(math.exp)}(-x2) / (x0 * x0)") if clock else ()
+    return _compiled_rhs(src.body(("x1", ddg) + slopes))
 
 
 def kummer_liouville(
@@ -521,7 +514,7 @@ def kummer_liouville(
     if g0 <= 0.0:
         raise GaugeError(f"initial scale {g0} must be positive")
 
-    linear = integrate(_ScaleSystem(p, q, clock=False).rhs, t0, (g0, dg0), t_end, cfg)
+    linear = integrate(_scale_rhs(p, q, clock=False), t0, (g0, dg0), t_end, cfg)
     truncated = False
     end = t_end
     crossing = next((i for i, (gamma, _) in enumerate(linear.ys) if gamma <= 0.0), None)
@@ -539,7 +532,7 @@ def kummer_liouville(
                              f"the window start {t0:g} to leave a window")
         truncated = True
 
-    clock = integrate(_ScaleSystem(p, q, clock=True).rhs, t0, (g0, dg0, 0.0, 0.0), end, cfg)
+    clock = integrate(_scale_rhs(p, q, clock=True), t0, (g0, dg0, 0.0, 0.0), end, cfg)
     # the last (t, state) read, one tuple: the tau-run reads gamma, beta and coefficient at one t
     last = [(None, None)]
 

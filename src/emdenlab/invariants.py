@@ -11,12 +11,9 @@ construction here is tested against.
 
 from __future__ import annotations
 
-import functools
 import math
 # Invariant, ConditionedInvariant and DriftReport stay dataclasses, since
-# perfbench/test_perfbench.py copies them with dataclasses.replace;
-# _TimeIntegrals is plain, because a dataclass generates its methods with
-# exec at every import
+# perfbench/test_perfbench.py copies them with dataclasses.replace
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -183,20 +180,13 @@ class ConditionedInvariant:
 _INTEGRAL_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
-class _TimeIntegrals:
-    """A' = a(t) as (A,); with with_g, also G' = exp(A) as (A, G).  ``rhs``
-    is generated from the stage body that ``integrate`` inlines, as a
-    problem's is."""
-
-    def __init__(self, a: TimeFn, with_g: bool):
-        self.a, self.with_g = a, with_g
-
-    @functools.cached_property
-    def rhs(self):
-        src = Inliner()
-        a = src.value(self.a, "_a")
-        # math.exp itself, so an overflow is an OverflowError from exp
-        return _compiled_rhs(src.body((a, f"{src.slot(math.exp)}(x0)") if self.with_g else (a,)))
+def _integrals_rhs(a: TimeFn, with_g: bool):
+    """A' = a(t) as (A,); with with_g, also G' = exp(A) as (A, G).  Generated
+    from the stage body that ``integrate`` inlines, as a problem's rhs is."""
+    src = Inliner()
+    a = src.value(a, "_a")
+    # math.exp itself, so an overflow is an OverflowError from exp
+    return _compiled_rhs(src.body((a, f"{src.slot(math.exp)}(x0)") if with_g else (a,)))
 
 
 def _forward(interval: Tuple[float, float]) -> Tuple[float, float]:
@@ -257,8 +247,7 @@ def rescaled_energy_invariant(
         raise ValueError(f"interval ({t_start}, {t_end}) must not start before "
                          f"the anchor {anchor}")
     a, b, n = prob.a, prob.b, prob.n
-    A = integrate(_TimeIntegrals(a, with_g=False).rhs, float(anchor), (0.0,), t_end,
-                  _INTEGRAL_CONFIG)
+    A = integrate(_integrals_rhs(a, with_g=False), float(anchor), (0.0,), t_end, _INTEGRAL_CONFIG)
     pot = _power_potential(n)
 
     def cond(t: float) -> float:
@@ -305,7 +294,7 @@ def dilation_invariant(
             f"{anchor} (the inner antiderivative vanishes there)"
         )
     a, b, n = prob.a, prob.b, prob.n
-    AG = integrate(_TimeIntegrals(a, with_g=True).rhs, float(anchor), (0.0, 0.0), t_end,
+    AG = integrate(_integrals_rhs(a, with_g=True), float(anchor), (0.0, 0.0), t_end,
                    _INTEGRAL_CONFIG)
     pot = _power_potential(n)
     degenerate = abs(n + 3.0) < 1e-12

@@ -15,7 +15,8 @@ chosen by CPU sums in its own order.  The first run with n components
 generates one function that runs the whole adaptive loop for n, with every
 tableau entry a float literal, so no loop over components or entries is
 left to interpret; dense output is read by one generated reader per state
-size.  The mesh is kept as lists; ``t``, ``y`` and ``sample`` import numpy
+size.  The mesh is kept once, as the lists ``ts`` and ``ys``, with one row
+of dense coefficients per step; ``t``, ``y`` and ``sample`` import numpy
 and build arrays on first use.
 
 A system's right-hand side is written once, as a stage body: lines that
@@ -153,15 +154,14 @@ class IntegratorConfig:
 
 class Trajectory:
     """Accepted mesh (lists ts, ys) plus a per-step interpolant of the method's
-    order; calling it gives the state at any time as a tuple of floats."""
+    order; calling it gives the state at any time as a tuple of floats.
+    Step i runs from ts[i] to ts[i+1], starting at ys[i]."""
 
-    def __init__(self, ts: list, ys: list, t_end: float):
+    def __init__(self, ts: list, ys: list):
         self.ts, self.ys = ts, ys
         self.accepted = self.rejected = 0
-        self._seg_t, self._seg_h, self._seg_y = [], [], []
-        # per segment, the interpolant's coefficients of theta, ..., theta^4
+        # per step, the interpolant's coefficients of theta, ..., theta^4
         self._seg_q = []
-        self._t_end = t_end
 
     @functools.cached_property
     def t(self):
@@ -182,8 +182,8 @@ class Trajectory:
         return self.ts[-1]
 
     def __call__(self, t: float) -> tuple:
-        seg_t = self._seg_t
-        if not seg_t:
+        ts = self.ts
+        if len(ts) == 1:
             if t == self.t0:
                 return self.ys[0]
             raise ValueError("trajectory has no extent")
@@ -191,14 +191,15 @@ class Trajectory:
         lo, hi, low, high, key = self._window
         if not low <= t <= high:
             raise ValueError(f"t={t} outside the integrated interval [{lo}, {hi}]")
-        # the search starts at 1, so a t in the slack before seg_t[0] reads segment 0
-        i = bisect.bisect_right(seg_t, t if key is None else -t, 1, key=key) - 1
-        return self._read((t - seg_t[i]) / self._seg_h[i], self._seg_y[i], self._seg_q[i])
+        # the search runs over the step starts from 1, so a t in the slack
+        # before ts[0] reads step 0 and one in the slack after ts[-1] the last
+        i = bisect.bisect_right(ts, t if key is None else -t, 1, len(ts) - 1, key=key) - 1
+        return self._read((t - ts[i]) / (ts[i + 1] - ts[i]), self.ys[i], self._seg_q[i])
 
     @functools.cached_property
     def _window(self):
-        """[lo, hi], what a call accepts (1e-10 of it wider) and seg_t's search key."""
-        t0, t_end = self._seg_t[0], self._t_end
+        """[lo, hi], what a call accepts (1e-10 of it wider) and ts's search key."""
+        t0, t_end = self.ts[0], self.ts[-1]
         lo, hi = (t0, t_end) if t_end >= t0 else (t_end, t0)
         slack = 1e-10 * (hi - lo)
         return lo, hi, lo - slack, hi + slack, None if t_end >= t0 else operator.neg
@@ -227,7 +228,7 @@ def linspace(a: float, b: float, count: int) -> list:
 # dense rows for n components, and the controller's constants.
 _LOOP = """\
 def _run(f, t0, y, k0, h, t_end, direction, span_floor, abs_tol, rel_tol,
-         max_step, max_steps, ts, ys, seg_t, seg_h, seg_y, seg_q):
+         max_step, max_steps, ts, ys, seg_q):
     [{y}], [{k0}] = y, k0
     toward, accepted, rejected = direction * _inf, 0, 0
     while (t_end - t0) * direction > 0:
@@ -239,12 +240,8 @@ def _run(f, t0, y, k0, h, t_end, direction, span_floor, abs_tol, rel_tol,
         {stages}
         if not _isfinite(err): {reject}
         if err <= 1.0:
-            t_new = t_end if clipped else t0 + hd
-            seg_t.append(t0)
-            seg_h.append(t_new - t0)
-            seg_y.append(y)
             seg_q.append({rows})
-            t0, y, [{y}], [{k0}] = t_new, {state}, {state}, {k6}
+            t0, y, [{y}], [{k0}] = t_end if clipped else t0 + hd, {state}, {state}, {k6}
             ts.append(t0)
             ys.append(y)
             accepted += 1
@@ -261,9 +258,10 @@ def _run(f, t0, y, k0, h, t_end, direction, span_floor, abs_tol, rel_tol,
 def _kernel(n: int, body: tuple | None = None):
     """Compiled code that defines _LOOP's _run for n components.
 
-    _run steps from t0, y, slopes k0 toward t_end, appends each accepted
-    step to ts, ys and the segment lists, and returns (accepted, rejected,
-    h, h_min); short of t_end, h fell below h_min or the steps hit max_steps.
+    _run steps from t0, y, slopes k0 toward t_end, appends the end of each
+    accepted step to ts and ys and its dense rows to seg_q, and returns
+    (accepted, rejected, h, h_min); short of t_end, h fell below h_min or the
+    steps hit max_steps.
     Each stage forms x0 ... x{n-1} and t, then calls f or runs body's lines
     and n slopes (other names come from the namespace).  The source holds
     only names made up here, the body's and float reprs, so it is shared."""
@@ -433,7 +431,9 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"integration limits t0={t0}, t_end={t_end} must be finite")
     cfg = config or IntegratorConfig()
-    t = float(t0)
+    # floats, since the last step ends exactly at t_end and puts it in ts
+    t = t0 = float(t0)
+    t_end = float(t_end)
     y = tuple(float(v) for v in y0)
     n = len(y)
 
@@ -441,7 +441,7 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
         return _reals(rhs(t, y), n, t)
 
     ts, ys = [t], [y]
-    traj = Trajectory(ts, ys, float(t_end))
+    traj = Trajectory(ts, ys)
     if t_end == t0:
         return traj
 
@@ -467,8 +467,7 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
         h = min(h, span, cfg.max_step)
         traj.accepted, traj.rejected, h, h_min = run(
             f, t, y, k0, h, t_end, direction, 5e-15 * span, cfg.abs_tol, cfg.rel_tol,
-            cfg.max_step, cfg.max_steps, ts, ys, traj._seg_t, traj._seg_h, traj._seg_y,
-            traj._seg_q)
+            cfg.max_step, cfg.max_steps, ts, ys, traj._seg_q)
     except (ArithmeticError, ValueError, TypeError) as exc:
         if not _raised_by_rhs(exc, f, run):
             raise

@@ -8,7 +8,9 @@ Three kinds of exact material live here:
 * one-parameter families built to order: profiles satisfying the
   slope-compatibility condition  dx^2 = x^(n+1)  together with the
   equations they solve (``slope_compatible_family``, ``construct_equation``,
-  ``powerlaw_solution``);
+  ``powerlaw_solution``).  Every slope-compatible entry, shipped or built
+  to order, solves  x'' = a(t) x' - x^n  with a PowerFn profile and comes
+  from one builder, ``_drag_entry``;
 * the two-point mixing rule on the zero level of the frozen-flow first
   integral: ``superpose`` maps one bounded solution of the n = 5 problem
   to another, ``bounded_family`` gives the resulting family in closed
@@ -184,6 +186,17 @@ def _checked(entry: CatalogEntry) -> CatalogEntry:
     return entry
 
 
+def _drag_entry(id: str, a: PowerFn, n, singular: float, xp: PowerFn,
+                window: Tuple[float, float], parameters: Optional[Dict[str, float]],
+                drag: str, solution: str, description: str) -> CatalogEntry:
+    """The checked entry for  x'' = a x' - x^n  on the slope-compatible
+    profile xp, with xp's exact derivatives; ``drag`` is the text of a x'."""
+    prob = EmdenProblem(a, -1.0, n, singular_points=(singular,))
+    return _checked(CatalogEntry(
+        id, prob, xp, xp.deriv(), xp.deriv().deriv(), window, parameters, True,
+        f"x'' = {drag} - x^{n:g}", solution, description))
+
+
 # ---------------------------------------------------------------------------
 # built-to-order families
 
@@ -224,30 +237,15 @@ def construct_equation(n: float, shift=1.0) -> Tuple[EmdenProblem, CatalogEntry]
     n = 5 this reads a(t) = 4/(shift - 2t).  The entry re-verifies residual
     and slope compatibility on a window inside the valid half-line.
     """
-    xp = slope_compatible_family(n, shift)
+    xp = slope_compatible_family(n, shift)  # refuses n = 1
     fn = Fraction(n)
-    a = PowerFn(fn + 3, 2 * shift, 1 - fn, -1)
-    root = float(2 * shift / (n - 1.0)) if n != 1.0 else math.nan
-    prob = EmdenProblem(a, -1.0, n, singular_points=(root,))
-    window = _affine_window(root, float(1 - fn))
-    entry = _checked(
-        CatalogEntry(
-            id=f"constructed_n{n:g}",
-            problem=prob,
-            xp=xp,
-            dxp=xp.deriv(),
-            ddxp=xp.deriv().deriv(),
-            window=window,
-            parameters={"n": float(n), "shift": float(shift)},
-            slope_compatible=True,
-            equation_text=(
-                f"x'' = ({n + 3:g})/({float(2 * shift):g} + ({1 - n:g}) t) x' - x^{n:g}"
-            ),
-            solution_text=xp.to_source(),
-            description="drag equation built around its slope-compatible profile",
-        )
-    )
-    return prob, entry
+    root = float(2 * shift / (n - 1.0))
+    entry = _drag_entry(
+        f"constructed_n{n:g}", PowerFn(fn + 3, 2 * shift, 1 - fn, -1), n, root, xp,
+        _affine_window(root, float(1 - fn)), {"n": float(n), "shift": float(shift)},
+        f"({n + 3:g})/({float(2 * shift):g} + ({1 - n:g}) t) x'", xp.to_source(),
+        "drag equation built around its slope-compatible profile")
+    return entry.problem, entry
 
 
 def powerlaw_solution(n: float, shift=1.0, window: Optional[Tuple[float, float]] = None) -> CatalogEntry:
@@ -269,27 +267,14 @@ def powerlaw_solution(n: float, shift=1.0, window: Optional[Tuple[float, float]]
         amp = frac_power(target, Fraction(1) / (fn - 1))
     except ExactnessError:
         amp = real_power(float(target), 1.0 / (float(fn) - 1.0))
-    a = PowerFn(-1, shift, m, -1)
     xp = PowerFn(amp, shift, m, -nu)
     root = -float(shift) / float(m)
-    prob = EmdenProblem(a, -1.0, n, singular_points=(root,))
-    if window is None:
-        window = _affine_window(root, float(m))
-    return _checked(
-        CatalogEntry(
-            id=f"powerlaw_n{n:g}",
-            problem=prob,
-            xp=xp,
-            dxp=xp.deriv(),
-            ddxp=xp.deriv().deriv(),
-            window=window,
-            parameters={"n": float(n), "shift": float(shift)},
-            slope_compatible=True,
-            equation_text=f"x'' = -x'/({float(shift):g} + ({float(m):g}) t) - x^{n:g}",
-            solution_text=xp.to_source(),
-            description="pure power-law decay with the drag slope forced by the exponent",
-        )
-    )
+    return _drag_entry(
+        f"powerlaw_n{n:g}", PowerFn(-1, shift, m, -1), n, root, xp,
+        _affine_window(root, float(m)) if window is None else window,
+        {"n": float(n), "shift": float(shift)},
+        f"-x'/({float(shift):g} + ({float(m):g}) t)", xp.to_source(),
+        "pure power-law decay with the drag slope forced by the exponent")
 
 
 # ---------------------------------------------------------------------------
@@ -426,88 +411,35 @@ def mixing_constant(
 
 def lane_emden_entry() -> CatalogEntry:
     """n = 5 drag problem with its slope-compatible decaying profile."""
-    xp = PowerFn(1, 0, 2, Fraction(-1, 2))
-    prob = EmdenProblem(PowerFn(-2, 0, 1, -1), -1.0, 5, singular_points=(0.0,))
-    return _checked(
-        CatalogEntry(
-            id="lane_emden_n5",
-            problem=prob,
-            xp=xp,
-            dxp=xp.deriv(),
-            ddxp=xp.deriv().deriv(),
-            window=(0.5, 5.0),
-            slope_compatible=True,
-            equation_text="x'' = -2/t x' - x^5",
-            solution_text="(2 t)^(-1/2)",
-            description="inverse-square-root decay under 2/t drag",
-        )
-    )
+    return _drag_entry(
+        "lane_emden_n5", PowerFn(-2, 0, 1, -1), 5, 0.0, PowerFn(1, 0, 2, Fraction(-1, 2)),
+        (0.5, 5.0), None, "-2/t x'", "(2 t)^(-1/2)", "inverse-square-root decay under 2/t drag")
 
 
 def inverse_square_entry(shift=1.0) -> CatalogEntry:
-    xp = PowerFn(4, shift, 1, -2)
-    prob = EmdenProblem(
-        PowerFn(-5, shift, 1, -1), -1.0, 2, singular_points=(-float(shift),)
-    )
-    return _checked(
-        CatalogEntry(
-            id="inverse_square_n2",
-            problem=prob,
-            xp=xp,
-            dxp=xp.deriv(),
-            ddxp=xp.deriv().deriv(),
-            window=(0.5, 5.0),
-            parameters={"shift": float(shift)},
-            slope_compatible=True,
-            equation_text=f"x'' = -5/(t + {float(shift):g}) x' - x^2",
-            solution_text=f"4 (t + {float(shift):g})^(-2)",
-            description="inverse-square decay for the quadratic nonlinearity",
-        )
-    )
+    s = float(shift)
+    return _drag_entry(
+        "inverse_square_n2", PowerFn(-5, shift, 1, -1), 2, -s, PowerFn(4, shift, 1, -2),
+        (0.5, 5.0), {"shift": s}, f"-5/(t + {s:g}) x'", f"4 (t + {s:g})^(-2)",
+        "inverse-square decay for the quadratic nonlinearity")
 
 
 def quartic_root_entry(shift=1.0) -> CatalogEntry:
-    xp = PowerFn(2**-0.5, shift, 1, Fraction(-1, 4))
-    prob = EmdenProblem(
-        PowerFn(Fraction(-3, 2), shift, 1, -1), -1.0, 9, singular_points=(-float(shift),)
-    )
-    return _checked(
-        CatalogEntry(
-            id="quartic_root_n9",
-            problem=prob,
-            xp=xp,
-            dxp=xp.deriv(),
-            ddxp=xp.deriv().deriv(),
-            window=(0.5, 5.0),
-            parameters={"shift": float(shift)},
-            slope_compatible=True,
-            equation_text=f"x'' = -3/(2 (t + {float(shift):g})) x' - x^9",
-            solution_text=f"2^(-1/2) (t + {float(shift):g})^(-1/4)",
-            description="slow quartic-root decay for the n = 9 nonlinearity",
-        )
-    )
+    s = float(shift)
+    return _drag_entry(
+        "quartic_root_n9", PowerFn(Fraction(-3, 2), shift, 1, -1), 9, -s,
+        PowerFn(2**-0.5, shift, 1, Fraction(-1, 4)), (0.5, 5.0), {"shift": s},
+        f"-3/(2 (t + {s:g})) x'", f"2^(-1/2) (t + {s:g})^(-1/4)",
+        "slow quartic-root decay for the n = 9 nonlinearity")
 
 
 def cube_root_entry(shift=1.0) -> CatalogEntry:
-    xp = PowerFn(3.0 ** (-1.0 / 3.0), shift, 1, Fraction(-1, 3))
-    prob = EmdenProblem(
-        PowerFn(Fraction(-5, 3), shift, 1, -1), -1.0, 7, singular_points=(-float(shift),)
-    )
-    return _checked(
-        CatalogEntry(
-            id="cube_root_n7",
-            problem=prob,
-            xp=xp,
-            dxp=xp.deriv(),
-            ddxp=xp.deriv().deriv(),
-            window=(0.5, 5.0),
-            parameters={"shift": float(shift)},
-            slope_compatible=True,
-            equation_text=f"x'' = -5/(3 (t + {float(shift):g})) x' - x^7",
-            solution_text=f"3^(-1/3) (t + {float(shift):g})^(-1/3)",
-            description="cube-root decay for the n = 7 nonlinearity",
-        )
-    )
+    s = float(shift)
+    return _drag_entry(
+        "cube_root_n7", PowerFn(Fraction(-5, 3), shift, 1, -1), 7, -s,
+        PowerFn(3.0 ** (-1.0 / 3.0), shift, 1, Fraction(-1, 3)), (0.5, 5.0), {"shift": s},
+        f"-5/(3 (t + {s:g})) x'", f"3^(-1/3) (t + {s:g})^(-1/3)",
+        "cube-root decay for the n = 7 nonlinearity")
 
 
 def bounded_profile_entry() -> CatalogEntry:

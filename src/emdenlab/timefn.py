@@ -9,11 +9,10 @@ which compiled expressions, constants and PowerFn all provide exactly.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Union
 
-from .exprlang import EvalDomainError, _generate, _namespace, _slot, real_power
+from .exprlang import _generate, _namespace, _slot, real_power
 
 TimeFn = Callable[[float], float]
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from emdenlab.exprlang import (
     MAX_DEPTH, UnboundIdentifierError, UnknownFunctionError,
     compile_fn, derive, free_names, parse, real_power, to_source,
 )
+from emdenlab.problems import EmdenProblem
 
 
 def ev(src, t=None, **consts):
@@ -366,3 +368,22 @@ def test_round_trip_on_seeded_source_corpus():
         src = gen(4)
         tree = parse(src)
         assert parse(to_source(tree)) == tree
+
+
+@pytest.mark.parametrize("make", [
+    lambda: compile_fn("K*sin(t)^3 / (1 + t)", {"K": 2.0}),
+    lambda: compile_fn("K*sin(t)^3 / (1 + t)", {"K": 2.0}).deriv(),
+    lambda: derive(parse("exp(-t) * log(2 + t^2) / (1 + t)")),
+    lambda: EmdenProblem(compile_fn("-2/t"), compile_fn("-1 - t^2"), 5).rhs,
+], ids=["compile_fn", "deriv", "derive", "problem-rhs"])
+def test_generation_leaves_nothing_for_the_collector(make):
+    # what compiling and differentiating build is freed when the last
+    # reference goes, not kept in a reference cycle until a collection
+    make()  # the first call fills the code caches
+    gc.collect()
+    gc.disable()
+    try:
+        make()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -19,9 +19,9 @@ import pytest
 
 from emdenlab import gauge, invariants, numerics, problemfile
 from emdenlab.exprlang import real_power
-from emdenlab.gauge import _ScaleSystem, canonical_residual, kummer_liouville
+from emdenlab.gauge import _scale_rhs, canonical_residual, kummer_liouville
 from emdenlab.invariants import (
-    _INTEGRAL_CONFIG, _TimeIntegrals, dilation_invariant, rescaled_energy_invariant,
+    _INTEGRAL_CONFIG, _integrals_rhs, dilation_invariant, rescaled_energy_invariant,
 )
 from emdenlab.numerics import IntegrationError, IntegratorConfig, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
@@ -106,19 +106,19 @@ def _cases():
         p, q = prob.p, prob.q
         kl = kummer_liouville(prob, 1.0, 5.0, gamma_init=start)
         assert kl.truncated == truncated
-        out.append((f"scale-{name}", _ScaleSystem(p, q, clock=False), _old_scale(p, q),
-                    1.0, start, 5.0, KL_CONFIG))
-        out.append((f"clock-{name}", _ScaleSystem(p, q, clock=True), _old_clock(p, q),
-                    1.0, start + (0.0, 0.0), kl.t_end, KL_CONFIG))
+        out.append((f"scale-{name}", SimpleNamespace(rhs=_scale_rhs(p, q, clock=False)),
+                    _old_scale(p, q), 1.0, start, 5.0, KL_CONFIG))
+        out.append((f"clock-{name}", SimpleNamespace(rhs=_scale_rhs(p, q, clock=True)),
+                    _old_clock(p, q), 1.0, start + (0.0, 0.0), kl.t_end, KL_CONFIG))
         tau, s0, y0, s1 = _tau_case(kl, (0.3, 0.0))
         out.append((f"tau-{name}", tau, _old_tau(kl), s0, y0, s1, KL_CONFIG))
     drag, (d0, d1) = _spec("lane-emden-n5.spec")
     for name, a in (("spec", drag.a), ("powerfn", PowerFn(-2, 0, 1, -1)),
                     ("lambda", lambda t: -2.0 / t)):
-        out.append((f"A-{name}", _TimeIntegrals(a, with_g=False), _old_integrals(a, False),
-                    d0, (0.0,), d1, _INTEGRAL_CONFIG))
-        out.append((f"AG-{name}", _TimeIntegrals(a, with_g=True), _old_integrals(a, True),
-                    d0, (0.0, 0.0), d1, _INTEGRAL_CONFIG))
+        out.append((f"A-{name}", SimpleNamespace(rhs=_integrals_rhs(a, with_g=False)),
+                    _old_integrals(a, False), d0, (0.0,), d1, _INTEGRAL_CONFIG))
+        out.append((f"AG-{name}", SimpleNamespace(rhs=_integrals_rhs(a, with_g=True)),
+                    _old_integrals(a, True), d0, (0.0, 0.0), d1, _INTEGRAL_CONFIG))
     return out
 
 
@@ -163,12 +163,13 @@ def test_a_call_result_slope_is_converted_as_the_call_path_converts_it():
     # A' = a(t) is a bare name in the stage; what the call returns still
     # passes the same check as a returned component
     np = pytest.importorskip("numpy")
-    system = _TimeIntegrals(lambda t: np.float64(-2.0) / t, with_g=True)
-    inline, called, _ = _runs(system, _old_integrals(system.a, True), 0.5, (0.0, 0.0), 5.0,
+    a = lambda t: np.float64(-2.0) / t
+    system = SimpleNamespace(rhs=_integrals_rhs(a, with_g=True))
+    inline, called, _ = _runs(system, _old_integrals(a, True), 0.5, (0.0, 0.0), 5.0,
                               _INTEGRAL_CONFIG)
     _assert_same(inline, called)
     assert {type(v) for y in inline.ys for v in y} == {float}
-    text = _TimeIntegrals(lambda t: "1.5" if t > 1.0 else 1.5, with_g=False)
+    text = SimpleNamespace(rhs=_integrals_rhs(lambda t: "1.5" if t > 1.0 else 1.5, with_g=False))
     raised = []
     for rhs in (text.rhs, lambda t, y: text.rhs(t, y)):
         with pytest.raises(IntegrationError, match="not a sequence of real numbers") as err:
@@ -194,8 +195,8 @@ def _error_parity(system, old, t0, y0, t1, cfg):
 
 def test_exp_overflow_in_G_matches_the_call_path():
     a = problemfile.compile_expression("1000")
-    err = _error_parity(_TimeIntegrals(a, with_g=True), _old_integrals(a, True),
-                        0.0, (0.0, 0.0), 1.0, _INTEGRAL_CONFIG)
+    err = _error_parity(SimpleNamespace(rhs=_integrals_rhs(a, with_g=True)),
+                        _old_integrals(a, True), 0.0, (0.0, 0.0), 1.0, _INTEGRAL_CONFIG)
     assert type(err.__cause__) is OverflowError
     assert 0.0 < err.t_reached < 1.0
 
@@ -204,7 +205,7 @@ def test_scale_reaching_zero_in_the_clock_slope_matches_the_call_path():
     # gamma'' = 0 from (1, -1): a first step of 5 puts the first stage at
     # gamma = 1 + 5 * (0.2 * -1) = 0, where tau' divides by gamma^2
     p = problemfile.compile_expression("0")
-    err = _error_parity(_ScaleSystem(p, None, clock=True), _old_clock(p, None),
+    err = _error_parity(SimpleNamespace(rhs=_scale_rhs(p, None, clock=True)), _old_clock(p, None),
                         0.0, (1.0, -1.0, 0.0, 0.0), 10.0, IntegratorConfig(first_step=5.0))
     assert type(err.__cause__) is ZeroDivisionError
     assert err.t_reached == 0.0

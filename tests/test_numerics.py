@@ -313,10 +313,6 @@ class TestKernel:
         assert _hex(traj.ts) == _hex(ts)
         assert _hex(traj.ys) == _hex(ys)
         assert _hex(traj._seg_q) == _hex(qs)
-        # each segment starts at a mesh point and spans the step to the next
-        assert _hex(traj._seg_t) == _hex(ts[:-1])
-        assert _hex(traj._seg_h) == _hex([b - a for a, b in zip(ts, ts[1:])])
-        assert _hex(traj._seg_y) == _hex(ys[:-1])
         assert (traj.accepted, traj.rejected) == (accepted, rejected)
         return traj
 
@@ -380,13 +376,14 @@ class TestKernel:
 def _list_read(traj, t):
     """Trajectory.__call__ as it was before the generated reader, with the
     list comprehension over zipped rows; the reference for the reader."""
-    seg_t = traj._seg_t
+    seg_t, seg_y = traj.ts[:-1], traj.ys[:-1]
+    seg_h = [b - a for a, b in zip(traj.ts, traj.ts[1:])]
     if not seg_t:
         if t == traj.t0:
             return traj.ys[0]
         raise ValueError("trajectory has no extent")
     t = float(t)
-    t0, t_end = seg_t[0], traj._t_end
+    t0, t_end = seg_t[0], traj.ts[-1]
     lo, hi = (t0, t_end) if t_end >= t0 else (t_end, t0)
     slack = 1e-10 * (hi - lo)
     if not (lo - slack <= t <= hi + slack):
@@ -396,10 +393,10 @@ def _list_read(traj, t):
     else:
         i = bisect.bisect_right(seg_t, -t, key=lambda s: -s) - 1
     i = min(max(i, 0), len(seg_t) - 1)
-    th = (t - seg_t[i]) / traj._seg_h[i]
+    th = (t - seg_t[i]) / seg_h[i]
     th2, th3, th4 = th * th, th ** 3, th ** 4
     return tuple([y + (a * th + b * th2 + c * th3 + d * th4)
-                  for y, a, b, c, d in zip(traj._seg_y[i], *traj._seg_q[i])])
+                  for y, a, b, c, d in zip(seg_y[i], *traj._seg_q[i])])
 
 
 class TestDenseReader:
@@ -422,7 +419,7 @@ class TestDenseReader:
         traj = integrate(_coupled(n), t0, [0.5 + 0.1 * i for i in range(n)], t_end)
         lo, hi = sorted((t0, t_end))
         slack = 1e-10 * (hi - lo)
-        inside = traj.ts + [s + f * h for s, h in zip(traj._seg_t, traj._seg_h)
+        inside = traj.ts + [s + f * (e - s) for s, e in zip(traj.ts, traj.ts[1:])
                             for f in (0.25, 0.5, 0.9)]
         inside += [lo - slack, hi + slack, 0.0, -0.0, np.float64(1.3)]
         self.assert_same_reads(traj, inside, [lo - 3 * slack, hi + 3 * slack])
@@ -454,10 +451,10 @@ class TestDenseOutput:
         rel = 1e-8
         cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
         traj = integrate(_oscillator, 0.0, [1.0, 0.0], 10.0, cfg)
-        for i in range(min(20, len(traj._seg_t))):
-            t_lo, h = traj._seg_t[i], traj._seg_h[i]
+        for i in range(min(20, len(traj.ts) - 1)):
+            t_lo, h = traj.ts[i], traj.ts[i + 1] - traj.ts[i]
             mid = t_lo + 0.5 * h
-            again = integrate(_oscillator, t_lo, traj._seg_y[i], mid, cfg)
+            again = integrate(_oscillator, t_lo, traj.ys[i], mid, cfg)
             gap = np.max(np.abs(traj(mid) - again.y[-1]))
             assert gap <= 10 * rel * (1.0 + np.max(np.abs(again.y[-1])))
 
@@ -475,18 +472,19 @@ class TestDenseOutput:
 
     def test_backward_lookup_picks_the_same_segment_as_a_linear_search(self):
         traj = integrate(_oscillator, 10.0, [1.0, 0.0], 0.0)
-        keys = [-s for s in traj._seg_t]
-        mids = [t0 + 0.5 * h for t0, h in zip(traj._seg_t, traj._seg_h)]
+        keys = [-s for s in traj.ts[:-1]]
+        mids = [t0 + 0.5 * (t1 - t0) for t0, t1 in zip(traj.ts, traj.ts[1:])]
         for t in list(traj.t) + mids:
             t = float(t)
             i = min(max(bisect.bisect_right(keys, -t) - 1, 0), len(keys) - 1)
-            th = (t - traj._seg_t[i]) / traj._seg_h[i]
+            th = (t - traj.ts[i]) / (traj.ts[i + 1] - traj.ts[i])
             powers = (th, th * th, th ** 3, th ** 4)
             want = tuple(y + sum(q * p for q, p in zip(coeffs, powers))
-                         for y, *coeffs in zip(traj._seg_y[i], *traj._seg_q[i]))
+                         for y, *coeffs in zip(traj.ys[i], *traj._seg_q[i]))
             assert traj(t) == want
 
-    @pytest.mark.parametrize("t0, t_end", [(0.0, 10.0), (10.0, 0.0)])
+    @pytest.mark.parametrize("t0, t_end", [
+        (0.0, 10.0), (10.0, 0.0), pytest.param(0.0, np.float64(10.0), id="numpy-end")])
     def test_states_are_tuples_of_floats(self, t0, t_end):
         traj = integrate(_oscillator, t0, [1.0, 0.0], t_end)
         for t in [t0, 0.5 * (t0 + t_end), t_end, np.float64(3.3)]:
@@ -496,7 +494,10 @@ class TestDenseOutput:
 
 
 class TestMesh:
-    @pytest.mark.parametrize("t0, t_end", [(0.0, 10.0), (10.0, 0.0)])
+    # an int or numpy end still gives a mesh of floats
+    @pytest.mark.parametrize("t0, t_end", [
+        (0.0, 10.0), (10.0, 0.0), pytest.param(0, 10, id="int-ends"),
+        pytest.param(np.float64(10.0), np.float64(0.0), id="numpy-ends")])
     def test_mesh_is_lists_of_plain_floats(self, t0, t_end):
         traj = integrate(_oscillator, t0, [1.0, 0.0], t_end)
         assert type(traj.ts) is list and type(traj.ys) is list
