@@ -355,7 +355,9 @@ def reduce_via_particular_solution(
 
         f = b gamma^n / dgamma        with gamma = xp,
 
-    which must agree with the independent route f = -a + ddgamma/dgamma.
+    which must agree with the independent route f = -a + ddgamma/dgamma and,
+    at every sample, equal the frame's own rate -dgamma/gamma (b = -1 under
+    compatibility); a mismatch beyond tol is a ReductionError naming t.
     Missing derivatives are the exact ``deriv()`` of xp and dxp.
     """
     xp = as_timefn(xp)
@@ -406,6 +408,16 @@ def reduce_via_particular_solution(
                 f"slope of the particular solution is {d:.6g} at t={t:.6g}; "
                 "a negative slope is required so the frame scale stays positive"
             )
+
+    # the frame x = xp x' moves x' at its own rate -dxp/xp, which the single
+    # rate f must equal; under slope compatibility that is b = -1
+    frame_gap, frame_t = _sup_rel_gap(
+        [(bx / d, -d / x) for (d, _, _, bx), x in zip(rate_terms, xs)], ts)
+    if frame_gap > tol:
+        raise ReductionError(
+            f"the rate b xp^n/dxp differs from the frame's rate -dxp/xp near "
+            f"t={frame_t:.6g} (relative gap {frame_gap:.3e}); the collapse needs b = -1"
+        )
 
     def rate(t, _b=b, _xp=xp, _dxp=dxp, _n=n):
         return _b(t) * real_power(_xp(t), _n) / _dxp(t)

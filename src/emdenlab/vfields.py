@@ -4,9 +4,8 @@ Fields live on the (x, v) plane and are finite sums of terms
 c * x^p * v^q * d/dx  and  c * x^p * v^q * d/dv.  Coefficients and exponents
 are polynomials in a single formal exponent symbol n over exact rationals, so
 the Lie bracket tables of the Emden scheme come out symbolically: for example
-[x d/dx, x^n d/dv] = n x^n d/dv with n left untouched.  Floating-point values
-are admitted in any slot but flag the scalar as inexact, and comparisons then
-use a 1e-12 absolute tolerance on coefficients.
+[x d/dx, x^n d/dv] = n x^n d/dv with n left untouched.  Every value entering
+a Scalar must be an int or a Fraction; anything else is a TypeError.
 
 The scheme checks at the bottom verify, for a pair of bases (W, V), that
 span(W) is inside span(V), [W, W] stays in span(W) and [W, V] stays in
@@ -27,8 +26,6 @@ __all__ = [
     "LinearDependenceError", "UnsupportedDecompositionError",
 ]
 
-COEFF_TOL = 1e-12
-
 
 class LinearDependenceError(ValueError):
     pass
@@ -38,17 +35,39 @@ class UnsupportedDecompositionError(ValueError):
     pass
 
 
-def _is_frac(v) -> bool:
-    return isinstance(v, (Fraction, int)) and not isinstance(v, bool)
+def _exact(v) -> Fraction:
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise TypeError(f"exact rational (int or Fraction) expected, got {v!r}")
+    return Fraction(v)
+
+
+def _signed_sum(terms: Iterable[str]) -> str:
+    """Join rendered terms with ' + ', turning a leading '-' into ' - '."""
+    out = ""
+    for t in terms:
+        if not out:
+            out = t
+        else:
+            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out or "0"
+
+
+def _times(c, body: str) -> str:
+    """c*body, with a unit coefficient dropped and a compound one bracketed."""
+    if c == 1:
+        return body
+    if c == -1:
+        return f"-{body}"
+    cs = str(c)
+    if "+" in cs or "-" in cs[1:]:
+        cs = f"({cs})"
+    return f"{cs}*{body}"
 
 
 class Scalar:
-    """A polynomial in the formal exponent symbol n.
+    """A polynomial in the formal exponent symbol n with rational coefficients.
 
-    Exact (Fraction coefficients) unless a float entered somewhere, in which
-    case the whole value is flagged inexact.  Structural equality and hashing,
-    so Scalars can key monomial patterns; use close_to() for the tolerance
-    comparison of inexact values.
+    Structural equality and hashing, so Scalars can key monomial patterns.
     """
 
     __slots__ = ("_c",)
@@ -56,22 +75,14 @@ class Scalar:
     def __init__(self, coeffs: dict):
         c = {}
         for deg, val in coeffs.items():
-            if _is_frac(val):
-                val = Fraction(val)
-            else:
-                val = float(val)
-            if val == 0:
-                continue
-            c[int(deg)] = val
+            val = _exact(val)
+            if val:
+                c[int(deg)] = val
         self._c = tuple(sorted(c.items()))
 
     @classmethod
     def const(cls, v) -> "Scalar":
         return cls({0: v})
-
-    @classmethod
-    def symbol(cls) -> "Scalar":
-        return cls({1: 1})
 
     @classmethod
     def coerce(cls, v) -> "Scalar":
@@ -80,38 +91,22 @@ class Scalar:
         return cls.const(v)
 
     @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for _, v in self._c)
-
-    @property
     def is_symbolic(self) -> bool:
         return any(d > 0 for d, _ in self._c)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if not self._c:
-            return True
-        if self.is_exact:
-            return False
-        return all(abs(float(v)) <= tol for _, v in self._c)
+    def is_zero(self) -> bool:
+        return not self._c
 
-    def degree(self) -> int:
-        return self._c[-1][0] if self._c else 0
-
-    def coeff(self, deg: int):
+    def coeff(self, deg: int) -> Fraction:
         for d, v in self._c:
             if d == deg:
                 return v
         return Fraction(0)
 
-    def substitute(self, n_value):
-        """Evaluate at a concrete n (Fraction in, Fraction out when exact)."""
-        if _is_frac(n_value):
-            n_value = Fraction(n_value)
-        acc = Fraction(0) if (self.is_exact and _is_frac(n_value)) else 0.0
-        for d, v in self._c:
-            term = v * n_value ** d if d else v
-            acc = acc + term
-        return acc
+    def substitute(self, n_value) -> Fraction:
+        """Evaluate at a concrete rational n."""
+        n_value = _exact(n_value)
+        return sum((v * n_value ** d for d, v in self._c), Fraction(0))
 
     def __add__(self, other):
         other = Scalar.coerce(other)
@@ -143,74 +138,31 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """Exact division; raises if the quotient is not a polynomial in n."""
+        """Division by a nonzero rational; a symbolic divisor is refused."""
         other = Scalar.coerce(other)
+        if other.is_symbolic:
+            raise UnsupportedDecompositionError(f"({self}) / ({other}): the divisor depends on n")
         if other.is_zero():
             raise ZeroDivisionError("division by the zero scalar")
-        if not other.is_symbolic:
-            d = other.coeff(0)
-            return Scalar({deg: v / d for deg, v in self._c})
-        if not (self.is_exact and other.is_exact):
-            raise UnsupportedDecompositionError("inexact division by a symbolic scalar")
-        # polynomial long division, remainder must vanish
-        rem = dict(self._c)
-        qout = {}
-        dd, dl = other.degree(), other.coeff(other.degree())
-        while rem:
-            rd = max(rem)
-            if rd < dd:
-                break
-            q = rem[rd] / dl
-            qout[rd - dd] = q
-            for d2, v2 in other._c:
-                nd = rd - dd + d2
-                nv = rem.get(nd, Fraction(0)) - q * v2
-                if nv == 0:
-                    rem.pop(nd, None)
-                else:
-                    rem[nd] = nv
-        if rem:
-            raise UnsupportedDecompositionError(
-                f"{self} / {other} is not a polynomial in n")
-        return Scalar(qout)
+        d = other.coeff(0)
+        return Scalar({deg: v / d for deg, v in self._c})
 
     def __eq__(self, other):
-        if not isinstance(other, (Scalar, int, float, Fraction)):
-            return NotImplemented
-        return self._c == Scalar.coerce(other)._c
+        if isinstance(other, Scalar):
+            return self._c == other._c
+        if isinstance(other, (int, float, Fraction)):
+            return self._c == (((0, other),) if other else ())
+        return NotImplemented
 
     def __hash__(self):
         return hash(self._c)
-
-    def close_to(self, other, tol: float = COEFF_TOL) -> bool:
-        diff = self - Scalar.coerce(other)
-        if diff.is_exact:
-            return diff.is_zero()
-        return all(abs(float(v)) <= tol for _, v in diff._c)
 
     def sort_key(self):
         return tuple((d, float(v)) for d, v in self._c)
 
     def __str__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for d, v in reversed(self._c):
-            if d == 0:
-                term = str(v)
-            else:
-                nn = "n" if d == 1 else f"n^{d}"
-                if v == 1:
-                    term = nn
-                elif v == -1:
-                    term = f"-{nn}"
-                else:
-                    term = f"{v}*{nn}"
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum(_times(v, "n" if d == 1 else f"n^{d}") if d else str(v)
+                           for d, v in reversed(self._c))
 
     __repr__ = __str__
 
@@ -221,7 +173,7 @@ ONE = Scalar.const(1)
 
 def n_sym() -> Scalar:
     """The formal exponent symbol."""
-    return Scalar.symbol()
+    return Scalar({1: 1})
 
 
 class Monomial:
@@ -229,9 +181,6 @@ class Monomial:
 
     def __init__(self, coeff: Scalar, xexp: Scalar, vexp: Scalar):
         self.coeff, self.xexp, self.vexp = coeff, xexp, vexp
-
-    def pattern(self):
-        return (self.xexp, self.vexp)
 
     def eval_at(self, x: float, v: float, n_value=None):
         if n_value is None:
@@ -254,15 +203,7 @@ class Monomial:
                 es = f"({es})"
             return f"{sym}^{es}"
         body = "".join(filter(None, (expo("x", self.xexp), expo("v", self.vexp))))
-        c = str(self.coeff)
-        if not body:
-            return c
-        if self.coeff == ONE:
-            return body
-        if self.coeff == Scalar.const(-1):
-            return f"-{body}"
-        c = f"({c})" if ("+" in c or (c.count("-") > (1 if c.startswith("-") else 0))) else c
-        return f"{c}*{body}"
+        return _times(self.coeff, body) if body else str(self.coeff)
 
 
 def _merge(terms: Iterable[Monomial]) -> tuple:
@@ -276,7 +217,7 @@ def _merge(terms: Iterable[Monomial]) -> tuple:
 
 
 class MonomialVF:
-    """A planar vector field with monomial components, exact where possible."""
+    """A planar vector field with monomial components and exact coefficients."""
 
     __slots__ = ("x", "v")
 
@@ -298,13 +239,8 @@ class MonomialVF:
     def d_dv(cls, coeff=1, xexp=0, vexp=0) -> "MonomialVF":
         return cls.of(vterms=[(coeff, xexp, vexp)])
 
-    @property
-    def is_exact(self) -> bool:
-        return all(m.coeff.is_exact and m.xexp.is_exact and m.vexp.is_exact
-                   for m in self.x + self.v)
-
-    def is_zero(self, tol: float = COEFF_TOL) -> bool:
-        return all(m.coeff.is_zero(tol) for m in self.x + self.v)
+    def is_zero(self) -> bool:
+        return all(m.coeff.is_zero() for m in self.x + self.v)
 
     def __add__(self, other):
         return MonomialVF(_merge(self.x + other.x), _merge(self.v + other.v))
@@ -324,13 +260,10 @@ class MonomialVF:
     def __rmul__(self, c):
         return self.scaled(c)
 
-    def equals(self, other, tol: float = COEFF_TOL) -> bool:
-        return (self - other).is_zero(tol)
-
     def __eq__(self, other):
         if not isinstance(other, MonomialVF):
             return NotImplemented
-        return self.equals(other)
+        return (self - other).is_zero()
 
     __hash__ = None
 
@@ -339,20 +272,8 @@ class MonomialVF:
         fv = sum(m.eval_at(x, v, n_value) for m in self.v)
         return float(fx), float(fv)
 
-    def substitute(self, n_value) -> "MonomialVF":
-        def sub(ts):
-            return [(m.coeff.substitute(n_value), m.xexp.substitute(n_value),
-                     m.vexp.substitute(n_value)) for m in ts]
-        return MonomialVF.of(sub(self.x), sub(self.v))
-
     def __str__(self):
-        parts = [f"{m} d/dx" for m in self.x] + [f"{m} d/dv" for m in self.v]
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum([f"{m} d/dx" for m in self.x] + [f"{m} d/dv" for m in self.v])
 
     __repr__ = __str__
 
@@ -386,87 +307,40 @@ def bracket(a: MonomialVF, b: MonomialVF) -> MonomialVF:
 # linear algebra over monomial patterns
 
 
-def _pattern_matrix(fields: Sequence[MonomialVF]):
-    """Rows indexed by (component, xexp, vexp) patterns, columns by field."""
-    patterns = []
-    seen = {}
-    for f in fields:
-        for comp, terms in (("x", f.x), ("v", f.v)):
-            for m in terms:
-                key = (comp, m.xexp, m.vexp)
-                if key not in seen:
-                    seen[key] = len(patterns)
-                    patterns.append(key)
-    mat = [[ZERO] * len(fields) for _ in patterns]
-    for j, f in enumerate(fields):
-        for comp, terms in (("x", f.x), ("v", f.v)):
-            for m in terms:
-                mat[seen[(comp, m.xexp, m.vexp)]][j] = m.coeff
-    return patterns, seen, mat
+def _solve(basis: list, target: MonomialVF) -> list:
+    """Exact Gauss–Jordan candidate solve of target = sum(c_j * basis[j]).
 
-
-def _matrix_is_symbolic(mat) -> bool:
-    return any(c.is_symbolic for row in mat for c in row)
-
-
-def _matrix_is_exact(mat) -> bool:
-    return all(c.is_exact for row in mat for c in row)
-
-
-def _ge_solve(mat, rhs, exact: bool):
-    """Candidate solve of mat @ c = rhs for a full-column-rank matrix.
-
-    Plain elimination over Fractions (exact) or floats with partial pivoting.
-    Returns the coefficient list, or raises LinearDependenceError when the
-    columns are dependent.  Consistency of the leftover rows is NOT checked
-    here; callers verify by reconstructing the field and looking at the
-    residual, which is the honest check in both arithmetic modes.
+    Rows are the (component, xexp, vexp) patterns the fields use.  Pivots come
+    from the basis columns, whose entries must be rationals (a symbolic one
+    raises UnsupportedDecompositionError); the target column may be a
+    polynomial in n.  Dependent basis columns raise LinearDependenceError.
+    Consistency of the leftover rows is not checked here: decompose
+    reconstructs the field and reports the exact residual.
     """
-    nrow, ncol = len(mat), len(mat[0]) if mat else 0
-    if exact:
-        a = [[Fraction(mat[i][j].coeff(0)) for j in range(ncol)] + [Fraction(rhs[i].coeff(0))]
-             for i in range(nrow)]
-        is_zero = lambda v: v == 0
-    else:
-        a = [[float(mat[i][j].coeff(0)) for j in range(ncol)] + [float(rhs[i].coeff(0))]
-             for i in range(nrow)]
-        lead = max((abs(v) for row in a for v in row), default=1.0) or 1.0
-        is_zero = lambda v: abs(v) <= 1e-13 * lead
-    piv_rows = []
-    r = 0
-    for j in range(ncol):
-        p = max(range(r, nrow), key=lambda i: abs(a[i][j]), default=None)
-        if p is None or is_zero(a[p][j]):
-            raise LinearDependenceError("supplied fields are linearly dependent")
-        a[r], a[p] = a[p], a[r]
-        piv = a[r][j]
-        a[r] = [v / piv for v in a[r]]
-        for i in range(nrow):
-            if i != r and not is_zero(a[i][j]):
-                f = a[i][j]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        piv_rows.append(r)
-        r += 1
-    return [a[i][ncol] for i in piv_rows]
-
-
-def _isolating_solve(fields, target):
-    """Symbolic-case solve: each field must own a pattern no other field uses."""
-    patterns, index, mat = _pattern_matrix(list(fields) + [target])
-    ncol = len(fields)
-    coeffs = []
-    for j in range(ncol):
-        iso = None
-        for i, row in enumerate(mat):
-            if not row[j].is_zero() and all(row[k].is_zero() for k in range(ncol) if k != j):
-                iso = i
-                break
-        if iso is None:
+    ncol = len(basis)
+    rows: dict = {}
+    for j, f in enumerate(basis + [target]):
+        for comp, terms in (("x", f.x), ("v", f.v)):
+            for m in terms:
+                rows.setdefault((comp, m.xexp, m.vexp), [ZERO] * (ncol + 1))[j] = m.coeff
+    a = []
+    for row in rows.values():
+        if any(c.is_symbolic for c in row[:ncol]):
             raise UnsupportedDecompositionError(
-                "symbolic decomposition needs each basis field to own an "
-                "isolating monomial pattern")
-        coeffs.append(mat[iso][ncol] / mat[iso][j])
-    return coeffs
+                "basis coefficients must be rationals; one depends on n")
+        a.append([c.coeff(0) for c in row[:ncol]] + [row[ncol]])
+    for j in range(ncol):
+        p = max(range(j, len(a)), key=lambda i: abs(a[i][j]), default=None)
+        if p is None or a[p][j] == 0:
+            raise LinearDependenceError("supplied fields are linearly dependent")
+        a[j], a[p] = a[p], a[j]
+        piv = a[j][j]
+        a[j] = [v / piv for v in a[j]]
+        for i in range(len(a)):
+            if i != j and a[i][j] != 0:
+                f = a[i][j]
+                a[i] = [vi - f * vj for vi, vj in zip(a[i], a[j])]
+    return [a[j][ncol] for j in range(ncol)]
 
 
 class Decomposition:
@@ -480,8 +354,7 @@ class Decomposition:
         return self.residual.is_zero()
 
 
-def decompose(field: MonomialVF, basis: Sequence[MonomialVF],
-              tol: float = COEFF_TOL) -> Decomposition:
+def decompose(field: MonomialVF, basis: Sequence[MonomialVF]) -> Decomposition:
     """Write field as a combination of the basis, or report the residual.
 
     Coefficients are exact Scalars (possibly polynomials in n).  The residual
@@ -489,41 +362,15 @@ def decompose(field: MonomialVF, basis: Sequence[MonomialVF],
     combination; it vanishes exactly when the field lies in the span.
     """
     basis = list(basis)
-    if not basis:
-        return Decomposition((), field)
-    patterns, index, mat = _pattern_matrix(basis + [field])
-    bmat = [row[:-1] for row in mat]
-    rhs = [row[-1] for row in mat]
-    if _matrix_is_symbolic(bmat) or _matrix_is_symbolic([rhs]):
-        coeffs = _isolating_solve(basis, field)
-    else:
-        coeffs = [Scalar.const(c) for c in _ge_solve(bmat, rhs, _matrix_is_exact(mat))]
+    coeffs = _solve(basis, field)
     recon = MonomialVF()
     for c, b in zip(coeffs, basis):
         recon = recon + b.scaled(c)
-    residual = field - recon
-    if residual.is_zero(tol):
-        residual = MonomialVF()
-    return Decomposition(tuple(coeffs), residual)
+    return Decomposition(tuple(coeffs), field - recon)
 
 
 # ---------------------------------------------------------------------------
 # scheme verification
-
-
-def _check_independent(fields, what):
-    patterns, index, mat = _pattern_matrix(fields)
-    if _matrix_is_symbolic(mat):
-        # every field needs an isolating pattern; that certifies independence
-        for j in range(len(fields)):
-            if not any(not row[j].is_zero()
-                       and all(row[k].is_zero() for k in range(len(fields)) if k != j)
-                       for row in mat):
-                raise UnsupportedDecompositionError(
-                    f"cannot certify independence of the {what} basis symbolically")
-        return
-    zero = [ZERO] * len(mat)
-    _ge_solve(mat, zero, _matrix_is_exact(mat))  # raises LinearDependenceError on rank loss
 
 
 class SchemeReport:
@@ -544,23 +391,8 @@ class SchemeReport:
         wl, vl = self.w_labels, self.v_labels
 
         def combo(coeffs, labels):
-            parts = []
-            for c, lab in zip(coeffs, labels):
-                if c.is_zero():
-                    continue
-                if c == ONE:
-                    parts.append(f"+ {lab}")
-                elif c == Scalar.const(-1):
-                    parts.append(f"- {lab}")
-                else:
-                    cs = str(c)
-                    cs = f"({cs})" if ("+" in cs or "-" in cs[1:]) else cs
-                    parts.append(f"+ {cs}*{lab}" if not cs.startswith("-")
-                                 else f"- {cs[1:]}*{lab}")
-            if not parts:
-                return "0"
-            head = parts[0][2:] if parts[0].startswith("+ ") else "-" + parts[0][2:]
-            return " ".join([head] + parts[1:])
+            return _signed_sum(_times(c, lab) for c, lab in zip(coeffs, labels)
+                               if not c.is_zero())
 
         lines = ["scheme check"]
         lines.append("  span(W) in span(V):")
@@ -589,8 +421,8 @@ def verify_scheme(w: Sequence[MonomialVF], v: Sequence[MonomialVF],
     the span conditions do not raise; they land in the report.
     """
     w, v = list(w), list(v)
-    _check_independent(w, "W")
-    _check_independent(v, "V")
+    _solve(w, MonomialVF())  # raises LinearDependenceError on rank loss
+    _solve(v, MonomialVF())
     wl = tuple(w_labels or (f"W{i+1}" for i in range(len(w))))
     vl = tuple(v_labels or (f"V{i+1}" for i in range(len(v))))
     failures = []

@@ -435,6 +435,15 @@ class TestReduce:
         assert verdict(out) == ("FAIL", "error", "ReductionError")
         assert "slope compatibility" in err
 
+    def test_rate_off_the_frame_rate_is_verification_failure(self, capsys, tmp_path):
+        spec = DRAG_N5.replace("a = -2/t", "a = -5/(2*t)").replace("b = -1", "b = -2")
+        code, out, err = run(
+            capsys, "reduce", spec_file(tmp_path, spec), "--solution", "(2*t)^(-1/2)"
+        )
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "ReductionError")
+        assert "frame's rate" in err and "t=" in err
+
     def test_failing_evaluation_names_its_sample(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "reduce", spec_file(tmp_path, DRAG_N5), "--solution", "sqrt(t-1)"

@@ -248,6 +248,14 @@ class TestReduceViaParticularSolution:
         with pytest.raises(ReductionError, match="slope compatibility"):
             reduce_via_particular_solution(prob, decaying_scale(), (0.5, 4.0))
 
+    def test_rate_off_the_frame_rate_is_refused(self):
+        # (2t)^(-1/2) solves this problem and is slope-compatible, but with
+        # b = -2 the rate b xp^n/dxp is twice the frame's -dxp/xp, so the
+        # single-rate system would map back to the wrong trajectory
+        prob = EmdenProblem(a=PowerFn(Fraction(-5, 2), 0, 1, -1), b=-2.0, n=5)
+        with pytest.raises(ReductionError, match=r"frame's rate .* near t=\S+"):
+            reduce_via_particular_solution(prob, decaying_scale(), (0.5, 5.0))
+
     def test_growing_profile_rejected(self):
         # exact solution of its problem, compatibility holds, but the slope
         # is positive so the frame's velocity scale would go negative

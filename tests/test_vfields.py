@@ -63,18 +63,28 @@ class TestScalar:
         assert p.substitute(Fraction(3, 2)) == Fraction(5, 4)
 
     def test_exact_division(self):
-        assert (N * N - 1) / (N - 1) == N + 1
         assert (2 * N + 4) / 2 == N + 2
+        with pytest.raises(UnsupportedDecompositionError):
+            (N * N - 1) / (N - 1)
+        with pytest.raises(ZeroDivisionError):
+            N / 0
 
     def test_division_without_polynomial_quotient_raises(self):
         with pytest.raises(UnsupportedDecompositionError):
             N / (N + 1)
 
-    def test_float_contamination_and_close_to(self):
-        s = Scalar.const(0.1) + Scalar.const(0.2)
-        assert not s.is_exact
-        assert s.close_to(Scalar.const(Fraction(3, 10)))
-        assert not s.close_to(Scalar.const(Fraction(1, 3)))
+    def test_inexact_values_are_refused(self):
+        for make in (lambda: Scalar.const(0.5), lambda: Scalar.const(True),
+                     lambda: MonomialVF.d_dv(0.5), lambda: MonomialVF.d_dx(1, 1.5, 0),
+                     lambda: emden_v_basis(2.5), lambda: N.substitute(0.5)):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_comparison_with_a_float_is_a_bool(self):
+        assert (Scalar.const(1) == 1.0) is True
+        assert (Scalar.const(1) == 0.5) is False
+        assert (N == 1.0) is False
+        assert (Scalar({}) == 0.0) is True
 
     def test_rendering(self):
         assert str(N) == "n"
@@ -134,14 +144,6 @@ class TestDecompose:
         assert dec.residual == f
         assert all(c.is_zero() for c in dec.coefficients)
 
-    def test_float_coefficients_solve_to_tolerance(self):
-        v = emden_v_basis(5)
-        f = v[0].scaled(0.5) + v[4].scaled(1.5)
-        dec = decompose(f, v)
-        assert dec.in_span
-        assert dec.coefficients[0].close_to(Fraction(1, 2))
-        assert dec.coefficients[4].close_to(Fraction(3, 2))
-
     def test_dependent_basis_raises(self):
         with pytest.raises(LinearDependenceError):
             decompose(x_dx, [x_dv, x_dv.scaled(2)])
@@ -155,6 +157,19 @@ class TestDecompose:
     def test_symbolic_coefficients_without_isolating_patterns_raise(self):
         with pytest.raises(UnsupportedDecompositionError):
             decompose(xn_dv, [x_dv, x_dv.scaled(N) + xn_dv])
+
+    def test_symbolic_basis_coefficient_raises(self):
+        # pivots come from the basis, so each basis coefficient must be a rational
+        with pytest.raises(UnsupportedDecompositionError):
+            decompose(x_dv, [x_dv.scaled(N)])
+        with pytest.raises(UnsupportedDecompositionError):
+            verify_scheme([v_dv.scaled(N)], emden_v_basis())
+
+    def test_zero_basis_field_is_dependent(self):
+        with pytest.raises(LinearDependenceError):
+            decompose(MonomialVF(), [MonomialVF()])
+        with pytest.raises(LinearDependenceError):
+            verify_scheme([MonomialVF()], emden_v_basis())
 
     @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
                     min_size=5, max_size=5))
