@@ -409,25 +409,26 @@ def reduce_via_particular_solution(
                 "a negative slope is required so the frame scale stays positive"
             )
 
-    # the frame x = xp x' moves x' at its own rate -dxp/xp, which the single
-    # rate f must equal; under slope compatibility that is b = -1
-    frame_gap, frame_t = _sup_rel_gap(
-        [(bx / d, -d / x) for (d, _, _, bx), x in zip(rate_terms, xs)], ts)
+    def rate(t, _b=b, _xp=xp, _dxp=dxp, _n=n):
+        return _b(t) * real_power(_xp(t), _n) / _dxp(t)
+
+    # the rate f = b xp^n / dxp against the independent route -a + ddxp/dxp
+    # (a cross-check only), and against -dxp/xp: the frame x = xp x' moves x'
+    # at that rate, so f must equal it (under slope compatibility, b = -1)
+    worst = frame_gap = 0.0
+    frame_t = ts[0]
+    for t, x, (d, dd, av, bx) in zip(ts, xs, rate_terms):
+        f1, f2 = bx / d, -av + dd / d
+        scale = max(1.0, abs(f1))
+        worst = max(worst, abs(f1 - f2) / scale)
+        gap = abs(f1 + d / x) / scale
+        if gap > frame_gap:
+            frame_gap, frame_t = gap, t
     if frame_gap > tol:
         raise ReductionError(
             f"the rate b xp^n/dxp differs from the frame's rate -dxp/xp near "
             f"t={frame_t:.6g} (relative gap {frame_gap:.3e}); the collapse needs b = -1"
         )
-
-    def rate(t, _b=b, _xp=xp, _dxp=dxp, _n=n):
-        return _b(t) * real_power(_xp(t), _n) / _dxp(t)
-
-    # the rate f = b xp^n / dxp against the independent route -a + ddxp/dxp,
-    # a cross-check only
-    worst = 0.0
-    for d, dd, av, bx in rate_terms:
-        f1, f2 = bx / d, -av + dd / d
-        worst = max(worst, abs(f1 - f2) / max(1.0, abs(f1)))
     if worst > tol:
         raise ReductionError(
             f"the two rate derivations disagree (sup relative gap {worst:.3e})"
