@@ -104,10 +104,8 @@ def _cmd_integrate(args) -> int:
     prob = spec.build()
     t0, t1 = spec.interval
     traj = integrate(prob.rhs, t0, spec.initial, t1, spec.config())
-    rows = []
-    for t in linspace(t0, t1, args.samples):
-        x, v = traj(t)
-        rows.append((t, x, v))
+    grid = linspace(t0, t1, args.samples)
+    rows = [(t, x, v) for t, (x, v) in zip(grid, traj.states(grid))]
     _emit_csv(args.output, ("t", "x", "v"), rows)
     return _finish(True, "steps", traj.accepted)
 

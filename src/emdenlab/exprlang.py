@@ -138,6 +138,8 @@ def real_power(x: float, p: float) -> float:
     except (OverflowError, ValueError) as exc:
         raise EvalDomainError(f"pow({x!r}, {p!r}) left the real range") from exc
     if not math.isfinite(r):
+        if not math.isfinite(x):
+            raise EvalDomainError(f"pow({x!r}, {p!r}): the base is not a real number")
         raise EvalDomainError(f"pow({x!r}, {p!r}) overflowed")
     return r
 

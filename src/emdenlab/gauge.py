@@ -113,9 +113,9 @@ class GaugeTransform:
 
     def _scales(self, t: float) -> Tuple[float, float, float]:
         b, g = self.beta(t), self.gamma(t)
-        if b <= 0.0:
+        if not b > 0.0:  # NaN too
             raise GaugeError(f"beta({t}) = {b}; must be positive")
-        if g <= 0.0:
+        if not g > 0.0:
             raise GaugeError(f"gamma({t}) = {g}; must be positive")
         a = 0.0 if self.alpha is None else self.alpha(t)
         return a, b, g
@@ -262,9 +262,8 @@ def verify_pushforward(
     ts = _sample_points(interval, samples)
     gap = 0.0
     scale = 1.0
-    for t in ts:
-        mapped = g.inverse(t, *orig(t))
-        direct = image(t)
+    for t, z, direct in zip(ts, orig.states(ts), image.states(ts)):
+        mapped = g.inverse(t, *z)
         gap = max(gap, abs(mapped[0] - direct[0]), abs(mapped[1] - direct[1]))
         scale = max(scale, abs(mapped[0]), abs(mapped[1]))
 
@@ -336,6 +335,109 @@ def _sup_rel_gap(pairs, ts):
     return worst, where
 
 
+# The reduction's samples.  The first pass reads dxp, then xp, at every t,
+# the second ddxp, a and b; a row is appended once all its values are made,
+# so the rows held when a value fails say at which t it failed.
+_SAMPLE = """\
+def _sample(ts, first, rows):
+    for t in ts:
+        {first}
+        first.append(({d}, {x}, {d} ** 2, _pow({x}, {np1})))
+    for t, (d, x, d2, w) in zip(ts, first):
+        {second}
+        rows.append((x, d, d2, w, {dd}, {a}, {b} * _pow(x, {n})))
+"""
+
+
+def _sampler(xp, dxp, ddxp, a, b, n):
+    """_sample(ts, first, rows) with the functions written in by an Inliner
+    that calls compiled expressions: rows gets (xp, dxp, dxp^2, xp^(n+1),
+    ddxp, a, b xp^n) at each t."""
+    src = Inliner(expand=False)
+    d, x = src.value(dxp, "_d"), src.value(xp, "_x")
+    first, src.lines = src.lines, []
+    dd, av, bv = src.value(ddxp, "_dd"), src.value(a, "_a"), src.value(b, "_b")
+    indent = "\n        "
+    return src.define(_SAMPLE.format(
+        first=indent.join(first) or "pass", second=indent.join(src.lines) or "pass",
+        d=d, x=x, dd=dd, a=av, b=bv, np1=src.slot(n + 1.0), n=src.slot(n)), "_sample")
+
+
+def _checked_rate_gap(ts, rows, tol: float) -> float:
+    """The sup relative gap between the two rate routes once every check on
+    the rows passes, else a ReductionError for the first failure in this
+    order: a value that is not finite, slope compatibility and the residual
+    (both reported), the frame's sign, the frame's rate, the two routes."""
+    cond_gap = res_gap = frame_gap = worst = 0.0
+    cond_t = res_t = frame_t = ts[0]
+    blowup = sign = None
+    for t, (x, d, d2, w, dd, av, bx) in zip(ts, rows):
+        r = av * d + bx
+        # each gap is |got - want| / max(1.0, |got|, |want|), with max spelled
+        # as the comparisons it makes: calling it costs more than the gap
+        got, want = abs(d2), abs(w)
+        scale = got if got > 1.0 else 1.0
+        cond = abs(d2 - w) / (want if want > scale else scale)
+        got, want = abs(dd), abs(r)
+        scale = got if got > 1.0 else 1.0
+        res = abs(dd - r) / (want if want > scale else scale)
+        if cond > cond_gap:
+            cond_gap, cond_t = cond, t
+        if res > res_gap:
+            res_gap, res_t = res, t
+        finite = cond == cond and res == res  # a gap is NaN only where a value is not finite
+        if sign is None:
+            if x <= 0.0:
+                sign = f"particular solution is not positive at t={t:.6g}"
+            elif d >= 0.0:
+                sign = (f"slope of the particular solution is {d:.6g} at t={t:.6g}; "
+                        "a negative slope is required so the frame scale stays positive")
+            else:
+                # the rate f = b xp^n / dxp against the independent route
+                # -a + ddxp/dxp (a cross-check only), and against -dxp/xp:
+                # the frame x = xp x' moves x' at that rate, so f must equal
+                # it (under slope compatibility, b = -1)
+                f1, f2 = bx / d, -av + dd / d
+                scale = abs(f1)
+                scale = scale if scale > 1.0 else 1.0
+                gap, frame = abs(f1 - f2) / scale, abs(f1 + d / x) / scale
+                if gap > worst:
+                    worst = gap
+                if frame > frame_gap:
+                    frame_gap, frame_t = frame, t
+                finite = finite and gap == gap and frame == frame
+        if blowup is None and not finite:
+            blowup = (f"a check is not finite at t={t:.6g}: xp={x!r}, dxp={d!r}, "
+                      f"ddxp={dd!r}, a={av!r}, b xp^n={bx!r}")
+    failures = []
+    if cond_gap > tol:
+        failures.append(
+            "slope compatibility (dxp^2 = xp^(n+1)) fails "
+            f"near t={cond_t:.6g} with relative gap {cond_gap:.3e}"
+        )
+    if res_gap > tol:
+        failures.append(
+            "the claimed solution does not satisfy the problem "
+            f"near t={res_t:.6g} (residual gap {res_gap:.3e})"
+        )
+    if blowup is not None:
+        raise ReductionError(blowup)
+    if failures:
+        raise ReductionError("; ".join(failures))
+    if sign is not None:
+        raise ReductionError(sign)
+    if frame_gap > tol:
+        raise ReductionError(
+            f"the rate b xp^n/dxp differs from the frame's rate -dxp/xp near "
+            f"t={frame_t:.6g} (relative gap {frame_gap:.3e}); the collapse needs b = -1"
+        )
+    if worst > tol:
+        raise ReductionError(
+            f"the two rate derivations disagree (sup relative gap {worst:.3e})"
+        )
+    return worst
+
+
 def reduce_via_particular_solution(
     prob: EmdenProblem,
     xp: TimeFn,
@@ -366,73 +468,16 @@ def reduce_via_particular_solution(
 
     ts = _sample_points(interval, samples)
     a, b, n = prob.a, prob.b, prob.n
-
-    # each function is evaluated once per sample, in the order the checks
-    # below need it, and later checks read the stored values
-    xs, ds, slope_pairs = [], [], []
-    rate_terms, residual_pairs = [], []
+    first, rows = [], []
     try:
-        for t in ts:
-            d, x = dxp(t), xp(t)
-            xs.append(x)
-            ds.append(d)
-            slope_pairs.append((d ** 2, real_power(x, n + 1.0)))
-        for t, d, x in zip(ts, ds, xs):
-            dd, av = ddxp(t), a(t)
-            bx = b(t) * real_power(x, n)
-            rate_terms.append((d, dd, av, bx))
-            residual_pairs.append((dd, av * d + bx))
+        _sampler(xp, dxp, ddxp, a, b, n)(ts, first, rows)
     except (EvalDomainError, ArithmeticError) as exc:
+        t = ts[len(rows) if len(first) == len(ts) else len(first)]
         raise ReductionError(f"evaluation failed at t={t:.6g}: {exc}") from exc
-    cond_gap, cond_t = _sup_rel_gap(slope_pairs, ts)
-    res_gap, res_t = _sup_rel_gap(residual_pairs, ts)
-    failures = []
-    if cond_gap > tol:
-        failures.append(
-            "slope compatibility (dxp^2 = xp^(n+1)) fails "
-            f"near t={cond_t:.6g} with relative gap {cond_gap:.3e}"
-        )
-    if res_gap > tol:
-        failures.append(
-            "the claimed solution does not satisfy the problem "
-            f"near t={res_t:.6g} (residual gap {res_gap:.3e})"
-        )
-    if failures:
-        raise ReductionError("; ".join(failures))
-
-    for t, x, d in zip(ts, xs, ds):
-        if x <= 0.0:
-            raise ReductionError(f"particular solution is not positive at t={t:.6g}")
-        if d >= 0.0:
-            raise ReductionError(
-                f"slope of the particular solution is {d:.6g} at t={t:.6g}; "
-                "a negative slope is required so the frame scale stays positive"
-            )
+    worst = _checked_rate_gap(ts, rows, tol)
 
     def rate(t, _b=b, _xp=xp, _dxp=dxp, _n=n):
         return _b(t) * real_power(_xp(t), _n) / _dxp(t)
-
-    # the rate f = b xp^n / dxp against the independent route -a + ddxp/dxp
-    # (a cross-check only), and against -dxp/xp: the frame x = xp x' moves x'
-    # at that rate, so f must equal it (under slope compatibility, b = -1)
-    worst = frame_gap = 0.0
-    frame_t = ts[0]
-    for t, x, (d, dd, av, bx) in zip(ts, xs, rate_terms):
-        f1, f2 = bx / d, -av + dd / d
-        scale = max(1.0, abs(f1))
-        worst = max(worst, abs(f1 - f2) / scale)
-        gap = abs(f1 + d / x) / scale
-        if gap > frame_gap:
-            frame_gap, frame_t = gap, t
-    if frame_gap > tol:
-        raise ReductionError(
-            f"the rate b xp^n/dxp differs from the frame's rate -dxp/xp near "
-            f"t={frame_t:.6g} (relative gap {frame_gap:.3e}); the collapse needs b = -1"
-        )
-    if worst > tol:
-        raise ReductionError(
-            f"the two rate derivations disagree (sup relative gap {worst:.3e})"
-        )
 
     gauge = GaugeTransform(alpha=None, beta=lambda t: -dxp(t), gamma=xp,
                            dbeta=lambda t: -ddxp(t), dgamma=dxp)
@@ -619,7 +664,6 @@ def canonical_residual(
     tau_end = kl.tau(t_end)
     canon = integrate(_tau_rhs(kl), 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)), tau_end, cfg)
     ts = _sample_points((t0, t_end), grid_points)
-    worst, _ = _sup_rel_gap(
-        ((canon(min(kl.tau(t), tau_end))[1], orig(t)[0] / kl.gamma(t)) for t in ts), ts
-    )
+    worst, _ = _sup_rel_gap(((canon(min(kl.tau(t), tau_end))[1], z[0] / kl.gamma(t))
+                             for t, z in zip(ts, orig.states(ts))), ts)
     return worst

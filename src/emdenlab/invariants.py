@@ -62,6 +62,31 @@ def _power_potential(n: float) -> Callable[[float], float]:
     return lambda x: real_power(x, np1) / np1
 
 
+_EVALUATOR = """\
+def evaluator(t, x, v):
+    {lines}
+    if {dp} == 0.0 or {p} == 0.0:
+        raise {error}(f"reference solution data vanishes at t={{t}}; invariant undefined")
+    return {pot} + v * v / (2.0 * {dp} * {dp}) - x * v / ({p} * {dp})
+"""
+
+
+def _particular_evaluator(profile: TimeFn, slope: TimeFn, n: float):
+    """I(t, x, v) of ``invariant_from_particular_solution``, the profile and
+    the slope written in by an Inliner that calls compiled expressions;
+    log(x/p) in place of the power at n = -1."""
+    src = Inliner(expand=False)
+    p, dp = src.value(profile, "_p"), src.value(slope, "_dp")
+    if abs(n + 1.0) < 1e-12:
+        pot = f"{src.slot(math.log)}(x / {p})"
+    else:
+        np1 = src.slot(n + 1.0)
+        pot = f"_pow(x, {np1}) / ({np1} * _pow({p}, {np1}))"
+    return src.define(_EVALUATOR.format(
+        lines="\n    ".join(src.lines) or "pass", p=p, dp=dp, pot=pot,
+        error=src.slot(InvariantDomainError)), "evaluator")
+
+
 def invariant_from_particular_solution(
     prob: EmdenProblem,
     xp: TimeFn,
@@ -81,24 +106,8 @@ def invariant_from_particular_solution(
     n = -1 the first term becomes log(x/xp).
     """
     red = reduce_via_particular_solution(prob, xp, interval, dxp=dxp, ddxp=ddxp)
-    profile = red.gauge.gamma          # = xp, coerced
-    slope = red.gauge.dgamma           # = dxp, exact or supplied
-    n = prob.n
-    log_form = abs(n + 1.0) < 1e-12
-    np1 = n + 1.0
-
-    def evaluator(t: float, x: float, v: float) -> float:
-        p, dp = profile(t), slope(t)
-        if dp == 0.0 or p == 0.0:
-            raise InvariantDomainError(
-                f"reference solution data vanishes at t={t}; invariant undefined"
-            )
-        if log_form:
-            pot = math.log(x / p)
-        else:
-            pot = real_power(x, np1) / (np1 * real_power(p, np1))
-        return pot + v * v / (2.0 * dp * dp) - x * v / (p * dp)
-
+    # profile = xp, coerced, and its slope dxp, exact or supplied
+    evaluator = _particular_evaluator(red.gauge.gamma, red.gauge.dgamma, prob.n)
     return Invariant(
         evaluator=evaluator,
         provenance="particular-solution",
@@ -199,14 +208,16 @@ def _forward(interval: Tuple[float, float]) -> Tuple[float, float]:
 
 def _condition_report(
     label: str,
-    cond: Callable[[float], float],
+    cond: Callable[[float, tuple], float],
+    integrals: Trajectory,
     interval: Tuple[float, float],
     grid: int,
     rel_tol: float,
     make_invariant,
 ) -> ConditionedInvariant:
+    """cond(t, integrals at t) sampled on grid points of interval."""
     ts = linspace(interval[0], interval[1], grid)
-    vals = [cond(t) for t in ts]
+    vals = [cond(t, state) for t, state in zip(ts, integrals.states(ts))]
     for t, value in zip(ts, vals):
         if not math.isfinite(value):
             raise InvariantDomainError(f"condition value is not finite at t={t:.6g}")
@@ -250,8 +261,8 @@ def rescaled_energy_invariant(
     A = integrate(_integrals_rhs(a, with_g=False), float(anchor), (0.0,), t_end, _INTEGRAL_CONFIG)
     pot = _power_potential(n)
 
-    def cond(t: float) -> float:
-        return b(t) * math.exp(-2.0 * A(t)[0])
+    def cond(t: float, state: tuple) -> float:
+        return b(t) * math.exp(-2.0 * state[0])
 
     def make_invariant(_constant: float) -> Invariant:
         def evaluator(t: float, x: float, v: float) -> float:
@@ -264,7 +275,7 @@ def rescaled_energy_invariant(
         )
 
     return _condition_report(
-        "rescaled energy", cond, interval, grid, rel_tol, make_invariant
+        "rescaled energy", cond, A, interval, grid, rel_tol, make_invariant
     )
 
 
@@ -300,8 +311,8 @@ def dilation_invariant(
     degenerate = abs(n + 3.0) < 1e-12
     half_shift = (n + 3.0) / 2.0
 
-    def cond(t: float) -> float:
-        A, G = AG(t)
+    def cond(t: float, state: tuple) -> float:
+        A, G = state
         base = b(t) * math.exp(-2.0 * A)
         if degenerate:
             return base
@@ -321,7 +332,7 @@ def dilation_invariant(
         )
 
     return _condition_report(
-        "dilation", cond, interval, grid, rel_tol, make_invariant
+        "dilation", cond, AG, interval, grid, rel_tol, make_invariant
     )
 
 
@@ -365,8 +376,9 @@ class DriftReport:
 def drift(inv: Invariant, traj: Trajectory, samples: int = 200) -> DriftReport:
     """Evaluate an invariant along a trajectory and measure its wobble.
 
-    Samples the dense output uniformly; the relative figure is normalized
-    by max(1, |I0|, max |I_i|), so identically-zero invariants report their
+    Samples the dense output at samples uniform times, read in one sweep
+    (``Trajectory.states``); the relative figure is normalized by
+    max(1, |I0|, max |I_i|), so identically-zero invariants report their
     absolute drift.
     """
     if samples < 2:
@@ -382,8 +394,7 @@ def drift(inv: Invariant, traj: Trajectory, samples: int = 200) -> DriftReport:
             )
     ts = linspace(traj.t0, traj.t_end, samples)
     values = []
-    for i, t in enumerate(ts):
-        x, v = traj(t)
+    for i, (t, (x, v)) in enumerate(zip(ts, traj.states(ts))):
         try:
             value = inv(t, x, v)
         except (ArithmeticError, ValueError) as exc:

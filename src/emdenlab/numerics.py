@@ -15,9 +15,12 @@ chosen by CPU sums in its own order.  The first run with n components
 generates one function that runs the whole adaptive loop for n, with every
 tableau entry a float literal, so no loop over components or entries is
 left to interpret; dense output is read by one generated reader per state
-size.  The mesh is kept once, as the lists ``ts`` and ``ys``, with one row
-of dense coefficients per step; ``t``, ``y`` and ``sample`` import numpy
-and build arrays on first use.
+size, and a grid of times ordered along the run (``Trajectory.states``) by
+one generated sweep per state size, which walks the mesh once and does the
+reader's arithmetic on the segment a point read bisects to.  The mesh is
+kept once, as the lists ``ts`` and ``ys``, with one row of dense
+coefficients per step; ``t``, ``y`` and ``sample`` import numpy and build
+arrays on first use.
 
 A system's right-hand side is written once, as a stage body: lines that
 read t and x0 ... and give the slopes.  The problems, the scale, clock and
@@ -208,9 +211,29 @@ class Trajectory:
     def _read(self):
         return _reader(len(self.ys[0]))
 
+    def states(self, times) -> list:
+        """The state at each of times, as ``[self(t) for t in times]`` gives
+        it, bit for bit, with the same ValueError for a time outside the run.
+
+        A grid ordered along the run (ascending for a forward run) is read in
+        one walk over the mesh by a generated sweep; from the first time that
+        leaves the window or turns back, the rest are read one by one."""
+        out, times = [], iter(times)
+        if len(self.ts) > 1:
+            stop = self._sweep(times, self.ts, self.ys, self._seg_q, *self._window[2:4], out)
+            if stop is not None:
+                out.append(self(stop))
+        out += map(self, times)
+        return out
+
+    @functools.cached_property
+    def _sweep(self):
+        return _sweeper(len(self.ys[0]), self._window[4] is not None)
+
     def sample(self, ts: Sequence[float]):
+        """The states at ts as an array, one row per time (``states``)."""
         import numpy as np
-        return np.array([self(t) for t in ts])
+        return np.array(self.states(ts))
 
 
 def linspace(a: float, b: float, count: int) -> list:
@@ -304,22 +327,61 @@ def _kernel(n: int, body: tuple | None = None):
     return compile(source, f"<dopri5 n={n}>", "exec")
 
 
+def _read_lines(n: int) -> tuple:
+    """The lines that unpack th's powers, y and q, and the expression of the
+    n-component state at theta = th of the segment from y with
+    theta-coefficient rows q: y + (a*th + b*th^2 + ...) each."""
+    comps = range(n)
+    rows = ", ".join(f"[{', '.join(f'{r}_{c}' for c in comps)}]" for r in "abcd")
+    state = "".join(f"y_{c} + (a_{c} * th + b_{c} * th2 + c_{c} * th3 + d_{c} * th4), "
+                    for c in comps)
+    lines = ["th2, th3, th4 = th * th, th ** 3, th ** 4",
+             f"[{', '.join(f'y_{c}' for c in comps)}] = y", f"[{rows}] = q"]
+    return lines, f"({state})"
+
+
+def _generated(source: str, name: str, filename: str):
+    """The function name that source defines, compiled under filename."""
+    namespace = {"_float": float}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace.pop(name)
+
+
 @functools.cache
 def _reader(n: int):
     """read(th, y, q): the n-component state at theta = th of the segment
-    from y with theta-coefficient rows q, y + (a*th + b*th^2 + ...) each."""
-    comps = range(n)
-    rows = ", ".join(f"[{', '.join(f'{r}_{c}' for c in comps)}]" for r in "abcd")
-    values = "".join(f"y_{c} + (a_{c} * th + b_{c} * th2 + c_{c} * th3 + d_{c} * th4), "
-                     for c in comps)
-    source = (f"def _read(th, y, q):\n"
-              f"    th2, th3, th4 = th * th, th ** 3, th ** 4\n"
-              f"    [{', '.join(f'y_{c}' for c in comps)}] = y\n"
-              f"    [{rows}] = q\n"
-              f"    return ({values})\n")
-    namespace = {}
-    exec(compile(source, f"<dense n={n}>", "exec"), namespace)
-    return namespace["_read"]
+    from y with theta-coefficient rows q (``_read_lines``)."""
+    lines, state = _read_lines(n)
+    body = "".join(f"    {line}\n" for line in lines)
+    return _generated(f"def _read(th, y, q):\n{body}    return {state}\n",
+                      "_read", f"<dense n={n}>")
+
+
+# The sweep reads a grid ordered along the run in one walk over the mesh:
+# j only moves forward, to the segment bisect_right picks in __call__.  It
+# returns the first time that leaves the window or turns back, else None.
+_SWEEP = """\
+def _sweep(times, ts, ys, qs, low, high, out):
+    j, last, prev = 1, len(ts) - 1, {start}
+    for t in times:
+        t = _float(t)
+        if not (low <= t <= high and prev {order} t): return t
+        prev = t
+        while j < last and ts[j] {order} t: j += 1
+        y, q, t_i = ys[j - 1], qs[j - 1], ts[j - 1]
+        th = (t - t_i) / (ts[j] - t_i)
+        {read}
+        out.append({state})
+"""
+
+
+@functools.cache
+def _sweeper(n: int, backward: bool):
+    """The generated ``_SWEEP`` for n components and the run's direction."""
+    lines, state = _read_lines(n)
+    source = _SWEEP.format(start="high" if backward else "low", order=">=" if backward else "<=",
+                           read="\n        ".join(lines), state=state)
+    return _generated(source, "_sweep", f"<sweep n={n}>")
 
 
 @functools.lru_cache(maxsize=64)

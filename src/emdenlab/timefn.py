@@ -9,6 +9,7 @@ which compiled expressions, constants and PowerFn all provide exactly.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -214,14 +215,17 @@ class PowerFn:
 class Inliner:
     """Straight-line source that evaluates time functions at t: the stage
     body of a system's right-hand side, which ``numerics`` compiles into the
-    system's ``rhs`` and writes into its Dormand-Prince stages.
+    system's ``rhs`` and writes into its Dormand-Prince stages, or the body
+    of a pass over a grid of samples, which ``define`` compiles.
 
     ``value(fn, name)`` appends the lines that compute fn(t) and returns the
     expression that holds the result.  The lines make the float operations
     and checks that calling fn makes, in the same order, so the values and
     the first EvalDomainError are the same:
 
-    - a compiled expression emits its ``exprlang`` lines;
+    - a compiled expression emits its ``exprlang`` lines, unless expand is
+      False: then it stays a call, since code built for one pass over a few
+      hundred samples spends more on writing those lines than they save;
     - a PowerFn emits ``c * _pow(k + m*t, e)`` from its float fields, or
       ``0.0`` when c is zero, as its ``__call__`` does;
     - ``constant(c)`` is its value;
@@ -231,9 +235,10 @@ class Inliner:
     ``namespace``, so sources that differ only in numbers are the same text.
     """
 
-    def __init__(self):
+    def __init__(self, expand: bool = True):
         self.lines: list = []
         self.namespace = _namespace()
+        self.expand = expand
         self.calls = False  # a value comes from a call, so its type is unknown
 
     def slot(self, value) -> str:
@@ -250,7 +255,7 @@ class Inliner:
             if isinstance(getattr(fn, "value", None), float):
                 return self.slot(fn.value)
             tree = getattr(fn, "tree", None)
-            if tree is not None:
+            if tree is not None and self.expand:
                 lines, result = _generate(tree, fn.constants, self.namespace, name)
                 self.lines += lines
                 return result
@@ -263,6 +268,12 @@ class Inliner:
         self.lines.append(f"{name} = _pow({x}, {self.slot(p)})")
         return name
 
+    def define(self, source: str, name: str):
+        """The function name that source defines, run in this namespace;
+        source is the caller's template with these lines written into it."""
+        exec(_code(source), self.namespace)
+        return self.namespace.pop(name)
+
     def body(self, slopes) -> tuple:
         """The stage body (lines, slopes, namespace).  With a call among the
         values, the slopes pass as one tuple through the ``_reals`` check
@@ -274,3 +285,10 @@ class Inliner:
                               f"_reals(({''.join(s + ', ' for s in slopes)}), {len(names)}, t)")
             slopes = names
         return tuple(self.lines), tuple(slopes), self.namespace
+
+
+@functools.lru_cache(maxsize=64)
+def _code(source: str):
+    """source compiled, once per text: numbers sit in slots, so the text
+    repeats for every call on functions of the same form."""
+    return compile(source, "<inliner>", "exec")

@@ -12,7 +12,12 @@ from emdenlab.exprlang import (
     MAX_DEPTH, UnboundIdentifierError, UnknownFunctionError,
     compile_fn, derive, free_names, parse, real_power, to_source,
 )
+from emdenlab import timefn
+from emdenlab.gauge import ReductionError, reduce_via_particular_solution
+from emdenlab.invariants import drift, invariant_from_particular_solution
+from emdenlab.numerics import integrate, linspace
 from emdenlab.problems import EmdenProblem
+from emdenlab.timefn import PowerFn
 
 
 def ev(src, t=None, **consts):
@@ -260,6 +265,11 @@ class TestRealPower:
         with pytest.raises(EvalDomainError):
             real_power(0.0, -1.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_a_base_that_is_not_a_real_number_is_named(self, x):
+        with pytest.raises(EvalDomainError, match=rf"^pow\({x!r}, 6\.0\): the base is not a real"):
+            real_power(x, 6.0)
+
 
 # ---------------------------------------------------------------------------
 # property tests
@@ -370,12 +380,21 @@ def test_round_trip_on_seeded_source_corpus():
         assert parse(to_source(tree)) == tree
 
 
+_DRAG = EmdenProblem(PowerFn(-2, 0, 1, -1), -1.0, 5)
+_PROFILE = PowerFn(1, 0, 2, Fraction(-1, 2))
+_TRAJ = integrate(_DRAG.rhs, 5.0, (0.3, -0.05), 0.5)
+
+
 @pytest.mark.parametrize("make", [
     lambda: compile_fn("K*sin(t)^3 / (1 + t)", {"K": 2.0}),
     lambda: compile_fn("K*sin(t)^3 / (1 + t)", {"K": 2.0}).deriv(),
     lambda: derive(parse("exp(-t) * log(2 + t^2) / (1 + t)")),
     lambda: EmdenProblem(compile_fn("-2/t"), compile_fn("-1 - t^2"), 5).rhs,
-], ids=["compile_fn", "deriv", "derive", "problem-rhs"])
+    lambda: reduce_via_particular_solution(_DRAG, compile_fn("(2*t)^(-1/2)"), (0.5, 5.0)),
+    lambda: drift(invariant_from_particular_solution(_DRAG, _PROFILE, (0.5, 5.0)), _TRAJ),
+    lambda: _TRAJ.states(linspace(5.0, 0.5, 50)),
+], ids=["compile_fn", "deriv", "derive", "problem-rhs", "reduction", "invariant-drift",
+        "states"])
 def test_generation_leaves_nothing_for_the_collector(make):
     # what compiling and differentiating build is freed when the last
     # reference goes, not kept in a reference cycle until a collection
@@ -387,3 +406,20 @@ def test_generation_leaves_nothing_for_the_collector(make):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_reductions_and_invariants_compile_once_per_form():
+    # numbers reach the generated passes and evaluator through slots, so a
+    # second call on functions of the same form compiles nothing
+    def build(k):
+        xp = compile_fn("K*(2*t)^(-1/2)", {"K": k})
+        inv = invariant_from_particular_solution(_DRAG, xp, (0.5, 5.0), dxp=xp.deriv())
+        return reduce_via_particular_solution(_DRAG, _PROFILE.scaled(k), (0.5, 5.0)), inv
+
+    build(1)
+    before = timefn._code.cache_info()
+    build(1)
+    with pytest.raises(ReductionError):
+        build(2)  # a scaled profile breaks slope compatibility, after the same code ran
+    after = timefn._code.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 4

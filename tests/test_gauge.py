@@ -20,9 +20,11 @@ from emdenlab.gauge import (
     reduce_via_particular_solution,
     verify_pushforward,
 )
-from emdenlab.numerics import IntegratorConfig, integrate
+from emdenlab.exprlang import EvalDomainError, real_power
+from emdenlab.numerics import IntegratorConfig, integrate, linspace
 from emdenlab.problemfile import compile_expression
-from emdenlab.timefn import ZERO_FN, PowerFn, constant
+from emdenlab.solutions import catalog_entry
+from emdenlab.timefn import ZERO_FN, PowerFn, as_timefn, constant
 
 
 def decaying_scale():
@@ -127,6 +129,18 @@ class TestGaugeTransform:
         with pytest.raises(ValueError, match="interval"):
             identity_frame().validate_on((1.0, 1.0))
 
+    @pytest.mark.parametrize("slot", ["beta", "gamma"])
+    def test_a_nan_scale_is_refused_at_its_time(self, slot):
+        scales = {"beta": constant(1.0), "gamma": constant(1.0)}
+        scales[slot] = lambda t: math.nan if 2 < t < 3 else 1.0
+        g = GaugeTransform(alpha=None, **scales, dbeta=ZERO_FN, dgamma=ZERO_FN)
+        with pytest.raises(GaugeError, match=rf"^{slot}\(2\.0\d*\) = nan; must be positive"):
+            g.validate_on((1.0, 4.0))
+        with pytest.raises(GaugeError, match=rf"^{slot}\(2\.5\) = nan"):
+            g.inverse(2.5, 1.0, 1.0)
+        with pytest.raises(GaugeError, match=rf"^{slot}\(2\.0\d*\) = nan"):
+            verify_pushforward(drag_problem_n5(), g, (0.9, -0.3), (1.0, 4.0))
+
 
 class TestPushSystem:
     def test_identity_frame_returns_problem_coefficients(self):
@@ -196,6 +210,109 @@ class TestVerifyPushforward:
         wrong = GaugeTransform(alpha=None, beta=gamma.deriv(), gamma=gamma)
         with pytest.raises(GaugeError, match="beta"):
             verify_pushforward(drag_problem_n5(), wrong, (0.9, -0.3), (0.5, 5.0))
+
+
+def _reference_reduction(prob, xp, interval, dxp=None, ddxp=None, samples=200, tol=1e-12):
+    """The reduction's sampling and its four check loops as they were before
+    the generated passes; the rate agreement, or the ReductionError."""
+    xp = as_timefn(xp)
+    dxp = xp.deriv() if dxp is None else as_timefn(dxp)
+    ddxp = dxp.deriv() if ddxp is None else as_timefn(ddxp)
+    ts = linspace(float(interval[0]), float(interval[1]), samples)
+    a, b, n = prob.a, prob.b, prob.n
+
+    def sup_rel_gap(pairs):
+        worst, where = 0.0, ts[0]
+        for t, (got, want) in zip(ts, pairs):
+            gap = abs(got - want) / max(1.0, abs(got), abs(want))
+            if gap > worst:
+                worst, where = gap, t
+        return worst, where
+
+    xs, ds, slope_pairs, rate_terms, residual_pairs = [], [], [], [], []
+    try:
+        for t in ts:
+            d, x = dxp(t), xp(t)
+            xs.append(x)
+            ds.append(d)
+            slope_pairs.append((d ** 2, real_power(x, n + 1.0)))
+        for t, d, x in zip(ts, ds, xs):
+            dd, av = ddxp(t), a(t)
+            bx = b(t) * real_power(x, n)
+            rate_terms.append((d, dd, av, bx))
+            residual_pairs.append((dd, av * d + bx))
+    except (EvalDomainError, ArithmeticError) as exc:
+        raise ReductionError(f"evaluation failed at t={t:.6g}: {exc}") from exc
+    cond_gap, cond_t = sup_rel_gap(slope_pairs)
+    res_gap, res_t = sup_rel_gap(residual_pairs)
+    failures = []
+    if cond_gap > tol:
+        failures.append("slope compatibility (dxp^2 = xp^(n+1)) fails "
+                        f"near t={cond_t:.6g} with relative gap {cond_gap:.3e}")
+    if res_gap > tol:
+        failures.append("the claimed solution does not satisfy the problem "
+                        f"near t={res_t:.6g} (residual gap {res_gap:.3e})")
+    if failures:
+        raise ReductionError("; ".join(failures))
+    for t, x, d in zip(ts, xs, ds):
+        if x <= 0.0:
+            raise ReductionError(f"particular solution is not positive at t={t:.6g}")
+        if d >= 0.0:
+            raise ReductionError(
+                f"slope of the particular solution is {d:.6g} at t={t:.6g}; "
+                "a negative slope is required so the frame scale stays positive")
+    worst = frame_gap = 0.0
+    frame_t = ts[0]
+    for t, x, (d, dd, av, bx) in zip(ts, xs, rate_terms):
+        f1, f2 = bx / d, -av + dd / d
+        scale = max(1.0, abs(f1))
+        worst = max(worst, abs(f1 - f2) / scale)
+        gap = abs(f1 + d / x) / scale
+        if gap > frame_gap:
+            frame_gap, frame_t = gap, t
+    if frame_gap > tol:
+        raise ReductionError(
+            f"the rate b xp^n/dxp differs from the frame's rate -dxp/xp near "
+            f"t={frame_t:.6g} (relative gap {frame_gap:.3e}); the collapse needs b = -1")
+    if worst > tol:
+        raise ReductionError(f"the two rate derivations disagree (sup relative gap {worst:.3e})")
+    return worst
+
+
+def _sample_time(i):
+    return linspace(0.5, 5.0, 200)[i]
+
+
+# name -> () -> (problem, xp, dxp, ddxp, interval); between them and the
+# tolerances of the test they reach every check, alone and together
+_REDUCTION_CASES = {
+    "drag-n5": lambda: (drag_problem_n5(), decaying_scale(), None, None, (0.5, 5.0)),
+    "text": lambda: (EmdenProblem(a=compile_expression("-2/t"), b=compile_expression("-1"), n=5),
+                     compile_expression("(2*t)^(-1/2)"), None, None, (0.5, 5.0)),
+    "scaled-profile": lambda: (EmdenProblem(a=PowerFn(-3, 0, 1, -1), b=-0.25, n=3),
+                               PowerFn(2, 0, 1, -1), None, None, (0.5, 4.0)),
+    "mismatched-n": lambda: (EmdenProblem(a=PowerFn(-2, 0, 1, -1), b=-1.0, n=3),
+                             decaying_scale(), None, None, (0.5, 4.0)),
+    "b=-2": lambda: (EmdenProblem(a=PowerFn(Fraction(-5, 2), 0, 1, -1), b=-2.0, n=5),
+                     decaying_scale(), None, None, (0.5, 5.0)),
+    "growing": lambda: (EmdenProblem(a=PowerFn(4, 10, -2, -1), b=-1.0, n=5),
+                        PowerFn(1, 10, -2, Fraction(-1, 2)), None, None, (0.5, 2.0)),
+    "bent-ddxp": lambda: (drag_problem_n5(), decaying_scale(), decaying_scale().deriv(),
+                          lambda t: decaying_scale().deriv().deriv()(t) * (1 + 1e-7 * t),
+                          (0.5, 5.0)),
+    "crossing": lambda: (drag_problem_n5(), lambda t: 3.0 - t, lambda t: -1.0,
+                         lambda t: 0.0, (0.5, 5.0)),
+    "zero-slope": lambda: (drag_problem_n5(), lambda t: 1.0,
+                           lambda t: 0.0 if t == _sample_time(120) else -1e-3,
+                           lambda t: 0.0, (0.5, 5.0)),
+    "late-positive-slope": lambda: (drag_problem_n5(), decaying_scale(),
+                                    lambda t: 1e-3 if t > 4.0 else decaying_scale().deriv()(t),
+                                    decaying_scale().deriv().deriv(), (0.5, 5.0)),
+    "failing-ddxp": lambda: (drag_problem_n5(), decaying_scale(), None,
+                             lambda t: 1.0 / (t - _sample_time(77)), (0.5, 5.0)),
+    "t^(-1/2) at 0": lambda: (drag_problem_n5(), compile_expression("t^(-1/2)"), None, None,
+                              (0.0, 5.0)),
+}
 
 
 class TestReduceViaParticularSolution:
@@ -305,6 +422,56 @@ class TestReduceViaParticularSolution:
     def test_failing_evaluation_names_its_sample(self, xp, interval, where):
         with pytest.raises(ReductionError, match=re.escape(f"evaluation failed at {where}")):
             reduce_via_particular_solution(drag_problem_n5(), compile_expression(xp), interval)
+
+    @pytest.mark.parametrize("case", sorted(_REDUCTION_CASES))
+    @pytest.mark.parametrize("tol", [1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-3, 1.0, 1e300])
+    def test_checks_match_the_loop_reference(self, case, tol):
+        # the generated passes and the one check pass report what the four
+        # loops they replaced report: the same message, t and priority, or
+        # the same rate agreement, bit for bit
+        prob, xp, dxp, ddxp, interval = _REDUCTION_CASES[case]()
+
+        def outcome(reduce):
+            try:
+                return reduce(prob, xp, interval, dxp=dxp, ddxp=ddxp, tol=tol)
+            except ReductionError as exc:
+                return str(exc)
+
+        want = outcome(_reference_reduction)
+        got = outcome(reduce_via_particular_solution)
+        assert (got if isinstance(got, str) else got.rate_consistency.hex()) == (
+            want if isinstance(want, str) else want.hex())
+
+    def test_a_non_finite_sample_is_refused_at_its_time(self):
+        entry = catalog_entry("lane_emden_n5")
+        dd = entry.ddxp
+        with pytest.raises(ReductionError, match=r"not finite at t=2\.0\d*: .*ddxp=nan"):
+            reduce_via_particular_solution(
+                entry.problem, entry.xp, (0.5, 5.0), dxp=entry.dxp,
+                ddxp=lambda t: math.nan if 2 < t < 3 else dd(t))
+        with pytest.raises(ReductionError, match=r"not finite at t=0\.5: .*dxp=inf"):
+            reduce_via_particular_solution(entry.problem, entry.xp, (0.5, 5.0),
+                                           dxp=lambda t: math.inf, ddxp=dd)
+
+    def test_an_overflowing_check_is_refused(self):
+        # every sample is finite, but a x' + b x^n overflows
+        entry = catalog_entry("lane_emden_n5")
+        with pytest.raises(ReductionError, match=r"not finite at t=0\.5: .*a=1e\+308"):
+            reduce_via_particular_solution(
+                EmdenProblem(a=1e308, b=-1.0, n=5), entry.xp, (0.5, 5.0),
+                dxp=lambda t: -10.0, ddxp=entry.ddxp)
+
+    def test_a_zero_slope_is_a_slope_sign_failure(self):
+        ts = linspace(0.5, 5.0, 200)
+        with pytest.raises(ReductionError, match=f"slope .* is 0 at t={ts[100]:.6g}; a negative"):
+            reduce_via_particular_solution(
+                drag_problem_n5(), lambda t: 1.0, (0.5, 5.0),
+                dxp=lambda t: 0.0 if t == ts[100] else -1.0, ddxp=lambda t: 0.0, tol=1e300)
+
+    def test_a_nan_base_is_named_in_the_evaluation_failure(self):
+        with pytest.raises(ReductionError, match=r"t=0\.5: pow\(nan, 6\.0\): the base is not a real"):
+            reduce_via_particular_solution(drag_problem_n5(), lambda t: math.nan, (0.5, 5.0),
+                                           dxp=lambda t: -1.0, ddxp=lambda t: 0.0)
 
 
 class TestKummerLiouville:

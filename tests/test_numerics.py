@@ -435,6 +435,69 @@ class TestDenseReader:
         self.assert_same_reads(traj, [1.0], [1.5, 0.5])
 
 
+class TestStates:
+    """The grid sweep against one call per time, bit for bit."""
+
+    @staticmethod
+    def assert_same_states(traj, times):
+        assert [_hex(s) for s in traj.states(times)] == [_hex(traj(t)) for t in times]
+
+    @staticmethod
+    def assert_same_error(traj, times):
+        with pytest.raises(ValueError) as want:
+            [traj(t) for t in times]
+        with pytest.raises(ValueError) as got:
+            traj.states(times)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 5.0), (5.0, -1.0)])
+    def test_matches_calls_on_ordered_grids(self, n, t0, t_end, monkeypatch):
+        traj = integrate(_coupled(n), t0, [0.5 + 0.1 * i for i in range(n)], t_end)
+        lo, hi = sorted((t0, t_end))
+        slack = 1e-10 * (hi - lo)
+        uniform = numerics.linspace(t0, t_end, 333)
+        start, end = (lo - slack, hi + slack) if t_end > t0 else (hi + slack, lo - slack)
+        # the mesh times themselves, repeats, points between them and both slack ends
+        dense = sorted(traj.ts + traj.ts[3:7] + uniform + [lo - slack, hi + slack],
+                       reverse=t_end < t0)
+        grids = [uniform, dense, [start, end], [end], traj.ts[5:9],
+                 sorted([np.float64(1.3), 2], reverse=t_end < t0)]
+        want = [[_hex(traj(t)) for t in grid] for grid in grids]
+        calls = []
+        monkeypatch.setattr(numerics.Trajectory, "__call__", lambda traj, t: calls.append(t))
+        assert [[_hex(s) for s in traj.states(grid)] for grid in grids] == want
+        assert traj.states(iter(uniform)) == traj.states(uniform)
+        assert traj.states([]) == [] and calls == []  # one sweep each, no call
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 5.0), (5.0, -1.0)])
+    def test_an_unordered_grid_is_read_point_by_point(self, t0, t_end):
+        traj = integrate(_coupled(2), t0, [0.5, 0.6], t_end)
+        grid = numerics.linspace(t0, t_end, 50)
+        for times in (grid[::-1], grid[10:] + grid[:10], grid[::7] + grid[::3]):
+            self.assert_same_states(traj, times)
+
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 5.0), (5.0, -1.0)])
+    def test_a_time_outside_the_run_raises_as_a_call_does(self, t0, t_end):
+        traj = integrate(_coupled(3), t0, [0.5, 0.6, 0.7], t_end)
+        lo, hi = sorted((t0, t_end))
+        outside = [lo - 3e-10 * (hi - lo), hi + 3e-10 * (hi - lo), math.nan]
+        grid = numerics.linspace(t0, t_end, 20)
+        for t in outside:
+            for times in ([t], grid + [t], [t] + grid, grid[:5] + [t] + grid[5:]):
+                self.assert_same_error(traj, times)
+
+    def test_a_one_point_trajectory(self):
+        traj = integrate(_coupled(2), 1.0, [0.5, 0.6], 1.0)
+        self.assert_same_states(traj, [1.0, 1, 1.0])
+        self.assert_same_error(traj, [1.0, 1.5])
+
+    def test_sample_is_the_array_of_states(self):
+        traj = integrate(_coupled(2), 0.0, [0.5, 0.6], 5.0)
+        grid = numerics.linspace(0.0, 5.0, 40)
+        assert np.array_equal(traj.sample(grid), np.array([traj(t) for t in grid]))
+
+
 class TestDenseOutput:
     def test_nodes_are_reproduced(self):
         traj = integrate(_oscillator, 0.0, [1.0, 0.0], 10.0)
