@@ -122,26 +122,43 @@ def real_power(x: float, p: float) -> float:
     """x**p over the reals.
 
     Negative bases are allowed only for integer exponents, 0**p needs p >= 0.
-    Raises EvalDomainError outside that domain or on overflow, so no NaN and
-    no complex value ever leaks out.
+    Raises EvalDomainError outside that domain, on overflow, and for a base
+    or an exponent that is not a real number, so no NaN and no complex value
+    ever leaks out.  As IEEE pow does, x**0.0 and 1.0**p are 1.0 for a NaN x
+    or p.  No silent PASS follows from that: a NaN state makes the
+    integrator's error norm non-finite, so no step with it is accepted, and
+    every exponent that a problem file or an expression supplies is finite.
     """
+    # every power law and every x^n calls this, so the checks for NaN sit
+    # only in branches that real arguments take when they fail
     if x == 0.0:
         if p > 0:
             return 0.0
         if p == 0:
             return 1.0
-        raise EvalDomainError("0 raised to a negative power")
-    if x < 0.0 and p != math.floor(p):
-        raise EvalDomainError(f"negative base {x!r} under non-integer exponent {p!r}")
+        raise _not_real(x, p, "exponent") if p != p else EvalDomainError("0 raised to a negative power")
+    if x < 0.0:
+        try:
+            fractional = p != math.floor(p)
+        except (OverflowError, ValueError):  # floor of an infinite or NaN p
+            raise _not_real(x, p, "exponent") from None
+        if fractional:
+            raise EvalDomainError(f"negative base {x!r} under non-integer exponent {p!r}")
     try:
         r = math.pow(x, p)
     except (OverflowError, ValueError) as exc:
         raise EvalDomainError(f"pow({x!r}, {p!r}) left the real range") from exc
     if not math.isfinite(r):
         if not math.isfinite(x):
-            raise EvalDomainError(f"pow({x!r}, {p!r}): the base is not a real number")
+            raise _not_real(x, p, "base")
+        if p != p:
+            raise _not_real(x, p, "exponent")
         raise EvalDomainError(f"pow({x!r}, {p!r}) overflowed")
     return r
+
+
+def _not_real(x: float, p: float, part: str) -> EvalDomainError:
+    return EvalDomainError(f"pow({x!r}, {p!r}): the {part} is not a real number")
 
 
 def _exp(x):

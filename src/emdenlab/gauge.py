@@ -5,13 +5,16 @@ A transform here is the pair of maps
     x = gamma(t) * x'            v = beta(t) * v' + alpha(t) * x'
 
 applied to the first-order form (x, v) of  x'' = a(t) x' + b(t) x^n  or of
-the damped variant  x'' = -p(t) x' - q(t) x + r(t) x^n.  Pushing a system
-through such a transform yields another system of the same five-slot shape
-(coefficients on x', x'^n, v' in each equation), and particular choices of
-(alpha, beta, gamma) collapse the time dependence partially or entirely:
+the damped variant  x'' = -p(t) x' - q(t) x + r(t) x^n.  The image of the
+Emden form under such a transform is again linear in v' and x' plus a
+multiple of x'^n; it is written once, as the stage body that ``integrate``
+inlines.  Particular choices of (alpha, beta, gamma) collapse the time
+dependence partially or entirely:
 
-* a particular solution with decaying slope reduces the problem to a single
-  time-dependent rate multiplying a frozen field (``reduce_via_particular_solution``),
+* a particular solution with decaying slope picks the frame whose image is
+  a single time-dependent rate multiplying a frozen field; the reduction
+  checks, at every sample, that the image's coefficients collapse to that
+  rate (``reduce_via_particular_solution``),
 * the classical Kummer-Liouville substitution plus a clock change brings the
   damped linear part to canonical form  d2x'/dtau2 = F(tau) x'^n
   (``kummer_liouville``); the scale, the damping integral and the clock are
@@ -29,13 +32,13 @@ import math
 # copies it with dataclasses.replace; the other classes are plain, because a
 # dataclass generates its methods with exec at every import
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import VerificationFailure
 from .exprlang import EvalDomainError, real_power
 from .numerics import IntegratorConfig, _compiled_rhs, integrate, linspace
 from .problems import EmdenProblem, GeneralizedProblem
-from .timefn import ZERO_FN, Inliner, TimeFn, as_timefn, constant
+from .timefn import ZERO_FN, Inliner, TimeFn, as_timefn
 
 __all__ = [
     "GaugeError",
@@ -43,12 +46,8 @@ __all__ = [
     "EmdenProblem",
     "GeneralizedProblem",
     "GaugeTransform",
-    "PushedSystem",
-    "push_coefficients",
-    "push_system",
     "PushforwardReport",
     "verify_pushforward",
-    "ReducedLieSystem",
     "Reduction",
     "reduce_via_particular_solution",
     "KummerLiouvilleReduction",
@@ -88,8 +87,8 @@ class GaugeTransform:
     """The frame change x = gamma x', v = beta v' + alpha x'.
 
     alpha=None means the shear term is exactly absent (not merely zero at
-    the sampled points); several pushforward formulas simplify exactly in
-    that case.  Derivatives may be supplied; a missing one is the function's
+    the sampled points), and so are the pushforward's shear terms and its
+    feedback.  Derivatives may be supplied; a missing one is the function's
     own exact ``deriv()`` (compiled expressions, constants and PowerFn have
     one), and a function without one needs its derivative supplied.
 
@@ -140,78 +139,36 @@ class GaugeTransform:
 # pushforward
 
 
-class PushedSystem:
-    """The image system  dx'/dt = gain v' + drift_x x',
-    dv'/dt = feedback x' + nonlin x'^n + drift_v v'.
+def _pushed_rhs(prob: EmdenProblem, g: GaugeTransform):
+    """The image of x'' = a x' + b x^n under the frame change g, as the rhs
+    of (x', v') generated from its stage body.  x = gamma x', v = beta v' +
+    alpha x' turn dx/dt = v, dv/dt = a v + b x^n into
+
+        dx'/dt = (beta / gamma) v' + drift_x x'
+        dv'/dt = drift_v v' + (b gamma^n / beta) x'^n + feedback x'
+
+    with drift_x = alpha / gamma - dgamma / gamma, drift_v = a - dbeta / beta
+    - alpha / gamma and feedback = (a alpha - dalpha - alpha drift_x) / beta.
+    Without alpha its terms and the feedback are absent, not zero.  A stage
+    reads beta, gamma, alpha, dgamma, a, dbeta, b, dalpha once each, in order.
     """
-
-    __slots__ = ("drift_x", "gain", "drift_v", "feedback", "nonlin", "n")
-
-    def __init__(self, drift_x: TimeFn, gain: TimeFn, drift_v: TimeFn, feedback: TimeFn,
-                 nonlin: TimeFn, n: float):
-        self.drift_x, self.gain, self.drift_v = drift_x, gain, drift_v
-        self.feedback, self.nonlin, self.n = feedback, nonlin, n
-
-    def rhs(self, t: float, z):
-        x, v = z
-        dx = self.gain(t) * v + self.drift_x(t) * x
-        dv = self.drift_v(t) * v + self.nonlin(t) * real_power(x, self.n)
-        if self.feedback is not ZERO_FN:
-            dv += self.feedback(t) * x
-        return (dx, dv)
-
-
-def push_coefficients(
-    coeffs: Sequence[TimeFn], n: float, g: GaugeTransform
-) -> Tuple[TimeFn, TimeFn, TimeFn, TimeFn, TimeFn]:
-    """Push a five-coefficient system through a transform.
-
-    ``coeffs`` is in table order (drift_x, gain, drift_v, feedback, nonlin).
-    Writing the source system as dx/dt = c_g v + c_x x and
-    dv/dt = c_f x + c_m x^n + c_v v, substitution gives
-
-        gain'    = c_g beta / gamma
-        drift_x' = c_g alpha / gamma + c_x - dgamma / gamma
-        nonlin'  = c_m gamma^n / beta
-        drift_v' = c_v - dbeta / beta - c_g alpha / gamma
-        feedback'= (c_f gamma + c_v alpha - dalpha - alpha drift_x') / beta
-
-    Exactly-zero feedback stays exactly zero when alpha is absent.
-    """
-    c_x, c_g, c_v, c_f, c_m = (as_timefn(c) for c in coeffs)
-    al, be, ga = g.alpha, g.beta, g.gamma
-    dal, dbe, dga = g.dalpha, g.dbeta, g.dgamma
-    nf = float(n)
-
-    gain = lambda t: c_g(t) * be(t) / ga(t)
-    nonlin = lambda t: c_m(t) * real_power(ga(t), nf) / be(t)
-
+    src = Inliner()
+    be, ga = src.value(g.beta, "_be"), src.value(g.gamma, "_ga")
+    src.lines.append(f"_gain = {be} / {ga}")
+    al = None if g.alpha is None else src.value(g.alpha, "_al")
+    dga = src.value(g.dgamma, "_dga")
+    a, dbe = src.value(prob.a, "_a"), src.value(g.dbeta, "_dbe")
     if al is None:
-        drift_x = (
-            (lambda t: -dga(t) / ga(t))
-            if c_x is ZERO_FN
-            else (lambda t: c_x(t) - dga(t) / ga(t))
-        )
-        drift_v = lambda t: c_v(t) - dbe(t) / be(t)
-        feedback = (
-            ZERO_FN if c_f is ZERO_FN else (lambda t: c_f(t) * ga(t) / be(t))
-        )
+        src.lines += [f"_drx = -{dga} / {ga}", f"_drv = {a} - {dbe} / {be}"]
     else:
-        drift_x = lambda t: c_g(t) * al(t) / ga(t) + c_x(t) - dga(t) / ga(t)
-        drift_v = lambda t: c_v(t) - dbe(t) / be(t) - c_g(t) * al(t) / ga(t)
-
-        def feedback(t):
-            a = al(t)
-            shear = c_g(t) * a / ga(t) + c_x(t) - dga(t) / ga(t)
-            return (c_f(t) * ga(t) + c_v(t) * a - dal(t) - a * shear) / be(t)
-
-    return (drift_x, gain, drift_v, feedback, nonlin)
-
-
-def push_system(prob: EmdenProblem, g: GaugeTransform) -> PushedSystem:
-    """Image of x'' = a x' + b x^n under the frame change g."""
-    table = push_coefficients((ZERO_FN, constant(1.0), prob.a, ZERO_FN, prob.b), prob.n, g)
-    return PushedSystem(*table, n=prob.n)
+        src.lines += [f"_drx = {al} / {ga} - {dga} / {ga}",
+                      f"_drv = {a} - {dbe} / {be} - {al} / {ga}"]
+    b = src.value(prob.b, "_b")
+    src.lines.append(f"_nl = {b} * {src.power(ga, prob.n, '_gn')} / {be}")
+    dv = f"_drv * x1 + _nl * {src.power('x0', prob.n, '_w')}"
+    if al is not None:
+        dv += f" + ({a} * {al} - {src.value(g.dalpha, '_dal')} - {al} * _drx) / {be} * x0"
+    return _compiled_rhs(src.body(("_gain * x1 + _drx * x0", dv)))
 
 
 class PushforwardReport:
@@ -255,9 +212,7 @@ def verify_pushforward(
     g.validate_on(interval)
 
     orig = integrate(prob.rhs, t0, z0, t1, cfg)
-    z0p = g.inverse(t0, *z0)
-    pushed = push_system(prob, g)
-    image = integrate(pushed.rhs, t0, z0p, t1, cfg)
+    image = integrate(_pushed_rhs(prob, g), t0, g.inverse(t0, *z0), t1, cfg)
 
     ts = _sample_points(interval, samples)
     gap = 0.0
@@ -281,48 +236,22 @@ def verify_pushforward(
 # reduction through a particular solution
 
 
-class ReducedLieSystem:
-    """dx'/dt = f (c11 x' + c12 v'),  dv'/dt = f (c21 v' + cx x' + c22 x'^n).
-
-    A single scalar rate f(t) multiplying a frozen polynomial field; the
-    time dependence is confined to the clock.
-    """
-
-    __slots__ = ("f", "c11", "c12", "c21", "c22", "cx", "n")
-
-    def __init__(self, f: TimeFn, c11: float, c12: float, c21: float, c22: float,
-                 cx: float, n: float):
-        self.f, self.n = f, n
-        self.c11, self.c12, self.c21, self.c22, self.cx = c11, c12, c21, c22, cx
-
-    def rhs(self, t: float, z):
-        x, v = z
-        ft = self.f(t)
-        return (
-            ft * (self.c11 * x + self.c12 * v),
-            ft * (self.c21 * v + self.cx * x + self.c22 * real_power(x, self.n)),
-        )
-
-
 class Reduction:
-    __slots__ = ("system", "gauge", "interval", "rate_consistency")
+    """The single-rate system that the frame ``gauge`` maps the problem onto:
+    rate(t) times the frozen field with (c11, c12, c21, c22, cx) = (1, 1, -1, -1, 0)."""
 
-    def __init__(self, system: ReducedLieSystem, gauge: GaugeTransform,
+    __slots__ = ("rate", "n", "gauge", "interval", "rate_consistency")
+
+    def __init__(self, rate: TimeFn, n: float, gauge: GaugeTransform,
                  interval: Tuple[float, float], rate_consistency: float):
-        self.system, self.gauge, self.interval = system, gauge, interval
+        self.rate, self.n, self.gauge, self.interval = rate, n, gauge, interval
         self.rate_consistency = rate_consistency  # sup relative gap between the two rate routes
 
     def render(self) -> str:
-        s = self.system
-        return "\n".join(
-            [
-                "reduction to a single-rate system",
-                f"  coefficients  c11={s.c11:g} c12={s.c12:g} c21={s.c21:g} "
-                f"c22={s.c22:g} cx={s.cx:g}",
-                f"  exponent      {s.n:g}",
-                f"  rate agreement (two derivations): {self.rate_consistency:.3e}",
-            ]
-        )
+        return ("reduction to a single-rate system\n"
+                "  coefficients  c11=1 c12=1 c21=-1 c22=-1 cx=0\n"
+                f"  exponent      {self.n:g}\n"
+                f"  rate agreement (two derivations): {self.rate_consistency:.3e}")
 
 
 def _sup_rel_gap(pairs, ts):
@@ -481,9 +410,9 @@ def reduce_via_particular_solution(
 
     gauge = GaugeTransform(alpha=None, beta=lambda t: -dxp(t), gamma=xp,
                            dbeta=lambda t: -ddxp(t), dgamma=dxp)
-    system = ReducedLieSystem(f=rate, c11=1.0, c12=1.0, c21=-1.0, c22=-1.0, cx=0.0, n=n)
     return Reduction(
-        system=system,
+        rate=rate,
+        n=n,
         gauge=gauge,
         interval=(float(interval[0]), float(interval[1])),
         rate_consistency=worst,

@@ -42,8 +42,8 @@ def constant(c: float) -> TimeFn:
 
 
 ZERO_FN: TimeFn = constant(0.0)
-"""Shared zero function; identity checks against it let callers keep
-an exactly-zero coefficient slot exactly zero through transformations."""
+"""Shared zero function; identity checks against it let a frame's shear
+and a problem's q be exactly absent, not merely zero."""
 
 
 def as_timefn(value: Union[float, int, Fraction, TimeFn]) -> TimeFn:

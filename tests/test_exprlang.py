@@ -270,6 +270,15 @@ class TestRealPower:
         with pytest.raises(EvalDomainError, match=rf"^pow\({x!r}, 6\.0\): the base is not a real"):
             real_power(x, 6.0)
 
+    @pytest.mark.parametrize("x, p", [(-2.0, math.nan), (2.0, math.nan), (0.0, math.nan),
+                                      (-2.0, math.inf)])
+    def test_an_exponent_that_is_not_a_real_number_is_named(self, x, p):
+        with pytest.raises(EvalDomainError, match=rf"^pow\({x!r}, {p!r}\): the exponent is not a real"):
+            real_power(x, p)
+
+    def test_a_zero_power_of_nan_is_one_as_ieee_pow_gives(self):
+        assert real_power(math.nan, 0.0) == 1.0
+
 
 # ---------------------------------------------------------------------------
 # property tests

@@ -14,9 +14,9 @@ from emdenlab.gauge import (
     GeneralizedProblem,
     KummerLiouvilleReduction,
     ReductionError,
+    _pushed_rhs,
     canonical_residual,
     kummer_liouville,
-    push_system,
     reduce_via_particular_solution,
     verify_pushforward,
 )
@@ -46,6 +46,23 @@ def decaying_frame():
     gamma = decaying_scale()
     # slope is negative; flip it so the velocity scale stays positive
     return GaugeTransform(alpha=None, beta=gamma.deriv().scaled(-1), gamma=gamma)
+
+
+def shear_frame():
+    return GaugeTransform(
+        alpha=compile_expression("sin(t)"),
+        beta=PowerFn(1, 2, 1, 1),
+        gamma=PowerFn(2, 1, 1, 1),
+    )
+
+
+def flattening_case():
+    """p = 2/t with both scales 1/t and the shear equal to the scale's slope:
+    every linear slot of the image cancels and only the nonlinearity
+    survives, with coefficient t^(1-n)."""
+    gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
+    scale = PowerFn(1, 0, 1, -1)
+    return gp.as_emden(), GaugeTransform(alpha=scale.deriv(), beta=scale, gamma=scale)
 
 
 class TestProblems:
@@ -83,15 +100,8 @@ class TestProblems:
 
 
 class TestGaugeTransform:
-    def shear_frame(self):
-        return GaugeTransform(
-            alpha=compile_expression("sin(t)"),
-            beta=PowerFn(1, 2, 1, 1),
-            gamma=PowerFn(2, 1, 1, 1),
-        )
-
     def test_forward_inverse_round_trip(self):
-        g = self.shear_frame()
+        g = shear_frame()
         for t, xp, vp in [(0.7, 1.3, -0.8), (2.0, 0.4, 2.2), (5.5, -0.6, 0.1)]:
             x, v = g.forward(t, xp, vp)
             rx, rv = g.inverse(t, x, v)
@@ -99,7 +109,7 @@ class TestGaugeTransform:
             assert rv == pytest.approx(vp, abs=1e-12)
 
     def test_missing_derivatives_come_from_deriv(self):
-        g = self.shear_frame()
+        g = shear_frame()
         for t in (0.7, 2.0):
             assert g.dalpha(t) == math.cos(t)
             assert g.dbeta(t) == 1.0
@@ -143,50 +153,59 @@ class TestGaugeTransform:
 
 
 class TestPushSystem:
+    # the pushed rhs at v' = 1 gives (gain, drift_v), and at x' = 1 gives
+    # (drift_x, nonlin + feedback)
+
     def test_identity_frame_returns_problem_coefficients(self):
         prob = drag_problem_n5()
-        ps = push_system(prob, identity_frame())
-        assert ps.feedback is ZERO_FN  # stays exactly zero, not merely small
+        rhs = _pushed_rhs(prob, identity_frame())
         for t in (0.5, 2.0, 7.0):
-            assert ps.drift_x(t) == 0.0
-            assert ps.gain(t) == 1.0
-            assert ps.drift_v(t) == prob.a(t)
-            assert ps.nonlin(t) == prob.b(t)
+            gain, drift_v = rhs(t, (0.0, 1.0))
+            drift_x, nonlin = rhs(t, (1.0, 0.0))
+            assert drift_x == 0.0
+            assert gain == 1.0
+            assert drift_v == prob.a(t)
+            # the feedback stays exactly zero, not merely small
+            assert nonlin == prob.b(t)
 
     def test_pure_scaling_frame_formulas(self):
         prob = drag_problem_n5()
         beta = PowerFn(1, 2, 1, 1)       # 2 + t
         gamma = PowerFn(1, 1, 1, 2)      # (1 + t)^2
         g = GaugeTransform(alpha=None, beta=beta, gamma=gamma)
-        ps = push_system(prob, g)
-        assert ps.feedback is ZERO_FN
+        rhs = _pushed_rhs(prob, g)
         dbeta, dgamma = beta.deriv(), gamma.deriv()
         for t in (0.4, 1.0, 2.7):
-            assert ps.gain(t) == pytest.approx(beta(t) / gamma(t), rel=1e-14)
-            assert ps.drift_x(t) == pytest.approx(-dgamma(t) / gamma(t), rel=1e-14)
-            assert ps.drift_v(t) == pytest.approx(
+            gain, drift_v = rhs(t, (0.0, 1.0))
+            drift_x, nonlin = rhs(t, (1.0, 0.0))
+            # the feedback stays exactly zero: x' = 1 gives nonlin alone
+            assert nonlin == prob.b(t) * real_power(gamma(t), prob.n) / beta(t)
+            assert gain == pytest.approx(beta(t) / gamma(t), rel=1e-14)
+            assert drift_x == pytest.approx(-dgamma(t) / gamma(t), rel=1e-14)
+            assert drift_v == pytest.approx(
                 prob.a(t) - dbeta(t) / beta(t), rel=1e-14
             )
-            assert ps.nonlin(t) == pytest.approx(
+            assert nonlin == pytest.approx(
                 prob.b(t) * gamma(t) ** 5 / beta(t), rel=1e-14
             )
 
     def test_inverse_time_scales_flatten_the_drift(self):
-        # p = 2/t with both scales 1/t and shear equal to the scale's slope:
-        # every linear slot cancels and only the nonlinearity survives,
-        # with coefficient t^(1-n).
-        gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
-        prob = gp.as_emden()
-        scale = PowerFn(1, 0, 1, -1)
-        g = GaugeTransform(alpha=scale.deriv(), beta=scale, gamma=scale)
-        ps = push_system(prob, g)
+        prob, g = flattening_case()
+        rhs = _pushed_rhs(prob, g)
         for t in np.linspace(0.4, 3.0, 7):
             t = float(t)
-            assert abs(ps.drift_x(t)) <= 1e-13
-            assert abs(ps.drift_v(t)) <= 1e-13
-            assert abs(ps.feedback(t)) <= 1e-12
-            assert ps.gain(t) == 1.0
-            assert ps.nonlin(t) * t ** 4 == pytest.approx(1.0, rel=1e-12)
+            gain, drift_v = rhs(t, (0.0, 1.0))
+            drift_x = rhs(t, (1.0, 0.0))[0]
+            # at x' = 2^-20 the feedback term (times x') outweighs the
+            # nonlinearity (times x'^5) by 2^80, and at x' = 2^20 the other
+            # way round; scaling by powers of two is exact
+            feedback = rhs(t, (2.0 ** -20, 0.0))[1] * 2.0 ** 20
+            nonlin = rhs(t, (2.0 ** 20, 0.0))[1] * 2.0 ** -100
+            assert abs(drift_x) <= 1e-13
+            assert abs(drift_v) <= 1e-13
+            assert abs(feedback) <= 1e-12
+            assert gain == 1.0
+            assert nonlin * t ** 4 == pytest.approx(1.0, rel=1e-12)
 
 
 class TestVerifyPushforward:
@@ -204,6 +223,19 @@ class TestVerifyPushforward:
         assert rep.passed
         assert rep.discrepancy < rep.tolerance
         assert "PASS" in rep.render()
+
+    def test_shear_frames_pass_and_a_wrong_shear_slope_fails(self):
+        rep = verify_pushforward(drag_problem_n5(), shear_frame(), (0.9, -0.3), (0.5, 4.0))
+        assert rep.passed
+        assert rep.discrepancy < 1e-9
+        g = shear_frame()
+        wrong = GaugeTransform(alpha=g.alpha, beta=g.beta, gamma=g.gamma, dalpha=lambda t: 0.0)
+        rep = verify_pushforward(drag_problem_n5(), wrong, (0.9, -0.3), (0.5, 4.0))
+        assert not rep.passed
+        assert rep.discrepancy > 1e-3
+        # from (0.9, -0.3) this problem blows up near t = 2.8
+        prob, g = flattening_case()
+        assert verify_pushforward(prob, g, (0.3, 0.0), (0.5, 2.0)).passed
 
     def test_negative_velocity_scale_rejected(self):
         gamma = decaying_scale()
@@ -319,13 +351,12 @@ class TestReduceViaParticularSolution:
     def test_drag_problem_collapses_to_inverse_time_rate(self):
         prob = drag_problem_n5()
         red = reduce_via_particular_solution(prob, decaying_scale(), (0.5, 5.0))
-        s = red.system
-        assert (s.c11, s.c12, s.c21, s.c22, s.cx) == (1.0, 1.0, -1.0, -1.0, 0.0)
-        assert s.n == 5.0
+        assert "  coefficients  c11=1 c12=1 c21=-1 c22=-1 cx=0\n" in red.render()
+        assert red.n == 5.0
         assert red.rate_consistency <= 1e-12
         for t in np.linspace(0.5, 5.0, 20):
             t = float(t)
-            assert s.f(t) == pytest.approx(1.0 / (2.0 * t), rel=1e-10)
+            assert red.rate(t) == pytest.approx(1.0 / (2.0 * t), rel=1e-10)
         assert red.gauge.alpha is None
         assert red.gauge.beta(2.0) == pytest.approx(0.125)
         assert "rate agreement" in red.render()
@@ -334,7 +365,7 @@ class TestReduceViaParticularSolution:
         prob = EmdenProblem(a=PowerFn(-5, 1, 1, -1), b=-1.0, n=2)
         red = reduce_via_particular_solution(prob, PowerFn(4, 1, 1, -2), (0.5, 4.0))
         for t in (0.5, 1.0, 3.0):
-            assert red.system.f(t) == pytest.approx(2.0 / (t + 1.0), rel=1e-10)
+            assert red.rate(t) == pytest.approx(2.0 / (t + 1.0), rel=1e-10)
 
     def test_round_trip_reproduces_original_trajectory(self):
         prob = drag_problem_n5()
@@ -343,7 +374,16 @@ class TestReduceViaParticularSolution:
         z0 = (0.9, -0.4)
         orig = integrate(prob.rhs, 0.5, z0, 5.0, cfg)
         z0p = red.gauge.inverse(0.5, *z0)
-        reduced = integrate(red.system.rhs, 0.5, z0p, 5.0, cfg)
+        # the frozen field with the coefficients render prints, times the rate
+        c = {k: float(v) for k, v in re.findall(r"(c\w+)=(\S+)", red.render())}
+
+        def single_rate(t, z):
+            x, v = z
+            f = red.rate(t)
+            return (f * (c["c11"] * x + c["c12"] * v),
+                    f * (c["c21"] * v + c["cx"] * x + c["c22"] * real_power(x, red.n)))
+
+        reduced = integrate(single_rate, 0.5, z0p, 5.0, cfg)
         gap, scale = 0.0, 1.0
         for t in np.linspace(0.5, 5.0, 40):
             t = float(t)

@@ -2,13 +2,15 @@
 
 ``kummer_liouville`` integrates the scale equation (gamma, gamma') and then
 (gamma, gamma', P, tau); ``canonical_residual`` integrates the canonical
-tau-run (t, x', dx'/dtau); ``rescaled_energy_invariant`` integrates A = int a
-and ``dilation_invariant`` (A, G = int exp(A)).  Each hands ``integrate`` an
-``rhs`` generated from the stage body that is written into the stages.  The
-same ``rhs`` behind a lambda takes the call path; the independent references
-are ``_old_scale``, ``_old_clock``, ``_old_tau`` and ``_old_integrals``, the
-closures these systems replaced.  All three runs must give the same mesh,
-states, dense rows, step counts and errors, bit for bit.
+tau-run (t, x', dx'/dtau); ``verify_pushforward`` integrates the image of the
+problem under a frame change (x', v'); ``rescaled_energy_invariant``
+integrates A = int a and ``dilation_invariant`` (A, G = int exp(A)).  Each
+hands ``integrate`` an ``rhs`` generated from the stage body that is written
+into the stages.  The same ``rhs`` behind a lambda takes the call path; the
+independent references are ``_old_scale``, ``_old_clock``, ``_old_tau``,
+``_old_pushed`` and ``_old_integrals``, the closures these systems replaced.
+All three runs must give the same mesh, states, dense rows, step counts and
+errors, bit for bit.
 """
 
 import dataclasses
@@ -19,14 +21,19 @@ import pytest
 
 from emdenlab import gauge, invariants, numerics, problemfile
 from emdenlab.exprlang import real_power
-from emdenlab.gauge import _scale_rhs, canonical_residual, kummer_liouville
+from emdenlab.gauge import (
+    _pushed_rhs, _scale_rhs, canonical_residual, kummer_liouville, reduce_via_particular_solution,
+    verify_pushforward,
+)
 from emdenlab.invariants import (
     _INTEGRAL_CONFIG, _integrals_rhs, dilation_invariant, rescaled_energy_invariant,
 )
 from emdenlab.numerics import IntegrationError, IntegratorConfig, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
+from emdenlab.solutions import catalog_entry
 from emdenlab.timefn import PowerFn
 
+from test_gauge import decaying_frame, drag_problem_n5, flattening_case, identity_frame, shear_frame
 from test_problems import WITH_Q, _assert_same
 from test_readme_examples import SPECS
 
@@ -78,6 +85,49 @@ def _tau_case(kl, z0):
     return SimpleNamespace(rhs=gauge._tau_rhs(kl)), 0.0, y0, kl.tau(t1)
 
 
+def _old_pushed(prob, g):
+    """The image of x'' = a x' + b x^n under g, as push_coefficients and
+    PushedSystem.rhs wrote it before it was generated, with the source's
+    slots (drift_x, gain, drift_v, feedback, nonlin) = (0, 1, a, 0, b) put in."""
+    a, b, n = prob.a, prob.b, prob.n
+    al, be, ga, dal, dbe, dga = g.alpha, g.beta, g.gamma, g.dalpha, g.dbeta, g.dgamma
+    gain = lambda t: be(t) / ga(t)
+    nonlin = lambda t: b(t) * real_power(ga(t), n) / be(t)
+    feedback = None
+    if al is None:
+        drift_x = lambda t: -dga(t) / ga(t)
+        drift_v = lambda t: a(t) - dbe(t) / be(t)
+    else:
+        drift_x = lambda t: al(t) / ga(t) - dga(t) / ga(t)
+        drift_v = lambda t: a(t) - dbe(t) / be(t) - al(t) / ga(t)
+
+        def feedback(t):
+            shear = al(t)
+            return (a(t) * shear - dal(t) - shear * drift_x(t)) / be(t)
+
+    def rhs(t, y):
+        x, v = y
+        dx = gain(t) * v + drift_x(t) * x
+        dv = drift_v(t) * v + nonlin(t) * real_power(x, n)
+        if feedback is not None:
+            dv += feedback(t) * x
+        return (dx, dv)
+
+    return rhs
+
+
+def _pushed_cases():
+    """(name, problem, frame, z0, interval) of the frames whose image the
+    parity tests integrate: none, pure scalings and two shears."""
+    flat, flat_frame = flattening_case()
+    return [
+        ("identity", drag_problem_n5(), identity_frame(), (0.9, -0.3), (0.5, 5.0)),
+        ("decaying", drag_problem_n5(), decaying_frame(), (0.9, -0.3), (0.5, 5.0)),
+        ("flattening", flat, flat_frame, (0.3, 0.0), (0.5, 2.0)),
+        ("sin-shear", drag_problem_n5(), shear_frame(), (0.9, -0.3), (0.5, 4.0)),
+    ]
+
+
 def _old_integrals(a, with_g):
     if with_g:
         return lambda t, y: (a(t), math.exp(y[0]))
@@ -112,6 +162,9 @@ def _cases():
                     _old_clock(p, q), 1.0, start + (0.0, 0.0), kl.t_end, KL_CONFIG))
         tau, s0, y0, s1 = _tau_case(kl, (0.3, 0.0))
         out.append((f"tau-{name}", tau, _old_tau(kl), s0, y0, s1, KL_CONFIG))
+    for name, prob, g, z0, (p0, p1) in _pushed_cases():
+        out.append((f"pushed-{name}", SimpleNamespace(rhs=_pushed_rhs(prob, g)), _old_pushed(prob, g),
+                    p0, g.inverse(p0, *z0), p1, IntegratorConfig()))
     drag, (d0, d1) = _spec("lane-emden-n5.spec")
     for name, a in (("spec", drag.a), ("powerfn", PowerFn(-2, 0, 1, -1)),
                     ("lambda", lambda t: -2.0 / t)):
@@ -201,6 +254,19 @@ def test_exp_overflow_in_G_matches_the_call_path():
     assert 0.0 < err.t_reached < 1.0
 
 
+def test_a_frame_function_leaving_its_domain_stops_the_image_as_the_call_path_does():
+    # alpha = sqrt(3 - t) is not real past t = 3, inside [0.5, 4]
+    prob = drag_problem_n5()
+    g = shear_frame()
+    g = gauge.GaugeTransform(alpha=problemfile.compile_expression("sqrt(3 - t)"), beta=g.beta,
+                             gamma=g.gamma)
+    z0 = g.inverse(0.5, 0.9, -0.3)
+    err = _error_parity(SimpleNamespace(rhs=_pushed_rhs(prob, g)), _old_pushed(prob, g),
+                        0.5, z0, 4.0, IntegratorConfig())
+    assert "sqrt" in str(err.__cause__)
+    assert 0.5 < err.t_reached < 3.0
+
+
 def test_scale_reaching_zero_in_the_clock_slope_matches_the_call_path():
     # gamma'' = 0 from (1, -1): a first step of 5 puts the first stage at
     # gamma = 1 + 5 * (0.2 * -1) = 0, where tau' divides by gamma^2
@@ -231,8 +297,12 @@ def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
     drag = EmdenProblem(PowerFn(-2, 0, 1, -1), PowerFn(1, 0, 1, -4), 5)
     rescaled_energy_invariant(drag, 0.5, (0.5, 5.0))
     dilation_invariant(drag, 0.5, (0.6, 5.0))
-    # the scale and clock runs; the problem and the tau-run; A; (A, G)
-    assert [n for _, n in seen] == [2, 4, 2, 3, 1, 2]
+    entry = catalog_entry("lane_emden_n5")
+    red = reduce_via_particular_solution(entry.problem, entry.xp, (0.5, 5.0), dxp=entry.dxp)
+    verify_pushforward(entry.problem, red.gauge, (1.3, -0.2), (0.5, 5.0))
+    # the scale and clock runs; the problem and the tau-run; A; (A, G); the
+    # problem and its image under the reduction's frame
+    assert [n for _, n in seen] == [2, 4, 2, 3, 1, 2, 2, 2]
     for rhs, n in seen:
         assert numerics._problem_body(rhs, n) is not None
 
