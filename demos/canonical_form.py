@@ -8,8 +8,6 @@ clean power of t.  We build the transformation, tabulate it, and then
 clock, integrate the original equation, map its trajectory, and compare.
 """
 
-import numpy as np
-
 from emdenlab.gauge import (
     GeneralizedProblem,
     canonical_residual,
@@ -17,6 +15,7 @@ from emdenlab.gauge import (
     reduce_via_particular_solution,
     verify_pushforward,
 )
+from emdenlab.numerics import linspace
 from emdenlab.solutions import catalog_entry
 from emdenlab.timefn import PowerFn
 
@@ -29,8 +28,7 @@ print(kl.render())
 print()
 
 print("      t      gamma(t)    gamma*t     tau(t)     coeff*t^4")
-for t in np.linspace(1.0, 5.0, 9):
-    t = float(t)
+for t in linspace(1.0, 5.0, 9):
     print(
         f"  {t:5.1f}  {kl.gamma(t):11.8f}  {kl.gamma(t) * t:9.6f}"
         f"  {kl.tau(t):9.6f}  {kl.coefficient(t) * t ** 4:12.9f}"

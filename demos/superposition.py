@@ -9,9 +9,7 @@ value problem -- pick K, evaluate.
 
 import math
 
-import numpy as np
-
-from emdenlab.numerics import IntegratorConfig, integrate
+from emdenlab.numerics import IntegratorConfig, integrate, linspace
 from emdenlab.solutions import (
     bounded_family,
     frozen_level,
@@ -67,9 +65,9 @@ print("two zero-level trajectories of the frozen system, and the constant")
 print("that ties them together:")
 print()
 print("    tau     level(first)   level(second)   mixing constant")
-for tau in np.linspace(0.0, 2.0, 6):
-    xa, va = first(float(tau))
-    xb, vb = second(float(tau))
+for tau in linspace(0.0, 2.0, 6):
+    xa, va = first(tau)
+    xb, vb = second(tau)
     k = mixing_constant(xa, va, xb, vb)
     print(
         f"  {tau:5.2f}   {frozen_level(xa, va):+.3e}    "

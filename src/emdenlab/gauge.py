@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 from . import VerificationFailure
 from .exprlang import EvalDomainError, real_power
-from .numerics import IntegratorConfig, _compiled_rhs, integrate, linspace
+from .numerics import IntegratorConfig, integrate, linspace
 from .problems import EmdenProblem, GeneralizedProblem
 from .timefn import ZERO_FN, Inliner, TimeFn, as_timefn
 
@@ -168,7 +168,7 @@ def _pushed_rhs(prob: EmdenProblem, g: GaugeTransform):
     dv = f"_drv * x1 + _nl * {src.power('x0', prob.n, '_w')}"
     if al is not None:
         dv += f" + ({a} * {al} - {src.value(g.dalpha, '_dal')} - {al} * _drx) / {be} * x0"
-    return _compiled_rhs(src.body(("_gain * x1 + _drx * x0", dv)))
+    return src.rhs(("_gain * x1 + _drx * x0", dv))
 
 
 class PushforwardReport:
@@ -452,9 +452,17 @@ class KummerLiouvilleReduction:
         ]
         if not self.truncated:
             # near a truncation point the clock integrand blows up; skip it
-            lines.append(f"  clock range  [0, {self.tau(self.t_end):.6g}]")
-        lines.append(f"  coefficient at start {self.coefficient(self.t0):.6g}")
+            lines.append(f"  clock range  [0, {_at(self.tau, self.t_end):.6g}]")
+        lines.append(f"  coefficient at start {_at(self.coefficient, self.t0):.6g}")
         return "\n".join(lines)
+
+
+def _at(fn: TimeFn, t: float) -> float:
+    """fn(t) outside any run, or a GaugeError that names t."""
+    try:
+        return fn(t)
+    except (ArithmeticError, ValueError) as exc:
+        raise GaugeError(f"evaluation failed at t={t}: {exc}") from exc
 
 
 def _scale_rhs(p: TimeFn, q: Optional[TimeFn], clock: bool):
@@ -468,7 +476,7 @@ def _scale_rhs(p: TimeFn, q: Optional[TimeFn], clock: bool):
     ddg = f"-{p} * x1" if qg is None else f"{qg} - {p} * x1"
     # math.exp itself, so an overflow is an OverflowError from exp
     slopes = (p, f"{src.slot(math.exp)}(-x2) / (x0 * x0)") if clock else ()
-    return _compiled_rhs(src.body(("x1", ddg) + slopes))
+    return src.rhs(("x1", ddg) + slopes)
 
 
 def kummer_liouville(
@@ -561,7 +569,7 @@ def _tau_rhs(kl: KummerLiouvilleReduction):
     src.lines.append(f"_rate = {src.value(kl.gamma, '_g')} / {src.value(kl.beta, '_b')}")
     force = f"{src.value(kl.coefficient, '_c')} * _pow(x1, {src.slot(kl.n)})"
     src.lines += [f"_force = {force}", "t = _tau"]
-    return _compiled_rhs(src.body(("_rate", "x2", "_force")))
+    return src.rhs(("_rate", "x2", "_force"))
 
 
 def canonical_residual(

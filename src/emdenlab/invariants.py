@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import VerificationFailure
 from .exprlang import real_power
 from .gauge import reduce_via_particular_solution
-from .numerics import IntegratorConfig, Trajectory, _compiled_rhs, integrate, linspace, write_csv
+from .numerics import IntegratorConfig, Trajectory, integrate, linspace, write_csv
 from .problems import EmdenProblem
 from .timefn import ExactnessError, Inliner, PowerFn, TimeFn
 
@@ -195,7 +195,7 @@ def _integrals_rhs(a: TimeFn, with_g: bool):
     src = Inliner()
     a = src.value(a, "_a")
     # math.exp itself, so an overflow is an OverflowError from exp
-    return _compiled_rhs(src.body((a, f"{src.slot(math.exp)}(x0)") if with_g else (a,)))
+    return src.rhs((a, f"{src.slot(math.exp)}(x0)") if with_g else (a,))
 
 
 def _forward(interval: Tuple[float, float]) -> Tuple[float, float]:

@@ -12,7 +12,6 @@ import functools
 from typing import Optional, Tuple
 
 from .exprlang import Neg, compile_fn
-from .numerics import _compiled_rhs
 from .timefn import ZERO_FN, Inliner, PowerFn, TimeFn, as_timefn
 
 __all__ = ["EmdenProblem", "GeneralizedProblem"]
@@ -35,7 +34,7 @@ class EmdenProblem:
         src = Inliner()
         a, b = src.value(self.a, "_a"), src.value(self.b, "_b")
         w = src.power("x0", self.n, "_w")
-        return _compiled_rhs(src.body(("x1", f"{a} * x1 + {b} * {w}")))
+        return src.rhs(("x1", f"{a} * x1 + {b} * {w}"))
 
     def as_generalized(self) -> "GeneralizedProblem":
         return GeneralizedProblem(
@@ -66,7 +65,7 @@ class GeneralizedProblem:
         acc = f"-{p} * x1 + {r} * {src.power('x0', self.n, '_w')}"
         if self.q is not None:
             acc += f" - {src.value(self.q, '_q')} * x0"
-        return _compiled_rhs(src.body(("x1", acc)))
+        return src.rhs(("x1", acc))
 
     def as_emden(self) -> EmdenProblem:
         if self.q is not None:

@@ -9,11 +9,11 @@ which compiled expressions, constants and PowerFn all provide exactly.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Callable, Union
 
-from .exprlang import _generate, _namespace, _slot, real_power
+from .exprlang import _define, _generate, _namespace, _slot, real_power
+from .numerics import _reals
 
 TimeFn = Callable[[float], float]
 
@@ -214,9 +214,9 @@ class PowerFn:
 
 class Inliner:
     """Straight-line source that evaluates time functions at t: the stage
-    body of a system's right-hand side, which ``numerics`` compiles into the
-    system's ``rhs`` and writes into its Dormand-Prince stages, or the body
-    of a pass over a grid of samples, which ``define`` compiles.
+    body of a system's right-hand side, which ``rhs`` compiles and
+    ``integrate`` writes into its Dormand-Prince stages, or the body of a
+    pass over a grid of samples, which ``define`` compiles.
 
     ``value(fn, name)`` appends the lines that compute fn(t) and returns the
     expression that holds the result.  The lines make the float operations
@@ -271,24 +271,24 @@ class Inliner:
     def define(self, source: str, name: str):
         """The function name that source defines, run in this namespace;
         source is the caller's template with these lines written into it."""
-        exec(_code(source), self.namespace)
-        return self.namespace.pop(name)
+        return _define(source, name, self.namespace, "<inliner>")
 
-    def body(self, slopes) -> tuple:
-        """The stage body (lines, slopes, namespace).  With a call among the
-        values, the slopes pass as one tuple through the ``_reals`` check
-        that ``integrate`` applies to what a right-hand side returns, so a
-        value of another type converts, or fails, as it does there."""
+    def rhs(self, slopes):
+        """rhs(t, y): unpack y to x0 ..., run the lines, return the slopes.
+        It carries its stage body (lines, slopes, namespace) as
+        ``stage_body``, which ``integrate`` writes into each stage.  With a
+        call among the values, the slopes pass through ``integrate``'s
+        ``_reals`` check, so another type converts, or fails, as there."""
+        n = len(slopes)
         if self.calls:
-            names = [f"_k{c}" for c in range(len(slopes))]
+            names = [f"_k{c}" for c in range(n)]
             self.lines.append(f"[{', '.join(names)}] = "
-                              f"_reals(({''.join(s + ', ' for s in slopes)}), {len(names)}, t)")
+                              f"_reals(({''.join(s + ', ' for s in slopes)}), {n}, t)")
             slopes = names
-        return tuple(self.lines), tuple(slopes), self.namespace
-
-
-@functools.lru_cache(maxsize=64)
-def _code(source: str):
-    """source compiled, once per text: numbers sit in slots, so the text
-    repeats for every call on functions of the same form."""
-    return compile(source, "<inliner>", "exec")
+        self.namespace["_reals"] = _reals
+        body = "".join(f"    {line}\n" for line in self.lines)
+        fn = _define(f"def rhs(t, y):\n    [{', '.join(f'x{c}' for c in range(n))}] = y\n"
+                     f"{body}    return ({''.join(s + ', ' for s in slopes)})\n",
+                     "rhs", self.namespace, "<rhs>")
+        fn.stage_body = tuple(self.lines), tuple(slopes), self.namespace
+        return fn

@@ -384,6 +384,17 @@ class TestKummerLiouville:
         assert "reaches zero at t=1000.000000001" in err
         assert "valid on" not in out
 
+    def test_a_coefficient_out_of_range_at_the_start_names_t(self, capsys, tmp_path):
+        # gamma(t0)^(n+3) = 1e2400 leaves the real range when the reduction
+        # prints its coefficient, outside any run
+        code, out, err = run(
+            capsys, "kummer-liouville", spec_file(tmp_path, DRAG_N5), "--gamma-init", "1e300,0"
+        )
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "GaugeError")
+        assert "failed at t=0.5: pow(1e+300, 8.0) left the real range" in err
+        assert "valid on" not in out
+
     @pytest.mark.parametrize("grid", ["21", "81", "161"])
     def test_default_gauge_passes_at_every_grid(self, capsys, tmp_path, grid):
         # the default gauge compresses the clock (dt/dtau reaches 100 at

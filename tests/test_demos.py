@@ -5,6 +5,7 @@ Demos are users of the public API; `scheme_tour.py` in particular prints
 by its sha256.
 """
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -27,6 +28,17 @@ STDOUT_SHA256 = {
 
 def test_every_demo_is_pinned():
     assert sorted(STDOUT_SHA256) == [p.name for p in DEMOS]
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_does_not_import_numpy(script):
+    # numerics.linspace gives numpy.linspace's floats, bit for bit
+    tree = ast.parse(script.read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.partition(".")[0] == "numpy"] == []
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)

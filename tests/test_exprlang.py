@@ -12,7 +12,7 @@ from emdenlab.exprlang import (
     MAX_DEPTH, UnboundIdentifierError, UnknownFunctionError,
     compile_fn, derive, free_names, parse, real_power, to_source,
 )
-from emdenlab import timefn
+from emdenlab import exprlang
 from emdenlab.gauge import ReductionError, reduce_via_particular_solution
 from emdenlab.invariants import drift, invariant_from_particular_solution
 from emdenlab.numerics import integrate, linspace
@@ -426,9 +426,12 @@ def test_reductions_and_invariants_compile_once_per_form():
         return reduce_via_particular_solution(_DRAG, _PROFILE.scaled(k), (0.5, 5.0)), inv
 
     build(1)
-    before = timefn._code.cache_info()
+    before = exprlang._code.cache_info()
     build(1)
     with pytest.raises(ReductionError):
         build(2)  # a scaled profile breaks slope compatibility, after the same code ran
-    after = timefn._code.cache_info()
-    assert after.misses == before.misses and after.hits == before.hits + 4
+    after = exprlang._code.cache_info()
+    # build(1) reads six texts: the profile, its two derivatives, the
+    # invariant's sampler and evaluator and the reduction's sampler; build(2)
+    # stops after the first four
+    assert after.misses == before.misses and after.hits == before.hits + 6 + 4

@@ -41,3 +41,33 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8")) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
 
+
+
+def _builtin_calls(source: str, names: set) -> list:
+    """(name, enclosing function) for each call of a name in names by its
+    bare name; ``re.compile`` is an attribute call and does not count."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id in names):
+                calls.append((child.func.id, where))
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return calls
+
+
+def test_generated_code_becomes_a_function_in_one_place():
+    # exprlang._define execs every generated text, and only it reaches the
+    # compile behind its cache, exprlang._code
+    calls = sorted((path.name, *call)
+                   for path in sorted(Path(emdenlab.__file__).parent.rglob("*.py"))
+                   for call in _builtin_calls(path.read_text(encoding="utf-8"),
+                                              {"compile", "exec", "_code"}))
+    assert calls == [("exprlang.py", "_code", "_define"), ("exprlang.py", "compile", "_code"),
+                     ("exprlang.py", "exec", "_define")]

@@ -14,12 +14,13 @@ import math
 
 import pytest
 
-from emdenlab import gauge, numerics, problemfile
+from emdenlab import exprlang, gauge, numerics, problemfile
 from emdenlab.exprlang import EvalDomainError, real_power
 from emdenlab.gauge import canonical_residual, kummer_liouville
+from emdenlab.invariants import drift, invariant_from_particular_solution, rescaled_energy_invariant
 from emdenlab.numerics import IntegratorConfig, RhsError, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
-from emdenlab.solutions import catalog
+from emdenlab.solutions import catalog, powerlaw_solution
 from emdenlab.timefn import PowerFn, constant
 
 from test_numerics import _hex
@@ -268,18 +269,22 @@ def test_a_wrapped_rhs_is_called_for_every_stage():
     _assert_same(integrate(prob.rhs, t0, z0, t1, cfg), traj)
 
 
+def _misses():
+    """Misses of the one code cache and of the loop-source cache."""
+    return exprlang._code.cache_info().misses, numerics._kernel.cache_info().misses
+
+
 def test_kernels_are_built_on_first_use_and_shared_by_shape():
-    misses = numerics._kernel.cache_info().misses
-    rhs_misses = numerics._rhs_code.cache_info().misses
-    one = EmdenProblem(problemfile.compile_expression("-2/t"), constant(-1.0), 5)
-    two = EmdenProblem(problemfile.compile_expression("-3/t"), constant(-0.5), 7)
+    a_one, a_two = problemfile.compile_expression("-2/t"), problemfile.compile_expression("-3/t")
+    misses = _misses()
+    one = EmdenProblem(a_one, constant(-1.0), 5)
+    two = EmdenProblem(a_two, constant(-0.5), 7)
     assert "rhs" not in vars(one) and "rhs" not in vars(two)
-    assert numerics._kernel.cache_info().misses == misses
-    assert numerics._rhs_code.cache_info().misses == rhs_misses
+    assert _misses() == misses
     integrate(one.rhs, 0.5, (1.0, 0.0), 2.0)
-    misses = numerics._kernel.cache_info().misses
+    misses = _misses()
     integrate(two.rhs, 0.5, (1.0, 0.0), 2.0)
-    assert numerics._kernel.cache_info().misses == misses
+    assert _misses() == misses
     assert one.rhs.stage_body[:2] == two.rhs.stage_body[:2]
     assert one.rhs.stage_body[2] != two.rhs.stage_body[2]
     assert one.rhs.__code__ is two.rhs.__code__
@@ -293,29 +298,67 @@ def test_kernels_are_built_on_first_use_and_shared_by_shape():
         kl = kummer_liouville(prob, 1.0, 2.0, gamma_init=(1.0, -0.5))
         canonical_residual(kl, prob, (0.3, 0.0), grid_points=9)
         taus.append(gauge._tau_rhs(kl).stage_body)
-        counts.append(numerics._kernel.cache_info().misses)
+        counts.append(_misses())
     assert counts[1] == counts[0]
     assert taus[0][:2] == taus[1][:2] and taus[0][2] != taus[1][2]
     assert numerics._kernel(3, taus[0][:2]) is numerics._kernel(3, taus[1][:2])
     assert numerics._kernel(3, taus[0][:2]) is not numerics._kernel(2, one.rhs.stage_body[:2])
 
 
+def _kummer_liouville_residual(c, r):
+    prob = GeneralizedProblem(PowerFn(c, 0, 1, -1), None, r, 5)
+    kl = kummer_liouville(prob, 1.0, 2.0, gamma_init=(1.0, -0.5))
+    return canonical_residual(kl, prob, (0.3, 0.0), grid_points=9)
+
+
+def _rescaled_energy_drift(b):
+    prob = EmdenProblem(0.0, b, 3)
+    cond = rescaled_energy_invariant(prob, 0.5, (0.5, 2.0))
+    assert cond.passed
+    return drift(cond.invariant, integrate(prob.rhs, 0.5, (1.3, -0.2), 2.0), samples=50)
+
+
+def _text_profile_invariant(shift):
+    entry = powerlaw_solution(5, shift)
+    xp = problemfile.compile_expression(entry.xp.to_source())
+    return invariant_from_particular_solution(entry.problem, xp, entry.window)
+
+
+@pytest.mark.parametrize("build, first, second", [
+    (_kummer_liouville_residual, (2, 1.0), (3, 0.5)),
+    (_rescaled_energy_drift, (-1.0,), (-0.5,)),
+    (_text_profile_invariant, (1,), (3,)),
+    (lambda k: integrate(lambda t, y: (y[1], -k * y[0]), 0.0, (1.0, 0.0), 1.0).states([0.5]),
+     (1.0,), (4.0,)),
+], ids=["kummer-liouville", "rescaled-energy", "text-profile-invariant", "lambda"])
+def test_a_second_build_with_other_numbers_compiles_nothing(build, first, second):
+    # numbers reach every generated text through slots, so the second build
+    # finds each of its texts and loops in the caches the first one filled
+    build(*first)
+    misses = _misses()
+    build(*second)
+    assert _misses() == misses
+
+
 def test_the_inline_path_outlasts_the_code_caches():
-    # 70 bodies of distinct text push the first out of the bounded caches
-    # of rhs and step code; its rhs is still recognised by what it carries
+    # bodies of distinct text push the first out of the bounded caches of
+    # code and loop source; its rhs is still recognised by what it carries
     def drag(i):
-        term = "t"  # sin and negation nested in the order of i's seven bits
-        for bit in f"{i:07b}":
+        term = "t"  # sin and negation nested in the order of i's eight bits
+        for bit in f"{i:08b}":
             term = f"sin({term})" if bit == "1" else f"-({term})"
         return EmdenProblem(problemfile.compile_expression(f"-2/t + 0*{term}"), -1.0, 5)
 
     first = drag(0)
     cfg = IntegratorConfig(rel_tol=1e-8)
     before = integrate(first.rhs, 0.5, (1.0, 0.0), 2.0, cfg)
-    misses = numerics._rhs_code.cache_info().misses
-    for i in range(1, 71):
+    code, loops = _misses()
+    for i in range(1, 100):
         integrate(drag(i).rhs, 0.5, (1.0, 0.0), 0.6, cfg)
-    assert numerics._rhs_code.cache_info().misses - misses == 70
+    # each drag compiles its coefficient, its rhs and its loop
+    assert _misses() == (code + 3 * 99, loops + 99)
+    assert 3 * 99 > exprlang._code.cache_info().maxsize
+    assert 99 > numerics._kernel.cache_info().maxsize
     assert numerics._problem_body(first.rhs, 2) is not None
     after = integrate(first.rhs, 0.5, (1.0, 0.0), 2.0, cfg)
     _assert_same(after, before)
