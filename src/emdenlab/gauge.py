@@ -79,6 +79,11 @@ def _sample_points(interval: Tuple[float, float], count: int) -> List[float]:
     return linspace(lo, hi, count)
 
 
+# the checkers' integrator settings: the Kummer-Liouville runs, the canonical
+# residual's runs and the invariants' time integrals
+_CHECK_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -93,7 +98,7 @@ class GaugeTransform:
     one), and a function without one needs its derivative supplied.
 
     beta and gamma must stay positive on any interval the transform is
-    used on; ``validate_on`` enforces that by sampling.
+    used on; ``validate_on`` enforces that at 64 sample times.
     """
 
     __slots__ = ("alpha", "beta", "gamma", "dalpha", "dbeta", "dgamma")
@@ -130,8 +135,8 @@ class GaugeTransform:
         xp = x / g
         return (xp, (v - a * xp) / b)
 
-    def validate_on(self, interval: Tuple[float, float], samples: int = 64) -> None:
-        for t in _sample_points(interval, samples):
+    def validate_on(self, interval: Tuple[float, float]) -> None:
+        for t in _sample_points(interval, 64):
             self._scales(t)
 
 
@@ -196,18 +201,17 @@ def verify_pushforward(
     g: GaugeTransform,
     z0: Tuple[float, float],
     interval: Tuple[float, float],
-    config: Optional[IntegratorConfig] = None,
-    samples: int = 101,
 ) -> PushforwardReport:
     """Cross-check the pushforward on actual trajectories.
 
-    Integrates the original problem from z0, maps every sample into the
-    primed frame, and compares against an independent integration of the
-    pushed system started from the mapped initial point.  The two must
-    agree to within integrator accuracy; the pass bar is
-    100 * rel_tol * scale.
+    Integrates the original problem from z0 at ``IntegratorConfig()``, maps
+    each of 101 uniform samples into the primed frame, and compares against
+    an independent integration of the pushed system started from the mapped
+    initial point.  The two must agree to within integrator accuracy; the
+    pass bar is 100 * 1e-10 (the default rel_tol) * scale.
     """
-    cfg = config or IntegratorConfig()
+    cfg = IntegratorConfig()
+    samples = 101
     t0, t1 = float(interval[0]), float(interval[1])
     g.validate_on(interval)
 
@@ -240,11 +244,10 @@ class Reduction:
     """The single-rate system that the frame ``gauge`` maps the problem onto:
     rate(t) times the frozen field with (c11, c12, c21, c22, cx) = (1, 1, -1, -1, 0)."""
 
-    __slots__ = ("rate", "n", "gauge", "interval", "rate_consistency")
+    __slots__ = ("rate", "n", "gauge", "rate_consistency")
 
-    def __init__(self, rate: TimeFn, n: float, gauge: GaugeTransform,
-                 interval: Tuple[float, float], rate_consistency: float):
-        self.rate, self.n, self.gauge, self.interval = rate, n, gauge, interval
+    def __init__(self, rate: TimeFn, n: float, gauge: GaugeTransform, rate_consistency: float):
+        self.rate, self.n, self.gauge = rate, n, gauge
         self.rate_consistency = rate_consistency  # sup relative gap between the two rate routes
 
     def render(self) -> str:
@@ -373,16 +376,16 @@ def reduce_via_particular_solution(
     interval: Tuple[float, float],
     dxp: Optional[TimeFn] = None,
     ddxp: Optional[TimeFn] = None,
-    samples: int = 200,
     tol: float = 1e-12,
 ) -> Reduction:
     """Collapse the problem onto a frozen field using a known solution.
 
-    Requires, on the whole interval: xp actually solves the problem, its
-    slope squared matches xp^(n+1) (the compatibility condition tying the
-    nonlinear and kinetic slots together), and the slope is negative so
-    that beta = -dxp stays positive.  The resulting system always carries
-    coefficients (c11, c12, c21, c22, cx) = (1, 1, -1, -1, 0); the rate is
+    Requires, at 200 uniform samples of the interval: xp actually solves
+    the problem, its slope squared matches xp^(n+1) (the compatibility
+    condition tying the nonlinear and kinetic slots together), and the slope
+    is negative so that beta = -dxp stays positive.  The resulting system
+    always carries coefficients (c11, c12, c21, c22, cx) = (1, 1, -1, -1, 0);
+    the rate is
 
         f = b gamma^n / dgamma        with gamma = xp,
 
@@ -395,7 +398,7 @@ def reduce_via_particular_solution(
     dxp = _auto_deriv(xp, "xp") if dxp is None else as_timefn(dxp)
     ddxp = _auto_deriv(dxp, "dxp") if ddxp is None else as_timefn(ddxp)
 
-    ts = _sample_points(interval, samples)
+    ts = _sample_points(interval, 200)
     a, b, n = prob.a, prob.b, prob.n
     first, rows = [], []
     try:
@@ -410,13 +413,7 @@ def reduce_via_particular_solution(
 
     gauge = GaugeTransform(alpha=None, beta=lambda t: -dxp(t), gamma=xp,
                            dbeta=lambda t: -ddxp(t), dgamma=dxp)
-    return Reduction(
-        rate=rate,
-        n=n,
-        gauge=gauge,
-        interval=(float(interval[0]), float(interval[1])),
-        rate_consistency=worst,
-    )
+    return Reduction(rate=rate, n=n, gauge=gauge, rate_consistency=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +481,14 @@ def kummer_liouville(
     t0: float,
     t_end: float,
     gamma_init: Tuple[float, float] = (1.0, 0.0),
-    config: Optional[IntegratorConfig] = None,
 ) -> KummerLiouvilleReduction:
     """Canonical form of x'' = -p x' - q x + r x^n via scale and clock.
 
     The scale gamma solves gamma'' = -q gamma - p gamma' from gamma_init at
     t0; beta = exp(-P)/gamma with P = int p, and the new clock is
     tau = int beta/gamma, so tau' = exp(-P)/gamma^2.  (gamma, gamma', P, tau)
-    are integrated as one system and read from its dense output.
+    are integrated as one system at the checkers' tolerances (rel 1e-12,
+    abs 1e-14) and read from its dense output.
 
     If gamma crosses zero inside the window the result is truncated just
     before the crossing and flagged.  The crossing is found on the mesh of
@@ -501,7 +498,6 @@ def kummer_liouville(
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
         raise ValueError("time window must run forward")
-    cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     p = prob.p
     q = prob.q  # None means zero
 
@@ -509,7 +505,7 @@ def kummer_liouville(
     if g0 <= 0.0:
         raise GaugeError(f"initial scale {g0} must be positive")
 
-    linear = integrate(_scale_rhs(p, q, clock=False), t0, (g0, dg0), t_end, cfg)
+    linear = integrate(_scale_rhs(p, q, clock=False), t0, (g0, dg0), t_end, _CHECK_CONFIG)
     truncated = False
     end = t_end
     crossing = next((i for i, (gamma, _) in enumerate(linear.ys) if gamma <= 0.0), None)
@@ -527,7 +523,7 @@ def kummer_liouville(
                              f"the window start {t0:g} to leave a window")
         truncated = True
 
-    clock = integrate(_scale_rhs(p, q, clock=True), t0, (g0, dg0, 0.0, 0.0), end, cfg)
+    clock = integrate(_scale_rhs(p, q, clock=True), t0, (g0, dg0, 0.0, 0.0), end, _CHECK_CONFIG)
     # the last (t, state) read, one tuple: the tau-run reads gamma, beta and coefficient at one t
     last = [(None, None)]
 
@@ -577,7 +573,6 @@ def canonical_residual(
     prob: GeneralizedProblem,
     z0: Tuple[float, float],
     grid_points: int = 81,
-    config: Optional[IntegratorConfig] = None,
 ) -> float:
     """Sup relative gap between the canonical equation, solved in its own
     clock, and a trajectory of the original problem mapped into its frame.
@@ -588,18 +583,19 @@ def canonical_residual(
     v0 gamma0 - x0 gamma'0, since beta(t0) = 1/gamma(t0).  x'(tau(t)) is
     compared with x(t)/gamma(t) at grid_points times uniform in t; times
     uniform in tau crowd into the end of a truncated window, where x/gamma
-    is ill-conditioned.
+    is ill-conditioned.  Both runs use the checkers' tolerances (rel 1e-12,
+    abs 1e-14).
     """
     if grid_points < 5:
         raise ValueError(f"canonical_residual needs grid_points >= 5, got {grid_points}")
-    cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     t0, t_end = kl.t0, kl.t_end
-    orig = integrate(prob.rhs, t0, z0, t_end, cfg)
+    orig = integrate(prob.rhs, t0, z0, t_end, _CHECK_CONFIG)
 
     x0, v0 = z0
     g0 = kl.gamma(t0)
     tau_end = kl.tau(t_end)
-    canon = integrate(_tau_rhs(kl), 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)), tau_end, cfg)
+    canon = integrate(_tau_rhs(kl), 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)), tau_end,
+                      _CHECK_CONFIG)
     ts = _sample_points((t0, t_end), grid_points)
     worst, _ = _sup_rel_gap(((canon(min(kl.tau(t), tau_end))[1], z[0] / kl.gamma(t))
                              for t, z in zip(ts, orig.states(ts))), ts)

@@ -20,8 +20,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import VerificationFailure
 from .exprlang import real_power
-from .gauge import reduce_via_particular_solution
-from .numerics import IntegratorConfig, Trajectory, integrate, linspace, write_csv
+from .gauge import _CHECK_CONFIG, reduce_via_particular_solution
+from .numerics import Trajectory, integrate, linspace, write_csv
 from .problems import EmdenProblem
 from .timefn import ExactnessError, Inliner, PowerFn, TimeFn
 
@@ -116,13 +116,14 @@ def invariant_from_particular_solution(
 
 
 def particular_invariant_expansion(
-    xp: PowerFn, n, dxp: Optional[PowerFn] = None
+    xp: PowerFn, n
 ) -> Dict[Tuple[Fraction, int], Tuple[Fraction, Fraction]]:
     """Exact monomial expansion of the particular-solution invariant.
 
     For a pure power profile (no additive shift in the base) the three
     coefficient functions of the invariant are themselves pure powers of t
-    with rational data, so the whole invariant expands exactly as
+    with rational data (the slope is ``xp.deriv()``), so the whole invariant
+    expands exactly as
 
         I = sum  coeff * t^tpow * x^xdeg * v^vdeg.
 
@@ -131,8 +132,7 @@ def particular_invariant_expansion(
     """
     if not isinstance(xp, PowerFn):
         raise TypeError("expansion needs the profile as a PowerFn")
-    if dxp is None:
-        dxp = xp.deriv()
+    dxp = xp.deriv()
     n_exact = Fraction(n)
     np1 = n_exact + 1
     if np1 == 0:
@@ -185,10 +185,6 @@ class ConditionedInvariant:
         return "\n".join(lines)
 
 
-# time integrals from the anchor ride as ODE components at these tolerances
-_INTEGRAL_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-
-
 def _integrals_rhs(a: TimeFn, with_g: bool):
     """A' = a(t) as (A,); with with_g, also G' = exp(A) as (A, G).  Generated
     from the stage body that ``integrate`` inlines, as a problem's rhs is."""
@@ -211,12 +207,12 @@ def _condition_report(
     cond: Callable[[float, tuple], float],
     integrals: Trajectory,
     interval: Tuple[float, float],
-    grid: int,
-    rel_tol: float,
-    make_invariant,
+    invariant: Invariant,
 ) -> ConditionedInvariant:
-    """cond(t, integrals at t) sampled on grid points of interval."""
-    ts = linspace(interval[0], interval[1], grid)
+    """cond(t, integrals at t) sampled at 200 uniform points of interval;
+    the invariant is kept when their variation is at most 1e-8."""
+    rel_tol = 1e-8
+    ts = linspace(interval[0], interval[1], 200)
     vals = [cond(t, state) for t, state in zip(ts, integrals.states(ts))]
     for t, value in zip(ts, vals):
         if not math.isfinite(value):
@@ -231,7 +227,7 @@ def _condition_report(
         rel_tol=rel_tol,
         ts=ts,
         condition_values=vals,
-        invariant=make_invariant(constant) if passed else None,
+        invariant=invariant if passed else None,
         label=label,
     )
 
@@ -240,8 +236,6 @@ def rescaled_energy_invariant(
     prob: EmdenProblem,
     anchor: float,
     interval: Tuple[float, float],
-    grid: int = 200,
-    rel_tol: float = 1e-8,
 ) -> ConditionedInvariant:
     """Exponentially rescaled energy, valid when b exp(-2 int a) is constant.
 
@@ -249,42 +243,33 @@ def rescaled_energy_invariant(
 
         I = exp(-2A) (v^2/2 - b(t) x^(n+1)/(n+1))
 
-    is conserved exactly when b exp(-2A) = K.  The condition is sampled on
-    the interval, which must not start before the anchor; on failure the
-    report carries the sampled values.
+    is conserved exactly when b exp(-2A) = K.  The condition is sampled at
+    200 points of the interval, which must not start before the anchor, and
+    passes when its variation is at most 1e-8; on failure the report carries
+    the sampled values.
     """
     t_start, t_end = _forward(interval)
     if t_start < float(anchor):
         raise ValueError(f"interval ({t_start}, {t_end}) must not start before "
                          f"the anchor {anchor}")
     a, b, n = prob.a, prob.b, prob.n
-    A = integrate(_integrals_rhs(a, with_g=False), float(anchor), (0.0,), t_end, _INTEGRAL_CONFIG)
+    A = integrate(_integrals_rhs(a, with_g=False), float(anchor), (0.0,), t_end, _CHECK_CONFIG)
     pot = _power_potential(n)
 
     def cond(t: float, state: tuple) -> float:
         return b(t) * math.exp(-2.0 * state[0])
 
-    def make_invariant(_constant: float) -> Invariant:
-        def evaluator(t: float, x: float, v: float) -> float:
-            return math.exp(-2.0 * A(t)[0]) * (v * v / 2.0 - b(t) * pot(x))
+    def evaluator(t: float, x: float, v: float) -> float:
+        return math.exp(-2.0 * A(t)[0]) * (v * v / 2.0 - b(t) * pot(x))
 
-        return Invariant(
-            evaluator=evaluator,
-            provenance="rescaled-energy",
-            validity_interval=(t_start, t_end),
-        )
-
-    return _condition_report(
-        "rescaled energy", cond, A, interval, grid, rel_tol, make_invariant
-    )
+    invariant = Invariant(evaluator, "rescaled-energy", (t_start, t_end))
+    return _condition_report("rescaled energy", cond, A, interval, invariant)
 
 
 def dilation_invariant(
     prob: EmdenProblem,
     anchor: float,
     interval: Tuple[float, float],
-    grid: int = 200,
-    rel_tol: float = 1e-8,
 ) -> ConditionedInvariant:
     """Dilation-type invariant with a position-velocity cross term.
 
@@ -296,7 +281,9 @@ def dilation_invariant(
     is conserved when  b exp(-2A) (2G)^((n+3)/2) = K.  At n = -3 the outer
     power degenerates and the condition collapses to b exp(-2A) = K, while
     the invariant keeps the same shape.  G vanishes at the anchor, so the
-    condition and the invariant are only sampled strictly after it.
+    condition and the invariant are only sampled strictly after it.  The
+    condition is sampled at 200 points and passes when its variation is at
+    most 1e-8.
     """
     t_start, t_end = _forward(interval)
     if t_start <= float(anchor):
@@ -306,7 +293,7 @@ def dilation_invariant(
         )
     a, b, n = prob.a, prob.b, prob.n
     AG = integrate(_integrals_rhs(a, with_g=True), float(anchor), (0.0, 0.0), t_end,
-                   _INTEGRAL_CONFIG)
+                   _CHECK_CONFIG)
     pot = _power_potential(n)
     degenerate = abs(n + 3.0) < 1e-12
     half_shift = (n + 3.0) / 2.0
@@ -318,22 +305,14 @@ def dilation_invariant(
             return base
         return base * real_power(2.0 * G, half_shift)
 
-    def make_invariant(_constant: float) -> Invariant:
-        def evaluator(t: float, x: float, v: float) -> float:
-            A, G = AG(t)
-            eA = math.exp(-A)
-            energy = v * v / 2.0 - b(t) * pot(x)
-            return energy * eA * eA * G - 0.5 * x * v * eA
+    def evaluator(t: float, x: float, v: float) -> float:
+        A, G = AG(t)
+        eA = math.exp(-A)
+        energy = v * v / 2.0 - b(t) * pot(x)
+        return energy * eA * eA * G - 0.5 * x * v * eA
 
-        return Invariant(
-            evaluator=evaluator,
-            provenance="dilation",
-            validity_interval=(t_start, t_end),
-        )
-
-    return _condition_report(
-        "dilation", cond, AG, interval, grid, rel_tol, make_invariant
-    )
+    invariant = Invariant(evaluator, "dilation", (t_start, t_end))
+    return _condition_report("dilation", cond, AG, interval, invariant)
 
 
 # ---------------------------------------------------------------------------

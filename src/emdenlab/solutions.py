@@ -139,16 +139,15 @@ class CatalogEntry:
         self.equation_text, self.solution_text = equation_text, solution_text
         self.description = description
 
-    def residual_report(self, threshold: float = 1e-10, samples: int = 100) -> ResidualReport:
-        return verify_solution(
-            self.problem, self.xp, self.dxp, self.ddxp, self.window, threshold, samples
-        )
+    def residual_report(self) -> ResidualReport:
+        """The residual at 100 samples of the window, against threshold 1e-10."""
+        return verify_solution(self.problem, self.xp, self.dxp, self.ddxp, self.window, 1e-10, 100)
 
-    def slope_gap(self, samples: int = 100) -> float:
-        """Largest relative gap between dxp^2 and xp^(n+1) over the window."""
+    def slope_gap(self) -> float:
+        """Largest relative gap between dxp^2 and xp^(n+1) at 100 samples of the window."""
         worst = 0.0
         np1 = self.problem.n + 1.0
-        for t in linspace(self.window[0], self.window[1], samples):
+        for t in linspace(self.window[0], self.window[1], 100):
             lhs = self.dxp(t) ** 2
             rhs = real_power(self.xp(t), np1)
             gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
@@ -292,7 +291,8 @@ def superpose(x1: float, t: float, mix: float) -> float:
     Given x1(t) from a solution on the zero level of the frozen first
     integral, returns the value x0(t) of the companion solution labelled by
     the nonnegative mixing constant: mix = 1 reproduces x1 and mix = 0
-    gives the trivial solution.  Real only where  4 t^2 x1^4 <= 3.
+    gives the trivial solution.  Real only where  4 t^2 x1^4 <= 3; a mixing
+    constant so large that the ratio overflows is refused as well.
     """
     if mix < 0:
         raise ValueError(f"mixing constant must be nonnegative, got {mix}")
@@ -312,6 +312,10 @@ def superpose(x1: float, t: float, mix: float) -> float:
     s = math.sqrt(s_sq)
     num = 6.0 * mix * x1sq * ((1.0 - s) + mix * mix * (1.0 + s))
     den = 12.0 * mix * mix + (1.0 - mix * mix) ** 2 * q
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise SuperpositionDomainError(
+            f"the mixing rule overflows at t = {t:g} (x1 = {x1:g}, mixing constant {mix:g})"
+        )
     return math.sqrt(num / den)
 
 

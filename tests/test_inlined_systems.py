@@ -22,12 +22,10 @@ import pytest
 from emdenlab import gauge, invariants, numerics, problemfile
 from emdenlab.exprlang import real_power
 from emdenlab.gauge import (
-    _pushed_rhs, _scale_rhs, canonical_residual, kummer_liouville, reduce_via_particular_solution,
-    verify_pushforward,
+    _CHECK_CONFIG as _INTEGRAL_CONFIG, _pushed_rhs, _scale_rhs, canonical_residual,
+    kummer_liouville, reduce_via_particular_solution, verify_pushforward,
 )
-from emdenlab.invariants import (
-    _INTEGRAL_CONFIG, _integrals_rhs, dilation_invariant, rescaled_energy_invariant,
-)
+from emdenlab.invariants import _integrals_rhs, dilation_invariant, rescaled_energy_invariant
 from emdenlab.numerics import IntegrationError, IntegratorConfig, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
 from emdenlab.solutions import catalog_entry

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -41,6 +42,29 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8")) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
 
+
+def test_checks_set_their_own_grids_and_tolerances():
+    # a grid, tolerance or integrator setting on a check is a parameter only
+    # where some caller sets it; every other check runs at its fixed values
+    knobs = {"config", "samples", "grid", "grid_points", "rel_tol", "tol", "threshold",
+             "level_tol"}
+    functions = {}
+    for name in ("gauge", "invariants", "solutions"):
+        module = importlib.import_module(f"emdenlab.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions[attr] = obj
+            elif inspect.isclass(obj):
+                functions.update((f"{attr}.{m}", fn) for m, fn in vars(obj).items()
+                                 if not m.startswith("_") and inspect.isfunction(fn))
+    assert "CatalogEntry.residual_report" in functions and "kummer_liouville" in functions
+    found = {f"{label}.{p}" for label, fn in functions.items()
+             for p in inspect.signature(fn).parameters if p in knobs}
+    assert found == {"drift.samples", "canonical_residual.grid_points",
+                     "verify_solution.threshold", "verify_solution.samples",
+                     "reduce_via_particular_solution.tol", "mixing_constant.level_tol"}
 
 
 def _builtin_calls(source: str, names: set) -> list:
