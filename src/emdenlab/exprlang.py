@@ -12,15 +12,17 @@ base under a fractional exponent, ...) raise EvalDomainError instead of
 producing NaN or a complex value.  ``compile_fn`` turns each expression into
 one generated, straight-line Python function of t that makes the same float
 operations and checks, in the same order, as a walk of the tree would.
-``derive`` differentiates a tree symbolically, and every compiled function
-carries its exact derivative as ``fn.deriv()``.  This module also owns
-``real_power``, the powering rule used across the package.
+A subtree without ``t`` is computed once, as the source is generated, unless
+that fails.  ``derive`` differentiates a tree symbolically, and every compiled
+function carries its exact derivative as ``fn.deriv()``.  This module also
+owns ``real_power``, the powering rule used across the package.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 
 from . import VerificationFailure
@@ -129,8 +131,9 @@ def real_power(x: float, p: float) -> float:
     integrator's error norm non-finite, so no step with it is accepted, and
     every exponent that a problem file or an expression supplies is finite.
     """
-    # every power law and every x^n calls this, so the checks for NaN sit
-    # only in branches that real arguments take when they fail
+    # generated code calls this only outside _power_range, but hand-written
+    # closures call it for every power, so the checks for NaN sit only in
+    # branches that real arguments take when they fail
     if x == 0.0:
         if p > 0:
             return 0.0
@@ -159,6 +162,25 @@ def real_power(x: float, p: float) -> float:
 
 def _not_real(x: float, p: float, part: str) -> EvalDomainError:
     return EvalDomainError(f"pow({x!r}, {p!r}): the {part} is not a real number")
+
+
+def _power_range(p: float) -> tuple:
+    """(lo, hi): for lo < x < hi, x^p < 2^1001, so math.pow(x, p) is finite
+    and real, and it is what real_power returns.  Empty for a NaN p."""
+    if p != p:
+        return 0.0, 0.0
+    if p < 0.0:
+        return 2.0 ** (1000.0 / p), math.inf
+    e = 1000.0 / p if p > 0.0 else math.inf  # for e >= 1024, x^p <= max float^p < 2^1000
+    return 0.0, (2.0 ** e if e < 1024.0 else math.inf)
+
+
+def _power(namespace: dict, x: str, p: str) -> str:
+    """The expression real_power(x, p) for a name x and a slot p of
+    namespace: math.pow inside ``_power_range`` of p, ``_pow`` outside it,
+    so zero, negative, infinite and NaN bases keep real_power's errors."""
+    lo, hi = (_slot(namespace, b) for b in _power_range(float(namespace[p])))
+    return f"(_mpow({x}, {p}) if {lo} < {x} < {hi} else _pow({x}, {p}))"
 
 
 def _exp(x):
@@ -411,7 +433,8 @@ _FINITE_WHAT = {"+": "sum", "-": "difference", "*": "product"}
 
 def _namespace() -> dict:
     """The helpers that generated lines name, in a fresh namespace."""
-    return {"_isfinite": math.isfinite, "_Err": EvalDomainError, "_pow": real_power}
+    return {"_isfinite": math.isfinite, "_Err": EvalDomainError, "_pow": real_power,
+            "_mpow": math.pow}
 
 
 def _slot(namespace: dict, value) -> str:
@@ -440,16 +463,21 @@ def _generate(expr, constants, namespace, prefix="_r"):
 
     The lines name only t, the helpers of ``_namespace()`` and identifiers
     made up here: temporaries ``prefix`` + N, and a ``_vN`` slot added to
-    namespace for every number, constant and function.
+    namespace for every number, constant, folded subtree and function.
     """
     gen = _Generator(constants, namespace, prefix)
     return gen.lines, gen.walk(expr)
 
 
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+         "^": real_power}
+
+
 class _Generator:
     """One ``_generate`` run.  Its recursion goes through methods, not nested
     functions that name themselves, so no reference cycle keeps the lines and
-    the names for the collector."""
+    the names for the collector.  An operand is t, a temporary, or a slot of
+    namespace that holds a number known now."""
 
     __slots__ = ("constants", "namespace", "prefix", "lines", "done")
 
@@ -457,6 +485,18 @@ class _Generator:
         self.constants, self.namespace, self.prefix = constants, namespace, prefix
         self.lines = []
         self.done = {}  # id(node) -> its name; a subtree shared by derived trees is computed once
+
+    def fold(self, node, op, *names):
+        """A slot holding op of the operands, if they are all known and op
+        gives a finite value; else None, and the caller writes the lines."""
+        try:
+            value = op(*(self.namespace[name] for name in names))
+        except (KeyError, ArithmeticError, ValueError):  # KeyError: an operand not known
+            return None
+        if math.isfinite(value):
+            name = self.done[id(node)] = _slot(self.namespace, value)
+            return name
+        return None
 
     def emit(self, node, rhs, what=None):
         name = self.done[id(node)] = f"{self.prefix}{len(self.lines)}"
@@ -478,20 +518,28 @@ class _Generator:
                 raise ExprError(f"constant {node.id} = {value!r} is not finite")
             return _slot(self.namespace, value)
         if isinstance(node, Neg):
-            return self.emit(node, f"-{self.walk(node.arg)}")
+            a = self.walk(node.arg)
+            return self.fold(node, operator.neg, a) or self.emit(node, f"-{a}")
         if isinstance(node, Bin):
+            op = _FOLD[node.op]
             if node.op == "/":
                 b = self.walk(node.right)
-                self.lines.append(f"if {b} == 0.0: raise _Err('division by zero')")
-                return self.emit(node, f"{self.walk(node.left)} / {b}", "quotient")
+                if self.namespace.get(b, 0.0) == 0.0:
+                    self.lines.append(f"if {b} == 0.0: raise _Err('division by zero')")
+                a = self.walk(node.left)
+                return self.fold(node, op, a, b) or self.emit(node, f"{a} / {b}", "quotient")
             a = self.walk(node.left)
             b = self.walk(node.right)
-            if node.op == "^":
-                return self.emit(node, f"_pow({a}, {b})")
-            return self.emit(node, f"{a} {node.op} {b}", _FINITE_WHAT[node.op])
+            if node.op == "^":  # inline where the exponent is a known number
+                return self.fold(node, op, a, b) or self.emit(node, _power(
+                    self.namespace, a, b) if b in self.namespace else f"_pow({a}, {b})")
+            return self.fold(node, op, a, b) or self.emit(
+                node, f"{a} {node.op} {b}", _FINITE_WHAT[node.op])
         if isinstance(node, Call):
-            args = ", ".join([self.walk(a) for a in node.args])
-            return self.emit(node, f"{_slot(self.namespace, FUNCTIONS[node.fn][1])}({args})")
+            fn = FUNCTIONS[node.fn][1]
+            args = [self.walk(a) for a in node.args]
+            return self.fold(node, fn, *args) or self.emit(
+                node, f"{_slot(self.namespace, fn)}({', '.join(args)})")
         raise TypeError(f"not an Expr node: {node!r}")
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import VerificationFailure
-from .exprlang import EvalDomainError, real_power
+from .exprlang import EvalDomainError, _power, real_power
 from .numerics import IntegratorConfig, integrate, linspace
 from .problems import EmdenProblem, GeneralizedProblem
 from .timefn import ZERO_FN, Inliner, TimeFn, as_timefn
@@ -274,10 +274,10 @@ _SAMPLE = """\
 def _sample(ts, first, rows):
     for t in ts:
         {first}
-        first.append(({d}, {x}, {d} ** 2, _pow({x}, {np1})))
+        first.append(({d}, {x}, {d} ** 2, {w}))
     for t, (d, x, d2, w) in zip(ts, first):
         {second}
-        rows.append((x, d, d2, w, {dd}, {a}, {b} * _pow(x, {n})))
+        rows.append((x, d, d2, w, {dd}, {a}, {b} * {bx}))
 """
 
 
@@ -292,7 +292,8 @@ def _sampler(xp, dxp, ddxp, a, b, n):
     indent = "\n        "
     return src.define(_SAMPLE.format(
         first=indent.join(first) or "pass", second=indent.join(src.lines) or "pass",
-        d=d, x=x, dd=dd, a=av, b=bv, np1=src.slot(n + 1.0), n=src.slot(n)), "_sample")
+        d=d, x=x, dd=dd, a=av, b=bv, w=_power(src.namespace, x, src.slot(n + 1.0)),
+        bx=_power(src.namespace, "x", src.slot(n))), "_sample")
 
 
 def _checked_rate_gap(ts, rows, tol: float) -> float:
@@ -563,7 +564,7 @@ def _tau_rhs(kl: KummerLiouvilleReduction):
     # so a value of another type is refused, and named, at tau
     src.lines += ["_tau = t", f"t = min(max(x0, {src.slot(kl.t0)}), {src.slot(kl.t_end)})"]
     src.lines.append(f"_rate = {src.value(kl.gamma, '_g')} / {src.value(kl.beta, '_b')}")
-    force = f"{src.value(kl.coefficient, '_c')} * _pow(x1, {src.slot(kl.n)})"
+    force = f"{src.value(kl.coefficient, '_c')} * {_power(src.namespace, 'x1', src.slot(kl.n))}"
     src.lines += [f"_force = {force}", "t = _tau"]
     return src.rhs(("_rate", "x2", "_force"))
 

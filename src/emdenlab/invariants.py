@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import VerificationFailure
-from .exprlang import real_power
+from .exprlang import _power, real_power
 from .gauge import _CHECK_CONFIG, reduce_via_particular_solution
 from .numerics import Trajectory, integrate, linspace, write_csv
 from .problems import EmdenProblem
@@ -54,6 +54,15 @@ class Invariant:
         return self.evaluator(t, x, v)
 
 
+def _integral_evaluator(value, run: Trajectory):
+    """evaluator(t, x, v) = value(t, run(t), x, v); its ``grid(ts, states)``
+    gives the values at the states at ts, bit for bit, reading run in one sweep."""
+    evaluator = lambda t, x, v: value(t, run(t), x, v)
+    evaluator.grid = lambda ts, states: [value(t, s, x, v) for t, s, (x, v)
+                                         in zip(ts, run.states(ts), states)]
+    return evaluator
+
+
 def _power_potential(n: float) -> Callable[[float], float]:
     """x -> x^(n+1)/(n+1), with the log form at the n = -1 degeneracy."""
     if abs(n + 1.0) < 1e-12:
@@ -81,7 +90,7 @@ def _particular_evaluator(profile: TimeFn, slope: TimeFn, n: float):
         pot = f"{src.slot(math.log)}(x / {p})"
     else:
         np1 = src.slot(n + 1.0)
-        pot = f"_pow(x, {np1}) / ({np1} * _pow({p}, {np1}))"
+        pot = f"{_power(src.namespace, 'x', np1)} / ({np1} * {_power(src.namespace, p, np1)})"
     return src.define(_EVALUATOR.format(
         lines="\n    ".join(src.lines) or "pass", p=p, dp=dp, pot=pot,
         error=src.slot(InvariantDomainError)), "evaluator")
@@ -259,10 +268,10 @@ def rescaled_energy_invariant(
     def cond(t: float, state: tuple) -> float:
         return b(t) * math.exp(-2.0 * state[0])
 
-    def evaluator(t: float, x: float, v: float) -> float:
-        return math.exp(-2.0 * A(t)[0]) * (v * v / 2.0 - b(t) * pot(x))
+    def value(t: float, state: tuple, x: float, v: float) -> float:
+        return math.exp(-2.0 * state[0]) * (v * v / 2.0 - b(t) * pot(x))
 
-    invariant = Invariant(evaluator, "rescaled-energy", (t_start, t_end))
+    invariant = Invariant(_integral_evaluator(value, A), "rescaled-energy", (t_start, t_end))
     return _condition_report("rescaled energy", cond, A, interval, invariant)
 
 
@@ -305,13 +314,13 @@ def dilation_invariant(
             return base
         return base * real_power(2.0 * G, half_shift)
 
-    def evaluator(t: float, x: float, v: float) -> float:
-        A, G = AG(t)
+    def value(t: float, state: tuple, x: float, v: float) -> float:
+        A, G = state
         eA = math.exp(-A)
         energy = v * v / 2.0 - b(t) * pot(x)
         return energy * eA * eA * G - 0.5 * x * v * eA
 
-    invariant = Invariant(evaluator, "dilation", (t_start, t_end))
+    invariant = Invariant(_integral_evaluator(value, AG), "dilation", (t_start, t_end))
     return _condition_report("dilation", cond, AG, interval, invariant)
 
 
@@ -355,10 +364,10 @@ class DriftReport:
 def drift(inv: Invariant, traj: Trajectory, samples: int = 200) -> DriftReport:
     """Evaluate an invariant along a trajectory and measure its wobble.
 
-    Samples the dense output at samples uniform times, read in one sweep
-    (``Trajectory.states``); the relative figure is normalized by
-    max(1, |I0|, max |I_i|), so identically-zero invariants report their
-    absolute drift.
+    Samples the dense output at samples uniform times in one sweep
+    (``Trajectory.states``), evaluated through ``evaluator.grid`` if there
+    is one; the relative figure is max |I - I0| / max(1, |I0|, max |I_i|),
+    so identically-zero invariants report their absolute drift.
     """
     if samples < 2:
         raise ValueError(f"drift needs samples >= 2 to compare anything, got {samples}")
@@ -372,10 +381,16 @@ def drift(inv: Invariant, traj: Trajectory, samples: int = 200) -> DriftReport:
                 f"interval [{lo}, {hi}]"
             )
     ts = linspace(traj.t0, traj.t_end, samples)
+    states = traj.states(ts)
+    grid = getattr(inv.evaluator, "grid", None)
+    try:  # on a failure, evaluated again one by one below, which names the sample
+        known = grid and grid(ts, states)
+    except (ArithmeticError, ValueError, TypeError):
+        known = None
     values = []
-    for i, (t, (x, v)) in enumerate(zip(ts, traj.states(ts))):
+    for i, (t, (x, v)) in enumerate(zip(ts, states)):
         try:
-            value = inv(t, x, v)
+            value = inv(t, x, v) if known is None else known[i]
         except (ArithmeticError, ValueError) as exc:
             raise InvariantDomainError(
                 f"invariant evaluation failed at sample {i} (t={t:.6g}): {exc}"

@@ -311,7 +311,10 @@ def superpose(x1: float, t: float, mix: float) -> float:
         return float(x1)
     s = math.sqrt(s_sq)
     num = 6.0 * mix * x1sq * ((1.0 - s) + mix * mix * (1.0 + s))
-    den = 12.0 * mix * mix + (1.0 - mix * mix) ** 2 * q
+    try:
+        den = 12.0 * mix * mix + (1.0 - mix * mix) ** 2 * q
+    except OverflowError:  # float ** raises where the square passes the largest float
+        den = math.inf
     if not (math.isfinite(num) and math.isfinite(den)):
         raise SuperpositionDomainError(
             f"the mixing rule overflows at t = {t:g} (x1 = {x1:g}, mixing constant {mix:g})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Union
 
-from .exprlang import _define, _generate, _namespace, _slot, real_power
+from .exprlang import _define, _generate, _namespace, _power, _slot, real_power
 from .numerics import _reals
 
 TimeFn = Callable[[float], float]
@@ -226,8 +226,9 @@ class Inliner:
     - a compiled expression emits its ``exprlang`` lines, unless expand is
       False: then it stays a call, since code built for one pass over a few
       hundred samples spends more on writing those lines than they save;
-    - a PowerFn emits ``c * _pow(k + m*t, e)`` from its float fields, or
-      ``0.0`` when c is zero, as its ``__call__`` does;
+    - a PowerFn emits its base ``k + m*t`` and then ``c`` times
+      ``exprlang._power`` of it, from its float fields, or ``0.0`` when c
+      is zero, as its ``__call__`` does;
     - ``constant(c)`` is its value;
     - anything else, and anything ``functools.wraps`` made, stays a call.
 
@@ -250,7 +251,8 @@ class Inliner:
                 if fn._floats[0] == 0.0:
                     return "0.0"
                 c, k, m, e = map(self.slot, fn._floats)
-                self.lines.append(f"{name} = {c} * _pow({k} + {m} * t, {e})")
+                self.lines += [f"{name}0 = {k} + {m} * t",
+                               f"{name} = {c} * {_power(self.namespace, name + '0', e)}"]
                 return name
             if isinstance(getattr(fn, "value", None), float):
                 return self.slot(fn.value)
@@ -265,7 +267,7 @@ class Inliner:
 
     def power(self, x: str, p: float, name: str) -> str:
         """real_power(x, p), as the line that leaves it in name."""
-        self.lines.append(f"{name} = _pow({x}, {self.slot(p)})")
+        self.lines.append(f"{name} = {_power(self.namespace, x, self.slot(p))}")
         return name
 
     def define(self, source: str, name: str):

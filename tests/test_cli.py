@@ -494,13 +494,15 @@ class TestSuperpose:
         assert verdict(out) == ("FAIL", "error", "SuperpositionDomainError")
 
     def test_an_overflowing_constant_fails_and_names_t(self, capsys):
-        # mix^2 overflows above about 1.3e154; the rule read inf/inf as nan
-        code, out, err = run(capsys, "superpose", "--x1", "(1+t^2/3)^(-1/2)", "--K", "1e160",
-                             "0.1,5", "--samples", "3")
-        assert code == 1
-        assert verdict(out) == ("FAIL", "error", "SuperpositionDomainError")
-        assert "nan" not in out
-        assert "t = 0.1" in err
+        # mix^2 overflows above about 1.3e154, where the rule read inf/inf as
+        # nan, and (1 - mix^2)^2 above about 1.2e77, where float ** raised
+        for constant in ("1e160", "1e100"):
+            code, out, err = run(capsys, "superpose", "--x1", "(1+t^2/3)^(-1/2)",
+                                 "--K", constant, "0.1,5", "--samples", "3")
+            assert code == 1
+            assert verdict(out) == ("FAIL", "error", "SuperpositionDomainError")
+            assert "nan" not in out
+            assert "t = 0.1" in err
 
     def test_backward_interval_rejected(self, capsys):
         code, _, err = run(capsys, "superpose", "--x1", "1", "--K", "1", "3,1")

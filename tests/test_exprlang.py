@@ -12,7 +12,7 @@ from emdenlab.exprlang import (
     MAX_DEPTH, UnboundIdentifierError, UnknownFunctionError,
     compile_fn, derive, free_names, parse, real_power, to_source,
 )
-from emdenlab import exprlang
+from emdenlab import exprlang, solutions
 from emdenlab.gauge import ReductionError, reduce_via_particular_solution
 from emdenlab.invariants import drift, invariant_from_particular_solution
 from emdenlab.numerics import integrate, linspace
@@ -278,6 +278,89 @@ class TestRealPower:
 
     def test_a_zero_power_of_nan_is_one_as_ieee_pow_gives(self):
         assert real_power(math.nan, 0.0) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# inline powers and folded constants
+
+# the perfbench trajectory-drift profiles, as problem files spell them
+_PROFILE_TEXTS = ["(2*t)^(-1/2)", "4*(t+1)^(-2)", "2^(-1/2)*(t+1)^(-1/4)",
+                  "3^(-1/3)*(t+1)^(-1/3)", "(1/2)*(1+t/2)^(-1/2)"]
+
+
+def _guarded(p):
+    """x -> the guarded line that generated code writes for x^p."""
+    namespace = exprlang._namespace()
+    line = exprlang._power(namespace, "x", exprlang._slot(namespace, p))
+    return exprlang._define(f"def _g(x):\n    return {line}\n", "_g", namespace, "<test>")
+
+
+class TestInlinePowers:
+    @pytest.mark.parametrize("p", [2.0, 5.0, 0.5, -0.5, -1 / 3, -3.0, 0.0, 1e-300, 1e300,
+                                   -1e300])
+    def test_the_guarded_line_is_real_power_bit_for_bit(self, p):
+        lo, hi = exprlang._power_range(p)
+        points = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 1e-3, 0.5, 1.0, 1.5, 3.0,
+                  1e3, lo + 1.0, hi / 2.0 if hi < math.inf else 2.0 * lo + 1.0]
+        for edge in (lo, hi):
+            points += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        guarded = _guarded(p)
+        for x in points:
+            try:
+                want = real_power(x, p)
+            except EvalDomainError as exc:
+                with pytest.raises(EvalDomainError) as got:
+                    guarded(x)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc)), x
+            else:
+                assert guarded(x).hex() == want.hex(), x
+
+    def test_constant_factors_fold(self):
+        src = "2^(-1/2)*(t+1)^(-1/4)"
+        lines, _ = exprlang._generate(parse(src), {}, exprlang._namespace())
+        powers = [line for line in lines if "_pow(" in line]
+        assert len(powers) == 1 and "_mpow(" in powers[0]  # (t+1)^(-1/4), guarded
+        fn, tree = compile_fn(src), parse(src)
+        for t in linspace(-0.9, 9.0, 50):
+            assert fn(t).hex() == _reference_eval(tree, t, {}).hex()
+
+    @pytest.mark.parametrize("src, message", [("t + 1/0", "division by zero"),
+                                              ("t*0^(-1)", "0 raised to a negative power")])
+    def test_a_constant_that_fails_fails_when_called(self, src, message):
+        fn = compile_fn(src)
+        with pytest.raises(EvalDomainError, match=f"^{message}$"):
+            fn(1.0)
+
+    @pytest.mark.parametrize("src", _PROFILE_TEXTS)
+    def test_profile_derivatives_agree_with_the_unfolded_walk(self, src):
+        fn, tree = compile_fn(src), parse(src)
+        for d, d_tree in ((fn.deriv(), derive(tree)), (fn.deriv().deriv(), derive(derive(tree)))):
+            for t in linspace(0.5, 5.0, 50):
+                assert d(t).hex() == _reference_eval(d_tree, t, {}).hex()
+
+
+def test_generated_code_calls_real_power_for_no_known_exponent(monkeypatch):
+    # patched before anything is built, so every generated namespace binds
+    # the counter as _pow: a generator that writes a bare _pow line for a
+    # power whose exponent it knows shows up here, on runs whose bases are
+    # positive and finite
+    calls = []
+
+    def counted(x, p):
+        calls.append((x, p))
+        return real_power(x, p)
+
+    monkeypatch.setattr(exprlang, "real_power", counted)
+    for entry in solutions.catalog.__wrapped__():
+        if not entry.slope_compatible:
+            continue
+        (t0, t1), n = entry.window, entry.problem.n
+        text = EmdenProblem(compile_fn(entry.problem.a.to_source()), -1.0, n)
+        for prob, xp, dxp in ((entry.problem, entry.xp, entry.dxp),
+                              (text, compile_fn(entry.xp.to_source()), None)):
+            traj = integrate(prob.rhs, t0, (1.01 * entry.xp(t0), entry.dxp(t0)), t1)
+            drift(invariant_from_particular_solution(prob, xp, (t0, t1), dxp=dxp), traj)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

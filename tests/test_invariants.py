@@ -1,5 +1,6 @@
 """Constants of motion: exact forms, condition gating, drift along trajectories."""
 
+import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -240,6 +241,33 @@ class TestDrift:
         inv = Invariant(lambda t, x, v: x, "generic", validity_interval=(0.5, 2.0))
         with pytest.raises(ValueError, match="validity"):
             drift(inv, traj)
+
+    @pytest.mark.parametrize("construct, prob, anchor, window, z0", [
+        (rescaled_energy_invariant, EmdenProblem(a=0.3, b=lambda t: 0.7 * math.exp(0.6 * t), n=3),
+         0.0, (0.0, 1.5), (0.3, 0.0)),
+        (dilation_invariant, EmdenProblem(a=0.0, b=PowerFn(-0.5, 0, 2, -4), n=5),
+         0.0, (0.5, 3.0), (1.0, -0.2)),
+    ], ids=["rescaled-energy", "dilation"])
+    def test_grid_form_reports_as_point_reads_do(self, construct, prob, anchor, window, z0):
+        inv = construct(prob, anchor, window).invariant
+        point = dataclasses.replace(inv, evaluator=lambda t, x, v: inv.evaluator(t, x, v))
+        assert hasattr(inv.evaluator, "grid") and not hasattr(point.evaluator, "grid")
+        t0, t1 = window
+        forward = integrate(prob.rhs, t0, z0, t1, IntegratorConfig())
+        backward = integrate(prob.rhs, t1, forward(t1), t0, IntegratorConfig())
+        for traj in (forward, backward):
+            got, want = drift(inv, traj), drift(point, traj)
+            assert got == want
+            assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+        # past the end of the integrals' run, within the invariant's slack:
+        # the last sample fails, and is named, on both paths
+        past = integrate(prob.rhs, t0, z0, t1 + 1e-9, IntegratorConfig())
+        errors = []
+        for one in (inv, point):
+            with pytest.raises(InvariantDomainError, match="at sample 199 ") as err:
+                drift(one, past)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
     def test_csv_rows_and_summary(self):
         _, traj = self.trajectory()
