@@ -1,11 +1,11 @@
 """Closed-form scalar functions of time: parsing, compilation, printing.
 
-The language covers numeric literals, the time variable ``t``, named constants
-bound at evaluation time, unary minus, the binary operators ``+ - * / ^``, and
-the functions exp, log, sin, cos, sqrt, abs and pow.  ``^`` binds tightest and
-is right-associative, so ``2^3^2`` is 512; unary minus binds more loosely than
-``^`` but more tightly than ``*`` and ``/``, so ``-2^2`` is -4 and ``-2/t`` is
-(-2)/t.  There is no implicit multiplication: write ``2*t``, never ``2t``.
+The language covers numeric literals, the time variable ``t``, unary minus,
+the binary operators ``+ - * / ^``, and the functions exp, log, sin, cos,
+sqrt, abs and pow.  ``^`` binds tightest and is right-associative, so
+``2^3^2`` is 512; unary minus binds more loosely than ``^`` but more tightly
+than ``*`` and ``/``, so ``-2^2`` is -4 and ``-2/t`` is (-2)/t.  There is no
+implicit multiplication: write ``2*t``, never ``2t``.
 
 Domain violations (log of a nonpositive number, division by zero, a negative
 base under a fractional exponent, ...) raise EvalDomainError instead of
@@ -402,29 +402,27 @@ def free_names(expr: Expr) -> set:
     return set()
 
 
-def compile_fn(src, constants: dict | None = None):
+def compile_fn(src):
     """Compile source text (or a tree) to a fast callable of t.
 
-    All names other than 't' must appear in constants, bound to finite
-    values; checked here, at bind time, rather than on first call.  Every
+    A name other than 't' is refused here, rather than on first call.  Every
     call returns a new function object, so callers may set attributes on it.
     Its ``deriv()`` compiles ``derive`` of the tree on first call and then
-    returns that same function; ``fn.tree`` and ``fn.constants`` let a
-    generated caller emit the same lines inline (``timefn.Inliner``).
+    returns that same function; ``fn.tree`` lets a generated caller emit the
+    same lines inline (``timefn.Inliner``).
     """
     expr = parse(src) if isinstance(src, str) else src
-    constants = dict(constants or {})
-    missing = free_names(expr) - {"t"} - set(constants)
+    missing = free_names(expr) - {"t"}
     if missing:
         raise UnboundIdentifierError(f"unbound identifier(s): {', '.join(sorted(missing))}")
     namespace = _namespace()
-    lines, result = _generate(expr, constants, namespace)
+    lines, result = _generate(expr, namespace)
     body = "".join(f"    {line}\n" for line in lines)
     fn = _define(f"def _fn(t):\n{body}    return {result}\n", "_fn", namespace, "<exprlang>")
     # function attributes, not methods, so functools.wraps carries them over;
-    # tree and constants let a generated caller inline the function
-    fn.deriv = functools.cache(lambda: compile_fn(derive(expr), constants))
-    fn.tree, fn.constants = expr, constants
+    # the tree lets a generated caller inline the function
+    fn.deriv = functools.cache(lambda: compile_fn(derive(expr)))
+    fn.tree = expr
     return fn
 
 
@@ -458,14 +456,15 @@ def _define(source: str, name: str, namespace: dict, filename: str):
     return namespace.pop(name)
 
 
-def _generate(expr, constants, namespace, prefix="_r"):
-    """Straight-line lines that compute expr at t, and the name of its value.
+def _generate(expr, namespace, prefix="_r"):
+    """Straight-line lines that compute expr (whose one name is t) at t, and
+    the name of its value.
 
     The lines name only t, the helpers of ``_namespace()`` and identifiers
     made up here: temporaries ``prefix`` + N, and a ``_vN`` slot added to
-    namespace for every number, constant, folded subtree and function.
+    namespace for every number, folded subtree and function.
     """
-    gen = _Generator(constants, namespace, prefix)
+    gen = _Generator(namespace, prefix)
     return gen.lines, gen.walk(expr)
 
 
@@ -479,10 +478,10 @@ class _Generator:
     the names for the collector.  An operand is t, a temporary, or a slot of
     namespace that holds a number known now."""
 
-    __slots__ = ("constants", "namespace", "prefix", "lines", "done")
+    __slots__ = ("namespace", "prefix", "lines", "done")
 
-    def __init__(self, constants, namespace, prefix):
-        self.constants, self.namespace, self.prefix = constants, namespace, prefix
+    def __init__(self, namespace, prefix):
+        self.namespace, self.prefix = namespace, prefix
         self.lines = []
         self.done = {}  # id(node) -> its name; a subtree shared by derived trees is computed once
 
@@ -510,13 +509,8 @@ class _Generator:
             return self.done[id(node)]
         if isinstance(node, Num):
             return _slot(self.namespace, node.value)
-        if isinstance(node, Name):
-            if node.id == "t":
-                return "t"
-            value = float(self.constants[node.id])
-            if not math.isfinite(value):
-                raise ExprError(f"constant {node.id} = {value!r} is not finite")
-            return _slot(self.namespace, value)
+        if isinstance(node, Name):  # t, the one name compile_fn admits
+            return "t"
         if isinstance(node, Neg):
             a = self.walk(node.arg)
             return self.fold(node, operator.neg, a) or self.emit(node, f"-{a}")

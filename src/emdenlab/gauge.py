@@ -13,8 +13,8 @@ dependence partially or entirely:
 
 * a particular solution with decaying slope picks the frame whose image is
   a single time-dependent rate multiplying a frozen field; the reduction
-  checks, at every sample, that the image's coefficients collapse to that
-  rate (``reduce_via_particular_solution``),
+  checks, on the rows of ``EmdenProblem.sampler``, that the image's
+  coefficients collapse to that rate (``reduce_via_particular_solution``),
 * the classical Kummer-Liouville substitution plus a clock change brings the
   damped linear part to canonical form  d2x'/dtau2 = F(tau) x'^n
   (``kummer_liouville``); the scale, the damping integral and the clock are
@@ -258,42 +258,17 @@ class Reduction:
 
 
 def _sup_rel_gap(pairs, ts):
-    """Largest relative gap between paired samples at ts, and where it occurs."""
+    """Largest relative gap between paired (got, want) samples at ts, and
+    where; relative to the pair's larger size, at least min(1, largest |want|)."""
+    pairs = list(pairs)
+    floor = min(1.0, max(abs(want) for _, want in pairs))
     worst, where = 0.0, ts[0]
     for t, (got, want) in zip(ts, pairs):
-        gap = abs(got - want) / max(1.0, abs(got), abs(want))
+        scale = max(floor, abs(got), abs(want))
+        gap = abs(got - want) / scale if scale else 0.0
         if gap > worst:
             worst, where = gap, t
     return worst, where
-
-
-# The reduction's samples.  The first pass reads dxp, then xp, at every t,
-# the second ddxp, a and b; a row is appended once all its values are made,
-# so the rows held when a value fails say at which t it failed.
-_SAMPLE = """\
-def _sample(ts, first, rows):
-    for t in ts:
-        {first}
-        first.append(({d}, {x}, {d} ** 2, {w}))
-    for t, (d, x, d2, w) in zip(ts, first):
-        {second}
-        rows.append((x, d, d2, w, {dd}, {a}, {b} * {bx}))
-"""
-
-
-def _sampler(xp, dxp, ddxp, a, b, n):
-    """_sample(ts, first, rows) with the functions written in by an Inliner
-    that calls compiled expressions: rows gets (xp, dxp, dxp^2, xp^(n+1),
-    ddxp, a, b xp^n) at each t."""
-    src = Inliner(expand=False)
-    d, x = src.value(dxp, "_d"), src.value(xp, "_x")
-    first, src.lines = src.lines, []
-    dd, av, bv = src.value(ddxp, "_dd"), src.value(a, "_a"), src.value(b, "_b")
-    indent = "\n        "
-    return src.define(_SAMPLE.format(
-        first=indent.join(first) or "pass", second=indent.join(src.lines) or "pass",
-        d=d, x=x, dd=dd, a=av, b=bv, w=_power(src.namespace, x, src.slot(n + 1.0)),
-        bx=_power(src.namespace, "x", src.slot(n))), "_sample")
 
 
 def _checked_rate_gap(ts, rows, tol: float) -> float:
@@ -400,21 +375,19 @@ def reduce_via_particular_solution(
     ddxp = _auto_deriv(dxp, "dxp") if ddxp is None else as_timefn(ddxp)
 
     ts = _sample_points(interval, 200)
-    a, b, n = prob.a, prob.b, prob.n
-    first, rows = [], []
+    rows = []
     try:
-        _sampler(xp, dxp, ddxp, a, b, n)(ts, first, rows)
+        prob.sampler(xp, dxp, ddxp)(ts, rows)
     except (EvalDomainError, ArithmeticError) as exc:
-        t = ts[len(rows) if len(first) == len(ts) else len(first)]
-        raise ReductionError(f"evaluation failed at t={t:.6g}: {exc}") from exc
+        raise ReductionError(f"evaluation failed at t={ts[len(rows)]:.6g}: {exc}") from exc
     worst = _checked_rate_gap(ts, rows, tol)
 
-    def rate(t, _b=b, _xp=xp, _dxp=dxp, _n=n):
+    def rate(t, _b=prob.b, _xp=xp, _dxp=dxp, _n=prob.n):
         return _b(t) * real_power(_xp(t), _n) / _dxp(t)
 
     gauge = GaugeTransform(alpha=None, beta=lambda t: -dxp(t), gamma=xp,
                            dbeta=lambda t: -ddxp(t), dgamma=dxp)
-    return Reduction(rate=rate, n=n, gauge=gauge, rate_consistency=worst)
+    return Reduction(rate=rate, n=prob.n, gauge=gauge, rate_consistency=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +555,8 @@ def canonical_residual(
     dt/dtau = gamma/beta (a Sundman-type change of independent variable),
     reading F and gamma/beta from ``kl``.  It starts from x0/gamma0 and
     v0 gamma0 - x0 gamma'0, since beta(t0) = 1/gamma(t0).  x'(tau(t)) is
-    compared with x(t)/gamma(t) at grid_points times uniform in t; times
+    compared with x(t)/gamma(t) at grid_points times uniform in t, relative
+    to at least min(1, largest |x/gamma|), so at any scale of gamma; times
     uniform in tau crowd into the end of a truncated window, where x/gamma
     is ill-conditioned.  Both runs use the checkers' tolerances (rel 1e-12,
     abs 1e-14).

@@ -410,7 +410,10 @@ def _reals(out, n: int, t: float) -> tuple:
 
 
 def _rms(v) -> float:
-    return math.sqrt(sum([x * x for x in v]) / len(v))
+    squares = sum([x * x for x in v])
+    if squares == math.inf:  # a square overflowed; hypot scales before it squares
+        return math.hypot(*v) / math.sqrt(len(v))
+    return math.sqrt(squares / len(v))
 
 
 def _finite(v) -> bool:
@@ -523,7 +526,8 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     if (t_end - t) * direction > 0:
         if h < h_min:
             reason = "solution likely blows up here"
-            if traj.accepted + traj.rejected == 0 and h_min == 5e-15 * span:
+            # h_min is never below 10 ulp(t): a shorter interval helps only above it
+            if traj.accepted + traj.rejected == 0 and h >= 10.0 * math.ulp(t):
                 reason = (f"the first step {h:.3g} is below 5e-15 of the interval length "
                           f"{span:.3g}: too long to resolve in double precision")
             raise StepSizeUnderflowError(f"step size underflow at t={t} ({reason})", t_reached=t)

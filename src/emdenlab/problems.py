@@ -3,7 +3,8 @@
 ``EmdenProblem`` is  x'' = a(t) x' + b(t) x^n  and ``GeneralizedProblem`` is
 x'' = -p(t) x' - q(t) x + r(t) x^n, both first-order in z = (x, v).  They
 live apart from the transforms in ``gauge`` so that reading a problem file
-loads only what building a problem needs.
+loads only what building a problem needs.  ``EmdenProblem.sampler`` is the
+one pass that samples a claimed solution of the problem.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ from .exprlang import Neg, compile_fn
 from .timefn import ZERO_FN, Inliner, PowerFn, TimeFn, as_timefn
 
 __all__ = ["EmdenProblem", "GeneralizedProblem"]
+
+
+# the loop of EmdenProblem.sampler; its lines go in at {}
+_SAMPLE = """\
+def _sample(ts, rows):
+    for t in ts:
+        {}
+    return rows
+"""
 
 
 class EmdenProblem:
@@ -35,6 +45,21 @@ class EmdenProblem:
         a, b = src.value(self.a, "_a"), src.value(self.b, "_b")
         w = src.power("x0", self.n, "_w")
         return src.rhs(("x1", f"{a} * x1 + {b} * {w}"))
+
+    def sampler(self, xp: TimeFn, dxp: TimeFn, ddxp: TimeFn):
+        """_sample(ts, rows): at each t, appends (xp, dxp, dxp^2, xp^(n+1), ddxp,
+        a, b xp^n) to rows once all of the row is made, so len(rows) names
+        the t where a value failed; returns rows.  Compiled expressions stay
+        calls.  The values are made in the order dxp, xp, dxp^2, xp^(n+1),
+        ddxp, a, b, xp^n."""
+        src = Inliner(expand=False)
+        d, x = src.value(dxp, "_d"), src.value(xp, "_x")
+        src.lines.append(f"_d2 = {d} ** 2")
+        w = src.power(x, self.n + 1.0, "_w")
+        dd, a, b = src.value(ddxp, "_dd"), src.value(self.a, "_a"), src.value(self.b, "_b")
+        src.lines.append(f"rows.append(({x}, {d}, _d2, {w}, {dd}, {a}, {b} * "
+                         f"{src.power(x, self.n, '_bx')}))")
+        return src.define(_SAMPLE.format("\n        ".join(src.lines)), "_sample")
 
     def as_generalized(self) -> "GeneralizedProblem":
         return GeneralizedProblem(
@@ -81,5 +106,5 @@ def _negated(fn: TimeFn) -> TimeFn:
     if isinstance(fn, PowerFn):
         return fn.scaled(-1)
     if getattr(fn, "tree", None) is not None and getattr(fn, "__wrapped__", None) is None:
-        return compile_fn(Neg(fn.tree), fn.constants)
+        return compile_fn(Neg(fn.tree))
     return lambda t, _fn=fn: -_fn(t)

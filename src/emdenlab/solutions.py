@@ -4,7 +4,8 @@ Three kinds of exact material live here:
 
 * a catalog of drag/power-law problems, each shipped with a particular
   solution whose first and second derivatives are exact, re-verified
-  against the equation at construction time;
+  against the equation at construction time on the rows of its problem's
+  ``sampler``;
 * one-parameter families built to order: profiles satisfying the
   slope-compatibility condition  dx^2 = x^(n+1)  together with the
   equations they solve (``slope_compatible_family``, ``construct_equation``,
@@ -101,9 +102,8 @@ def verify_solution(
         raise ValueError(f"empty interval ({lo}, {hi})")
     worst = 0.0
     total = 0.0
-    for t in linspace(lo, hi, samples):
-        r = ddx(t) - prob.a(t) * dx(t) - prob.b(t) * real_power(x(t), prob.n)
-        r = abs(r)
+    for _, d, _, _, dd, a, bx in prob.sampler(x, dx, ddx)(linspace(lo, hi, samples), []):
+        r = abs(dd - a * d - bx)
         total += r
         if r > worst:
             worst = r
@@ -146,11 +146,9 @@ class CatalogEntry:
     def slope_gap(self) -> float:
         """Largest relative gap between dxp^2 and xp^(n+1) at 100 samples of the window."""
         worst = 0.0
-        np1 = self.problem.n + 1.0
-        for t in linspace(self.window[0], self.window[1], 100):
-            lhs = self.dxp(t) ** 2
-            rhs = real_power(self.xp(t), np1)
-            gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        sample = self.problem.sampler(self.xp, self.dxp, self.ddxp)
+        for _, _, d2, w, _, _, _ in sample(linspace(self.window[0], self.window[1], 100), []):
+            gap = abs(d2 - w) / max(abs(d2), abs(w), 1e-300)
             if gap > worst:
                 worst = gap
         return worst

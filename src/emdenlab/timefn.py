@@ -258,7 +258,7 @@ class Inliner:
                 return self.slot(fn.value)
             tree = getattr(fn, "tree", None)
             if tree is not None and self.expand:
-                lines, result = _generate(tree, fn.constants, self.namespace, name)
+                lines, result = _generate(tree, self.namespace, name)
                 self.lines += lines
                 return result
         self.calls = True

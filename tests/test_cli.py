@@ -395,6 +395,27 @@ class TestKummerLiouville:
         assert "failed at t=0.5: pow(1e+300, 8.0) left the real range" in err
         assert "valid on" not in out
 
+    def test_a_large_scale_leaves_the_residual_relative(self, capsys, tmp_path):
+        # gamma = 1e38 makes x/gamma about 1e-38; the residual still compares
+        # it relatively, so it reads as at gamma = 1, not 1e-49
+        residuals = []
+        for gamma_init in ("1,0", "1e38,0"):
+            code, out, _ = run(capsys, "kummer-liouville", spec_file(tmp_path, DRAG_N5),
+                               "--gamma-init", gamma_init)
+            assert code == 0
+            residuals.append(float(verdict(out)[2]))
+        assert residuals[0] / 10 < residuals[1] < residuals[0] * 10
+
+    def test_a_steep_clock_is_not_blamed_on_the_interval(self, capsys, tmp_path):
+        # gamma = 1e-100 makes the clock slope 1e200 at t0: its squares
+        # overflow in the first-step estimate, and no interval would help
+        code, out, err = run(capsys, "kummer-liouville", spec_file(tmp_path, DRAG_N5),
+                             "--gamma-init", "1e-100,0")
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "StepSizeUnderflowError")
+        assert "at t=0.5" in err
+        assert "interval length" not in err and "too long" not in err
+
     @pytest.mark.parametrize("grid", ["21", "81", "161"])
     def test_default_gauge_passes_at_every_grid(self, capsys, tmp_path, grid):
         # the default gauge compresses the clock (dt/dtau reaches 100 at

@@ -245,8 +245,9 @@ class TestVerifyPushforward:
 
 
 def _reference_reduction(prob, xp, interval, dxp=None, ddxp=None, samples=200, tol=1e-12):
-    """The reduction's sampling and its four check loops as they were before
-    the generated passes; the rate agreement, or the ReductionError."""
+    """The reduction's sampling, one pass per t, and its four check loops as
+    they were before the generated sampler; the rate agreement, or the
+    ReductionError."""
     xp = as_timefn(xp)
     dxp = xp.deriv() if dxp is None else as_timefn(dxp)
     ddxp = dxp.deriv() if ddxp is None else as_timefn(ddxp)
@@ -265,12 +266,12 @@ def _reference_reduction(prob, xp, interval, dxp=None, ddxp=None, samples=200, t
     try:
         for t in ts:
             d, x = dxp(t), xp(t)
-            xs.append(x)
-            ds.append(d)
-            slope_pairs.append((d ** 2, real_power(x, n + 1.0)))
-        for t, d, x in zip(ts, ds, xs):
+            slope_pair = (d ** 2, real_power(x, n + 1.0))
             dd, av = ddxp(t), a(t)
             bx = b(t) * real_power(x, n)
+            xs.append(x)
+            ds.append(d)
+            slope_pairs.append(slope_pair)
             rate_terms.append((d, dd, av, bx))
             residual_pairs.append((dd, av * d + bx))
     except (EvalDomainError, ArithmeticError) as exc:
@@ -344,6 +345,9 @@ _REDUCTION_CASES = {
                              lambda t: 1.0 / (t - _sample_time(77)), (0.5, 5.0)),
     "t^(-1/2) at 0": lambda: (drag_problem_n5(), compile_expression("t^(-1/2)"), None, None,
                               (0.0, 5.0)),
+    "ddxp-fails-before-xp": lambda: (
+        drag_problem_n5(), lambda t: decaying_scale()(t) + 0.0 / (t - _sample_time(120)),
+        decaying_scale().deriv(), lambda t: 1.0 / (t - _sample_time(30)), (0.5, 5.0)),
 }
 
 
@@ -466,7 +470,7 @@ class TestReduceViaParticularSolution:
     @pytest.mark.parametrize("case", sorted(_REDUCTION_CASES))
     @pytest.mark.parametrize("tol", [1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-3, 1.0, 1e300])
     def test_checks_match_the_loop_reference(self, case, tol):
-        # the generated passes and the one check pass report what the four
+        # the generated sampler and the one check pass report what the four
         # loops they replaced report: the same message, t and priority, or
         # the same rate agreement, bit for bit
         prob, xp, dxp, ddxp, interval = _REDUCTION_CASES[case]()
@@ -481,6 +485,14 @@ class TestReduceViaParticularSolution:
         got = outcome(reduce_via_particular_solution)
         assert (got if isinstance(got, str) else got.rate_consistency.hex()) == (
             want if isinstance(want, str) else want.hex())
+
+    def test_the_earliest_failing_sample_is_named(self):
+        # ddxp fails at sample 30 and xp at sample 120; one pass per t meets
+        # ddxp's failure first, where a pass of xp over every t met xp's
+        prob, xp, dxp, ddxp, interval = _REDUCTION_CASES["ddxp-fails-before-xp"]()
+        where = f"evaluation failed at t={_sample_time(30):.6g}: float division by zero"
+        with pytest.raises(ReductionError, match=re.escape(where)):
+            reduce_via_particular_solution(prob, xp, interval, dxp=dxp, ddxp=ddxp)
 
     def test_a_non_finite_sample_is_refused_at_its_time(self):
         entry = catalog_entry("lane_emden_n5")
@@ -581,3 +593,23 @@ class TestKummerLiouville:
             fields["beta"] = lambda t: kl.beta(t) * kl.gamma(t)
         wrong = KummerLiouvilleReduction(**fields)
         assert canonical_residual(wrong, gp, (0.3, 0.0), grid_points=41) > 1e-6
+
+    @pytest.mark.parametrize("scale", [1.0, 1e20, 1e38])
+    def test_a_wrong_clock_fails_at_every_scale(self, scale):
+        # a large gamma makes x/gamma tiny; the residual stays relative, so
+        # beta off by 1e-3 reads the same at every scale (it read 1e-24 at
+        # gamma = 1e20 when values below 1 were compared absolutely)
+        gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
+        kl = kummer_liouville(gp, 1.0, 5.0, gamma_init=(scale, -scale))
+        fields = dict(gamma=kl.gamma, dgamma=kl.dgamma, beta=lambda t: kl.beta(t) * 1.001,
+                      tau=kl.tau, coefficient=kl.coefficient, t0=kl.t0, t_end=kl.t_end,
+                      truncated=kl.truncated, n=kl.n)
+        wrong = KummerLiouvilleReduction(**fields)
+        assert canonical_residual(wrong, gp, (0.3, 0.0), grid_points=41) == pytest.approx(
+            7.3e-5, rel=0.01)
+        assert canonical_residual(kl, gp, (0.3, 0.0), grid_points=41) < 1e-10
+
+    def test_an_identically_zero_run_has_residual_zero(self):
+        gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
+        kl = kummer_liouville(gp, 1.0, 5.0, gamma_init=(1.0, -1.0))
+        assert canonical_residual(kl, gp, (0.0, 0.0), grid_points=41) == 0.0

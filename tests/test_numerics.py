@@ -207,6 +207,14 @@ class TestIntegrate:
         with pytest.raises(TypeError, match="in the step-size norm"):
             integrate(lambda t, y: (1.0,), 0.0, (0.0,), 1.0)
 
+    def test_the_step_norm_scales_squares_that_overflow(self):
+        # the first-step estimate squares scaled slopes; a slope of 1e200
+        # gave an infinite norm there, so a first step of 0
+        assert numerics._rms([3e200, 4e200]) == pytest.approx(5e200 / math.sqrt(2), rel=1e-15)
+        assert numerics._rms([3.0, 4.0]) == math.sqrt(12.5)
+        assert numerics._rms([math.inf, 1.0]) == math.inf
+        assert math.isnan(numerics._rms([math.nan, 1.0]))
+
     def test_a_decimal_step_limit_runs_as_its_float(self):
         # the config keeps floats, so the generated loop's step control does
         # not fail on a Decimal (and blame it on rhs) but runs as with 0.1

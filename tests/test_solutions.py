@@ -10,14 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from emdenlab.exprlang import EvalDomainError
+from emdenlab import exprlang, solutions, timefn
+from emdenlab.exprlang import EvalDomainError, real_power
 from emdenlab.gauge import EmdenProblem
 from emdenlab.invariants import (
     drift,
     invariant_from_particular_solution,
     particular_invariant_expansion,
 )
-from emdenlab.numerics import IntegratorConfig, integrate
+from emdenlab.numerics import IntegratorConfig, integrate, linspace
 from emdenlab.solutions import (
     SuperpositionDomainError,
     bounded_family,
@@ -94,6 +95,80 @@ class TestVerifySolution:
         xp = PowerFn(1, 0, 2, Fraction(-1, 2))
         with pytest.raises(ValueError, match="interval"):
             verify_solution(lane_emden_problem(), xp, xp.deriv(), xp, (2.0, 2.0))
+
+
+def _loop_residual(prob, x, dx, ddx, interval, samples):
+    """verify_solution's (max, mean) as the loop that called each function,
+    and real_power, once per sample."""
+    worst = total = 0.0
+    for t in linspace(interval[0], interval[1], samples):
+        r = abs(ddx(t) - prob.a(t) * dx(t) - prob.b(t) * real_power(x(t), prob.n))
+        total += r
+        if r > worst:
+            worst = r
+    return worst, total / samples
+
+
+def _loop_slope_gap(entry):
+    """slope_gap as the loop that called each function once per sample."""
+    worst = 0.0
+    for t in linspace(entry.window[0], entry.window[1], 100):
+        lhs = entry.dxp(t) ** 2
+        rhs = real_power(entry.xp(t), entry.problem.n + 1.0)
+        gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        if gap > worst:
+            worst = gap
+    return worst
+
+
+def _sampled_entries():
+    """The catalog, and drag equations built to order over several (n, K)."""
+    return (list(catalog())
+            + [construct_equation(n, k)[1] for n in (2, 3, 5, 7, 9, 0.5, -3)
+               for k in (1.0, 2.5, -1.0)]
+            + [powerlaw_solution(n, k) for n in (2, 5, 7, 9, 0.5) for k in (1.0, 2.5)])
+
+
+class TestSharedSampler:
+    def test_residual_and_slope_gap_match_the_loops_bit_for_bit(self):
+        for entry in _sampled_entries():
+            rep = entry.residual_report()
+            want = _loop_residual(entry.problem, entry.xp, entry.dxp, entry.ddxp,
+                                  entry.window, 100)
+            assert (rep.max_residual.hex(), rep.mean_residual.hex()) == tuple(
+                v.hex() for v in want), entry.id
+            assert entry.slope_gap().hex() == _loop_slope_gap(entry).hex(), entry.id
+            rep = verify_solution(entry.problem, entry.xp, entry.dxp, entry.ddxp,
+                                  (entry.window[0], entry.window[1] + 0.3), samples=37)
+            want = _loop_residual(entry.problem, entry.xp, entry.dxp, entry.ddxp,
+                                  (entry.window[0], entry.window[1] + 0.3), 37)
+            assert (rep.max_residual.hex(), rep.mean_residual.hex()) == tuple(
+                v.hex() for v in want), entry.id
+
+    def test_a_failing_residual_matches_the_loop_bit_for_bit(self):
+        # construct_equation(1.5) fails its own check; the residual it reports
+        # is the loop's
+        xp = slope_compatible_family(1.5, 1.0)
+        prob = EmdenProblem(PowerFn(Fraction(9, 2), 2, Fraction(-1, 2), -1), -1.0, 1.5)
+        rep = verify_solution(prob, xp, xp.deriv(), xp.deriv().deriv(), (0.0, 3.6))
+        want = _loop_residual(prob, xp, xp.deriv(), xp.deriv().deriv(), (0.0, 3.6), 100)
+        assert (rep.max_residual.hex(), rep.mean_residual.hex()) == tuple(v.hex() for v in want)
+
+    def test_no_sample_calls_real_power(self, monkeypatch):
+        # the sampler writes each power inline; the loops called real_power
+        # at every sample
+        calls = []
+
+        def counted(x, p):
+            calls.append((x, p))
+            return real_power(x, p)
+
+        for module in (exprlang, solutions, timefn):
+            monkeypatch.setattr(module, "real_power", counted)
+        for entry in catalog():
+            entry.residual_report()
+            entry.slope_gap()
+        assert calls == []
 
 
 class TestCatalog:
