@@ -23,7 +23,7 @@ from .exprlang import _power, real_power
 from .gauge import _CHECK_CONFIG, reduce_via_particular_solution
 from .numerics import Trajectory, integrate, linspace, write_csv
 from .problems import EmdenProblem
-from .timefn import ExactnessError, Inliner, PowerFn, TimeFn
+from .timefn import ExactnessError, Inliner, PowerFn, TimeFn, frac_power
 
 __all__ = [
     "Invariant",
@@ -129,33 +129,35 @@ def particular_invariant_expansion(
 ) -> Dict[Tuple[Fraction, int], Tuple[Fraction, Fraction]]:
     """Exact monomial expansion of the particular-solution invariant.
 
-    For a pure power profile (no additive shift in the base) the three
-    coefficient functions of the invariant are themselves pure powers of t
-    with rational data (the slope is ``xp.deriv()``), so the whole invariant
-    expands exactly as
+    For a pure power xp = c (m t)^e, with slope c e m (m t)^(e-1), each
+    coefficient 1/((n+1) xp^(n+1)), 1/(2 xp'^2), -1/(xp xp') is one monomial
+    scale * coeff^k (m t)^(expo k), so the invariant is exactly
 
         I = sum  coeff * t^tpow * x^xdeg * v^vdeg.
 
     Returns {(xdeg, vdeg): (coeff, tpow)} over exact rationals.  Raises
-    ExactnessError when the profile's data leave the rational domain.
+    ExactnessError for n = -1 (the logarithmic form), a shift k != 0, a
+    float field, a zero c, m or e, and an irrational coefficient, such as
+    an even root of a negative number.
     """
     if not isinstance(xp, PowerFn):
         raise TypeError("expansion needs the profile as a PowerFn")
-    dxp = xp.deriv()
-    n_exact = Fraction(n)
-    np1 = n_exact + 1
+    np1 = Fraction(n) + 1
     if np1 == 0:
         raise ExactnessError("the n = -1 logarithmic form has no monomial expansion")
+    if xp.k != 0:
+        raise ExactnessError("base has a shift, not a pure monomial in t")
+    c, m, e = xp.c, xp.m, xp.e
+    if not all(isinstance(v, Fraction) for v in (c, m, e)):
+        raise ExactnessError("inexact fields")
 
-    pot = xp.power(-np1).scaled(Fraction(1, 1) / np1)   # 1/((n+1) xp^(n+1))
-    kin = dxp.power(-2).scaled(Fraction(1, 2))          # 1/(2 dxp^2)
-    cross = (xp * dxp).reciprocal().scaled(-1)          # -1/(xp dxp)
+    def term(scale, coeff, expo, k):
+        # scale * (coeff (m t)^expo)^k as (coefficient, power of t)
+        return scale * frac_power(coeff, k) * frac_power(m, expo * k), expo * k
 
-    out: Dict[Tuple[Fraction, int], Tuple[Fraction, Fraction]] = {}
-    for (xdeg, vdeg), fn in (((np1, 0), pot), ((Fraction(0), 2), kin), ((Fraction(1), 1), cross)):
-        coeff, tpow = fn.as_monomial()
-        out[(xdeg, vdeg)] = (coeff, tpow)
-    return out
+    return {(np1, 0): term(1 / np1, c, e, -np1),
+            (Fraction(0), 2): term(Fraction(1, 2), c * e * m, e - 1, Fraction(-2)),
+            (Fraction(1), 1): term(Fraction(-1), c * c * e * m, 2 * e - 1, Fraction(-1))}
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +169,9 @@ class ConditionedInvariant:
     """Outcome of a construction gated by an integrability condition.
 
     The condition function is sampled on a grid; ``constant`` is its mean
-    and ``variation`` the largest relative deviation from it.  When the
-    variation exceeds the tolerance no invariant is produced and the
-    sampled values are kept for inspection.
+    and ``variation`` the largest deviation from it over |mean| (inf for a
+    nonzero condition of mean 0).  When the variation exceeds the tolerance
+    no invariant is produced and the sampled values are kept for inspection.
     """
 
     passed: bool
@@ -227,7 +229,10 @@ def _condition_report(
         if not math.isfinite(value):
             raise InvariantDomainError(f"condition value is not finite at t={t:.6g}")
     constant = sum(vals) / len(vals)
-    variation = max(abs(v - constant) for v in vals) / max(1.0, abs(constant))
+    deviation = max(abs(v - constant) for v in vals)
+    # relative to the condition's own size, so the verdict does not depend on
+    # the scale of b; about a zero mean only a zero condition passes
+    variation = deviation / abs(constant) if constant else math.inf if deviation else 0.0
     passed = variation <= rel_tol
     return ConditionedInvariant(
         passed=passed,

@@ -97,17 +97,23 @@ def verify_solution(
     second derivatives; the report holds the largest and mean absolute
     residual  x'' - a x' - b x^n  over an even grid.
     """
+    return _residual_pass(prob, x, dx, ddx, interval, threshold, samples)[0]
+
+
+def _residual_pass(prob, x, dx, ddx, interval, threshold, samples) -> tuple:
+    """verify_solution's report, and the rows of the sampler pass it read."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
     worst = 0.0
     total = 0.0
-    for _, d, _, _, dd, a, bx in prob.sampler(x, dx, ddx)(linspace(lo, hi, samples), []):
+    rows = prob.sampler(x, dx, ddx)(linspace(lo, hi, samples), [])
+    for _, d, _, _, dd, a, bx in rows:
         r = abs(dd - a * d - bx)
         total += r
         if r > worst:
             worst = r
-    return ResidualReport(worst, total / samples, threshold, samples, (lo, hi))
+    return ResidualReport(worst, total / samples, threshold, samples, (lo, hi)), rows
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +131,8 @@ class CatalogEntry:
     """
 
     __slots__ = ("id", "problem", "xp", "dxp", "ddxp", "window", "parameters",
-                 "slope_compatible", "equation_text", "solution_text", "description")
+                 "slope_compatible", "equation_text", "solution_text", "description",
+                 "_residual", "_slope_gap")
 
     def __init__(self, id: str, problem: EmdenProblem, xp: TimeFn, dxp: TimeFn,
                  ddxp: TimeFn, window: Tuple[float, float],
@@ -138,20 +145,18 @@ class CatalogEntry:
         self.slope_compatible = slope_compatible
         self.equation_text, self.solution_text = equation_text, solution_text
         self.description = description
+        # one sampler pass gives both checks, which the entry keeps
+        self._residual, rows = _residual_pass(problem, xp, dxp, ddxp, window, 1e-10, 100)
+        self._slope_gap = max(0.0, *(abs(d2 - w) / max(abs(d2), abs(w), 1e-300)
+                                     for _, _, d2, w, _, _, _ in rows))
 
     def residual_report(self) -> ResidualReport:
         """The residual at 100 samples of the window, against threshold 1e-10."""
-        return verify_solution(self.problem, self.xp, self.dxp, self.ddxp, self.window, 1e-10, 100)
+        return self._residual
 
     def slope_gap(self) -> float:
         """Largest relative gap between dxp^2 and xp^(n+1) at 100 samples of the window."""
-        worst = 0.0
-        sample = self.problem.sampler(self.xp, self.dxp, self.ddxp)
-        for _, _, d2, w, _, _, _ in sample(linspace(self.window[0], self.window[1], 100), []):
-            gap = abs(d2 - w) / max(abs(d2), abs(w), 1e-300)
-            if gap > worst:
-                worst = gap
-        return worst
+        return self._slope_gap
 
     def describe(self) -> str:
         params = ", ".join(f"{k} = {v:g}" for k, v in self.parameters.items()) or "(none)"

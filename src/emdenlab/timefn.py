@@ -107,15 +107,16 @@ def _coerce(v: Scalarish):
 
 
 class PowerFn:
-    """The function t -> c * (k + m*t)**e with exact arithmetic where possible.
+    """The function t -> c * (k + m*t)**e with exact fields where possible.
 
-    Closed under differentiation, same-base products and rational powers, so
-    solution families like (K + (1-n)t/2)**(-2/(n-1)) keep exact derivatives
-    and exact algebraic identities.  Fields default to Fractions; a float in
-    any slot simply drops that entry to floating point (is_exact turns False).
-    The domain is where the affine base is positive, except that integer
-    exponents extend it in the usual way.  Two PowerFns are equal when their
-    fields are.
+    Closed under differentiation, so solution families like
+    (K + (1-n)t/2)**(-2/(n-1)) keep exact derivatives.  Fields default to
+    Fractions; a float in any slot keeps that entry in floating point.  A
+    pure power (k = 0) with rational c, m and e has the particular
+    invariant's closed form, ``invariants.particular_invariant_expansion``;
+    a shift or a float field is refused there.  The domain is where the
+    affine base is positive, except that integer exponents extend it in the
+    usual way.  Two PowerFns are equal when their fields are.
     """
 
     __slots__ = ("c", "k", "m", "e", "_floats")
@@ -139,10 +140,6 @@ class PowerFn:
     def __repr__(self):
         return f"PowerFn(c={self.c!r}, k={self.k!r}, m={self.m!r}, e={self.e!r})"
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in (self.c, self.k, self.m, self.e))
-
     def __call__(self, t: float) -> float:
         c, k, m, e = self._floats
         if c == 0.0:
@@ -156,40 +153,6 @@ class PowerFn:
 
     def scaled(self, s: Scalarish) -> "PowerFn":
         return PowerFn(self.c * _coerce(s), self.k, self.m, self.e)
-
-    def __mul__(self, other: "PowerFn") -> "PowerFn":
-        if not isinstance(other, PowerFn):
-            return NotImplemented
-        if (self.k, self.m) != (other.k, other.m):
-            raise ValueError("can only multiply PowerFns over the same affine base")
-        return PowerFn(self.c * other.c, self.k, self.m, self.e + other.e)
-
-    def power(self, r: Scalarish) -> "PowerFn":
-        """Raise to the exponent r, keeping exactness when the result is rational."""
-        r = _coerce(r)
-        if isinstance(self.c, Fraction) and isinstance(r, Fraction):
-            try:
-                c = frac_power(self.c, r)
-            except ExactnessError:
-                c = real_power(float(self.c), float(r))
-        else:
-            c = real_power(float(self.c), float(r))
-        return PowerFn(c, self.k, self.m, self.e * r)
-
-    def reciprocal(self) -> "PowerFn":
-        return self.power(-1)
-
-    def as_monomial(self):
-        """Return (A, e) with self == A * t**e, for a zero-shift exact base.
-
-        Needs k == 0 and m**e rational; raises ExactnessError otherwise.
-        """
-        if self.k != 0:
-            raise ExactnessError("base has a shift, not a pure monomial in t")
-        if not (isinstance(self.m, Fraction) and isinstance(self.e, Fraction)
-                and isinstance(self.c, Fraction)):
-            raise ExactnessError("inexact fields")
-        return self.c * frac_power(self.m, self.e), self.e
 
     def to_source(self) -> str:
         """Render as parseable expression text (deterministic)."""

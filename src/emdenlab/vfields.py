@@ -5,7 +5,8 @@ c * x^p * v^q * d/dx  and  c * x^p * v^q * d/dv.  Coefficients and exponents
 are polynomials in a single formal exponent symbol n over exact rationals, so
 the Lie bracket tables of the Emden scheme come out symbolically: for example
 [x d/dx, x^n d/dv] = n x^n d/dv with n left untouched.  Every value entering
-a Scalar must be an int or a Fraction; anything else is a TypeError.
+a Scalar must be an int or a Fraction; anything else is a TypeError, and
+nothing here is evaluated in floating point.
 
 The scheme checks at the bottom verify, for a pair of bases (W, V), that
 span(W) is inside span(V), [W, W] stays in span(W) and [W, V] stays in
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .exprlang import real_power
 
 __all__ = [
     "Scalar", "n_sym", "Monomial", "MonomialVF", "bracket",
@@ -103,11 +102,6 @@ class Scalar:
                 return v
         return Fraction(0)
 
-    def substitute(self, n_value) -> Fraction:
-        """Evaluate at a concrete rational n."""
-        n_value = _exact(n_value)
-        return sum((v * n_value ** d for d, v in self._c), Fraction(0))
-
     def __add__(self, other):
         other = Scalar.coerce(other)
         c = dict(self._c)
@@ -181,16 +175,6 @@ class Monomial:
 
     def __init__(self, coeff: Scalar, xexp: Scalar, vexp: Scalar):
         self.coeff, self.xexp, self.vexp = coeff, xexp, vexp
-
-    def eval_at(self, x: float, v: float, n_value=None):
-        if n_value is None:
-            if any(s.is_symbolic for s in (self.coeff, self.xexp, self.vexp)):
-                raise ValueError("symbolic monomial needs an n value to evaluate")
-            n_value = 0
-        c = self.coeff.substitute(n_value)
-        p = self.xexp.substitute(n_value)
-        q = self.vexp.substitute(n_value)
-        return float(c) * real_power(x, float(p)) * real_power(v, float(q))
 
     def __str__(self):
         def expo(sym, e):
@@ -266,11 +250,6 @@ class MonomialVF:
         return (self - other).is_zero()
 
     __hash__ = None
-
-    def eval_at(self, x: float, v: float, n_value=None):
-        fx = sum(m.eval_at(x, v, n_value) for m in self.x)
-        fv = sum(m.eval_at(x, v, n_value) for m in self.v)
-        return float(fx), float(fv)
 
     def __str__(self):
         return _signed_sum([f"{m} d/dx" for m in self.x] + [f"{m} d/dv" for m in self.v])

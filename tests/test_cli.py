@@ -308,6 +308,15 @@ class TestInvariant:
         status, key, _ = verdict(out)
         assert (status, key) == ("FAIL", "condition_variation")
 
+    def test_rescaled_energy_condition_failure_with_a_small_b(self, capsys, tmp_path):
+        # b exp(-2A) = -1e-12 (1 + t) varies by 0.6 of its mean; the
+        # variation is relative to that mean, not to 1
+        spec = PLAIN_CUBIC.replace("b = -1", "b = -1e-12*(1+t)")
+        code, out, _ = run(capsys, "invariant", spec_file(tmp_path, spec), "--method", "s7a")
+        assert code == 1
+        assert "variation    6.000e-01" in out
+        assert verdict(out) == ("FAIL", "condition_variation", "0.6")
+
     def test_dilation_when_condition_holds(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "invariant", spec_file(tmp_path, INVERSE_CUBE), "--method", "s7b"

@@ -21,7 +21,7 @@ from emdenlab.invariants import (
     rescaled_energy_invariant,
 )
 from emdenlab.numerics import IntegratorConfig, integrate
-from emdenlab.timefn import PowerFn, constant
+from emdenlab.timefn import ExactnessError, PowerFn, constant
 
 
 def drag_problem_n5():
@@ -84,6 +84,47 @@ class TestParticularSolutionInvariant:
     def test_expansion_requires_power_profile(self):
         with pytest.raises(TypeError, match="PowerFn"):
             particular_invariant_expansion(lambda t: t, 5)
+
+    @pytest.mark.parametrize("c, m, e, n", [
+        (1, 2, Fraction(-1, 2), 5),                              # lane_emden_n5
+        (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), 5),    # powerlaw_n5, no shift
+        (Fraction(3, 2), -8, Fraction(1, 3), 2),                 # odd root of a negative m t
+        (-2, 27, Fraction(-2, 3), 3),                            # negative coefficient
+        (4, Fraction(1, 4), 2, Fraction(1, 2)),                  # half-integer n
+    ])
+    def test_expansion_sums_to_the_invariant_in_floats(self, c, m, e, n):
+        xp = PowerFn(c, 0, m, e)
+        expansion = particular_invariant_expansion(xp, n)
+        np1 = float(n) + 1.0
+
+        def real_pow(base, p):
+            # the real value of base^p for a rational p with an odd denominator
+            mag = abs(base) ** float(p)
+            return -mag if base < 0 and p.numerator % 2 else mag
+
+        for t, x, v in [(0.3, 0.8, -0.2), (1.7, 1.1, 0.5), (4.0, 0.3, -1.4)]:
+            p = float(c) * real_pow(float(m) * t, e)
+            dp = float(c * e * m) * real_pow(float(m) * t, e - 1)
+            terms = (x ** np1 / (np1 * real_pow(p, Fraction(n) + 1)),
+                     v * v / (2.0 * dp * dp), -x * v / (p * dp))
+            got = sum(float(coeff) * t ** float(tpow) * x ** float(xdeg) * v ** vdeg
+                      for (xdeg, vdeg), (coeff, tpow) in expansion.items())
+            assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms)), (t, x, v)
+
+    @pytest.mark.parametrize("xp, n, match", [
+        (PowerFn(1, 1, 2, Fraction(-1, 2)), 5, "shift"),
+        (PowerFn(1.0, 0, 2, Fraction(-1, 2)), 5, "inexact fields"),
+        (PowerFn(1, 0, 2, Fraction(-1, 2)), -1, "n = -1"),
+        (PowerFn(0, 0, 2, Fraction(-1, 2)), 5, "nonpositive exponent"),    # zero profile
+        (PowerFn(3, 0, 2, 0), 5, "nonpositive exponent"),                  # zero slope
+        (PowerFn(-2, 0, 1, -2), Fraction(1, 2), "even-root"),              # (-2)^(-3/2)
+        (PowerFn(2, 0, 1, -2), Fraction(1, 2), "irrational"),              # 2^(-3/2)
+    ])
+    def test_expansion_refusals(self, xp, n, match):
+        # a zero profile or slope and an even root of a negative number are
+        # ExactnessErrors, not EvalDomainErrors from a float fallback
+        with pytest.raises(ExactnessError, match=match):
+            particular_invariant_expansion(xp, n)
 
 
 class TestRescaledEnergy:
@@ -211,6 +252,36 @@ class TestConditionWindows:
         with pytest.raises(ValueError, match=rf"interval \(2.0, {interval[1]}\) must end "
                                              "after it starts"):
             construct(self.PROB, 0.5, interval)
+
+
+class TestConditionScale:
+    """b -> lambda b maps the condition to lambda times itself, so its
+    verdict may not depend on lambda (s7b at n = -3, where its condition is
+    b exp(-2A) as s7a's is)."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("construct, n", [(rescaled_energy_invariant, 3),
+                                              (dilation_invariant, -3)])
+    def test_verdict_does_not_depend_on_the_scale_of_b(self, construct, n, scale):
+        # b exp(-2A) is -scale (1 + t), which varies by 0.6 of its mean on
+        # the window, and -scale exactly, up to the integration of A
+        varying = construct(EmdenProblem(a=0.0, b=lambda t: -scale * (1.0 + t), n=n),
+                            0.0, (0.5, 5.0))
+        assert not varying.passed and varying.invariant is None
+        assert varying.variation == pytest.approx(0.6, rel=1e-12)
+        constant = construct(EmdenProblem(a=0.3, b=lambda t: -scale * math.exp(0.6 * t), n=n),
+                             0.0, (0.5, 5.0))
+        assert constant.passed and constant.variation <= 1e-8
+
+    def test_zero_mean(self):
+        # an identically zero condition does not vary; one that varies
+        # around a zero mean has no finite relative variation
+        zero = rescaled_energy_invariant(EmdenProblem(a=0.0, b=0.0, n=3), 0.0, (0.5, 5.0))
+        assert zero.passed and zero.variation == 0.0
+        step = EmdenProblem(a=0.0, b=lambda t: 1.0 if t < 2.75 else -1.0, n=3)
+        rep = rescaled_energy_invariant(step, 0.0, (0.5, 5.0))
+        assert rep.constant == 0.0 and rep.variation == math.inf and not rep.passed
+        assert "variation    inf" in rep.render()
 
 
 class TestDrift:

@@ -43,6 +43,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _package_imports(source: str) -> list:
+    """The emdenlab modules a source imports, relative ones with their dots."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "emdenlab"):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.partition(".")[0] == "emdenlab"]
+    return found
+
+
+def test_the_scheme_algebra_imports_nothing_from_the_package():
+    # vfields is exact only, so scheme-check loads it and nothing else
+    package = Path(emdenlab.__file__).parent
+    assert ".vfields" in _package_imports((package / "cli.py").read_text(encoding="utf-8"))
+    assert _package_imports((package / "vfields.py").read_text(encoding="utf-8")) == []
+
+
 def test_checks_set_their_own_grids_and_tolerances():
     # a grid, tolerance or integrator setting on a check is a parameter only
     # where some caller sets it; every other check runs at its fixed values

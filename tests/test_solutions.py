@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emdenlab import exprlang, solutions, timefn
+from emdenlab.cli import main
 from emdenlab.exprlang import EvalDomainError, real_power
 from emdenlab.gauge import EmdenProblem
 from emdenlab.invariants import (
@@ -165,10 +166,34 @@ class TestSharedSampler:
 
         for module in (exprlang, solutions, timefn):
             monkeypatch.setattr(module, "real_power", counted)
-        for entry in catalog():
+        for entry in catalog.__wrapped__():  # built and checked afresh
             entry.residual_report()
             entry.slope_gap()
         assert calls == []
+
+    def test_each_entry_is_sampled_once(self, monkeypatch, capsys):
+        # an entry's check reads its residual and its slope gap from one
+        # pass, and construct prints the report of that pass
+        passes = []
+        sampler = EmdenProblem.sampler
+
+        def counted(prob, *fns):
+            sample = sampler(prob, *fns)
+
+            def run(ts, rows):
+                passes.append(len(sample(ts, rows)))
+                return rows
+            return run
+
+        monkeypatch.setattr(EmdenProblem, "sampler", counted)
+        for entry in catalog.__wrapped__():
+            entry.residual_report()
+            entry.slope_gap()
+        assert passes == [100] * 6
+        passes.clear()
+        assert main(["construct", "--n", "5", "--K", "1"]) == 0
+        assert passes == [100]
+        assert capsys.readouterr().out.splitlines()[-1].startswith("VERDICT: PASS residual=")
 
 
 class TestCatalog:
