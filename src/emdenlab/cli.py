@@ -35,12 +35,6 @@ def _finish(passed: bool, metric: str, value) -> int:
     return 0 if passed else 1
 
 
-def _emit_csv(output: Optional[str], header, rows) -> None:
-    from .numerics import write_csv
-
-    write_csv(output if output else sys.stdout, header, rows)
-
-
 def _number(flag: str, positive: bool = False):
     """argparse type for a finite float, checked as problem files are."""
     def parse(text: str) -> float:
@@ -97,7 +91,7 @@ def _cmd_scheme_check(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    from .numerics import integrate, linspace
+    from .numerics import integrate, linspace, write_csv
     from .problemfile import load_spec
 
     spec = load_spec(args.spec)
@@ -106,7 +100,7 @@ def _cmd_integrate(args) -> int:
     traj = integrate(prob.rhs, t0, spec.initial, t1, spec.config())
     grid = linspace(t0, t1, args.samples)
     rows = [(t, x, v) for t, (x, v) in zip(grid, traj.states(grid))]
-    _emit_csv(args.output, ("t", "x", "v"), rows)
+    write_csv(args.output or sys.stdout, ("t", "x", "v"), rows)
     return _finish(True, "steps", traj.accepted)
 
 
@@ -141,26 +135,23 @@ def _cmd_invariant(args) -> int:
             raise InputError("--method generic needs --solution <expr>")
         xp = compile_expression(args.solution, "--solution")
         inv = invariant_from_particular_solution(prob, xp, spec.interval)
-    elif method in ("s7a", "rescaled-energy"):
-        cond = rescaled_energy_invariant(prob, t0, spec.interval)
-        print(cond.render())
-        if not cond.passed:
-            return _finish(False, "condition_variation", cond.variation)
-        inv = cond.invariant
-    elif method in ("s7b", "dilation"):
-        # this construction anchors its clock at the window start, so the
-        # invariant only opens a little inside the window
-        lead = (t1 - t0) / 50.0
-        cond = dilation_invariant(prob, t0, (t0 + lead, t1))
-        print(cond.render())
-        if not cond.passed:
-            return _finish(False, "condition_variation", cond.variation)
-        inv = cond.invariant
     else:
-        raise InputError(
-            f"unknown method {method!r}; use particular:<id>, generic, "
-            "s7a (rescaled-energy), or s7b (dilation)"
-        )
+        if method in ("s7a", "rescaled-energy"):
+            cond = rescaled_energy_invariant(prob, t0, spec.interval)
+        elif method in ("s7b", "dilation"):
+            # this construction anchors its clock at the window start, so the
+            # invariant only opens a little inside the window
+            lead = (t1 - t0) / 50.0
+            cond = dilation_invariant(prob, t0, (t0 + lead, t1))
+        else:
+            raise InputError(
+                f"unknown method {method!r}; use particular:<id>, generic, "
+                "s7a (rescaled-energy), or s7b (dilation)"
+            )
+        print(cond.render())
+        if not cond.passed:
+            return _finish(False, "condition_variation", cond.variation)
+        inv = cond.invariant
 
     cfg = spec.config()
     if inv.validity_interval is not None and inv.validity_interval[0] > t0:
@@ -172,10 +163,7 @@ def _cmd_invariant(args) -> int:
 
     report = drift(inv, traj, samples=args.samples)
     print(report.render())
-    if args.output:
-        report.write_csv(args.output)
-    else:
-        report.write_csv(sys.stdout)
+    report.write_csv(args.output or sys.stdout)
     return _finish(report.relative_drift < args.threshold, "drift", report.relative_drift)
 
 
@@ -209,7 +197,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_superpose(args) -> int:
-    from .numerics import linspace
+    from .numerics import linspace, write_csv
     from .problemfile import compile_expression
     from .solutions import superpose
 
@@ -223,7 +211,7 @@ def _cmd_superpose(args) -> int:
     for t in linspace(t0, t1, args.samples):
         value = x1(t)
         rows.append((t, value, superpose(value, t, args.K)))
-    _emit_csv(args.output, ("t", "x1", "x0"), rows)
+    write_csv(args.output or sys.stdout, ("t", "x1", "x0"), rows)
     return _finish(True, "samples", args.samples)
 
 

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 from . import VerificationFailure
 from .exprlang import EvalDomainError, _power, real_power
-from .numerics import IntegratorConfig, integrate, linspace
+from .numerics import _CHECK_CONFIG, IntegratorConfig, integrate, linspace
 from .problems import EmdenProblem, GeneralizedProblem
 from .timefn import ZERO_FN, Inliner, TimeFn, as_timefn
 
@@ -77,11 +77,6 @@ def _sample_points(interval: Tuple[float, float], count: int) -> List[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
         raise ValueError(f"degenerate interval ({lo}, {hi})")
     return linspace(lo, hi, count)
-
-
-# the checkers' integrator settings: the Kummer-Liouville runs, the canonical
-# residual's runs and the invariants' time integrals
-_CHECK_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import VerificationFailure
 from .exprlang import _power, real_power
-from .gauge import _CHECK_CONFIG, reduce_via_particular_solution
-from .numerics import Trajectory, integrate, linspace, write_csv
+from .numerics import _CHECK_CONFIG, Trajectory, integrate, linspace, write_csv
 from .problems import EmdenProblem
 from .timefn import ExactnessError, Inliner, PowerFn, TimeFn, frac_power
 
@@ -114,6 +113,9 @@ def invariant_from_particular_solution(
     is constant along every solution of the problem, not just xp.  For
     n = -1 the first term becomes log(x/xp).
     """
+    # the only use of gauge here, so the conditioned invariants do not load it
+    from .gauge import reduce_via_particular_solution
+
     red = reduce_via_particular_solution(prob, xp, interval, dxp=dxp, ddxp=ddxp)
     # profile = xp, coerced, and its slope dxp, exact or supplied
     evaluator = _particular_evaluator(red.gauge.gamma, red.gauge.dgamma, prob.n)
@@ -345,18 +347,9 @@ class DriftReport:
     provenance: str
 
     def write_csv(self, dest) -> None:
-        rows = zip(self.ts, self.values)
-        summary = (
+        write_csv(dest, ("t", "I"), zip(self.ts, self.values), footer=(
             f"# relative drift {self.relative_drift:.17g} "
-            f"(max |I - I0| {self.max_drift:.17g}, reference {self.reference:.17g})\n"
-        )
-        if isinstance(dest, (str,)) or hasattr(dest, "__fspath__"):
-            with open(dest, "w", encoding="ascii", newline="") as fh:
-                write_csv(fh, ("t", "I"), rows)
-                fh.write(summary)
-        else:
-            write_csv(dest, ("t", "I"), rows)
-            dest.write(summary)
+            f"(max |I - I0| {self.max_drift:.17g}, reference {self.reference:.17g})\n"))
 
     def render(self) -> str:
         return (

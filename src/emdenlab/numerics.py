@@ -156,6 +156,11 @@ class IntegratorConfig:
         self.first_step, self.max_steps = first_step and float(first_step), max_steps
 
 
+# the checkers' integrator settings: the Kummer-Liouville runs, the canonical
+# residual's runs and the invariants' time integrals
+_CHECK_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
 class Trajectory:
     """Accepted mesh (lists ts, ys) plus a per-step interpolant of the method's
     order; calling it gives the state at any time as a tuple of floats.
@@ -667,12 +672,14 @@ def invert_monotone(g: Callable[[float], float], target: float,
     return 0.5 * (lo + hi)
 
 
-def write_csv(dest, header: Sequence[str], rows) -> None:
-    """Rows of floats at full double precision, deterministic formatting."""
+def write_csv(dest, header: Sequence[str], rows, footer: str = "") -> None:
+    """Rows of floats at full double precision, deterministic formatting,
+    then footer, to dest: a path or a text stream."""
     def emit(fh):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join("%.17g" % float(v) for v in row) + "\n")
+        fh.write(footer)
 
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="ascii", newline="") as fh:

@@ -60,16 +60,16 @@ def as_timefn(value: Union[float, int, Fraction, TimeFn]) -> TimeFn:
 
 
 def _nth_root(a: int, q: int) -> int | None:
-    """Exact integer q-th root of a >= 0, or None."""
-    if a < 0:
-        return None
-    if a in (0, 1):
+    """Exact integer q-th root of a > 0, or None."""
+    if q == 1:
         return a
-    r = round(a ** (1.0 / q))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** q == a:
-            return c
-    return None
+    # integer Newton steps fall from this bound above the root to its floor
+    r = 1 << -(-a.bit_length() // q)
+    while True:
+        s = ((q - 1) * r + a // r ** (q - 1)) // q
+        if s >= r:
+            return r if r ** q == a else None
+        r = s
 
 
 def frac_power(base: Fraction, exp: Fraction) -> Fraction:
@@ -170,9 +170,6 @@ class PowerFn:
         if self.c == 1:
             return body
         return f"({num(self.c)})*{body}"
-
-    def __str__(self):
-        return self.to_source()
 
 
 class Inliner:

@@ -117,9 +117,6 @@ class Scalar:
     def __sub__(self, other):
         return self + (-Scalar.coerce(other))
 
-    def __rsub__(self, other):
-        return Scalar.coerce(other) - self
-
     def __mul__(self, other):
         other = Scalar.coerce(other)
         c = {}
@@ -240,9 +237,6 @@ class MonomialVF:
         return MonomialVF(
             _merge(Monomial(c * m.coeff, m.xexp, m.vexp) for m in self.x),
             _merge(Monomial(c * m.coeff, m.xexp, m.vexp) for m in self.v))
-
-    def __rmul__(self, c):
-        return self.scaled(c)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialVF):

@@ -332,6 +332,25 @@ class TestInvariant:
         )
         assert code == 0 and verdict(out)[0] == "PASS"
 
+    @pytest.mark.parametrize("spec, method", [
+        (DRAG_N5, "particular:lane_emden_n5"),
+        (INVERSE_CUBE, "s7b"),
+    ])
+    def test_output_file_holds_the_table_printed_without_it(self, capsys, tmp_path, spec,
+                                                            method):
+        # stdout without --output is the reports, the table with its summary
+        # line, then the verdict; --output moves exactly the table to the file
+        path, target = spec_file(tmp_path, spec), tmp_path / "drift.csv"
+        code, printed, _ = run(capsys, "invariant", path, "--method", method)
+        assert code == 0
+        code, rest, _ = run(capsys, "invariant", path, "--method", method,
+                            "--output", str(target))
+        assert code == 0
+        table = target.read_text(encoding="ascii")
+        assert table.startswith("t,I\n") and table.splitlines()[-1].startswith("# relative drift")
+        reports, last = rest.rstrip("\n").rsplit("\n", 1)
+        assert printed == reports + "\n" + table + last + "\n"
+
 
 class TestKummerLiouville:
     def test_well_conditioned_gauge(self, capsys, tmp_path):

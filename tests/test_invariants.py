@@ -49,6 +49,15 @@ class TestParticularSolutionInvariant:
             (1, 1): (Fraction(4), 2),
         }
 
+    def test_expansion_with_a_large_coefficient_is_exact(self):
+        # c = 3^20 passes 2**53 inside the expansion's powers
+        expansion = particular_invariant_expansion(PowerFn(3**20, 0, 1, Fraction(-1, 2)), 5)
+        assert expansion == {
+            (6, 0): (Fraction(1, 6 * 3**120), 3),
+            (0, 2): (Fraction(2, 3**40), 3),
+            (1, 1): (Fraction(2, 3**40), 2),
+        }
+
     def test_evaluator_matches_expansion(self):
         inv = invariant_from_particular_solution(
             drag_problem_n5(), decaying_scale(), (0.5, 5.0)

@@ -723,3 +723,13 @@ class TestCsv:
         p = tmp_path / "out.csv"
         write_csv(p, ("t", "x"), [(0.0, 2.0)])
         assert p.read_text() == "t,x\n0,2\n"
+
+    @pytest.mark.parametrize("footer", ["", "# a summary line\n"])
+    def test_a_path_and_a_stream_get_the_same_bytes(self, tmp_path, footer):
+        rows = [(0.5, -1e-300, math.pi), (1.0, 2.0, 3.0)]
+        buf = io.StringIO()
+        write_csv(buf, ("t", "x", "v"), rows, footer)
+        for path in (tmp_path / "a.csv", str(tmp_path / "b.csv")):
+            write_csv(path, ("t", "x", "v"), rows, footer)
+            assert Path(path).read_bytes() == buf.getvalue().encode("ascii")
+        assert buf.getvalue().endswith(",3\n" + footer)

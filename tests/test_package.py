@@ -114,3 +114,30 @@ def test_generated_code_becomes_a_function_in_one_place():
                                               {"compile", "exec", "_code"}))
     assert calls == [("exprlang.py", "_code", "_define"), ("exprlang.py", "compile", "_code"),
                      ("exprlang.py", "exec", "_define")]
+
+
+def test_one_function_writes_files():
+    # numerics.write_csv writes every table, to a path or a stream; the one
+    # other open reads a problem file
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(emdenlab.__file__).parent.rglob("*.py"))}
+    opens = sorted((name, *call) for name, source in sources.items()
+                   for call in _builtin_calls(source, {"open"}))
+    assert opens == [("numerics.py", "open", "write_csv"), ("problemfile.py", "open", "load_spec")]
+    modes = [node.args[1].value for node in ast.walk(ast.parse(sources["problemfile.py"]))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"]
+    assert modes == ["r"]
+
+
+def test_the_invariants_load_gauge_only_for_the_particular_solution():
+    # the conditioned invariants need only time integrals; the reduction
+    # behind the particular-solution invariant is imported where it runs
+    source = (Path(emdenlab.__file__).parent / "invariants.py").read_text(encoding="utf-8")
+    top_level = [node for node in ast.parse(source).body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert ".gauge" not in _package_imports(ast.unparse(ast.Module(top_level, [])))
+    assert ".gauge" in _package_imports(source)
+    # the checkers' integrator settings live in numerics, which both read
+    from emdenlab import gauge, numerics
+
+    assert gauge._CHECK_CONFIG is numerics._CHECK_CONFIG

@@ -214,7 +214,9 @@ def test_help_loads_nothing_beyond_the_cli():
     ("emdenlab integrate lane-emden-n5.spec --output traj.csv",
      {"gauge", "invariants", "solutions"}),
     ("emdenlab scheme-check", {"exprlang", "numerics", "problemfile", "timefn"}),
-    ("emdenlab invariant plain.spec --method s7a", {"solutions"}),
+    # the conditioned invariants need only their time integrals, not the frames
+    ("emdenlab invariant plain.spec --method s7a", {"gauge", "solutions"}),
+    ("emdenlab invariant cube.spec --method s7b", {"gauge", "solutions"}),
 ])
 def test_command_never_loads_what_it_does_not_run(command, never, tmp_path):
     loaded = package_modules_after(readme_argv(command, tmp_path))

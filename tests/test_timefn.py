@@ -28,6 +28,14 @@ class TestFracPower:
         assert frac_power(Fraction(-27, 8), Fraction(2, 3)) == Fraction(9, 4)
         assert frac_power(Fraction(-2), Fraction(3)) == Fraction(-8)
 
+    def test_large_integer_roots_are_exact(self):
+        # roots taken on integers, not guessed from a float: past 2**53 and
+        # past the float range alike
+        assert frac_power(Fraction(3**40), Fraction(6)) == 3**240
+        assert frac_power(Fraction(10**400), Fraction(1, 2)) == 10**200
+        with pytest.raises(ExactnessError, match="irrational"):
+            frac_power(Fraction(10**401), Fraction(1, 2))
+
     def test_irrational_raises(self):
         with pytest.raises(ExactnessError):
             frac_power(Fraction(2), Fraction(1, 2))
