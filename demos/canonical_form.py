@@ -8,16 +8,14 @@ clean power of t.  We build the transformation, tabulate it, and then
 clock, integrate the original equation, map its trajectory, and compare.
 """
 
+from emdenlab.canonical import canonical_residual, kummer_liouville
 from emdenlab.gauge import (
     GeneralizedProblem,
-    canonical_residual,
-    kummer_liouville,
     reduce_via_particular_solution,
     verify_pushforward,
 )
-from emdenlab.numerics import linspace
 from emdenlab.solutions import catalog_entry
-from emdenlab.timefn import PowerFn
+from emdenlab.timefn import PowerFn, linspace
 
 gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
 

@@ -9,13 +9,14 @@ value problem -- pick K, evaluate.
 
 import math
 
-from emdenlab.numerics import IntegratorConfig, integrate, linspace
+from emdenlab.numerics import IntegratorConfig, integrate
 from emdenlab.solutions import (
     bounded_family,
     frozen_level,
     mixing_constant,
     superpose,
 )
+from emdenlab.timefn import linspace
 
 seed = bounded_family(1.0)  # (1 + t^2/3)^(-1/2), the smooth member
 

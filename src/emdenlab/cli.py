@@ -14,14 +14,29 @@ command loads only what it uses.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from typing import Optional, Sequence, Tuple
 
 from . import UnusableInput, VerificationFailure
-# eager: perfbench/tracing.py needs sys.modules["emdenlab.vfields"] in runs without scheme-check
-from .vfields import emden_v_basis, emden_w_basis, verify_scheme
 
 __all__ = ["main"]
+
+
+def _lazy(name: str) -> None:
+    """Register module name to run on its first attribute read; keep one already run."""
+    # a second module object would give its classes a second identity
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[spec.parent], name.rpartition(".")[2], module)
+
+
+# perfbench/tracing.py reads sys.modules["emdenlab.vfields"] in runs without
+# scheme-check; only scheme-check runs it
+_lazy("emdenlab.vfields")
 
 
 class InputError(UnusableInput):
@@ -83,6 +98,8 @@ def _pair(flag: str, positive_first: bool = False):
 
 
 def _cmd_scheme_check(args) -> int:
+    from .vfields import emden_v_basis, emden_w_basis, verify_scheme
+
     w_labels = ("v*d/dv", "x*d/dv", "x*d/dx")
     v_labels = ("x*d/dv", "x^n*d/dv", "v*d/dx", "v*d/dv", "x*d/dx")
     report = verify_scheme(emden_w_basis(), emden_v_basis(), w_labels, v_labels)
@@ -91,8 +108,9 @@ def _cmd_scheme_check(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    from .numerics import integrate, linspace, write_csv
+    from .numerics import integrate, write_csv
     from .problemfile import load_spec
+    from .timefn import linspace
 
     spec = load_spec(args.spec)
     prob = spec.build()
@@ -168,7 +186,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_kummer_liouville(args) -> int:
-    from .gauge import canonical_residual, kummer_liouville
+    from .canonical import canonical_residual, kummer_liouville
     from .problemfile import load_spec
     from .problems import EmdenProblem
 
@@ -197,9 +215,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_superpose(args) -> int:
-    from .numerics import linspace, write_csv
+    from .numerics import write_csv
     from .problemfile import compile_expression
     from .solutions import superpose
+    from .timefn import linspace
 
     if args.K < 0:
         raise InputError(f"--K must be nonnegative, got {args.K}")

@@ -177,10 +177,15 @@ def _power_range(p: float) -> tuple:
 
 def _power(namespace: dict, x: str, p: str) -> str:
     """The expression real_power(x, p) for a name x and a slot p of
-    namespace: math.pow inside ``_power_range`` of p, ``_pow`` outside it,
-    so zero, negative, infinite and NaN bases keep real_power's errors."""
-    lo, hi = (_slot(namespace, b) for b in _power_range(float(namespace[p])))
-    return f"(_mpow({x}, {p}) if {lo} < {x} < {hi} else _pow({x}, {p}))"
+    namespace: math.pow inside ``_power_range`` (lo, hi) of p, and in (-hi, -lo)
+    too for an integer p; ``_pow`` outside, so zero, infinite and NaN bases,
+    and negative ones under other exponents, keep real_power's errors."""
+    p_value = float(namespace[p])
+    lo, hi = _power_range(p_value)
+    inside = f"{_slot(namespace, lo)} < {x} < {_slot(namespace, hi)}"
+    if p_value.is_integer():
+        inside += f" or {_slot(namespace, -hi)} < {x} < {_slot(namespace, -lo)}"
+    return f"(_mpow({x}, {p}) if {inside} else _pow({x}, {p}))"
 
 
 def _exp(x):
@@ -462,10 +467,10 @@ def _generate(expr, namespace, prefix="_r"):
 
     The lines name only t, the helpers of ``_namespace()`` and identifiers
     made up here: temporaries ``prefix`` + N, and a ``_vN`` slot added to
-    namespace for every number, folded subtree and function.
+    namespace for every number, folded subtree and function that they read.
     """
     gen = _Generator(namespace, prefix)
-    return gen.lines, gen.walk(expr)
+    return gen.lines, gen.name(gen.walk(expr))
 
 
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
@@ -475,26 +480,30 @@ _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.
 class _Generator:
     """One ``_generate`` run.  Its recursion goes through methods, not nested
     functions that name themselves, so no reference cycle keeps the lines and
-    the names for the collector.  An operand is t, a temporary, or a slot of
-    namespace that holds a number known now."""
+    the names for the collector.  An operand is t, a temporary, or a ``Num``
+    known now, which takes a slot of namespace only where a line reads it."""
 
     __slots__ = ("namespace", "prefix", "lines", "done")
 
     def __init__(self, namespace, prefix):
         self.namespace, self.prefix = namespace, prefix
         self.lines = []
-        self.done = {}  # id(node) -> its name; a subtree shared by derived trees is computed once
+        self.done = {}  # id(node) -> its name or Num; a shared subtree is computed once
 
-    def fold(self, node, op, *names):
-        """A slot holding op of the operands, if they are all known and op
-        gives a finite value; else None, and the caller writes the lines."""
+    def name(self, operand) -> str:
+        """The text that reads operand: its name, or a new slot for a Num."""
+        return operand if isinstance(operand, str) else _slot(self.namespace, operand.value)
+
+    def fold(self, node, op, *operands):
+        """A Num of op of the operands, if they are all known and op gives a
+        finite value; else None, and the caller writes the lines."""
         try:
-            value = op(*(self.namespace[name] for name in names))
-        except (KeyError, ArithmeticError, ValueError):  # KeyError: an operand not known
+            value = op(*(a.value for a in operands))
+        except (AttributeError, ArithmeticError, ValueError):  # AttributeError: a name, not known
             return None
         if math.isfinite(value):
-            name = self.done[id(node)] = _slot(self.namespace, value)
-            return name
+            known = self.done[id(node)] = Num(value)
+            return known
         return None
 
     def emit(self, node, rhs, what=None):
@@ -508,32 +517,34 @@ class _Generator:
         if id(node) in self.done:
             return self.done[id(node)]
         if isinstance(node, Num):
-            return _slot(self.namespace, node.value)
+            return node
         if isinstance(node, Name):  # t, the one name compile_fn admits
             return "t"
         if isinstance(node, Neg):
             a = self.walk(node.arg)
-            return self.fold(node, operator.neg, a) or self.emit(node, f"-{a}")
+            return self.fold(node, operator.neg, a) or self.emit(node, f"-{self.name(a)}")
         if isinstance(node, Bin):
             op = _FOLD[node.op]
             if node.op == "/":
                 b = self.walk(node.right)
-                if self.namespace.get(b, 0.0) == 0.0:
+                if isinstance(b, str) or b.value == 0.0:
+                    b = self.name(b)
                     self.lines.append(f"if {b} == 0.0: raise _Err('division by zero')")
                 a = self.walk(node.left)
-                return self.fold(node, op, a, b) or self.emit(node, f"{a} / {b}", "quotient")
+                return self.fold(node, op, a, b) or self.emit(
+                    node, f"{self.name(a)} / {self.name(b)}", "quotient")
             a = self.walk(node.left)
             b = self.walk(node.right)
             if node.op == "^":  # inline where the exponent is a known number
-                return self.fold(node, op, a, b) or self.emit(node, _power(
-                    self.namespace, a, b) if b in self.namespace else f"_pow({a}, {b})")
+                return self.fold(node, op, a, b) or self.emit(node, f"_pow({self.name(a)}, {b})"
+                    if isinstance(b, str) else _power(self.namespace, self.name(a), self.name(b)))
             return self.fold(node, op, a, b) or self.emit(
-                node, f"{a} {node.op} {b}", _FINITE_WHAT[node.op])
+                node, f"{self.name(a)} {node.op} {self.name(b)}", _FINITE_WHAT[node.op])
         if isinstance(node, Call):
             fn = FUNCTIONS[node.fn][1]
             args = [self.walk(a) for a in node.args]
             return self.fold(node, fn, *args) or self.emit(
-                node, f"{_slot(self.namespace, fn)}({', '.join(args)})")
+                node, f"{_slot(self.namespace, fn)}({', '.join(map(self.name, args))})")
         raise TypeError(f"not an Expr node: {node!r}")
 
 

@@ -12,17 +12,18 @@ construction here is tested against.
 from __future__ import annotations
 
 import math
-# Invariant, ConditionedInvariant and DriftReport stay dataclasses, since
-# perfbench/test_perfbench.py copies them with dataclasses.replace
+# Invariant, ConditionedInvariant and DriftReport are dataclasses only because
+# perfbench/test_perfbench.py copies them with dataclasses.replace; this module
+# and canonical are the two that load dataclasses and the integrator at import
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import VerificationFailure
 from .exprlang import _power, real_power
-from .numerics import _CHECK_CONFIG, Trajectory, integrate, linspace, write_csv
+from .numerics import _CHECK_CONFIG, Trajectory, integrate, write_csv
 from .problems import EmdenProblem
-from .timefn import ExactnessError, Inliner, PowerFn, TimeFn, frac_power
+from .timefn import ExactnessError, Inliner, PowerFn, TimeFn, frac_power, linspace
 
 __all__ = [
     "Invariant",

@@ -54,7 +54,7 @@ from . import VerificationFailure
 from .exprlang import _define
 
 __all__ = [
-    "IntegratorConfig", "Trajectory", "integrate", "linspace",
+    "IntegratorConfig", "Trajectory", "integrate",
     "IntegrationError", "RhsError", "StepSizeUnderflowError", "StepEvaluationError",
     "quad", "QuadratureError", "AntiderivativeFn", "invert_monotone",
     "write_csv",
@@ -240,17 +240,6 @@ class Trajectory:
         """The states at ts as an array, one row per time (``states``)."""
         import numpy as np
         return np.array(self.states(ts))
-
-
-def linspace(a: float, b: float, count: int) -> list:
-    """count >= 2 floats from a to b: a + i * step, the last one set to b.
-
-    This is numpy.linspace's arithmetic, so the two agree bit for bit."""
-    if count < 2:
-        raise ValueError(f"linspace needs count >= 2, got {count}")
-    a, b = float(a), float(b)
-    step = (b - a) / (count - 1)
-    return [a + i * step for i in range(count - 1)] + [b]
 
 
 # The adaptive loop; _kernel fills in the stages, the error terms and the

@@ -26,7 +26,6 @@ from typing import Dict, Tuple, Union
 
 from . import UnusableInput
 from .exprlang import ExprError, compile_fn, free_names, parse
-from .numerics import IntegratorConfig
 from .problems import EmdenProblem, GeneralizedProblem
 from .timefn import TimeFn
 
@@ -119,7 +118,10 @@ class ProblemSpec:
     def coefficient(self, key: str) -> TimeFn:
         return compile_expression(self.expressions[key], f"coefficient {key}")
 
-    def config(self) -> IntegratorConfig:
+    def config(self):
+        """The file's tolerances as an ``IntegratorConfig``."""
+        from .numerics import IntegratorConfig
+
         return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
     def build(self) -> Union[EmdenProblem, GeneralizedProblem]:

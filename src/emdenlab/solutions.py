@@ -28,9 +28,8 @@ from typing import Dict, Optional, Tuple
 
 from . import VerificationFailure
 from .exprlang import real_power
-from .numerics import linspace
 from .problems import EmdenProblem
-from .timefn import ExactnessError, PowerFn, TimeFn, frac_power
+from .timefn import ExactnessError, PowerFn, TimeFn, frac_power, linspace
 
 __all__ = [
     "SuperpositionDomainError",

@@ -5,6 +5,7 @@ Parsed expressions (exprlang.compile_fn), plain lambdas, components read
 from a trajectory's dense output and the PowerFn class below all qualify.
 Where a derivative is needed it comes from the function's own ``deriv()``,
 which compiled expressions, constants and PowerFn all provide exactly.
+``linspace`` gives the uniform grids of times that tables and checks use.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .exprlang import _define, _generate, _namespace, _power, _slot, real_power
-from .numerics import _reals
 
 TimeFn = Callable[[float], float]
 
@@ -26,6 +26,7 @@ __all__ = [
     "ExactnessError",
     "frac_power",
     "Inliner",
+    "linspace",
 ]
 
 
@@ -241,6 +242,8 @@ class Inliner:
         ``stage_body``, which ``integrate`` writes into each stage.  With a
         call among the values, the slopes pass through ``integrate``'s
         ``_reals`` check, so another type converts, or fails, as there."""
+        from .numerics import _reals
+
         n = len(slopes)
         if self.calls:
             names = [f"_k{c}" for c in range(n)]
@@ -254,3 +257,14 @@ class Inliner:
                      "rhs", self.namespace, "<rhs>")
         fn.stage_body = tuple(self.lines), tuple(slopes), self.namespace
         return fn
+
+
+def linspace(a: float, b: float, count: int) -> list:
+    """count >= 2 floats from a to b: a + i * step, the last one set to b.
+
+    This is numpy.linspace's arithmetic, so the two agree bit for bit."""
+    if count < 2:
+        raise ValueError(f"linspace needs count >= 2, got {count}")
+    a, b = float(a), float(b)
+    step = (b - a) / (count - 1)
+    return [a + i * step for i in range(count - 1)] + [b]

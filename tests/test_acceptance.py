@@ -8,11 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from emdenlab.canonical import canonical_residual, kummer_liouville
 from emdenlab.gauge import (
     EmdenProblem,
     GeneralizedProblem,
-    canonical_residual,
-    kummer_liouville,
     reduce_via_particular_solution,
     verify_pushforward,
 )

@@ -32,7 +32,7 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_does_not_import_numpy(script):
-    # numerics.linspace gives numpy.linspace's floats, bit for bit
+    # timefn.linspace gives numpy.linspace's floats, bit for bit
     tree = ast.parse(script.read_text(encoding="utf-8"))
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]

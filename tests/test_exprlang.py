@@ -2,6 +2,8 @@ import functools
 import gc
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,9 +17,9 @@ from emdenlab.exprlang import (
 from emdenlab import exprlang, solutions
 from emdenlab.gauge import ReductionError, reduce_via_particular_solution
 from emdenlab.invariants import drift, invariant_from_particular_solution
-from emdenlab.numerics import integrate, linspace
+from emdenlab.numerics import integrate
 from emdenlab.problems import EmdenProblem
-from emdenlab.timefn import PowerFn
+from emdenlab.timefn import PowerFn, linspace
 
 
 def ev(src, t=None):
@@ -315,9 +317,52 @@ class TestInlinePowers:
             else:
                 assert guarded(x).hex() == want.hex(), x
 
+    @pytest.mark.parametrize("p", [float(k) for k in range(-3, 6)])
+    def test_a_negative_base_under_an_integer_exponent_is_real_power_bit_for_bit(self, p):
+        lo, hi = exprlang._power_range(p)
+        points = [-0.0, -5e-324, -1e-300, -1e-200, -1e-100, -0.5, -1.0, -1.5, -3.0, -1e3,
+                  -1e100, -1e200, -1e300, -sys.float_info.max, -math.inf]
+        for edge in (-lo, -hi):
+            points += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        guarded = _guarded(p)
+        for x in points:
+            try:
+                want = real_power(x, p)
+            except EvalDomainError as exc:
+                with pytest.raises(EvalDomainError) as got:
+                    guarded(x)
+                assert (type(got.value), str(got.value)) == (type(exc), str(exc)), x
+            else:
+                assert guarded(x).hex() == want.hex(), x
+
+    def test_a_negative_base_under_an_integer_exponent_is_inline(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exprlang, "real_power", lambda x, p: calls.append(x) or 0.0)
+        cube = _guarded(3.0)
+        assert cube(-1.5) == -3.375 and cube(-1e-3) == math.pow(-1e-3, 3.0)
+        assert calls == []
+        assert _guarded(0.5)(-1.5) == 0.0 and calls == [-1.5]  # a fractional exponent calls it
+
+    @pytest.mark.parametrize("src", _PROFILE_TEXTS + ["t + 1/0", "t*0^(-1)", "sin(1/2)*t^3",
+                                                      "(t - 2*3)/(4 - 2^2)"])
+    def test_a_folded_namespace_holds_only_the_slots_its_text_reads(self, src):
+        tree = parse(src)
+        for expr in (tree, derive(tree), derive(derive(tree))):
+            namespace = exprlang._namespace()
+            lines, result = exprlang._generate(expr, namespace)
+            read = set(re.findall(r"_v\d+", "\n".join(lines + [result])))
+            assert {name for name in namespace if name.startswith("_v")} == read
+
+    def test_folding_keeps_no_intermediate_constant(self):
+        namespace = exprlang._namespace()
+        exprlang._generate(parse("2^(-1/2)*(t+1)^(-1/4)"), namespace)
+        # 1, -1/4, the power's range and 2^(-1/2), not 2, 1, 2, 1/2, -1/2, 1, 4 and 1/4
+        assert sorted(v for k, v in namespace.items() if k.startswith("_v")) == [
+            -0.25, 0.0, 2 ** -0.5, 1.0, math.inf]
+
     def test_constant_factors_fold(self):
         src = "2^(-1/2)*(t+1)^(-1/4)"
-        lines, _ = exprlang._generate(parse(src), {}, exprlang._namespace())
+        lines, _ = exprlang._generate(parse(src), exprlang._namespace())
         powers = [line for line in lines if "_pow(" in line]
         assert len(powers) == 1 and "_mpow(" in powers[0]  # (t+1)^(-1/4), guarded
         fn, tree = compile_fn(src), parse(src)

@@ -19,13 +19,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from emdenlab import gauge, invariants, numerics, problemfile
+from emdenlab import canonical, gauge, invariants, numerics, problemfile
+from emdenlab.canonical import _scale_rhs, canonical_residual, kummer_liouville
 from emdenlab.exprlang import real_power
-from emdenlab.gauge import (
-    _CHECK_CONFIG as _INTEGRAL_CONFIG, _pushed_rhs, _scale_rhs, canonical_residual,
-    kummer_liouville, reduce_via_particular_solution, verify_pushforward,
-)
+from emdenlab.gauge import _pushed_rhs, reduce_via_particular_solution, verify_pushforward
 from emdenlab.invariants import _integrals_rhs, dilation_invariant, rescaled_energy_invariant
+from emdenlab.numerics import _CHECK_CONFIG as _INTEGRAL_CONFIG
 from emdenlab.numerics import IntegrationError, IntegratorConfig, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
 from emdenlab.solutions import catalog_entry
@@ -80,7 +79,7 @@ def _tau_case(kl, z0):
     g0 = kl.gamma(kl.t0)
     y0 = (kl.t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(kl.t0))
     t1 = 0.5 * (kl.t0 + kl.t_end) if kl.truncated else kl.t_end
-    return SimpleNamespace(rhs=gauge._tau_rhs(kl)), 0.0, y0, kl.tau(t1)
+    return SimpleNamespace(rhs=canonical._tau_rhs(kl)), 0.0, y0, kl.tau(t1)
 
 
 def _old_pushed(prob, g):
@@ -287,8 +286,9 @@ def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
 
         monkeypatch.setattr(module, "integrate", integrate_and_record)
 
-    recording(gauge)
+    recording(canonical)
     recording(invariants)
+    recording(numerics)  # verify_pushforward imports integrate where it runs
     damped, (t0, t1) = _spec("damped.spec")
     kl = kummer_liouville(damped, t0, t1, gamma_init=(1.0, -1.0))
     canonical_residual(kl, damped, (0.3, 0.0))
@@ -311,7 +311,7 @@ def test_the_tau_run_calls_the_functions_of_the_reduction():
     for field in ("gamma", "beta", "coefficient"):
         fn, calls = getattr(kl, field), []
         same = dataclasses.replace(kl, **{field: lambda t, fn=fn: calls.append(t) or fn(t)})
-        assert numerics._problem_body(gauge._tau_rhs(same), 3) is not None
+        assert numerics._problem_body(canonical._tau_rhs(same), 3) is not None
         # the same values through the replaced function, so the same residual
         assert (canonical_residual(same, damped, (0.3, 0.0)).hex()
                 == canonical_residual(kl, damped, (0.3, 0.0)).hex())

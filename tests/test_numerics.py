@@ -29,6 +29,7 @@ from emdenlab.numerics import (
     RhsError, StepEvaluationError, StepSizeUnderflowError, integrate,
     invert_monotone, quad, write_csv,
 )
+from emdenlab.timefn import linspace
 
 
 class TestTableauIdentities:
@@ -464,7 +465,7 @@ class TestStates:
         traj = integrate(_coupled(n), t0, [0.5 + 0.1 * i for i in range(n)], t_end)
         lo, hi = sorted((t0, t_end))
         slack = 1e-10 * (hi - lo)
-        uniform = numerics.linspace(t0, t_end, 333)
+        uniform = linspace(t0, t_end, 333)
         start, end = (lo - slack, hi + slack) if t_end > t0 else (hi + slack, lo - slack)
         # the mesh times themselves, repeats, points between them and both slack ends
         dense = sorted(traj.ts + traj.ts[3:7] + uniform + [lo - slack, hi + slack],
@@ -481,7 +482,7 @@ class TestStates:
     @pytest.mark.parametrize("t0, t_end", [(0.0, 5.0), (5.0, -1.0)])
     def test_an_unordered_grid_is_read_point_by_point(self, t0, t_end):
         traj = integrate(_coupled(2), t0, [0.5, 0.6], t_end)
-        grid = numerics.linspace(t0, t_end, 50)
+        grid = linspace(t0, t_end, 50)
         for times in (grid[::-1], grid[10:] + grid[:10], grid[::7] + grid[::3]):
             self.assert_same_states(traj, times)
 
@@ -490,7 +491,7 @@ class TestStates:
         traj = integrate(_coupled(3), t0, [0.5, 0.6, 0.7], t_end)
         lo, hi = sorted((t0, t_end))
         outside = [lo - 3e-10 * (hi - lo), hi + 3e-10 * (hi - lo), math.nan]
-        grid = numerics.linspace(t0, t_end, 20)
+        grid = linspace(t0, t_end, 20)
         for t in outside:
             for times in ([t], grid + [t], [t] + grid, grid[:5] + [t] + grid[5:]):
                 self.assert_same_error(traj, times)
@@ -502,7 +503,7 @@ class TestStates:
 
     def test_sample_is_the_array_of_states(self):
         traj = integrate(_coupled(2), 0.0, [0.5, 0.6], 5.0)
-        grid = numerics.linspace(0.0, 5.0, 40)
+        grid = linspace(0.0, 5.0, 40)
         assert np.array_equal(traj.sample(grid), np.array([traj(t) for t in grid]))
 
 
@@ -600,19 +601,19 @@ class TestLinspace:
             else:
                 b = rng.uniform(-1, 1) * 10.0 ** rng.integers(-8, 9)
             count = int(rng.integers(2, 400))
-            got = numerics.linspace(a, b, count)
+            got = linspace(a, b, count)
             want = np.linspace(a, b, count)
             assert [x.hex() for x in got] == [float(x).hex() for x in want]
 
     def test_returns_plain_floats_with_both_ends(self):
-        ts = numerics.linspace(1, 2, 3)
+        ts = linspace(1, 2, 3)
         assert ts == [1.0, 1.5, 2.0]
         assert all(type(t) is float for t in ts)
 
     @pytest.mark.parametrize("count", [1, 0, -2])
     def test_needs_two_points(self, count):
         with pytest.raises(ValueError, match="count >= 2"):
-            numerics.linspace(0.0, 1.0, count)
+            linspace(0.0, 1.0, count)
 
 
 class TestQuad:

@@ -62,13 +62,36 @@ def test_the_scheme_algebra_imports_nothing_from_the_package():
     assert _package_imports((package / "vfields.py").read_text(encoding="utf-8")) == []
 
 
+def _module_level_imports(source: str) -> set:
+    """The modules a source imports outside any function, relative ones
+    with their dots."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_only_what_integrates_or_needs_dataclasses_imports_them_at_load():
+    # compiling the integrator and the dataclasses machinery is start-up
+    # cost, so a module imports them where it runs them; the invariants and
+    # the canonical form integrate in nearly every function, and keep the
+    # dataclasses that perfbench/test_perfbench.py copies
+    heavy = {".numerics", "dataclasses"}
+    importers = {path.stem for path in Path(emdenlab.__file__).parent.glob("*.py")
+                 if _module_level_imports(path.read_text(encoding="utf-8")) & heavy}
+    assert importers == {"canonical", "invariants"}
+
+
 def test_checks_set_their_own_grids_and_tolerances():
     # a grid, tolerance or integrator setting on a check is a parameter only
     # where some caller sets it; every other check runs at its fixed values
     knobs = {"config", "samples", "grid", "grid_points", "rel_tol", "tol", "threshold",
              "level_tol"}
     functions = {}
-    for name in ("gauge", "invariants", "solutions"):
+    for name in ("gauge", "canonical", "invariants", "solutions"):
         module = importlib.import_module(f"emdenlab.{name}")
         for attr, obj in vars(module).items():
             if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
@@ -138,6 +161,6 @@ def test_the_invariants_load_gauge_only_for_the_particular_solution():
     assert ".gauge" not in _package_imports(ast.unparse(ast.Module(top_level, [])))
     assert ".gauge" in _package_imports(source)
     # the checkers' integrator settings live in numerics, which both read
-    from emdenlab import gauge, numerics
+    from emdenlab import canonical, numerics
 
-    assert gauge._CHECK_CONFIG is numerics._CHECK_CONFIG
+    assert canonical._CHECK_CONFIG is numerics._CHECK_CONFIG

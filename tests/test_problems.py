@@ -14,9 +14,9 @@ import math
 
 import pytest
 
-from emdenlab import exprlang, gauge, numerics, problemfile
+from emdenlab import canonical, exprlang, numerics, problemfile
+from emdenlab.canonical import canonical_residual, kummer_liouville
 from emdenlab.exprlang import EvalDomainError, real_power
-from emdenlab.gauge import canonical_residual, kummer_liouville
 from emdenlab.invariants import drift, invariant_from_particular_solution, rescaled_energy_invariant
 from emdenlab.numerics import IntegratorConfig, RhsError, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
@@ -297,7 +297,7 @@ def test_kernels_are_built_on_first_use_and_shared_by_shape():
         prob = GeneralizedProblem(PowerFn(c, 0, 1, -1), None, r, 5)
         kl = kummer_liouville(prob, 1.0, 2.0, gamma_init=(1.0, -0.5))
         canonical_residual(kl, prob, (0.3, 0.0), grid_points=9)
-        taus.append(gauge._tau_rhs(kl).stage_body)
+        taus.append(canonical._tau_rhs(kl).stage_body)
         counts.append(_misses())
     assert counts[1] == counts[0]
     assert taus[0][:2] == taus[1][:2] and taus[0][2] != taus[1][2]

@@ -141,17 +141,19 @@ def test_integrate_csv_bytes_are_pinned(capsys, tmp_path):
 # classes are plain.  These four stay dataclasses while
 # perfbench/test_perfbench.py copies them with dataclasses.replace.
 REPLACED_BY_THE_BENCHMARK = {
-    "emdenlab.gauge.KummerLiouvilleReduction", "emdenlab.invariants.ConditionedInvariant",
+    "emdenlab.canonical.KummerLiouvilleReduction", "emdenlab.invariants.ConditionedInvariant",
     "emdenlab.invariants.DriftReport", "emdenlab.invariants.Invariant",
 }
 
 
 def loaded_after(argvs):
     """(modules, dataclasses) of a fresh interpreter that imports the CLI and
-    runs it on each argv: every module it loaded, and the names of the
-    emdenlab classes declared with @dataclass."""
+    runs it on each argv: every module it ran, and the names of the emdenlab
+    classes declared with @dataclass.  A module registered to run on first
+    use and not used yet is not a ModuleType; it is left out, unread, since
+    reading it would run it."""
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, sys, types\n"
         "from emdenlab import cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -159,11 +161,13 @@ def loaded_after(argvs):
         "            assert cli.main(argv) == 0, argv\n"
         "        except SystemExit as exc:\n"
         "            assert exc.code == 0, argv\n"
-        "records = [f'{name}.{key}' for name, module in list(sys.modules.items())\n"
+        "ran = {name: module for name, module in list(sys.modules.items())\n"
+        "       if type(module) is types.ModuleType}\n"
+        "records = [f'{name}.{key}' for name, module in ran.items()\n"
         "           if name.startswith('emdenlab') for key, value in vars(module).items()\n"
         "           if isinstance(value, type) and value.__module__ == name\n"
         "           and '__dataclass_fields__' in vars(value)]\n"
-        "print(json.dumps([sorted(sys.modules), records]))\n"
+        "print(json.dumps([sorted(ran), records]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs)],
@@ -190,35 +194,63 @@ def test_readme_command_generates_no_class_code(command, tmp_path):
         assert not modules & {"dataclasses", "inspect"}
 
 
-# start-up is most of a command's run, so each subcommand imports only the
-# modules it runs; `emdenlab.cli` itself loads the scheme algebra eagerly
-CLI_ONLY = {"emdenlab", "emdenlab.cli", "emdenlab.vfields"}
+# start-up is most of a command's run, so each subcommand runs only the
+# modules it uses; `emdenlab.cli` registers the scheme algebra to run on
+# first use, and only scheme-check uses it
+CLI_ONLY = {"emdenlab", "emdenlab.cli"}
 
 
-def package_modules_after(argv):
-    """emdenlab modules loaded by a fresh interpreter that imports the CLI
-    and, unless argv is None, runs it on argv."""
+@pytest.mark.parametrize("argv", [None, ["--help"]], ids=["import", "help"])
+def test_the_cli_alone_runs_only_itself(argv):
     modules, _ = loaded_after([] if argv is None else [argv])
-    return {m for m in modules if m.startswith("emdenlab")}
+    assert {m for m in modules if m.startswith("emdenlab")} == CLI_ONLY
+    assert "fractions" not in modules
 
 
-def test_importing_the_cli_loads_only_the_scheme_algebra():
-    assert package_modules_after(None) == CLI_ONLY
-
-
-def test_help_loads_nothing_beyond_the_cli():
-    assert package_modules_after(["--help"]) == CLI_ONLY
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_scheme_check_runs_the_scheme_algebra(command, tmp_path):
+    loaded, _ = loaded_after([readme_argv(command, tmp_path)])
+    assert ("emdenlab.vfields" in loaded) == (command == "emdenlab scheme-check")
 
 
 @pytest.mark.parametrize("command, never", [
     ("emdenlab integrate lane-emden-n5.spec --output traj.csv",
-     {"gauge", "invariants", "solutions"}),
-    ("emdenlab scheme-check", {"exprlang", "numerics", "problemfile", "timefn"}),
+     {"emdenlab.gauge", "emdenlab.invariants", "emdenlab.solutions"}),
+    ("emdenlab scheme-check",
+     {"emdenlab.exprlang", "emdenlab.numerics", "emdenlab.problemfile", "emdenlab.timefn"}),
     # the conditioned invariants need only their time integrals, not the frames
-    ("emdenlab invariant plain.spec --method s7a", {"gauge", "solutions"}),
-    ("emdenlab invariant cube.spec --method s7b", {"gauge", "solutions"}),
+    ("emdenlab invariant plain.spec --method s7a", {"emdenlab.gauge", "emdenlab.solutions"}),
+    ("emdenlab invariant cube.spec --method s7b", {"emdenlab.gauge", "emdenlab.solutions"}),
+    # nothing integrates in these three, so the integrator is never compiled
+    ("emdenlab reduce lane-emden-n5.spec --solution '(2*t)^(-1/2)'",
+     {"emdenlab.numerics", "emdenlab.canonical", "dataclasses"}),
+    ("emdenlab catalog", {"emdenlab.numerics"}),
+    ("emdenlab construct --n 5 --K 1", {"emdenlab.numerics"}),
 ])
 def test_command_never_loads_what_it_does_not_run(command, never, tmp_path):
-    loaded = package_modules_after(readme_argv(command, tmp_path))
+    loaded, _ = loaded_after([readme_argv(command, tmp_path)])
     assert loaded >= CLI_ONLY
-    assert not loaded & {f"emdenlab.{name}" for name in never}
+    assert not loaded & never
+
+
+def test_a_scheme_algebra_imported_before_the_cli_is_the_one_it_runs():
+    # registering the module for first use must not replace one already run:
+    # two module objects would give two sets of class identities
+    script = (
+        "import contextlib, io, sys\n"
+        "import emdenlab.vfields as first\n"
+        "from emdenlab import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(['scheme-check'])\n"
+        "import emdenlab.vfields as after\n"
+        "assert sys.modules['emdenlab.vfields'] is first is after\n"
+        "sys.stdout.write(out.getvalue())\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (sha256(proc.stdout.encode("ascii")), None) == PINNED["emdenlab scheme-check"]

@@ -19,7 +19,7 @@ from emdenlab.invariants import (
     invariant_from_particular_solution,
     particular_invariant_expansion,
 )
-from emdenlab.numerics import IntegratorConfig, integrate, linspace
+from emdenlab.numerics import IntegratorConfig, integrate
 from emdenlab.solutions import (
     SuperpositionDomainError,
     bounded_family,
@@ -36,7 +36,7 @@ from emdenlab.solutions import (
     superpose,
     verify_solution,
 )
-from emdenlab.timefn import PowerFn
+from emdenlab.timefn import PowerFn, linspace
 
 SEAM = math.sqrt(3.0)
 
