@@ -436,8 +436,7 @@ _FINITE_WHAT = {"+": "sum", "-": "difference", "*": "product"}
 
 def _namespace() -> dict:
     """The helpers that generated lines name, in a fresh namespace."""
-    return {"_isfinite": math.isfinite, "_Err": EvalDomainError, "_pow": real_power,
-            "_mpow": math.pow}
+    return {"_Err": EvalDomainError, "_pow": real_power, "_mpow": math.pow}
 
 
 def _slot(namespace: dict, value) -> str:
@@ -510,7 +509,8 @@ class _Generator:
         name = self.done[id(node)] = f"{self.prefix}{len(self.lines)}"
         self.lines.append(f"{name} = {rhs}")
         if what:
-            self.lines.append(f"if not _isfinite({name}): raise _Err('{what} is not finite')")
+            # x - x is 0.0 for a finite x and NaN for inf or NaN: no call
+            self.lines.append(f"if {name} - {name} != 0.0: raise _Err('{what} is not finite')")
         return name
 
     def walk(self, node):

@@ -11,7 +11,9 @@ construction here is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 # Invariant, ConditionedInvariant and DriftReport are dataclasses only because
 # perfbench/test_perfbench.py copies them with dataclasses.replace; this module
 # and canonical are the two that load dataclasses and the integrator at import
@@ -231,7 +233,9 @@ def _condition_report(
     for t, value in zip(ts, vals):
         if not math.isfinite(value):
             raise InvariantDomainError(f"condition value is not finite at t={t:.6g}")
-    constant = sum(vals) / len(vals)
+    # added left to right from 0.0: sum() compensates on Python 3.12+, so its
+    # last digit, and the printed variation, would depend on the version
+    constant = functools.reduce(operator.add, vals, 0.0) / len(vals)
     deviation = max(abs(v - constant) for v in vals)
     # relative to the condition's own size, so the verdict does not depend on
     # the scale of b; about a zero mean only a zero condition passes

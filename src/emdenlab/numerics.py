@@ -11,14 +11,17 @@ The states here have 1-6 components, so a step runs on plain floats: each
 stage is y + h * (0.0 + sum_j a_ij K_j), summed in j order.  At that size
 array calls cost more than the arithmetic, and the fixed order gives the
 same bytes on every host (libm's exp and pow aside), where a BLAS kernel
-chosen by CPU sums in its own order.  The first run with n components
-generates one function that runs the whole adaptive loop for n, with every
-tableau entry a float literal, so no loop over components or entries is
-left to interpret; dense output is read by one generated reader per state
-size, and a grid of times ordered along the run (``Trajectory.states``) by
-one generated sweep per state size, which walks the mesh once and does the
+chosen by CPU sums in its own order.  Every sum here, the error norm's too,
+adds left to right from 0.0, never through sum(), which compensates on
+Python 3.12+; so the bytes do not depend on the Python version either.  The
+first run with n components generates one function that runs the whole
+adaptive loop for n, with every tableau entry a float literal, so no loop
+over components or entries is left to interpret, and no builtin is called
+per stage; dense output is read by one generated reader per state size,
+and a grid of times ordered along the run (``Trajectory.states``) by one
+generated sweep per state size, which walks the mesh once and does the
 reader's arithmetic on the segment a point read bisects to.  The mesh is
-kept once, as the lists ``ts`` and ``ys``, with one row of dense
+kept once, as the lists ``ts`` and ``ys``, with one flat tuple of dense
 coefficients per step; ``t``, ``y`` and ``sample`` import numpy and build
 arrays on first use.
 
@@ -169,7 +172,8 @@ class Trajectory:
     def __init__(self, ts: list, ys: list):
         self.ts, self.ys = ts, ys
         self.accepted = self.rejected = 0
-        # per step, the interpolant's coefficients of theta, ..., theta^4
+        # per step, one flat tuple of 4n floats: the interpolant's
+        # coefficients of theta, then theta^2, theta^3, theta^4, n each
         self._seg_q = []
 
     @functools.cached_property
@@ -243,31 +247,42 @@ class Trajectory:
 
 
 # The adaptive loop; _kernel fills in the stages, the error terms and the
-# dense rows for n components, and the controller's constants.
+# dense rows for n components, and the controller's constants.  No builtin
+# is called per stage: x - x != 0.0 holds exactly when x is inf or NaN, and
+# max and min are the conditionals that give what they return for two
+# floats (max(a, b) is b only when b > a, min(a, b) only when b < a).  rest
+# is |t_end - t0| while the loop runs, since direction is +-1.
 _LOOP = """\
 def _run(t0, y, k0, h, t_end, direction, span_floor, abs_tol, rel_tol,
          max_step, max_steps, ts, ys, seg_q):
     [{y}], [{k0}] = y, k0
     toward, accepted, rejected = direction * _inf, 0, 0
-    while (t_end - t0) * direction > 0:
-        h_min = max(10.0 * _abs(_nextafter(t0, toward) - t0), span_floor)
+    ts_append, ys_append, q_append = ts.append, ys.append, seg_q.append
+    while (rest := (t_end - t0) * direction) > 0:
+        h_min = 10.0 * ((_nextafter(t0, toward) - t0) * direction)
+        if span_floor > h_min: h_min = span_floor
         if h < h_min or accepted + rejected >= max_steps: break
-        clipped = h >= _abs(t_end - t0)
-        h_use = _abs(t_end - t0) if clipped else h
+        clipped = h >= rest
+        h_use = rest if clipped else h
         hd = h_use * direction
         {stages}
-        if not _isfinite(err): {reject}
+        if err - err != 0.0: {reject}
         if err <= 1.0:
-            seg_q.append({rows})
-            t0, y, [{y}], [{k0}] = t_end if clipped else t0 + hd, {state}, {state}, {k6}
-            ts.append(t0)
-            ys.append(y)
+            q_append({rows})
+            t0 = t_end if clipped else t0 + hd
+            y = {state}
+            ts_append(t0)
+            ys_append(y)
+            {shift}
             accepted += 1
-            factor = {max_f} if err == 0 else min({max_f}, {grow})
+            factor = {max_f} if err == 0 else {grow}
+            if factor > {max_f}: factor = {max_f}
         else:
             rejected += 1
-            factor = max({min_f}, {grow})
-        h = min(h_use * factor, max_step)
+            factor = {grow}
+            if factor < {min_f}: factor = {min_f}
+        h = h_use * factor
+        if h > max_step: h = max_step
     return accepted, rejected, h, h_min
 """
 
@@ -277,7 +292,7 @@ def _kernel(n: int, body: tuple) -> str:
     """The source of _LOOP's _run for n components.
 
     _run steps from t0, y, slopes k0 toward t_end, appends the end of each
-    accepted step to ts and ys and its dense rows to seg_q, and returns
+    accepted step to ts and ys and its flat dense row to seg_q, and returns
     (accepted, rejected, h, h_min); short of t_end, h fell below h_min or the
     steps hit max_steps.
     Each stage forms x0 ... x{n-1} and t, then runs body's lines and n
@@ -294,7 +309,6 @@ def _kernel(n: int, body: tuple) -> str:
     def combine(base, row, c):
         return base + " + hd * (0.0" + "".join(f" + {a!r} * k{j}_{c}" for j, a in row) + ")"
 
-    state = tup(f"x{c}" for c in comps)
     reject = f"rejected += 1; h = h_use * {_MIN_FACTOR!r}; continue"
     stages = []
     for i in range(1, 7):
@@ -302,29 +316,35 @@ def _kernel(n: int, body: tuple) -> str:
         stages.append(f"t = t0 + {_CF[i]!r} * hd")
         stages += body[0]
         stages += [f"k{i}_{c} = {slope}" for c, slope in zip(comps, body[1])]
-        finite = " and ".join(f"_isfinite(k{i}_{c})" for c in comps) or "True"
-        stages.append(f"if not ({finite}): {reject}")
+        finite = " + ".join(f"(k{i}_{c} - k{i}_{c})" for c in comps) or "0.0"
+        stages.append(f"if {finite} != 0.0: {reject}")
     # x0 ... now hold the new state, since _A[6] == _B.  The error is _rms of
-    # e / scale, with max(a, b) spelled as what it returns for two floats.
+    # e / scale; abs(v) is spelled v if v >= 0.0 else -v, which keeps a -0.0
+    # that abs_tol > 0 then absorbs.
     for c in comps:
-        stages += [f"a_{c} = _abs(y_{c})", f"b_{c} = _abs(x{c})",
+        stages += [f"a_{c} = y_{c} if y_{c} >= 0.0 else -y_{c}",
+                   f"b_{c} = x{c} if x{c} >= 0.0 else -x{c}",
                    f"e_{c} = ({combine('0.0', _EF, c)}) / "
                    f"(abs_tol + rel_tol * (b_{c} if b_{c} > a_{c} else a_{c}))"]
-    stages.append(f"err = _sqrt(_sum([{', '.join(f'e_{c} * e_{c}' for c in comps)}]) / {n})")
+    stages.append(f"err = _sqrt((0.0{''.join(f' + e_{c} * e_{c}' for c in comps)}) / {n})")
+    # one flat row per step: the theta, ..., theta^4 rows, component fastest
     source = _LOOP.format(
         y=names("y"), k0=names("k0"), stages="\n        ".join(stages), reject=reject,
-        rows=tup(tup(combine("0.0", row, c) for c in comps) for row in _PF),
-        state=state, k6=tup(f"k6_{c}" for c in comps), max_f=repr(_MAX_FACTOR),
-        min_f=repr(_MIN_FACTOR), grow=f"{_SAFETY!r} * err ** ({_ORDER_EXP!r})")
+        rows=tup(combine("0.0", row, c) for row in _PF for c in comps),
+        state=tup(f"x{c}" for c in comps),
+        shift="; ".join([f"y_{c} = x{c}" for c in comps] + [f"k0_{c} = k6_{c}" for c in comps]),
+        max_f=repr(_MAX_FACTOR), min_f=repr(_MIN_FACTOR),
+        grow=f"{_SAFETY!r} * err ** ({_ORDER_EXP!r})")
     return source
 
 
 def _read_lines(n: int) -> tuple:
     """The lines that unpack th's powers, y and q, and the expression of the
-    n-component state at theta = th of the segment from y with
-    theta-coefficient rows q: y + (a*th + b*th^2 + ...) each."""
+    n-component state at theta = th of the segment from y with flat dense
+    row q (a_0 ... a_{n-1}, b_0 ..., then c and d): y + (a*th + b*th^2 + ...)
+    each."""
     comps = range(n)
-    rows = ", ".join(f"[{', '.join(f'{r}_{c}' for c in comps)}]" for r in "abcd")
+    rows = ", ".join(f"{r}_{c}" for r in "abcd" for c in comps)
     state = "".join(f"y_{c} + (a_{c} * th + b_{c} * th2 + c_{c} * th3 + d_{c} * th4), "
                     for c in comps)
     lines = ["th2, th3, th4 = th * th, th ** 3, th ** 4",
@@ -335,7 +355,7 @@ def _read_lines(n: int) -> tuple:
 @functools.cache
 def _reader(n: int):
     """read(th, y, q): the n-component state at theta = th of the segment
-    from y with theta-coefficient rows q (``_read_lines``)."""
+    from y with flat dense row q (``_read_lines``)."""
     lines, state = _read_lines(n)
     body = "".join(f"    {line}\n" for line in lines)
     return _define(f"def _read(th, y, q):\n{body}    return {state}\n",
@@ -404,7 +424,8 @@ def _reals(out, n: int, t: float) -> tuple:
 
 
 def _rms(v) -> float:
-    squares = sum([x * x for x in v])
+    # left to right from 0.0, as the generated error norm; sum() compensates on 3.12+
+    squares = functools.reduce(operator.add, [x * x for x in v], 0.0)
     if squares == math.inf:  # a square overflowed; hypot scales before it squares
         return math.hypot(*v) / math.sqrt(len(v))
     return math.sqrt(squares / len(v))
@@ -495,8 +516,7 @@ def integrate(rhs: Callable, t0: float, y0, t_end: float,
     direction = 1.0 if t_end > t0 else -1.0
     span = abs(t_end - t0)
     body = _problem_body(rhs, n) or _call_body(n, rhs)
-    namespace = {"_isfinite": math.isfinite, "_abs": abs, "_sqrt": math.sqrt, "_sum": sum,
-                 "_inf": math.inf, "_nextafter": math.nextafter, **body[2]}
+    namespace = {"_sqrt": math.sqrt, "_inf": math.inf, "_nextafter": math.nextafter, **body[2]}
     run = _define(_kernel(n, body[:2]), "_run", namespace, f"<dopri5 n={n}>")
     # every step starts at the last accepted time, so ts[-1] is where a failure stops
     try:

@@ -166,6 +166,22 @@ class TestEvaluation:
             with pytest.raises(EvalDomainError, match=f"^{what} is not finite$"):
                 ev(src)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("src, what", [
+        ("t + 1", "sum"), ("1 + t", "sum"), ("t + t", "sum"), ("0 - t", "difference"),
+        ("t - 1", "difference"), ("2*t", "product"), ("t*t", "product"),
+        ("t/2", "quotient"), ("t/t", "quotient")])
+    def test_a_non_finite_operand_is_an_error(self, src, what, t):
+        # the guard is a - a != 0.0, which holds for inf and NaN alike
+        with pytest.raises(EvalDomainError, match=f"^{what} is not finite$"):
+            ev(src, t)
+
+    def test_a_finite_quotient_of_an_infinite_t_is_a_value(self):
+        assert ev("1/t", math.inf).hex() == "0x0.0p+0"
+        assert ev("1/t", -math.inf).hex() == "-0x0.0p+0"
+        with pytest.raises(EvalDomainError, match="^quotient is not finite$"):
+            ev("1/t", math.nan)
+
     def test_compile_fn_matches_reference(self):
         f = compile_fn("exp(-2*t) * (1 + t^2/3)^(-1/2)")
         e = parse("exp(-2*t) * (1 + t^2/3)^(-1/2)")

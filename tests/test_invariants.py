@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from emdenlab import invariants, numerics
 from emdenlab.gauge import EmdenProblem
 from emdenlab.invariants import (
     ConditionedInvariant,
@@ -21,6 +22,7 @@ from emdenlab.invariants import (
     rescaled_energy_invariant,
 )
 from emdenlab.numerics import IntegratorConfig, integrate
+from emdenlab.problemfile import parse_spec
 from emdenlab.timefn import ExactnessError, PowerFn, constant
 
 
@@ -291,6 +293,44 @@ class TestConditionScale:
         rep = rescaled_energy_invariant(step, 0.0, (0.5, 5.0))
         assert rep.constant == 0.0 and rep.variation == math.inf and not rep.passed
         assert "variation    inf" in rep.render()
+
+
+def _compensated_sum(values, start=0):
+    """sum() of floats as Python 3.12 computes it: Neumaier's compensated
+    summation, which rounds the last digit differently from 3.11's."""
+    total, carry = float(start), 0.0
+    for v in values:
+        s = total + v
+        carry += (total - s) + v if abs(total) >= abs(v) else (v - s) + total
+        total = s
+    return total + carry
+
+
+class TestSumOrder:
+    """Every float sum is added left to right from 0.0, which is what
+    Python 3.11's sum() does, so the printed bytes are the same on 3.12+."""
+
+    # `invariant --method s7a` printed variation 1.871e-11 under 3.11 and
+    # 1.872e-11 under 3.12 while the condition's mean went through sum()
+    SPEC = ("kind = emden\nn = 3\na = -1.0/t\nb = -1.070466894066735*t^(-2.0)\n"
+            "singular_points = 0\ninterval = 0.5, 5.0\n"
+            "x0 = 1.2301698347849004\nv0 = -0.16981310539202926\n")
+
+    @classmethod
+    def outputs(cls):
+        cond = rescaled_energy_invariant(parse_spec(cls.SPEC).build_emden(), 0.5, (0.5, 5.0))
+        # six components, so the error norm and _rms have sums worth compensating
+        traj = integrate(lambda t, y: [math.cos(t + i) * y[(i + 1) % 6] - 0.3 * y[i] ** 3
+                                       for i in range(6)], 0.0, [0.5 + 0.1 * i for i in range(6)], 5.0)
+        return (cond.render(), cond.constant.hex(), cond.variation.hex(),
+                [t.hex() for t in traj.ts], [[v.hex() for v in y] for y in traj.ys])
+
+    def test_a_compensated_sum_changes_no_output(self, monkeypatch):
+        want = self.outputs()
+        assert "variation    1.871e-11" in want[0]
+        for module in (numerics, invariants):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+        assert self.outputs() == want
 
 
 class TestDrift:

@@ -23,13 +23,14 @@ import numpy as np
 import pytest
 
 from emdenlab import numerics
-from emdenlab.exprlang import EvalDomainError, real_power
+from emdenlab.exprlang import EvalDomainError, compile_fn, real_power
 from emdenlab.numerics import (
     AntiderivativeFn, IntegrationError, IntegratorConfig, QuadratureError,
     RhsError, StepEvaluationError, StepSizeUnderflowError, integrate,
     invert_monotone, quad, write_csv,
 )
-from emdenlab.timefn import linspace
+from emdenlab.problems import EmdenProblem
+from emdenlab.timefn import PowerFn, linspace
 
 
 class TestTableauIdentities:
@@ -306,6 +307,13 @@ def _hex(v):
     return v.hex() if isinstance(v, float) else [_hex(x) for x in v]
 
 
+def _rows(q):
+    """A step's flat dense tuple regrouped as its theta, ..., theta^4 rows."""
+    assert type(q) is tuple and len(q) % 4 == 0
+    n = len(q) // 4
+    return tuple(q[r * n:(r + 1) * n] for r in range(4))
+
+
 def _coupled(n):
     def rhs(t, y):
         return [math.cos(t + i) * y[(i + 1) % n] - 0.3 * math.sin(y[i]) ** 3 for i in range(n)]
@@ -321,7 +329,7 @@ class TestKernel:
         ts, ys, qs, accepted, rejected = _loop_integrate(rhs, t0, y0, t_end, cfg)
         assert _hex(traj.ts) == _hex(ts)
         assert _hex(traj.ys) == _hex(ys)
-        assert _hex(traj._seg_q) == _hex(qs)
+        assert _hex([_rows(q) for q in traj._seg_q]) == _hex(qs)
         assert (traj.accepted, traj.rejected) == (accepted, rejected)
         return traj
 
@@ -405,7 +413,34 @@ def _list_read(traj, t):
     th = (t - seg_t[i]) / seg_h[i]
     th2, th3, th4 = th * th, th ** 3, th ** 4
     return tuple([y + (a * th + b * th2 + c * th3 + d * th4)
-                  for y, a, b, c, d in zip(seg_y[i], *traj._seg_q[i])])
+                  for y, a, b, c, d in zip(seg_y[i], *_rows(traj._seg_q[i]))])
+
+
+class TestCallFreeSteps:
+    """The generated step checks finiteness without calls: math.isfinite
+    runs a fixed number of times per integrate call, however many steps."""
+
+    @staticmethod
+    def rhs(kind):
+        if kind == "call":
+            return lambda t, y: (y[1], -y[0] / t - y[0] ** 3 / (t * t))
+        if kind == "powerfn":
+            return EmdenProblem(PowerFn(-1, 0, 1, -1), PowerFn(-1, 0, 1, -2), 3).rhs
+        return EmdenProblem(compile_fn("-1/t"), compile_fn("-1/(t*t)"), 3).rhs
+
+    @pytest.mark.parametrize("kind", ["powerfn", "text", "call"])
+    def test_isfinite_calls_do_not_grow_with_the_steps(self, monkeypatch, kind):
+        calls, isfinite = [], math.isfinite
+        monkeypatch.setattr(math, "isfinite", lambda v: calls.append(v) or isfinite(v))
+        rhs = self.rhs(kind)  # its namespace, if generated, sees the counter
+        assert (numerics._problem_body(rhs, 2) is None) == (kind == "call")
+        counts = []
+        for steps in (50, 500):
+            del calls[:]
+            traj = integrate(rhs, 1.0, [1.0, 0.0], 2.0, IntegratorConfig(max_step=1.0 / steps))
+            assert traj.accepted >= steps
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestDenseReader:
@@ -552,7 +587,7 @@ class TestDenseOutput:
             th = (t - traj.ts[i]) / (traj.ts[i + 1] - traj.ts[i])
             powers = (th, th * th, th ** 3, th ** 4)
             want = tuple(y + sum(q * p for q, p in zip(coeffs, powers))
-                         for y, *coeffs in zip(traj.ys[i], *traj._seg_q[i]))
+                         for y, *coeffs in zip(traj.ys[i], *_rows(traj._seg_q[i])))
             assert traj(t) == want
 
     @pytest.mark.parametrize("t0, t_end", [
