@@ -108,17 +108,40 @@ def _cmd_scheme_check(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    from .numerics import integrate, write_csv
+    """Write the trajectory on the CSV grid, certified against a witness run
+    from the same start at tolerances 1000 times tighter.  Under tolerance
+    proportionality the witness's global error is about 1/1000 of the run's,
+    so |y - y_w| / (A + R |y_w|), with R and A the larger tolerances of the
+    two runs, is the run's global error in tolerance units: 3 to 12 on the
+    README file from rel_tol 1e-3 to 1e-16.  Above 100, which separates such
+    runs from an error that has built up (3.5e5 on a long loose oscillation),
+    the table is still written, then the worst t and FAIL."""
+    from .numerics import IntegratorConfig, integrate, write_csv
     from .problemfile import load_spec
     from .timefn import linspace
 
     spec = load_spec(args.spec)
     prob = spec.build()
     t0, t1 = spec.interval
-    traj = integrate(prob.rhs, t0, spec.initial, t1, spec.config())
+    cfg = spec.config()
+    traj = integrate(prob.rhs, t0, spec.initial, t1, cfg)
     grid = linspace(t0, t1, args.samples)
-    rows = [(t, x, v) for t, (x, v) in zip(grid, traj.states(grid))]
-    write_csv(args.output or sys.stdout, ("t", "x", "v"), rows)
+    states = traj.states(grid)
+    write_csv(args.output or sys.stdout, ("t", "x", "v"),
+              [(t, x, v) for t, (x, v) in zip(grid, states)])
+    # the floors: step control stops meeting rel_tol below 1e-14, and
+    # abs_tol / 1000 must stay a positive float
+    witness_cfg = IntegratorConfig(max(cfg.rel_tol / 1000, 1e-14),
+                                   max(cfg.abs_tol / 1000, 5e-324))
+    witness = integrate(prob.rhs, t0, spec.initial, t1, witness_cfg).states(grid)
+    rel = max(cfg.rel_tol, witness_cfg.rel_tol)
+    gap, t_worst = max((abs(y - w) / (cfg.abs_tol + rel * abs(w)), t)
+                       for t, ys, ws in zip(grid, states, witness) for y, w in zip(ys, ws))
+    if gap > 100:
+        print(f"global error {gap:.3g} tolerance units at t = {t_worst:g} exceeds 100 "
+              f"(witness run at rel_tol = {witness_cfg.rel_tol:g}, "
+              f"abs_tol = {witness_cfg.abs_tol:g})")
+        return _finish(False, "global_error", gap)
     return _finish(True, "steps", traj.accepted)
 
 
@@ -238,9 +261,10 @@ def _cmd_construct(args) -> int:
     from .problemfile import ProblemSpec, render_spec
     from .solutions import construct_equation
 
-    if args.n in (1.0, -1.0):
-        raise InputError(f"no slope-compatible profile exists for n = {args.n:g}")
-    prob, entry = construct_equation(args.n, args.K)
+    try:
+        prob, entry = construct_equation(args.n, args.K)
+    except ValueError as exc:  # the flags ask for a design that has no valid entry
+        raise InputError(f"--n {args.n!r} --K {args.K!r}: {exc}") from exc
     spec = ProblemSpec(
         kind="emden",
         n=prob.n,

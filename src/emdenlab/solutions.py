@@ -5,13 +5,13 @@ Three kinds of exact material live here:
 * a catalog of drag/power-law problems, each shipped with a particular
   solution whose first and second derivatives are exact, re-verified
   against the equation at construction time on the rows of its problem's
-  ``sampler``;
+  ``sampler``; four are rows of one formula, ``_decaying_entry``, and
+  every power-law entry has exact rational fields;
 * one-parameter families built to order: profiles satisfying the
   slope-compatibility condition  dx^2 = x^(n+1)  together with the
   equations they solve (``slope_compatible_family``, ``construct_equation``,
-  ``powerlaw_solution``).  Every slope-compatible entry, shipped or built
-  to order, solves  x'' = a(t) x' - x^n  with a PowerFn profile and comes
-  from one builder, ``_drag_entry``;
+  ``powerlaw_solution``).  Every entry, shipped or built to order, solves
+  x'' = a(t) x' - x^n  and comes from one checked builder, ``_drag_entry``;
 * the two-point mixing rule on the zero level of the frozen-flow first
   integral: ``superpose`` maps one bounded solution of the n = 5 problem
   to another, ``bounded_family`` gives the resulting family in closed
@@ -172,30 +172,37 @@ class CatalogEntry:
         )
 
 
-def _checked(entry: CatalogEntry) -> CatalogEntry:
-    # every entry re-verifies itself before it is handed out
+def _drag_entry(id: str, a: PowerFn, n, singular: float, xp: TimeFn,
+                window: Tuple[float, float], parameters: Optional[Dict[str, float]],
+                drag: str, solution: str, description: str,
+                derivs: Optional[Tuple[TimeFn, TimeFn]] = None) -> CatalogEntry:
+    """The entry for  x'' = a x' - x^n  on the profile xp, checked before it
+    is handed out; ``drag`` is the text of a x'.  ``derivs`` gives (dxp, ddxp)
+    of a profile that is not slope-compatible; else xp is a PowerFn that is."""
+    prob = EmdenProblem(a, -1.0, n, singular_points=(singular,))
+    compatible = derivs is None
+    dxp, ddxp = (xp.deriv(), xp.deriv().deriv()) if compatible else derivs
+    entry = CatalogEntry(id, prob, xp, dxp, ddxp, window, parameters, compatible,
+                         f"x'' = {drag} - x^{n:g}", solution, description)
     rep = entry.residual_report()
     if not rep.passed:
-        raise ValueError(f"catalog entry {entry.id!r} failed its residual check: {rep.render()}")
-    if entry.slope_compatible:
-        gap = entry.slope_gap()
-        if gap > 1e-12:
-            raise ValueError(
-                f"catalog entry {entry.id!r} claims slope compatibility "
-                f"but dxp^2 and xp^(n+1) differ by {gap:.3e} (relative)"
-            )
+        raise ValueError(f"catalog entry {id!r} failed its residual check: {rep.render()}")
+    if compatible and entry.slope_gap() > 1e-12:
+        raise ValueError(f"catalog entry {id!r} claims slope compatibility but dxp^2 and "
+                         f"xp^(n+1) differ by {entry.slope_gap():.3e} (relative)")
     return entry
 
 
-def _drag_entry(id: str, a: PowerFn, n, singular: float, xp: PowerFn,
-                window: Tuple[float, float], parameters: Optional[Dict[str, float]],
-                drag: str, solution: str, description: str) -> CatalogEntry:
-    """The checked entry for  x'' = a x' - x^n  on the slope-compatible
-    profile xp, with xp's exact derivatives; ``drag`` is the text of a x'."""
-    prob = EmdenProblem(a, -1.0, n, singular_points=(singular,))
-    return _checked(CatalogEntry(
-        id, prob, xp, xp.deriv(), xp.deriv().deriv(), window, parameters, True,
-        f"x'' = {drag} - x^{n:g}", solution, description))
+def _decaying_entry(id: str, n: int, shift, drag: str, solution: str,
+                    description: str) -> CatalogEntry:
+    """xp = ((n-1)/2 (t + shift))^(-2/(n-1)), the mirror t -> -t of
+    ``slope_compatible_family(n, (n-1) shift/2)``, which solves
+    x'' = -(n+3)/((n-1)(t + shift)) x' - x^n; exact fields, window [0.5, 5]."""
+    m = Fraction(n - 1, 2)
+    return _drag_entry(
+        id, PowerFn(Fraction(-(n + 3), n - 1), shift, 1, -1), n, float(-shift),
+        PowerFn(1, m * shift, m, -1 / m), (0.5, 5.0),
+        {"shift": float(shift)} if shift else None, drag, solution, description)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +215,17 @@ def slope_compatible_family(n: float, shift=0) -> PowerFn:
     The returned profile satisfies  dx^2 = x^(n+1)  identically, which makes
     it a valid seed for the particular-solution reduction whenever it also
     solves the equation at hand.  It is real on the half-line where the
-    affine base stays positive; the mirror profile for the opposite
-    half-line is obtained by negating both ``shift`` and the slope (the
-    t > 0 mirror of the n = 5, shift = 0 member is (2t)^(-1/2)).
+    affine base stays positive.  Its mirror t -> -t lives on the opposite
+    half-line; ``_decaying_entry`` builds that decaying branch, and the
+    shipped catalog's power laws in t + shift are members of it (the n = 5,
+    shift = 0 member mirrors to (2t)^(-1/2)).
 
     n = 1 has no power-law member and n = -1 degenerates to a straight
     line; both are rejected.
     """
     fn = Fraction(n)
     if fn == 1:
-        raise ValueError("n = 1 is the linear case; no profile of this form exists")
+        raise ValueError("n = 1 is the linear case; no slope-compatible profile exists")
     if fn == -1:
         raise ValueError("n = -1 degenerates to a straight line; excluded")
     return PowerFn(1, shift, (1 - fn) / 2, Fraction(-2) / (fn - 1))
@@ -418,68 +426,26 @@ def mixing_constant(
 # the shipped catalog
 
 
-def lane_emden_entry() -> CatalogEntry:
-    """n = 5 drag problem with its slope-compatible decaying profile."""
-    return _drag_entry(
-        "lane_emden_n5", PowerFn(-2, 0, 1, -1), 5, 0.0, PowerFn(1, 0, 2, Fraction(-1, 2)),
-        (0.5, 5.0), None, "-2/t x'", "(2 t)^(-1/2)", "inverse-square-root decay under 2/t drag")
-
-
-def inverse_square_entry(shift=1.0) -> CatalogEntry:
-    s = float(shift)
-    return _drag_entry(
-        "inverse_square_n2", PowerFn(-5, shift, 1, -1), 2, -s, PowerFn(4, shift, 1, -2),
-        (0.5, 5.0), {"shift": s}, f"-5/(t + {s:g}) x'", f"4 (t + {s:g})^(-2)",
-        "inverse-square decay for the quadratic nonlinearity")
-
-
-def quartic_root_entry(shift=1.0) -> CatalogEntry:
-    s = float(shift)
-    return _drag_entry(
-        "quartic_root_n9", PowerFn(Fraction(-3, 2), shift, 1, -1), 9, -s,
-        PowerFn(2**-0.5, shift, 1, Fraction(-1, 4)), (0.5, 5.0), {"shift": s},
-        f"-3/(2 (t + {s:g})) x'", f"2^(-1/2) (t + {s:g})^(-1/4)",
-        "slow quartic-root decay for the n = 9 nonlinearity")
-
-
-def cube_root_entry(shift=1.0) -> CatalogEntry:
-    s = float(shift)
-    return _drag_entry(
-        "cube_root_n7", PowerFn(Fraction(-5, 3), shift, 1, -1), 7, -s,
-        PowerFn(3.0 ** (-1.0 / 3.0), shift, 1, Fraction(-1, 3)), (0.5, 5.0), {"shift": s},
-        f"-5/(3 (t + {s:g})) x'", f"3^(-1/3) (t + {s:g})^(-1/3)",
-        "cube-root decay for the n = 7 nonlinearity")
-
-
-def bounded_profile_entry() -> CatalogEntry:
-    member = bounded_family(1.0)
-    prob = EmdenProblem(PowerFn(-2, 0, 1, -1), -1.0, 5, singular_points=(0.0,))
-    return _checked(
-        CatalogEntry(
-            id="lane_emden_n5_bounded",
-            problem=prob,
-            xp=member,
-            dxp=member.slope,
-            ddxp=member.curvature,
-            window=(0.5, 5.0),
-            slope_compatible=False,
-            equation_text="x'' = -2/t x' - x^5",
-            solution_text="sqrt(3) (3 + t^2)^(-1/2)",
-            description="globally bounded profile for the same drag problem",
-        )
-    )
-
-
 @functools.cache
 def catalog() -> Tuple[CatalogEntry, ...]:
     """The shipped entries, built and re-verified on first use."""
+    bounded = bounded_family(1.0)
     return (
-        lane_emden_entry(),
-        inverse_square_entry(),
-        quartic_root_entry(),
-        cube_root_entry(),
-        powerlaw_solution(5, 1.0, window=(0.5, 5.0)),
-        bounded_profile_entry(),
+        # the decaying branch: (id, n, shift, drag text, solution text, note)
+        _decaying_entry("lane_emden_n5", 5, 0, "-2/t x'", "(2 t)^(-1/2)",
+                        "inverse-square-root decay under 2/t drag"),
+        _decaying_entry("inverse_square_n2", 2, 1, "-5/(t + 1) x'", "4 (t + 1)^(-2)",
+                        "inverse-square decay for the quadratic nonlinearity"),
+        _decaying_entry("quartic_root_n9", 9, 1, "-3/(2 (t + 1)) x'", "2^(-1/2) (t + 1)^(-1/4)",
+                        "slow quartic-root decay for the n = 9 nonlinearity"),
+        _decaying_entry("cube_root_n7", 7, 1, "-5/(3 (t + 1)) x'", "3^(-1/3) (t + 1)^(-1/3)",
+                        "cube-root decay for the n = 7 nonlinearity"),
+        powerlaw_solution(5, 1, window=(0.5, 5.0)),
+        _drag_entry(
+            "lane_emden_n5_bounded", PowerFn(-2, 0, 1, -1), 5, 0.0, bounded, (0.5, 5.0),
+            None, "-2/t x'", "sqrt(3) (3 + t^2)^(-1/2)",
+            "globally bounded profile for the same drag problem",
+            (bounded.slope, bounded.curvature)),
     )
 
 

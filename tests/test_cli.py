@@ -214,6 +214,29 @@ class TestIntegrate:
         assert "too long to resolve in double precision" in err
         assert "blows up" not in err
 
+    def test_a_table_off_its_witness_fails_and_names_t(self, capsys, tmp_path):
+        # x = cos t: at these tolerances the phase error builds up to
+        # x(1000) = 0.2844 against cos 1000 = 0.5624
+        text = ("kind = generalized\np = 0\nq = 1\nr = 0\nn = 3\ninterval = 0, 2000\n"
+                "x0 = 1\nv0 = 0\nrel_tol = 1e-3\nabs_tol = 1e-6\n")
+        code, out, _ = run(capsys, "integrate", spec_file(tmp_path, text))
+        assert code == 1
+        lines = out.rstrip("\n").splitlines()
+        assert lines[0] == "t,x,v" and len(lines) == 1 + 201 + 2  # the table is still written
+        assert lines[-2].startswith("global error 3.48e+05 tolerance units at t = 1420 ")
+        status, key, value = verdict(out)
+        assert (status, key) == ("FAIL", "global_error")
+        assert float(value) > 100
+
+    @pytest.mark.parametrize("tolerances, steps", [
+        ("rel_tol = 1e-16\nabs_tol = 1e-18\n", "1775"),
+        ("abs_tol = 1e-322\n", "116"),  # a thousandth of it is no float
+    ])
+    def test_tolerances_below_the_witness_floor_pass(self, capsys, tmp_path, tolerances, steps):
+        code, out, _ = run(capsys, "integrate", spec_file(tmp_path, DRAG_N5 + tolerances))
+        assert code == 0
+        assert verdict(out) == ("PASS", "steps", steps)
+
 
 class TestInvariant:
     def test_particular_from_catalog(self, capsys, tmp_path):
@@ -589,6 +612,20 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--n", "1")
         assert code == 2
         assert "no slope-compatible profile" in err
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "3", "--K", "1e300"), "--n 3.0 --K 1e+300: empty interval"),
+        (("--n", "1.0000000000001", "--K", "1"),
+         "--n 1.0000000000001 --K 1.0: exponent n = 1 is the linear case"),
+        (("--n", "1e300", "--K", "1"), "--n 1e+300 --K 1.0: catalog entry 'constructed_n1e+300' "
+                                       "failed its residual check"),
+    ])
+    def test_a_refused_design_names_its_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, "construct", *argv)
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert "VERDICT" not in out
 
 
 class TestCatalog:

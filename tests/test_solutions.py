@@ -26,12 +26,9 @@ from emdenlab.solutions import (
     catalog,
     catalog_entry,
     construct_equation,
-    cube_root_entry,
     frozen_level,
-    inverse_square_entry,
     mixing_constant,
     powerlaw_solution,
-    quartic_root_entry,
     slope_compatible_family,
     superpose,
     verify_solution,
@@ -228,14 +225,52 @@ class TestCatalog:
         with pytest.raises(KeyError, match="lane_emden_n5"):
             catalog_entry("nope")
 
-    def test_shift_spot_checks(self):
-        for shift in (0.5, 1.0, 3.0):
-            e2 = inverse_square_entry(shift)
-            assert e2.residual_report().passed
-            for t in (0.5, 1.7, 4.0):
-                assert e2.xp(t) == pytest.approx(4.0 / (t + shift) ** 2, rel=1e-14)
-            assert quartic_root_entry(shift).residual_report().passed
-            assert cube_root_entry(shift).residual_report().passed
+    @pytest.mark.parametrize("n, shift", [
+        (2, Fraction(1, 2)), (9, 3), (7, Fraction(1, 2)), (5, 2), (3, 1)])
+    def test_decaying_entry_spot_checks(self, n, shift):
+        entry = solutions._decaying_entry("spot", n, shift, "drag", "solution", "note")
+        assert entry.residual_report().passed
+        assert entry.slope_gap() <= 1e-12
+        s, e = float(shift), -2.0 / (n - 1)
+        for t in (0.5, 1.7, 4.0):
+            u = (n - 1) / 2 * (t + s)
+            assert entry.xp(t) == pytest.approx(u**e, rel=1e-14)
+            assert entry.dxp(t) == pytest.approx(-(u ** (e - 1)), rel=1e-14)
+            assert entry.problem.a(t) == pytest.approx(-(n + 3) / ((n - 1) * (t + s)),
+                                                       rel=1e-14)
+
+    def test_power_law_entries_are_exact(self):
+        for entry in catalog():
+            fns = (entry.problem.a, entry.xp, entry.dxp, entry.ddxp)
+            if all(type(fn) is PowerFn for fn in fns):
+                fields = [field for fn in fns for field in fn._fields()]
+                assert all(type(field) is Fraction for field in fields), entry.id
+
+    def test_drags_are_pinned(self):
+        # a(t) at five times, bit for bit as the catalog's first drags gave it
+        want = {
+            "lane_emden_n5": ["-0x1.0000000000000p+2", "-0x1.999999999999ap+0",
+                              "-0x1.0000000000000p+0", "-0x1.14c1bacf914c1p-1",
+                              "-0x1.999999999999ap-2"],
+            "inverse_square_n2": ["-0x1.aaaaaaaaaaaaap+1", "-0x1.1c71c71c71c72p+1",
+                                  "-0x1.aaaaaaaaaaaaap+0", "-0x1.10572620ae4c4p+0",
+                                  "-0x1.aaaaaaaaaaaaap-1"],
+            "quartic_root_n9": ["-0x1.0000000000000p+0", "-0x1.5555555555555p-1",
+                                "-0x1.0000000000000p-1", "-0x1.46cefa8d9df52p-2",
+                                "-0x1.0000000000000p-2"],
+            "cube_root_n7": ["-0x1.1c71c71c71c72p+0", "-0x1.7b425ed097b42p-1",
+                             "-0x1.1c71c71c71c72p-1", "-0x1.6b1edd80e865bp-2",
+                             "-0x1.1c71c71c71c72p-2"],
+            "powerlaw_n5": ["-0x1.999999999999ap-1", "-0x1.3b13b13b13b14p-1",
+                            "-0x1.0000000000000p-1", "-0x1.674c59d31674cp-2",
+                            "-0x1.2492492492492p-2"],
+            "lane_emden_n5_bounded": ["-0x1.0000000000000p+2", "-0x1.999999999999ap+0",
+                                      "-0x1.0000000000000p+0", "-0x1.14c1bacf914c1p-1",
+                                      "-0x1.999999999999ap-2"],
+        }
+        got = {e.id: [e.problem.a(t).hex() for t in (0.5, 1.25, 2.0, 3.7, 5.0)]
+               for e in catalog()}
+        assert got == want
 
     def test_describe_manifest(self):
         text = catalog_entry("inverse_square_n2").describe()
@@ -277,8 +312,8 @@ def _pin(entry):
     }
 
 
-# what each catalog builder hands out: the shipped catalog, then the
-# shifted entries, a power law and two constructed equations
+# what each catalog builder hands out: the shipped catalog, then members of
+# the decaying branch at other shifts, a power law and two constructed equations
 PINNED_ENTRIES = [
     {
         "id": "lane_emden_n5",
@@ -301,10 +336,14 @@ PINNED_ENTRIES = [
     },
     {
         "id": "inverse_square_n2",
-        "a": "PowerFn(c=Fraction(-5, 1), k=1.0, m=Fraction(1, 1), e=Fraction(-1, 1))",
-        "xp": "PowerFn(c=Fraction(4, 1), k=1.0, m=Fraction(1, 1), e=Fraction(-2, 1))",
-        "dxp": "PowerFn(c=Fraction(-8, 1), k=1.0, m=Fraction(1, 1), e=Fraction(-3, 1))",
-        "ddxp": "PowerFn(c=Fraction(24, 1), k=1.0, m=Fraction(1, 1), e=Fraction(-4, 1))",
+        "a":
+            "PowerFn(c=Fraction(-5, 1), k=Fraction(1, 1), m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp":
+            "PowerFn(c=Fraction(1, 1), k=Fraction(1, 2), m=Fraction(1, 2), e=Fraction(-2, 1))",
+        "dxp":
+            "PowerFn(c=Fraction(-1, 1), k=Fraction(1, 2), m=Fraction(1, 2), e=Fraction(-3, 1))",
+        "ddxp":
+            "PowerFn(c=Fraction(3, 2), k=Fraction(1, 2), m=Fraction(1, 2), e=Fraction(-4, 1))",
         "n": 2.0,
         "singular_points": ["-0x1.0000000000000p+0"],
         "window": (0.5, 5.0),
@@ -320,10 +359,14 @@ PINNED_ENTRIES = [
     },
     {
         "id": "quartic_root_n9",
-        "a": "PowerFn(c=Fraction(-3, 2), k=1.0, m=Fraction(1, 1), e=Fraction(-1, 1))",
-        "xp": "PowerFn(c=0.7071067811865476, k=1.0, m=Fraction(1, 1), e=Fraction(-1, 4))",
-        "dxp": "PowerFn(c=-0.1767766952966369, k=1.0, m=Fraction(1, 1), e=Fraction(-5, 4))",
-        "ddxp": "PowerFn(c=0.2209708691207961, k=1.0, m=Fraction(1, 1), e=Fraction(-9, 4))",
+        "a":
+            "PowerFn(c=Fraction(-3, 2), k=Fraction(1, 1), m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp":
+            "PowerFn(c=Fraction(1, 1), k=Fraction(4, 1), m=Fraction(4, 1), e=Fraction(-1, 4))",
+        "dxp":
+            "PowerFn(c=Fraction(-1, 1), k=Fraction(4, 1), m=Fraction(4, 1), e=Fraction(-5, 4))",
+        "ddxp":
+            "PowerFn(c=Fraction(5, 1), k=Fraction(4, 1), m=Fraction(4, 1), e=Fraction(-9, 4))",
         "n": 9.0,
         "singular_points": ["-0x1.0000000000000p+0"],
         "window": (0.5, 5.0),
@@ -339,10 +382,14 @@ PINNED_ENTRIES = [
     },
     {
         "id": "cube_root_n7",
-        "a": "PowerFn(c=Fraction(-5, 3), k=1.0, m=Fraction(1, 1), e=Fraction(-1, 1))",
-        "xp": "PowerFn(c=0.6933612743506348, k=1.0, m=Fraction(1, 1), e=Fraction(-1, 3))",
-        "dxp": "PowerFn(c=-0.23112042478354491, k=1.0, m=Fraction(1, 1), e=Fraction(-4, 3))",
-        "ddxp": "PowerFn(c=0.3081605663780599, k=1.0, m=Fraction(1, 1), e=Fraction(-7, 3))",
+        "a":
+            "PowerFn(c=Fraction(-5, 3), k=Fraction(1, 1), m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp":
+            "PowerFn(c=Fraction(1, 1), k=Fraction(3, 1), m=Fraction(3, 1), e=Fraction(-1, 3))",
+        "dxp":
+            "PowerFn(c=Fraction(-1, 1), k=Fraction(3, 1), m=Fraction(3, 1), e=Fraction(-4, 3))",
+        "ddxp":
+            "PowerFn(c=Fraction(4, 1), k=Fraction(3, 1), m=Fraction(3, 1), e=Fraction(-7, 3))",
         "n": 7.0,
         "singular_points": ["-0x1.0000000000000p+0"],
         "window": (0.5, 5.0),
@@ -358,10 +405,14 @@ PINNED_ENTRIES = [
     },
     {
         "id": "powerlaw_n5",
-        "a": "PowerFn(c=Fraction(-1, 1), k=1.0, m=Fraction(1, 2), e=Fraction(-1, 1))",
-        "xp": "PowerFn(c=Fraction(1, 2), k=1.0, m=Fraction(1, 2), e=Fraction(-1, 2))",
-        "dxp": "PowerFn(c=Fraction(-1, 8), k=1.0, m=Fraction(1, 2), e=Fraction(-3, 2))",
-        "ddxp": "PowerFn(c=Fraction(3, 32), k=1.0, m=Fraction(1, 2), e=Fraction(-5, 2))",
+        "a":
+            "PowerFn(c=Fraction(-1, 1), k=Fraction(1, 1), m=Fraction(1, 2), e=Fraction(-1, 1))",
+        "xp":
+            "PowerFn(c=Fraction(1, 2), k=Fraction(1, 1), m=Fraction(1, 2), e=Fraction(-1, 2))",
+        "dxp":
+            "PowerFn(c=Fraction(-1, 8), k=Fraction(1, 1), m=Fraction(1, 2), e=Fraction(-3, 2))",
+        "ddxp":
+            "PowerFn(c=Fraction(3, 32), k=Fraction(1, 1), m=Fraction(1, 2), e=Fraction(-5, 2))",
         "n": 5.0,
         "singular_points": ["-0x1.0000000000000p+1"],
         "window": (0.5, 5.0),
@@ -396,10 +447,14 @@ PINNED_ENTRIES = [
     },
     {
         "id": "inverse_square_n2",
-        "a": "PowerFn(c=Fraction(-5, 1), k=0.5, m=Fraction(1, 1), e=Fraction(-1, 1))",
-        "xp": "PowerFn(c=Fraction(4, 1), k=0.5, m=Fraction(1, 1), e=Fraction(-2, 1))",
-        "dxp": "PowerFn(c=Fraction(-8, 1), k=0.5, m=Fraction(1, 1), e=Fraction(-3, 1))",
-        "ddxp": "PowerFn(c=Fraction(24, 1), k=0.5, m=Fraction(1, 1), e=Fraction(-4, 1))",
+        "a":
+            "PowerFn(c=Fraction(-5, 1), k=Fraction(1, 2), m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp":
+            "PowerFn(c=Fraction(1, 1), k=Fraction(1, 4), m=Fraction(1, 2), e=Fraction(-2, 1))",
+        "dxp":
+            "PowerFn(c=Fraction(-1, 1), k=Fraction(1, 4), m=Fraction(1, 2), e=Fraction(-3, 1))",
+        "ddxp":
+            "PowerFn(c=Fraction(3, 2), k=Fraction(1, 4), m=Fraction(1, 2), e=Fraction(-4, 1))",
         "n": 2.0,
         "singular_points": ["-0x1.0000000000000p-1"],
         "window": (0.5, 5.0),
@@ -415,10 +470,14 @@ PINNED_ENTRIES = [
     },
     {
         "id": "quartic_root_n9",
-        "a": "PowerFn(c=Fraction(-3, 2), k=3.0, m=Fraction(1, 1), e=Fraction(-1, 1))",
-        "xp": "PowerFn(c=0.7071067811865476, k=3.0, m=Fraction(1, 1), e=Fraction(-1, 4))",
-        "dxp": "PowerFn(c=-0.1767766952966369, k=3.0, m=Fraction(1, 1), e=Fraction(-5, 4))",
-        "ddxp": "PowerFn(c=0.2209708691207961, k=3.0, m=Fraction(1, 1), e=Fraction(-9, 4))",
+        "a":
+            "PowerFn(c=Fraction(-3, 2), k=Fraction(3, 1), m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp":
+            "PowerFn(c=Fraction(1, 1), k=Fraction(12, 1), m=Fraction(4, 1), e=Fraction(-1, 4))",
+        "dxp":
+            "PowerFn(c=Fraction(-1, 1), k=Fraction(12, 1), m=Fraction(4, 1), e=Fraction(-5, 4))",
+        "ddxp":
+            "PowerFn(c=Fraction(5, 1), k=Fraction(12, 1), m=Fraction(4, 1), e=Fraction(-9, 4))",
         "n": 9.0,
         "singular_points": ["-0x1.8000000000000p+1"],
         "window": (0.5, 5.0),
@@ -434,10 +493,14 @@ PINNED_ENTRIES = [
     },
     {
         "id": "cube_root_n7",
-        "a": "PowerFn(c=Fraction(-5, 3), k=0.5, m=Fraction(1, 1), e=Fraction(-1, 1))",
-        "xp": "PowerFn(c=0.6933612743506348, k=0.5, m=Fraction(1, 1), e=Fraction(-1, 3))",
-        "dxp": "PowerFn(c=-0.23112042478354491, k=0.5, m=Fraction(1, 1), e=Fraction(-4, 3))",
-        "ddxp": "PowerFn(c=0.3081605663780599, k=0.5, m=Fraction(1, 1), e=Fraction(-7, 3))",
+        "a":
+            "PowerFn(c=Fraction(-5, 3), k=Fraction(1, 2), m=Fraction(1, 1), e=Fraction(-1, 1))",
+        "xp":
+            "PowerFn(c=Fraction(1, 1), k=Fraction(3, 2), m=Fraction(3, 1), e=Fraction(-1, 3))",
+        "dxp":
+            "PowerFn(c=Fraction(-1, 1), k=Fraction(3, 2), m=Fraction(3, 1), e=Fraction(-4, 3))",
+        "ddxp":
+            "PowerFn(c=Fraction(4, 1), k=Fraction(3, 2), m=Fraction(3, 1), e=Fraction(-7, 3))",
         "n": 7.0,
         "singular_points": ["-0x1.0000000000000p-1"],
         "window": (0.5, 5.0),
@@ -516,7 +579,15 @@ PINNED_ENTRIES = [
 
 def test_builder_output_is_pinned():
     entries = list(catalog()) + [
-        inverse_square_entry(0.5), quartic_root_entry(3.0), cube_root_entry(0.5),
+        solutions._decaying_entry(
+            "inverse_square_n2", 2, Fraction(1, 2), "-5/(t + 0.5) x'", "4 (t + 0.5)^(-2)",
+            "inverse-square decay for the quadratic nonlinearity"),
+        solutions._decaying_entry(
+            "quartic_root_n9", 9, 3, "-3/(2 (t + 3)) x'", "2^(-1/2) (t + 3)^(-1/4)",
+            "slow quartic-root decay for the n = 9 nonlinearity"),
+        solutions._decaying_entry(
+            "cube_root_n7", 7, Fraction(1, 2), "-5/(3 (t + 0.5)) x'",
+            "3^(-1/3) (t + 0.5)^(-1/3)", "cube-root decay for the n = 7 nonlinearity"),
         powerlaw_solution(3, 2.0), construct_equation(2, Fraction(-1, 2))[1],
         construct_equation(9, 1)[1],
     ]
@@ -589,7 +660,7 @@ class TestConstructEquation:
 
     def test_n2_reduces_to_the_catalog_problem(self):
         prob, entry = construct_equation(2, Fraction(-1, 2))
-        reference = inverse_square_entry(1.0)
+        reference = catalog_entry("inverse_square_n2")
         for t in (0.0, 0.8, 2.0):
             assert prob.a(t) == pytest.approx(reference.problem.a(t), rel=1e-14)
             assert entry.xp(t) == pytest.approx(reference.xp(t), rel=1e-14)
