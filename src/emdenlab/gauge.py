@@ -327,13 +327,15 @@ def _checked_rate_gap(ts, rows, tol: float) -> float:
     return worst
 
 
+_RATE_TOL = 1e-12  # the reduction's bar on every relative gap it checks
+
+
 def reduce_via_particular_solution(
     prob: EmdenProblem,
     xp: TimeFn,
     interval: Tuple[float, float],
     dxp: Optional[TimeFn] = None,
     ddxp: Optional[TimeFn] = None,
-    tol: float = 1e-12,
 ) -> Reduction:
     """Collapse the problem onto a frozen field using a known solution.
 
@@ -348,7 +350,8 @@ def reduce_via_particular_solution(
 
     which must agree with the independent route f = -a + ddgamma/dgamma and,
     at every sample, equal the frame's own rate -dgamma/gamma (b = -1 under
-    compatibility); a mismatch beyond tol is a ReductionError naming t.
+    compatibility); a relative mismatch beyond 1e-12 is a ReductionError
+    naming t.
     Missing derivatives are the exact ``deriv()`` of xp and dxp.
     """
     xp = as_timefn(xp)
@@ -361,7 +364,7 @@ def reduce_via_particular_solution(
         prob.sampler(xp, dxp, ddxp)(ts, rows)
     except (EvalDomainError, ArithmeticError) as exc:
         raise ReductionError(f"evaluation failed at t={ts[len(rows)]:.6g}: {exc}") from exc
-    worst = _checked_rate_gap(ts, rows, tol)
+    worst = _checked_rate_gap(ts, rows, _RATE_TOL)
 
     def rate(t, _b=prob.b, _xp=xp, _dxp=dxp, _n=prob.n):
         return _b(t) * real_power(_xp(t), _n) / _dxp(t)

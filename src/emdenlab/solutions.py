@@ -1,22 +1,22 @@
 """Closed-form solution families and the verified solution catalog.
 
-Three kinds of exact material live here:
+Two kinds of exact material live here:
 
-* a catalog of drag/power-law problems, each shipped with a particular
-  solution whose first and second derivatives are exact, re-verified
+* one family of power-law profiles, written once: the slope-compatible
+  profile (K + (1-n)t/2)^(-2/(n-1)) of ``slope_compatible_family``, which
+  satisfies  dx^2 = x^(n+1)  identically.  ``construct_equation`` designs
+  the drag equation that a member solves; ``_decaying_entry`` builds its
+  mirror t -> -t, and every power-law entry of the shipped catalog is a
+  row of that decaying branch, with exact rational fields.  Every entry,
+  shipped or built to order, solves  x'' = a(t) x' - x^n, is re-verified
   against the equation at construction time on the rows of its problem's
-  ``sampler``; four are rows of one formula, ``_decaying_entry``, and
-  every power-law entry has exact rational fields;
-* one-parameter families built to order: profiles satisfying the
-  slope-compatibility condition  dx^2 = x^(n+1)  together with the
-  equations they solve (``slope_compatible_family``, ``construct_equation``,
-  ``powerlaw_solution``).  Every entry, shipped or built to order, solves
-  x'' = a(t) x' - x^n  and comes from one checked builder, ``_drag_entry``;
+  ``sampler``, and comes from one checked builder, ``_drag_entry``;
 * the two-point mixing rule on the zero level of the frozen-flow first
   integral: ``superpose`` maps one bounded solution of the n = 5 problem
   to another, ``bounded_family`` gives the resulting family in closed
-  form, and ``mixing_constant`` recovers the family parameter from a pair
-  of frozen-system states.
+  form (the catalog's one profile that is not a power law), and
+  ``mixing_constant`` recovers the family parameter from a pair of
+  frozen-system states.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import VerificationFailure
-from .exprlang import real_power
 from .problems import EmdenProblem
-from .timefn import ExactnessError, PowerFn, TimeFn, frac_power, linspace
+from .timefn import PowerFn, TimeFn, linspace
 
 __all__ = [
     "SuperpositionDomainError",
@@ -38,7 +37,6 @@ __all__ = [
     "CatalogEntry",
     "slope_compatible_family",
     "construct_equation",
-    "powerlaw_solution",
     "superpose",
     "BoundedFamilyMember",
     "bounded_family",
@@ -193,16 +191,18 @@ def _drag_entry(id: str, a: PowerFn, n, singular: float, xp: TimeFn,
     return entry
 
 
-def _decaying_entry(id: str, n: int, shift, drag: str, solution: str,
-                    description: str) -> CatalogEntry:
+def _decaying_entry(id: str, n: int, shift, drag: str, solution: str, description: str,
+                    parameters: Optional[Dict[str, float]] = None) -> CatalogEntry:
     """xp = ((n-1)/2 (t + shift))^(-2/(n-1)), the mirror t -> -t of
-    ``slope_compatible_family(n, (n-1) shift/2)``, which solves
-    x'' = -(n+3)/((n-1)(t + shift)) x' - x^n; exact fields, window [0.5, 5]."""
-    m = Fraction(n - 1, 2)
+    ``slope_compatible_family(n, K)`` with K = (n-1)/2 shift, which solves
+    x'' = -(n+3)/((n-1)(t + shift)) x' - x^n; exact fields, window [0.5, 5].
+    ``parameters`` default to the shift, if it is not 0."""
+    fam = slope_compatible_family(n, Fraction(n - 1, 2) * shift)
     return _drag_entry(
         id, PowerFn(Fraction(-(n + 3), n - 1), shift, 1, -1), n, float(-shift),
-        PowerFn(1, m * shift, m, -1 / m), (0.5, 5.0),
-        {"shift": float(shift)} if shift else None, drag, solution, description)
+        PowerFn(fam.c, fam.k, -fam.m, fam.e), (0.5, 5.0),
+        parameters or ({"shift": float(shift)} if shift else None), drag, solution,
+        description)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +216,9 @@ def slope_compatible_family(n: float, shift=0) -> PowerFn:
     it a valid seed for the particular-solution reduction whenever it also
     solves the equation at hand.  It is real on the half-line where the
     affine base stays positive.  Its mirror t -> -t lives on the opposite
-    half-line; ``_decaying_entry`` builds that decaying branch, and the
-    shipped catalog's power laws in t + shift are members of it (the n = 5,
-    shift = 0 member mirrors to (2t)^(-1/2)).
+    half-line; ``_decaying_entry`` builds that decaying branch, and every
+    power-law profile of the shipped catalog is one of its members (the
+    n = 5, shift = 0 member mirrors to (2t)^(-1/2)).
 
     n = 1 has no power-law member and n = -1 degenerates to a straight
     line; both are rejected.
@@ -229,13 +229,6 @@ def slope_compatible_family(n: float, shift=0) -> PowerFn:
     if fn == -1:
         raise ValueError("n = -1 degenerates to a straight line; excluded")
     return PowerFn(1, shift, (1 - fn) / 2, Fraction(-2) / (fn - 1))
-
-
-def _affine_window(root: float, slope: float) -> Tuple[float, float]:
-    # representative interval on the valid side of the base's zero
-    if slope > 0:
-        return (root + 0.4, root + 4.0)
-    return (root - 4.0, root - 0.4)
 
 
 def construct_equation(n: float, shift=1.0) -> Tuple[EmdenProblem, CatalogEntry]:
@@ -249,41 +242,14 @@ def construct_equation(n: float, shift=1.0) -> Tuple[EmdenProblem, CatalogEntry]
     xp = slope_compatible_family(n, shift)  # refuses n = 1
     fn = Fraction(n)
     root = float(2 * shift / (n - 1.0))
+    # a representative interval on the valid side of the base's zero
+    window = (root + 0.4, root + 4.0) if fn < 1 else (root - 4.0, root - 0.4)
     entry = _drag_entry(
-        f"constructed_n{n:g}", PowerFn(fn + 3, 2 * shift, 1 - fn, -1), n, root, xp,
-        _affine_window(root, float(1 - fn)), {"n": float(n), "shift": float(shift)},
+        f"constructed_n{n:g}", PowerFn(fn + 3, 2 * shift, 1 - fn, -1), n, root, xp, window,
+        {"n": float(n), "shift": float(shift)},
         f"({n + 3:g})/({float(2 * shift):g} + ({1 - n:g}) t) x'", xp.to_source(),
         "drag equation built around its slope-compatible profile")
     return entry.problem, entry
-
-
-def powerlaw_solution(n: float, shift=1.0, window: Optional[Tuple[float, float]] = None) -> CatalogEntry:
-    """Pure power-law profile for  x'' = -x'/(shift + m t) - x^n.
-
-    The drag slope m = (n-1)/(n+3) and the amplitude (the positive real
-    root of  amp^(n-1) = 4/(n+3)^2) are forced by the equation; the decay
-    exponent is 2/(n-1).  n = 1 and n = -3 have no member of this shape.
-    """
-    fn = Fraction(n)
-    if fn == 1:
-        raise ValueError("n = 1 is the linear case; no profile of this form exists")
-    if fn == -3:
-        raise ValueError("n = -3 leaves the drag slope undefined; excluded")
-    nu = Fraction(2) / (fn - 1)
-    m = (fn - 1) / (fn + 3)
-    target = Fraction(4) / (fn + 3) ** 2
-    try:
-        amp = frac_power(target, Fraction(1) / (fn - 1))
-    except ExactnessError:
-        amp = real_power(float(target), 1.0 / (float(fn) - 1.0))
-    xp = PowerFn(amp, shift, m, -nu)
-    root = -float(shift) / float(m)
-    return _drag_entry(
-        f"powerlaw_n{n:g}", PowerFn(-1, shift, m, -1), n, root, xp,
-        _affine_window(root, float(m)) if window is None else window,
-        {"n": float(n), "shift": float(shift)},
-        f"-x'/({float(shift):g} + ({float(m):g}) t)", xp.to_source(),
-        "pure power-law decay with the drag slope forced by the exponent")
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +406,10 @@ def catalog() -> Tuple[CatalogEntry, ...]:
                         "slow quartic-root decay for the n = 9 nonlinearity"),
         _decaying_entry("cube_root_n7", 7, 1, "-5/(3 (t + 1)) x'", "3^(-1/3) (t + 1)^(-1/3)",
                         "cube-root decay for the n = 7 nonlinearity"),
-        powerlaw_solution(5, 1, window=(0.5, 5.0)),
+        # the shift-2 row, printed as first written: (1/2)(1 + t/2)^(-1/2)
+        _decaying_entry("powerlaw_n5", 5, 2, "-x'/(1 + (0.5) t)", "(1/2)*(1 + (1/2)*t)^(-1/2)",
+                        "pure power-law decay with the drag slope forced by the exponent",
+                        {"n": 5.0, "shift": 1.0}),
         _drag_entry(
             "lane_emden_n5_bounded", PowerFn(-2, 0, 1, -1), 5, 0.0, bounded, (0.5, 5.0),
             None, "-2/t x'", "sqrt(3) (3 + t^2)^(-1/2)",

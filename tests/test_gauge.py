@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from emdenlab import gauge
 from emdenlab.canonical import KummerLiouvilleReduction, canonical_residual, kummer_liouville
 from emdenlab.gauge import (
     EmdenProblem,
@@ -467,19 +468,21 @@ class TestReduceViaParticularSolution:
 
     @pytest.mark.parametrize("case", sorted(_REDUCTION_CASES))
     @pytest.mark.parametrize("tol", [1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-3, 1.0, 1e300])
-    def test_checks_match_the_loop_reference(self, case, tol):
+    def test_checks_match_the_loop_reference(self, case, tol, monkeypatch):
         # the generated sampler and the one check pass report what the four
         # loops they replaced report: the same message, t and priority, or
-        # the same rate agreement, bit for bit
+        # the same rate agreement, bit for bit, at the reduction's bar and
+        # at other bars
         prob, xp, dxp, ddxp, interval = _REDUCTION_CASES[case]()
+        monkeypatch.setattr(gauge, "_RATE_TOL", tol)
 
-        def outcome(reduce):
+        def outcome(reduce, **bar):
             try:
-                return reduce(prob, xp, interval, dxp=dxp, ddxp=ddxp, tol=tol)
+                return reduce(prob, xp, interval, dxp=dxp, ddxp=ddxp, **bar)
             except ReductionError as exc:
                 return str(exc)
 
-        want = outcome(_reference_reduction)
+        want = outcome(_reference_reduction, tol=tol)
         got = outcome(reduce_via_particular_solution)
         assert (got if isinstance(got, str) else got.rate_consistency.hex()) == (
             want if isinstance(want, str) else want.hex())
@@ -511,12 +514,14 @@ class TestReduceViaParticularSolution:
                 EmdenProblem(a=1e308, b=-1.0, n=5), entry.xp, (0.5, 5.0),
                 dxp=lambda t: -10.0, ddxp=entry.ddxp)
 
-    def test_a_zero_slope_is_a_slope_sign_failure(self):
+    def test_a_zero_slope_is_a_slope_sign_failure(self, monkeypatch):
+        # a bar no residual fails, so the sign check is the one that fires
+        monkeypatch.setattr(gauge, "_RATE_TOL", 1e300)
         ts = linspace(0.5, 5.0, 200)
         with pytest.raises(ReductionError, match=f"slope .* is 0 at t={ts[100]:.6g}; a negative"):
             reduce_via_particular_solution(
                 drag_problem_n5(), lambda t: 1.0, (0.5, 5.0),
-                dxp=lambda t: 0.0 if t == ts[100] else -1.0, ddxp=lambda t: 0.0, tol=1e300)
+                dxp=lambda t: 0.0 if t == ts[100] else -1.0, ddxp=lambda t: 0.0)
 
     def test_a_nan_base_is_named_in_the_evaluation_failure(self):
         with pytest.raises(ReductionError, match=r"t=0\.5: pow\(nan, 6\.0\): the base is not a real"):

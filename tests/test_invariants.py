@@ -98,7 +98,7 @@ class TestParticularSolutionInvariant:
 
     @pytest.mark.parametrize("c, m, e, n", [
         (1, 2, Fraction(-1, 2), 5),                              # lane_emden_n5
-        (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), 5),    # powerlaw_n5, no shift
+        (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), 5),    # (2t)^(-1/2) as (1/2)(t/2)^(-1/2)
         (Fraction(3, 2), -8, Fraction(1, 3), 2),                 # odd root of a negative m t
         (-2, 27, Fraction(-2, 3), 3),                            # negative coefficient
         (4, Fraction(1, 4), 2, Fraction(1, 2)),                  # half-integer n

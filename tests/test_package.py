@@ -106,7 +106,7 @@ def test_checks_set_their_own_grids_and_tolerances():
              for p in inspect.signature(fn).parameters if p in knobs}
     assert found == {"drift.samples", "canonical_residual.grid_points",
                      "verify_solution.threshold", "verify_solution.samples",
-                     "reduce_via_particular_solution.tol", "mixing_constant.level_tol"}
+                     "mixing_constant.level_tol"}
 
 
 def _builtin_calls(source: str, names: set) -> list:

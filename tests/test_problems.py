@@ -20,7 +20,7 @@ from emdenlab.exprlang import EvalDomainError, real_power
 from emdenlab.invariants import drift, invariant_from_particular_solution, rescaled_energy_invariant
 from emdenlab.numerics import IntegratorConfig, RhsError, StepEvaluationError, integrate
 from emdenlab.problems import EmdenProblem, GeneralizedProblem
-from emdenlab.solutions import catalog, powerlaw_solution
+from emdenlab.solutions import _decaying_entry, catalog
 from emdenlab.timefn import PowerFn, constant
 
 from test_numerics import _hex
@@ -319,7 +319,7 @@ def _rescaled_energy_drift(b):
 
 
 def _text_profile_invariant(shift):
-    entry = powerlaw_solution(5, shift)
+    entry = _decaying_entry("text", 5, shift, "drag", "solution", "note")
     xp = problemfile.compile_expression(entry.xp.to_source())
     return invariant_from_particular_solution(entry.problem, xp, entry.window)
 

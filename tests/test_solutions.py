@@ -28,7 +28,6 @@ from emdenlab.solutions import (
     construct_equation,
     frozen_level,
     mixing_constant,
-    powerlaw_solution,
     slope_compatible_family,
     superpose,
     verify_solution,
@@ -120,11 +119,13 @@ def _loop_slope_gap(entry):
 
 
 def _sampled_entries():
-    """The catalog, and drag equations built to order over several (n, K)."""
+    """The catalog, drag equations built to order over several (n, K), and
+    rows of the decaying branch over several (n, shift)."""
     return (list(catalog())
             + [construct_equation(n, k)[1] for n in (2, 3, 5, 7, 9, 0.5, -3)
                for k in (1.0, 2.5, -1.0)]
-            + [powerlaw_solution(n, k) for n in (2, 5, 7, 9, 0.5) for k in (1.0, 2.5)])
+            + [solutions._decaying_entry(f"decaying_n{n}", n, s, "drag", "solution", "note")
+               for n in (2, 5, 7, 9) for s in (1, Fraction(5, 2))])
 
 
 class TestSharedSampler:
@@ -161,7 +162,7 @@ class TestSharedSampler:
             calls.append((x, p))
             return real_power(x, p)
 
-        for module in (exprlang, solutions, timefn):
+        for module in (exprlang, timefn):
             monkeypatch.setattr(module, "real_power", counted)
         for entry in catalog.__wrapped__():  # built and checked afresh
             entry.residual_report()
@@ -313,7 +314,7 @@ def _pin(entry):
 
 
 # what each catalog builder hands out: the shipped catalog, then members of
-# the decaying branch at other shifts, a power law and two constructed equations
+# the decaying branch at other shifts and two constructed equations
 PINNED_ENTRIES = [
     {
         "id": "lane_emden_n5",
@@ -406,13 +407,13 @@ PINNED_ENTRIES = [
     {
         "id": "powerlaw_n5",
         "a":
-            "PowerFn(c=Fraction(-1, 1), k=Fraction(1, 1), m=Fraction(1, 2), e=Fraction(-1, 1))",
+            "PowerFn(c=Fraction(-2, 1), k=Fraction(2, 1), m=Fraction(1, 1), e=Fraction(-1, 1))",
         "xp":
-            "PowerFn(c=Fraction(1, 2), k=Fraction(1, 1), m=Fraction(1, 2), e=Fraction(-1, 2))",
+            "PowerFn(c=Fraction(1, 1), k=Fraction(4, 1), m=Fraction(2, 1), e=Fraction(-1, 2))",
         "dxp":
-            "PowerFn(c=Fraction(-1, 8), k=Fraction(1, 1), m=Fraction(1, 2), e=Fraction(-3, 2))",
+            "PowerFn(c=Fraction(-1, 1), k=Fraction(4, 1), m=Fraction(2, 1), e=Fraction(-3, 2))",
         "ddxp":
-            "PowerFn(c=Fraction(3, 32), k=Fraction(1, 1), m=Fraction(1, 2), e=Fraction(-5, 2))",
+            "PowerFn(c=Fraction(3, 1), k=Fraction(4, 1), m=Fraction(2, 1), e=Fraction(-5, 2))",
         "n": 5.0,
         "singular_points": ["-0x1.0000000000000p+1"],
         "window": (0.5, 5.0),
@@ -515,25 +516,6 @@ PINNED_ENTRIES = [
             "note: cube-root decay for the n = 7 nonlinearity"),
     },
     {
-        "id": "powerlaw_n3",
-        "a": "PowerFn(c=Fraction(-1, 1), k=2.0, m=Fraction(1, 3), e=Fraction(-1, 1))",
-        "xp": "PowerFn(c=Fraction(1, 3), k=2.0, m=Fraction(1, 3), e=Fraction(-1, 1))",
-        "dxp": "PowerFn(c=Fraction(-1, 9), k=2.0, m=Fraction(1, 3), e=Fraction(-2, 1))",
-        "ddxp": "PowerFn(c=Fraction(2, 27), k=2.0, m=Fraction(1, 3), e=Fraction(-3, 1))",
-        "n": 3.0,
-        "singular_points": ["-0x1.8000000000000p+2"],
-        "window": (-5.6, -2.0),
-        "parameters": {"n": 3.0, "shift": 2.0},
-        "describe": (
-            "id: powerlaw_n3\n"
-            "equation: x'' = -x'/(2 + (0.333333) t) - x^3\n"
-            "solution: x(t) = (1/3)*(2 + (1/3)*t)^(-1)\n"
-            "window: [-5.6, -2]\n"
-            "parameters: n = 3, shift = 2\n"
-            "slope-compatible: yes\n"
-            "note: pure power-law decay with the drag slope forced by the exponent"),
-    },
-    {
         "id": "constructed_n2",
         "a": "PowerFn(c=Fraction(5, 1), k=Fraction(-1, 1), m=Fraction(-1, 1), e=Fraction(-1, 1))",
         "xp": "PowerFn(c=Fraction(1, 1), k=Fraction(-1, 2), m=Fraction(-1, 2), e=Fraction(-2, 1))",
@@ -588,7 +570,7 @@ def test_builder_output_is_pinned():
         solutions._decaying_entry(
             "cube_root_n7", 7, Fraction(1, 2), "-5/(3 (t + 0.5)) x'",
             "3^(-1/3) (t + 0.5)^(-1/3)", "cube-root decay for the n = 7 nonlinearity"),
-        powerlaw_solution(3, 2.0), construct_equation(2, Fraction(-1, 2))[1],
+        construct_equation(2, Fraction(-1, 2))[1],
         construct_equation(9, 1)[1],
     ]
     assert [_pin(entry) for entry in entries] == PINNED_ENTRIES
@@ -672,36 +654,46 @@ class TestConstructEquation:
         assert prob2.singular_points == (6.0,)
 
 
-class TestPowerlawSolution:
-    def test_n5_coefficients_are_exact(self):
-        entry = powerlaw_solution(5, 1)
-        assert entry.xp.c == Fraction(1, 2)
-        assert entry.xp.m == Fraction(1, 2)
-        assert entry.xp.e == Fraction(-1, 2)
-        assert entry.residual_report().max_residual < 1e-13
+class TestPowerLawFamily:
+    # the catalog's rows of the decaying branch: id -> shift
+    SHIFTS = {"lane_emden_n5": 0, "inverse_square_n2": 1, "quartic_root_n9": 1,
+              "cube_root_n7": 1, "powerlaw_n5": 2}
 
-    def test_zero_shift_recovers_the_decaying_profile(self):
-        entry = powerlaw_solution(5, 0, window=(0.5, 5.0))
-        mirror = PowerFn(1, 0, 2, Fraction(-1, 2))
-        for t in (0.5, 1.0, 3.0):
-            assert entry.xp(t) == pytest.approx(mirror(t), rel=1e-15)
+    def test_catalog_profiles_mirror_the_family(self):
+        # every power-law profile of the catalog is the mirror t -> -t of
+        # slope_compatible_family(n, K), K = (n-1)/2 shift, field for field,
+        # with its exact derivatives
+        rows = [e for e in catalog() if type(e.xp) is PowerFn]
+        assert [e.id for e in rows] == list(self.SHIFTS)
+        for entry in rows:
+            n = int(entry.problem.n)
+            fam = slope_compatible_family(n, Fraction(n - 1, 2) * self.SHIFTS[entry.id])
+            assert entry.xp == PowerFn(fam.c, fam.k, -fam.m, fam.e), entry.id
+            assert entry.dxp == entry.xp.deriv(), entry.id
+            assert entry.ddxp == entry.xp.deriv().deriv(), entry.id
+            assert entry.residual_report().max_residual < 1e-13, entry.id
 
-    def test_inverse_exponent_is_linear(self):
-        entry = powerlaw_solution(-1, 2)
-        assert entry.xp(0.5) == 1.5
-        assert entry.residual_report().max_residual == 0.0
+    @pytest.mark.parametrize("n, K", [
+        (2, 1), (5, Fraction(1, 2)), (9, -1), (7, 3), (0.5, 2), (-3, 1)])
+    def test_constructed_profile_is_the_family_member(self, n, K):
+        entry = construct_equation(n, K)[1]
+        assert entry.xp == slope_compatible_family(n, K)
+        assert entry.dxp == entry.xp.deriv()
+        assert entry.ddxp == entry.xp.deriv().deriv()
 
-    def test_rejected_exponents(self):
-        with pytest.raises(ValueError, match="n = 1"):
-            powerlaw_solution(1, 1)
-        with pytest.raises(ValueError, match="n = -3"):
-            powerlaw_solution(-3, 1)
+    def test_powerlaw_n5_is_its_first_parametrisation(self):
+        # (1/2)(1 + t/2)^(-1/2) is the shift-2 row (4 + 2t)^(-1/2), under the
+        # same drag -1/(1 + t/2) = -2/(t + 2)
+        entry = catalog_entry("powerlaw_n5")
+        for t in (0.5, 1.0, 3.0, 5.0):
+            assert entry.xp(t) == pytest.approx(0.5 * (1.0 + 0.5 * t) ** -0.5, rel=1e-15)
+            assert entry.problem.a(t) == pytest.approx(-1.0 / (1.0 + 0.5 * t), rel=1e-15)
 
     def test_invariant_time_powers(self):
         # the constant of motion built on a pure power-law profile carries
         # the forced time powers 2(n+1)/(n-1) and (n+3)/(n-1)
         for n in (3, 5):
-            entry = powerlaw_solution(n, 0)
+            entry = solutions._decaying_entry(f"pure_n{n}", n, 0, "drag", "solution", "note")
             expansion = particular_invariant_expansion(entry.xp, n)
             pot_pow = Fraction(2 * (n + 1), n - 1)
             cross_pow = Fraction(n + 3, n - 1)
