@@ -386,6 +386,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

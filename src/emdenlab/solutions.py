@@ -181,7 +181,7 @@ def _drag_entry(id: str, a: PowerFn, n, singular: float, xp: TimeFn,
     compatible = derivs is None
     dxp, ddxp = (xp.deriv(), xp.deriv().deriv()) if compatible else derivs
     entry = CatalogEntry(id, prob, xp, dxp, ddxp, window, parameters, compatible,
-                         f"x'' = {drag} - x^{n:g}", solution, description)
+                         f"x'' = {drag} - x^{float(n):g}", solution, description)
     rep = entry.residual_report()
     if not rep.passed:
         raise ValueError(f"catalog entry {id!r} failed its residual check: {rep.render()}")
@@ -245,9 +245,9 @@ def construct_equation(n: float, shift=1.0) -> Tuple[EmdenProblem, CatalogEntry]
     # a representative interval on the valid side of the base's zero
     window = (root + 0.4, root + 4.0) if fn < 1 else (root - 4.0, root - 0.4)
     entry = _drag_entry(
-        f"constructed_n{n:g}", PowerFn(fn + 3, 2 * shift, 1 - fn, -1), n, root, xp, window,
+        f"constructed_n{float(n):g}", PowerFn(fn + 3, 2 * shift, 1 - fn, -1), n, root, xp, window,
         {"n": float(n), "shift": float(shift)},
-        f"({n + 3:g})/({float(2 * shift):g} + ({1 - n:g}) t) x'", xp.to_source(),
+        f"({float(n + 3):g})/({float(2 * shift):g} + ({float(1 - n):g}) t) x'", xp.to_source(),
         "drag equation built around its slope-compatible profile")
     return entry.problem, entry
 

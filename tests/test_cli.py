@@ -1,6 +1,7 @@
 """Command-line behaviour: verdict lines, exit codes, CSV determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import subprocess
@@ -731,6 +732,51 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.rstrip().splitlines()[-1] == "VERDICT: PASS failures=0"
+
+
+# emdenlab.__main__.run switches the collector off in the process that calls
+# it, so these tests call it only in child interpreters
+def run_entry(*argv, script=None):
+    """(exit code, stdout, stderr) of a child that runs the command through
+    ``emdenlab.__main__``: ``python -m emdenlab argv``, or ``script`` with
+    sys.argv set to argv."""
+    command = ["-m", "emdenlab"] if script is None else ["-c", script]
+    proc = subprocess.run([sys.executable, *command, *argv], capture_output=True, text=True,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessEntry:
+    def test_the_collector_is_off_and_frozen_at_exit(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('probe', gc.isenabled(), gc.get_freeze_count() > 0,"
+            " file=sys.stderr))\n"
+            "from emdenlab.__main__ import run\n"
+            "sys.exit(run())\n"
+        )
+        code, out, err = run_entry("catalog", script=script)
+        assert code == 0
+        assert verdict(out) == ("PASS", "entries", "6")
+        assert err == "probe False True\n"
+
+    def test_help_exits_0(self):
+        code, out, err = run_entry("--help")
+        assert code == 0
+        assert out.startswith("usage: emdenlab [-h]") and err == ""
+
+    def test_unusable_input_exits_2_with_its_message(self):
+        code, out, err = run_entry("construct", "--n", "nan")
+        assert code == 2
+        assert out == ""
+        assert err == ("usage: emdenlab construct [-h] --n N [--K K]\n"
+                       "emdenlab construct: error: argument --n: --n = 'nan' is not finite\n")
+
+    def test_main_in_process_leaves_the_collector_alone(self, capsys):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert main(["catalog"]) == 0
+        capsys.readouterr()
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 # ---------------------------------------------------------------------------

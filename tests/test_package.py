@@ -3,8 +3,13 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import emdenlab
 
@@ -16,6 +21,24 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"emdenlab.{name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], f"emdenlab.{name}.__all__ names {missing}"
+
+
+def test_both_launchers_share_one_process_entry():
+    # the installed script and `python -m emdenlab` run the same function,
+    # and importing the entry module runs no command
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(emdenlab.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["emdenlab"] == "emdenlab.__main__:run"
+    module, _, name = scripts["emdenlab"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, emdenlab.__main__; sys.stderr.write(str('emdenlab.cli' in sys.modules))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "False")
 
 
 def _unused_imports(source: str) -> list:

@@ -119,6 +119,21 @@ def test_readme_command_output_is_pinned(command, capsys, tmp_path):
     assert (sha256(out.encode("ascii")), csv) == PINNED[command]
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_prints_its_pin_as_a_process(command, tmp_path):
+    # the path a user takes: `python -m emdenlab` runs emdenlab.__main__.run,
+    # which turns the collector off and freezes it before shutdown
+    proc = subprocess.run(
+        [sys.executable, "-m", "emdenlab", *readme_argv(command, tmp_path)],
+        capture_output=True, timeout=300, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = [tmp_path / w for w in shlex.split(command) if w.endswith(".csv")]
+    csv = sha256(written[0].read_bytes()) if written else None
+    assert (sha256(proc.stdout), csv) == PINNED[command]
+
+
 def test_integrate_csv_bytes_are_pinned(capsys, tmp_path):
     # the integrator sums in a fixed order in plain floats, so these bytes
     # do not depend on the host's BLAS build

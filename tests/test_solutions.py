@@ -653,6 +653,16 @@ class TestConstructEquation:
         prob2, _ = construct_equation(2, 3)
         assert prob2.singular_points == (6.0,)
 
+    def test_an_exact_n_builds_the_entry_of_its_float(self):
+        # slope_compatible_family takes an exact n, so construct_equation does
+        exact = construct_equation(Fraction(1, 2), 2)[1]
+        rounded = construct_equation(0.5, 2)[1]
+        texts = ("id", "equation_text", "solution_text")
+        assert [getattr(exact, f) for f in texts] == [getattr(rounded, f) for f in texts]
+        assert exact.id == "constructed_n0.5"
+        assert exact.equation_text == "x'' = (3.5)/(4 + (0.5) t) x' - x^0.5"
+        assert exact.residual_report().passed and exact.slope_gap() <= 1e-12
+
 
 class TestPowerLawFamily:
     # the catalog's rows of the decaying branch: id -> shift
