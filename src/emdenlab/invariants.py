@@ -2,8 +2,8 @@
 
 Constructors build callables I(t, x, v) that stay constant along solutions
 of  x'' = a(t) x' + b(t) x^n.  Each conditional constructor first checks its
-integrability condition numerically on a grid and reports the sampled
-values on failure instead of returning a bogus invariant.  ``drift``
+integrability condition on a grid (the rescaled energy's pointwise, with no
+time integral) and reports the sampled values on failure.  ``drift``
 evaluates any invariant along an integrated trajectory and reports how
 far from constant it actually is, which is the ground truth every
 construction here is tested against.
@@ -173,10 +173,12 @@ def particular_invariant_expansion(
 class ConditionedInvariant:
     """Outcome of a construction gated by an integrability condition.
 
-    The condition function is sampled on a grid; ``constant`` is its mean
-    and ``variation`` the largest deviation from it over |mean| (inf for a
-    nonzero condition of mean 0).  When the variation exceeds the tolerance
-    no invariant is produced and the sampled values are kept for inspection.
+    The condition is sampled at ``ts``: for the dilation invariant its values,
+    with ``constant`` their mean and ``variation`` the largest deviation from
+    it over |mean| (inf for a nonzero condition of mean 0); for the rescaled
+    energy the gaps of b' = 2ab, with ``constant`` K = b(anchor) and
+    ``variation`` the largest gap.  Above the tolerance no invariant is
+    produced and the sampled values are kept for inspection.
     """
 
     passed: bool
@@ -201,13 +203,15 @@ class ConditionedInvariant:
         return "\n".join(lines)
 
 
-def _integrals_rhs(a: TimeFn, with_g: bool):
-    """A' = a(t) as (A,); with with_g, also G' = exp(A) as (A, G).  Generated
-    from the stage body that ``integrate`` inlines, as a problem's rhs is."""
+def _integrals_rhs(a: TimeFn):
+    """(A, G)' = (a(t), exp(A)), generated as a problem's rhs is."""
     src = Inliner()
     a = src.value(a, "_a")
     # math.exp itself, so an overflow is an OverflowError from exp
-    return src.rhs((a, f"{src.slot(math.exp)}(x0)") if with_g else (a,))
+    return src.rhs((a, f"{src.slot(math.exp)}(x0)"))
+
+
+_CONDITION_TOL = 1e-8  # the largest variation of a condition that passes
 
 
 def _forward(interval: Tuple[float, float]) -> Tuple[float, float]:
@@ -227,7 +231,6 @@ def _condition_report(
 ) -> ConditionedInvariant:
     """cond(t, integrals at t) sampled at 200 uniform points of interval;
     the invariant is kept when their variation is at most 1e-8."""
-    rel_tol = 1e-8
     ts = linspace(interval[0], interval[1], 200)
     vals = [cond(t, state) for t, state in zip(ts, integrals.states(ts))]
     for t, value in zip(ts, vals):
@@ -240,12 +243,12 @@ def _condition_report(
     # relative to the condition's own size, so the verdict does not depend on
     # the scale of b; about a zero mean only a zero condition passes
     variation = deviation / abs(constant) if constant else math.inf if deviation else 0.0
-    passed = variation <= rel_tol
+    passed = variation <= _CONDITION_TOL
     return ConditionedInvariant(
         passed=passed,
         constant=constant,
         variation=variation,
-        rel_tol=rel_tol,
+        rel_tol=_CONDITION_TOL,
         ts=ts,
         condition_values=vals,
         invariant=invariant if passed else None,
@@ -260,31 +263,40 @@ def rescaled_energy_invariant(
 ) -> ConditionedInvariant:
     """Exponentially rescaled energy, valid when b exp(-2 int a) is constant.
 
-    With A(t) the integral of a from the anchor, carried as an ODE component,
-
-        I = exp(-2A) (v^2/2 - b(t) x^(n+1)/(n+1))
-
-    is conserved exactly when b exp(-2A) = K.  The condition is sampled at
-    200 points of the interval, which must not start before the anchor, and
-    passes when its variation is at most 1e-8; on failure the report carries
-    the sampled values.
+    It is constant, K = b(anchor), exactly where b' = 2ab and b != 0; then
+    exp(-2 int a) = K/b, and I = K (v^2/(2b) - x^(n+1)/(n+1)) (log x at
+    n = -1), with no time integral, has total derivative
+    K v^2 (2ab - b')/(2b^2).  The condition is the gap |b' - 2ab| /
+    max(|b'|, |2ab|) (0 where both vanish; b' from b.deriv()) at 200 points
+    of the interval, which must not start before the anchor; it passes when
+    each is at most 1e-8.  It is checked where a and b are differentiable: a
+    jump of b passes it, and the drift is the backstop.  K must be finite
+    and nonzero, and b finite and of K's sign at each sample.
     """
     t_start, t_end = _forward(interval)
     if t_start < float(anchor):
         raise ValueError(f"interval ({t_start}, {t_end}) must not start before "
                          f"the anchor {anchor}")
-    a, b, n = prob.a, prob.b, prob.n
-    A = integrate(_integrals_rhs(a, with_g=False), float(anchor), (0.0,), t_end, _CHECK_CONFIG)
-    pot = _power_potential(n)
-
-    def cond(t: float, state: tuple) -> float:
-        return b(t) * math.exp(-2.0 * state[0])
-
-    def value(t: float, state: tuple, x: float, v: float) -> float:
-        return math.exp(-2.0 * state[0]) * (v * v / 2.0 - b(t) * pot(x))
-
-    invariant = Invariant(_integral_evaluator(value, A), "rescaled-energy", (t_start, t_end))
-    return _condition_report("rescaled energy", cond, A, interval, invariant)
+    a, b, pot = prob.a, prob.b, _power_potential(prob.n)
+    if not hasattr(b, "deriv"):
+        raise TypeError(f"b = {b!r} has no exact deriv(); the condition needs b'")
+    db, K = b.deriv(), b(float(anchor))
+    # nan where K is zero or not finite, so that no b has its sign
+    sign = math.copysign(1.0, K) if K and math.isfinite(K) else math.nan
+    ts, gaps = linspace(interval[0], interval[1], 200), []
+    for t in ts:
+        bt, slope = b(t), db(t)
+        balance = 2.0 * a(t) * bt
+        scale = max(abs(slope), abs(balance))
+        gaps.append(abs(slope - balance) / scale if scale else 0.0)
+        if not (0.0 < bt * sign < math.inf and math.isfinite(gaps[-1])):
+            raise InvariantDomainError(f"b = {bt!r}, gap {gaps[-1]!r} of b' = 2ab at t={t:.6g}; "
+                                       f"both must be finite, b of the sign of b(anchor) = {K!r}")
+    passed = max(gaps) <= _CONDITION_TOL
+    invariant = Invariant(lambda t, x, v: K * (v * v / (2.0 * b(t)) - pot(x)),
+                          "rescaled-energy", (t_start, t_end)) if passed else None
+    return ConditionedInvariant(passed, K, max(gaps), _CONDITION_TOL, ts, gaps, invariant,
+                                "rescaled energy")
 
 
 def dilation_invariant(
@@ -313,7 +325,7 @@ def dilation_invariant(
             f"{anchor} (the inner antiderivative vanishes there)"
         )
     a, b, n = prob.a, prob.b, prob.n
-    AG = integrate(_integrals_rhs(a, with_g=True), float(anchor), (0.0, 0.0), t_end,
+    AG = integrate(_integrals_rhs(a), float(anchor), (0.0, 0.0), t_end,
                    _CHECK_CONFIG)
     pot = _power_potential(n)
     degenerate = abs(n + 3.0) < 1e-12

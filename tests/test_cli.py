@@ -333,13 +333,52 @@ class TestInvariant:
         assert (status, key) == ("FAIL", "condition_variation")
 
     def test_rescaled_energy_condition_failure_with_a_small_b(self, capsys, tmp_path):
-        # b exp(-2A) = -1e-12 (1 + t) varies by 0.6 of its mean; the
-        # variation is relative to that mean, not to 1
+        # b' = -1e-12 against 2ab = 0: the gap is relative to the larger of
+        # the two, not to 1, so it is 1 however small b is
         spec = PLAIN_CUBIC.replace("b = -1", "b = -1e-12*(1+t)")
         code, out, _ = run(capsys, "invariant", spec_file(tmp_path, spec), "--method", "s7a")
         assert code == 1
-        assert "variation    6.000e-01" in out
-        assert verdict(out) == ("FAIL", "condition_variation", "0.6")
+        assert "variation    1.000e+00" in out
+        assert verdict(out) == ("FAIL", "condition_variation", "1")
+
+    def s7a(self, capsys, tmp_path, spec):
+        return run(capsys, "invariant", spec_file(tmp_path, spec), "--method", "s7a")
+
+    def test_rescaled_energy_refuses_a_zero_b(self, capsys, tmp_path):
+        # b' = 2ab holds at b = 0, but I = K (v^2/(2b) - ...) is undefined
+        code, out, err = self.s7a(capsys, tmp_path, PLAIN_CUBIC.replace("b = -1", "b = 0"))
+        assert code == 1
+        assert "b = 0.0, gap 0.0 of b' = 2ab at t=0.5; both must be finite" in err
+        assert verdict(out) == ("FAIL", "error", "InvariantDomainError")
+
+    def test_rescaled_energy_refuses_a_b_that_changes_sign(self, capsys, tmp_path):
+        # b = 1 up to t = 2.75 and -1 after it: the gap is 0 at every sample,
+        # and the sign guard names the first sample past the change
+        spec = PLAIN_CUBIC.replace("b = -1", "b = -abs(t-2.75)/(t-2.75)")
+        code, out, err = self.s7a(capsys, tmp_path, spec)
+        assert code == 1
+        assert "b = -1.0, gap 0.0 of b' = 2ab at t=2.76131; both must be finite, b of " \
+               "the sign of b(anchor) = 1.0" in err
+        assert verdict(out) == ("FAIL", "error", "InvariantDomainError")
+
+    def test_rescaled_energy_jump_of_b_is_caught_by_the_drift(self, capsys, tmp_path):
+        # b jumps from -1 to -2 at t = 2.75 and keeps its sign: b' = 2ab holds
+        # wherever b is differentiable, so the condition passes and the
+        # drift along the trajectory fails
+        spec = PLAIN_CUBIC.replace("b = -1", "b = -1.5 - 0.5*abs(t-2.75)/(t-2.75)")
+        code, out, _ = self.s7a(capsys, tmp_path, spec)
+        assert code == 1
+        assert "variation    0.000e+00" in out and "verdict: PASS" in out
+        assert verdict(out) == ("FAIL", "drift", "0.208223")
+
+    def test_rescaled_energy_with_an_undeclared_singular_drag_fails(self, capsys, tmp_path):
+        # a = 1/(t-2), b = (t-2)^2 meets b' = 2ab, but the window holds the
+        # pole of a and the file declares no singular point
+        spec = PLAIN_CUBIC.replace("a = 0", "a = 1/(t-2)").replace("b = -1", "b = (t-2)^2")
+        code, out, err = self.s7a(capsys, tmp_path, spec)
+        assert code == 1
+        assert "step size underflow" in err
+        assert verdict(out)[:2] == ("FAIL", "error")
 
     def test_dilation_when_condition_holds(self, capsys, tmp_path):
         code, out, _ = run(

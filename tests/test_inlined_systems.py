@@ -3,8 +3,8 @@
 ``kummer_liouville`` integrates the scale equation (gamma, gamma') and then
 (gamma, gamma', P, tau); ``canonical_residual`` integrates the canonical
 tau-run (t, x', dx'/dtau); ``verify_pushforward`` integrates the image of the
-problem under a frame change (x', v'); ``rescaled_energy_invariant``
-integrates A = int a and ``dilation_invariant`` (A, G = int exp(A)).  Each
+problem under a frame change (x', v'); ``dilation_invariant`` integrates
+(A, G) = (int a, int exp(A)), and ``rescaled_energy_invariant`` nothing.  Each
 hands ``integrate`` an ``rhs`` generated from the stage body that is written
 into the stages.  The same ``rhs`` behind a lambda takes the call path; the
 independent references are ``_old_scale``, ``_old_clock``, ``_old_tau``,
@@ -125,10 +125,8 @@ def _pushed_cases():
     ]
 
 
-def _old_integrals(a, with_g):
-    if with_g:
-        return lambda t, y: (a(t), math.exp(y[0]))
-    return lambda t, y: (a(t),)
+def _old_integrals(a):
+    return lambda t, y: (a(t), math.exp(y[0]))
 
 
 def _windows():
@@ -165,10 +163,8 @@ def _cases():
     drag, (d0, d1) = _spec("lane-emden-n5.spec")
     for name, a in (("spec", drag.a), ("powerfn", PowerFn(-2, 0, 1, -1)),
                     ("lambda", lambda t: -2.0 / t)):
-        out.append((f"A-{name}", SimpleNamespace(rhs=_integrals_rhs(a, with_g=False)),
-                    _old_integrals(a, False), d0, (0.0,), d1, _INTEGRAL_CONFIG))
-        out.append((f"AG-{name}", SimpleNamespace(rhs=_integrals_rhs(a, with_g=True)),
-                    _old_integrals(a, True), d0, (0.0, 0.0), d1, _INTEGRAL_CONFIG))
+        out.append((f"AG-{name}", SimpleNamespace(rhs=_integrals_rhs(a)),
+                    _old_integrals(a), d0, (0.0, 0.0), d1, _INTEGRAL_CONFIG))
     return out
 
 
@@ -214,16 +210,16 @@ def test_a_call_result_slope_is_converted_as_the_call_path_converts_it():
     # passes the same check as a returned component
     np = pytest.importorskip("numpy")
     a = lambda t: np.float64(-2.0) / t
-    system = SimpleNamespace(rhs=_integrals_rhs(a, with_g=True))
-    inline, called, _ = _runs(system, _old_integrals(a, True), 0.5, (0.0, 0.0), 5.0,
+    system = SimpleNamespace(rhs=_integrals_rhs(a))
+    inline, called, _ = _runs(system, _old_integrals(a), 0.5, (0.0, 0.0), 5.0,
                               _INTEGRAL_CONFIG)
     _assert_same(inline, called)
     assert {type(v) for y in inline.ys for v in y} == {float}
-    text = SimpleNamespace(rhs=_integrals_rhs(lambda t: "1.5" if t > 1.0 else 1.5, with_g=False))
+    text = SimpleNamespace(rhs=_integrals_rhs(lambda t: "1.5" if t > 1.0 else 1.5))
     raised = []
     for rhs in (text.rhs, lambda t, y: text.rhs(t, y)):
         with pytest.raises(IntegrationError, match="not a sequence of real numbers") as err:
-            integrate(rhs, 0.5, (0.0,), 5.0, _INTEGRAL_CONFIG)
+            integrate(rhs, 0.5, (0.0, 0.0), 5.0, _INTEGRAL_CONFIG)
         raised.append(err.value)
     assert str(raised[0]) == str(raised[1])
     assert raised[0].t_reached.hex() == raised[1].t_reached.hex()
@@ -245,8 +241,8 @@ def _error_parity(system, old, t0, y0, t1, cfg):
 
 def test_exp_overflow_in_G_matches_the_call_path():
     a = problemfile.compile_expression("1000")
-    err = _error_parity(SimpleNamespace(rhs=_integrals_rhs(a, with_g=True)),
-                        _old_integrals(a, True), 0.0, (0.0, 0.0), 1.0, _INTEGRAL_CONFIG)
+    err = _error_parity(SimpleNamespace(rhs=_integrals_rhs(a)),
+                        _old_integrals(a), 0.0, (0.0, 0.0), 1.0, _INTEGRAL_CONFIG)
     assert type(err.__cause__) is OverflowError
     assert 0.0 < err.t_reached < 1.0
 
@@ -298,9 +294,10 @@ def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
     entry = catalog_entry("lane_emden_n5")
     red = reduce_via_particular_solution(entry.problem, entry.xp, (0.5, 5.0), dxp=entry.dxp)
     verify_pushforward(entry.problem, red.gauge, (1.3, -0.2), (0.5, 5.0))
-    # the scale and clock runs; the problem and the tau-run; A; (A, G); the
-    # problem and its image under the reduction's frame
-    assert [n for _, n in seen] == [2, 4, 2, 3, 1, 2, 2, 2]
+    # the scale and clock runs; the problem and the tau-run; (A, G), as the
+    # rescaled energy integrates nothing; the problem and its image under the
+    # reduction's frame
+    assert [n for _, n in seen] == [2, 4, 2, 3, 2, 2, 2]
     for rhs, n in seen:
         assert numerics._problem_body(rhs, n) is not None
 

@@ -22,8 +22,8 @@ from emdenlab.invariants import (
     rescaled_energy_invariant,
 )
 from emdenlab.numerics import IntegratorConfig, integrate
-from emdenlab.problemfile import parse_spec
-from emdenlab.timefn import ExactnessError, PowerFn, constant
+from emdenlab.problemfile import compile_expression, parse_spec
+from emdenlab.timefn import ExactnessError, PowerFn, constant, linspace
 
 
 def drag_problem_n5():
@@ -152,7 +152,7 @@ class TestRescaledEnergy:
 
     def test_exponential_balance_passes(self):
         K, c = 0.7, 0.3
-        prob = EmdenProblem(a=c, b=lambda t: K * math.exp(2 * c * t), n=3)
+        prob = EmdenProblem(a=c, b=compile_expression("0.7*exp(0.6*t)"), n=3)
         rep = rescaled_energy_invariant(prob, 0.0, (0.0, 1.5))
         assert rep.passed
         assert rep.constant == pytest.approx(K, rel=1e-9)
@@ -163,23 +163,53 @@ class TestRescaledEnergy:
         rep = rescaled_energy_invariant(drag_problem_n5(), 0.5, (0.5, 3.0))
         assert not rep.passed
         assert rep.invariant is None
-        assert rep.variation > 1.0
-        # condition value is -(t/anchor)^4; frozen at the left endpoint
-        assert rep.condition_values[0] == pytest.approx(-1.0, rel=1e-9)
+        # b' = 0 against 2ab = 4/t is a whole gap at every sample
+        assert rep.variation == 1.0
+        assert rep.condition_values == [1.0] * 200
         assert "FAIL" in rep.render()
+
+    def test_condition_reads_the_gap_of_b_prime_against_2ab(self):
+        # a = -1/t, b = 1 + t: b' = 1 and 2ab = -2(1 + t)/t, whose size is
+        # above 1, so the gap is 1 + t/(2(1 + t))
+        prob = EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=compile_expression("1 + t"), n=3)
+        rep = rescaled_energy_invariant(prob, 0.5, (0.5, 5.0))
+        assert rep.constant == 1.5 and not rep.passed
+        for t, gap in zip(rep.ts, rep.condition_values):
+            assert gap == pytest.approx(1.0 + t / (2.0 * (1.0 + t)), rel=1e-14)
+        assert rep.variation == max(rep.condition_values)
+
+    def test_b_without_an_exact_derivative_is_refused(self):
+        prob = EmdenProblem(a=0.0, b=lambda t: -1.0, n=3)
+        with pytest.raises(TypeError, match="b = .* has no exact deriv"):
+            rescaled_energy_invariant(prob, 0.5, (0.5, 5.0))
+
+    @pytest.mark.parametrize("prob, anchor, window", [
+        (parse_spec("kind = emden\nn = 3\na = -1.0/t\nb = -1.07*t^(-2.0)\n"
+                    "interval = 0.5, 5\nx0 = 1.3\nv0 = -0.2\n").build_emden(), 0.5, (0.5, 5.0)),
+        (parse_spec("kind = emden\nn = -1\na = -1.0/t\nb = -0.93*t^(-2.0)\n"
+                    "interval = 0.5, 5\nx0 = 1.3\nv0 = -0.2\n").build_emden(), 0.5, (0.5, 5.0)),
+        (EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=PowerFn(-1.07, 0, 1, -2), n=3), 0.5, (0.5, 5.0)),
+        (EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=PowerFn(-0.93, 0, 1, -2), n=-1), 0.5, (0.5, 5.0)),
+        (EmdenProblem(a=0.3, b=compile_expression("0.7*exp(0.6*t)"), n=3), 0.0, (0.0, 1.5)),
+    ], ids=["text-n3", "text-n-1", "powerfn-n3", "powerfn-n-1", "exponential"])
+    def test_closed_form_matches_the_integrated_form(self, prob, anchor, window):
+        # the form the closed one replaced: A = int a from the anchor,
+        # integrated tightly, and I = exp(-2A) (v^2/2 - b x^(n+1)/(n+1))
+        rep = rescaled_energy_invariant(prob, anchor, window)
+        assert rep.passed
+        A = integrate(lambda t, y: (prob.a(t),), anchor, (0.0,), window[1],
+                      IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
+        pot = math.log if prob.n == -1 else lambda x: x ** (prob.n + 1) / (prob.n + 1)
+        for t in linspace(window[0], window[1], 7):
+            for x, v in ((0.9, -0.3), (1.4, 0.2)):
+                want = math.exp(-2.0 * A(t)[0]) * (v * v / 2.0 - prob.b(t) * pot(x))
+                assert rep.invariant(t, x, v) == pytest.approx(want, rel=1e-9), (t, x, v)
 
 
 class TestIntegralsFromTheAnchor:
     """a = -1/t from anchor t0: A = -ln(t/t0) and G = t0 ln(t/t0)."""
 
     T0 = 0.5
-
-    def test_rescaled_energy_condition_reads_exp_of_minus_two_A(self):
-        prob = EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=1.0, n=3)
-        rep = rescaled_energy_invariant(prob, self.T0, (self.T0, 5.0))
-        for t, value in zip(rep.ts, rep.condition_values):
-            A = -math.log(t / self.T0)
-            assert value == pytest.approx(math.exp(-2.0 * A), rel=1e-10)
 
     def test_dilation_condition_reads_A_and_G(self):
         # at n = -1 the condition is b exp(-2A) 2G
@@ -268,29 +298,33 @@ class TestConditionWindows:
 class TestConditionScale:
     """b -> lambda b maps the condition to lambda times itself, so its
     verdict may not depend on lambda (s7b at n = -3, where its condition is
-    b exp(-2A) as s7a's is)."""
+    b exp(-2A); s7a's gap between b' and 2ab is relative to their size)."""
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     @pytest.mark.parametrize("construct, n", [(rescaled_energy_invariant, 3),
                                               (dilation_invariant, -3)])
     def test_verdict_does_not_depend_on_the_scale_of_b(self, construct, n, scale):
         # b exp(-2A) is -scale (1 + t), which varies by 0.6 of its mean on
-        # the window, and -scale exactly, up to the integration of A
-        varying = construct(EmdenProblem(a=0.0, b=lambda t: -scale * (1.0 + t), n=n),
+        # the window, and b' = -scale is a whole gap from 2ab = 0; with
+        # b = -scale exp(0.6 t), b exp(-2A) is -scale up to the integration
+        # of A, and b' = 2ab up to rounding
+        varying = construct(EmdenProblem(a=0.0, b=compile_expression(f"-{scale!r}*(1+t)"), n=n),
                             0.0, (0.5, 5.0))
         assert not varying.passed and varying.invariant is None
-        assert varying.variation == pytest.approx(0.6, rel=1e-12)
-        constant = construct(EmdenProblem(a=0.3, b=lambda t: -scale * math.exp(0.6 * t), n=n),
-                             0.0, (0.5, 5.0))
+        want = 1.0 if construct is rescaled_energy_invariant else 0.6
+        assert varying.variation == pytest.approx(want, rel=1e-12)
+        constant = construct(EmdenProblem(a=0.3, b=compile_expression(f"-{scale!r}*exp(0.6*t)"),
+                                          n=n), 0.0, (0.5, 5.0))
         assert constant.passed and constant.variation <= 1e-8
 
     def test_zero_mean(self):
         # an identically zero condition does not vary; one that varies
-        # around a zero mean has no finite relative variation
-        zero = rescaled_energy_invariant(EmdenProblem(a=0.0, b=0.0, n=3), 0.0, (0.5, 5.0))
+        # around a zero mean has no finite relative variation (s7b at
+        # n = -3, a = 0, where the condition is b itself)
+        zero = dilation_invariant(EmdenProblem(a=0.0, b=0.0, n=-3), 0.0, (0.5, 5.0))
         assert zero.passed and zero.variation == 0.0
-        step = EmdenProblem(a=0.0, b=lambda t: 1.0 if t < 2.75 else -1.0, n=3)
-        rep = rescaled_energy_invariant(step, 0.0, (0.5, 5.0))
+        step = EmdenProblem(a=0.0, b=lambda t: 1.0 if t < 2.75 else -1.0, n=-3)
+        rep = dilation_invariant(step, 0.0, (0.5, 5.0))
         assert rep.constant == 0.0 and rep.variation == math.inf and not rep.passed
         assert "variation    inf" in rep.render()
 
@@ -310,15 +344,16 @@ class TestSumOrder:
     """Every float sum is added left to right from 0.0, which is what
     Python 3.11's sum() does, so the printed bytes are the same on 3.12+."""
 
-    # `invariant --method s7a` printed variation 1.871e-11 under 3.11 and
-    # 1.872e-11 under 3.12 while the condition's mean went through sum()
-    SPEC = ("kind = emden\nn = 3\na = -1.0/t\nb = -1.070466894066735*t^(-2.0)\n"
-            "singular_points = 0\ninterval = 0.5, 5.0\n"
-            "x0 = 1.2301698347849004\nv0 = -0.16981310539202926\n")
+    # `invariant --method s7b` prints variation 1.437e-11 with the
+    # condition's mean added left to right, and 1.436e-11 through a
+    # compensated sum (sum() on 3.12+)
+    SPEC = ("kind = emden\nn = -3\na = -1.0/t\nb = 1.71540406668595*t^(-2.0)\n"
+            "singular_points = 0\ninterval = 0.5, 5.0\nx0 = 1.3\nv0 = -0.2\n")
 
     @classmethod
     def outputs(cls):
-        cond = rescaled_energy_invariant(parse_spec(cls.SPEC).build_emden(), 0.5, (0.5, 5.0))
+        # the window that `invariant --method s7b` opens on this file
+        cond = dilation_invariant(parse_spec(cls.SPEC).build_emden(), 0.5, (0.59, 5.0))
         # six components, so the error norm and _rms have sums worth compensating
         traj = integrate(lambda t, y: [math.cos(t + i) * y[(i + 1) % 6] - 0.3 * y[i] ** 3
                                        for i in range(6)], 0.0, [0.5 + 0.1 * i for i in range(6)], 5.0)
@@ -327,7 +362,7 @@ class TestSumOrder:
 
     def test_a_compensated_sum_changes_no_output(self, monkeypatch):
         want = self.outputs()
-        assert "variation    1.871e-11" in want[0]
+        assert "variation    1.437e-11" in want[0]
         for module in (numerics, invariants):
             monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
         assert self.outputs() == want
@@ -363,11 +398,9 @@ class TestDrift:
             drift(inv, traj)
 
     @pytest.mark.parametrize("construct, prob, anchor, window, z0", [
-        (rescaled_energy_invariant, EmdenProblem(a=0.3, b=lambda t: 0.7 * math.exp(0.6 * t), n=3),
-         0.0, (0.0, 1.5), (0.3, 0.0)),
         (dilation_invariant, EmdenProblem(a=0.0, b=PowerFn(-0.5, 0, 2, -4), n=5),
          0.0, (0.5, 3.0), (1.0, -0.2)),
-    ], ids=["rescaled-energy", "dilation"])
+    ], ids=["dilation"])
     def test_grid_form_reports_as_point_reads_do(self, construct, prob, anchor, window, z0):
         inv = construct(prob, anchor, window).invariant
         point = dataclasses.replace(inv, evaluator=lambda t, x, v: inv.evaluator(t, x, v))
@@ -418,7 +451,7 @@ class TestUniversalDriftProperty:
         self.check(inv, prob.rhs, 0.5, (1.1, 0.2), 5.0)
 
     def test_rescaled_energy_construction(self):
-        prob = EmdenProblem(a=0.3, b=lambda t: 0.7 * math.exp(0.6 * t), n=3)
+        prob = EmdenProblem(a=0.3, b=compile_expression("0.7*exp(0.6*t)"), n=3)
         rep = rescaled_energy_invariant(prob, 0.0, (0.0, 1.5))
         assert rep.passed
         self.check(rep.invariant, prob.rhs, 0.0, (0.3, 0.0), 1.5)
