@@ -1,7 +1,9 @@
 """The Kummer-Liouville canonical form: a scale x = gamma(t) x' and a clock
 change bring  x'' = -p x' - q x + r x^n  to  d2x'/dtau2 = F(tau) x'^n
 (``kummer_liouville``), and ``canonical_residual`` checks it against a
-mapped trajectory of the original problem."""
+mapped trajectory of the original problem.  The reduction is one linear run,
+with no singular slope: Abel's identity reads the clock from a second scale
+solution."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Optional, Tuple
 
 from .exprlang import _power, real_power
 from .gauge import GaugeError, _sample_points
-from .numerics import _CHECK_CONFIG, integrate
+from .numerics import _CHECK_CONFIG, IntegrationError, integrate
 from .problems import GeneralizedProblem
 from .timefn import Inliner, TimeFn
 
@@ -28,7 +30,7 @@ class KummerLiouvilleReduction:
     and in the new variables  d2x'/dtau2 = coefficient x'^n.  gamma solves
     the associated linear equation; beta is fixed by the damping integral,
     normalized to 1/gamma(t0) at t0.  Every function here is a function of t
-    and reads one dense trajectory of (gamma, gamma', int p, tau).
+    and reads one dense linear run of (u, u', delta, delta', int p).
     """
 
     gamma: TimeFn
@@ -48,7 +50,7 @@ class KummerLiouvilleReduction:
             + ("  (truncated: scale function reached zero)" if self.truncated else ""),
         ]
         if not self.truncated:
-            # near a truncation point the clock integrand blows up; skip it
+            # tau grows without bound towards a zero of gamma; skip it there
             lines.append(f"  clock range  [0, {_at(self.tau, self.t_end):.6g}]")
         lines.append(f"  coefficient at start {_at(self.coefficient, self.t0):.6g}")
         return "\n".join(lines)
@@ -62,18 +64,16 @@ def _at(fn: TimeFn, t: float) -> float:
         raise GaugeError(f"evaluation failed at t={t}: {exc}") from exc
 
 
-def _scale_rhs(p: TimeFn, q: Optional[TimeFn], clock: bool):
-    """The scale equation gamma'' = -q gamma - p gamma' as (gamma, gamma');
-    with clock, also P' = p and tau' = exp(-P)/gamma^2, as (gamma, gamma',
-    P, tau).  q None means zero.  Generated from the stage body that
-    ``integrate`` inlines, as a problem's rhs is."""
+def _scale_rhs(p: TimeFn, q: Optional[TimeFn]):
+    """Two solutions of the scale equation u'' = -q u - p u' and P' = p, as
+    (u, u', delta, delta', P); q None means zero.  Generated from the stage
+    body that ``integrate`` inlines, as a problem's rhs is."""
     src = Inliner()
-    qg = None if q is None else f"-{src.value(q, '_q')} * x0"
+    q = None if q is None else src.value(q, "_q")
     p = src.value(p, "_p")
-    ddg = f"-{p} * x1" if qg is None else f"{qg} - {p} * x1"
-    # math.exp itself, so an overflow is an OverflowError from exp
-    slopes = (p, f"{src.slot(math.exp)}(-x2) / (x0 * x0)") if clock else ()
-    return src.rhs(("x1", ddg) + slopes)
+    du, dd = (f"-{p} * {dx}" if q is None else f"-{q} * {x} - {p} * {dx}"
+              for x, dx in (("x0", "x1"), ("x2", "x3")))
+    return src.rhs(("x1", du, "x3", dd, p))
 
 
 def kummer_liouville(
@@ -86,34 +86,35 @@ def kummer_liouville(
 
     The scale gamma solves gamma'' = -q gamma - p gamma' from gamma_init at
     t0; beta = exp(-P)/gamma with P = int p, and the new clock is
-    tau = int beta/gamma, so tau' = exp(-P)/gamma^2.  (gamma, gamma', P, tau)
-    are integrated as one system at the checkers' tolerances (rel 1e-12,
-    abs 1e-14) and read from its dense output.
+    tau = int beta/gamma, so tau' = exp(-P)/gamma^2.  One linear run at the
+    checkers' tolerances (rel 1e-12, abs 1e-14) carries u = gamma/gamma0
+    (unit scale for the error control), a second solution delta(t0) = 0,
+    delta'(t0) = 1, and P, kept since u delta' - u' delta cancels when both
+    grow.  That Wronskian is exp(-P) (Abel), so tau = delta/(gamma0^2 u).
 
     If gamma crosses zero inside the window the result is truncated just
-    before the crossing and flagged.  The crossing is found on the mesh of
-    the linear (gamma, gamma') run and bisected on that step's interpolant:
-    tau' blows up as gamma -> 0, so the full system cannot reach it.
+    before the crossing and flagged: the run's mesh finds the crossing, and
+    bisection on that step's interpolant places it.
     """
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
         raise ValueError("time window must run forward")
-    p = prob.p
-    q = prob.q  # None means zero
-
     g0, dg0 = float(gamma_init[0]), float(gamma_init[1])
     if g0 <= 0.0:
         raise GaugeError(f"initial scale {g0} must be positive")
+    if 1.0 / g0 / g0 == math.inf:
+        raise GaugeError(f"initial scale {g0} makes the clock slope 1/gamma0^2 infinite")
 
-    linear = integrate(_scale_rhs(p, q, clock=False), t0, (g0, dg0), t_end, _CHECK_CONFIG)
+    run = integrate(_scale_rhs(prob.p, prob.q), t0, (1.0, dg0 / g0, 0.0, 1.0, 0.0), t_end,
+                    _CHECK_CONFIG)
     truncated = False
     end = t_end
-    crossing = next((i for i, (gamma, _) in enumerate(linear.ys) if gamma <= 0.0), None)
+    crossing = next((i for i, y in enumerate(run.ys) if y[0] <= 0.0), None)
     if crossing is not None:
-        lo, hi = linear.ts[crossing - 1], linear.ts[crossing]  # crossing >= 1, since gamma(t0) > 0
+        lo, hi = run.ts[crossing - 1], run.ts[crossing]  # crossing >= 1, since u(t0) = 1
         for _ in range(80):  # bisect the crossing within that step
             mid = 0.5 * (lo + hi)
-            if linear(mid)[0] > 0.0:
+            if run(mid)[0] > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -123,51 +124,41 @@ def kummer_liouville(
                              f"the window start {t0:g} to leave a window")
         truncated = True
 
-    clock = integrate(_scale_rhs(p, q, clock=True), t0, (g0, dg0, 0.0, 0.0), end, _CHECK_CONFIG)
     # the last (t, state) read, one tuple: the tau-run reads gamma, beta and coefficient at one t
     last = [(None, None)]
 
     def traj(t):
         seen = last[0]
         if t != seen[0] or t == 0.0:  # equal nonzero numbers are one float; 0.0, -0.0 are not
-            seen = last[0] = (t, clock(t))
+            seen = last[0] = (t, run(t))
         return seen[1]
 
     def beta(t):
-        g, _, int_p, _ = traj(t)
-        return math.exp(-int_p) / g
+        u, _, _, _, int_p = traj(t)
+        return math.exp(-int_p) / (g0 * u)
 
     r, n = prob.r, prob.n
 
     def coefficient(t):
-        g, _, int_p, _ = traj(t)
-        return r(t) * real_power(g, n + 3.0) * math.exp(2.0 * int_p)
+        u, _, _, _, int_p = traj(t)
+        return r(t) * real_power(g0 * u, n + 3.0) * math.exp(2.0 * int_p)
+
+    def tau(t):
+        u, _, delta, _, _ = traj(t)
+        return delta / (g0 * g0 * u)
 
     return KummerLiouvilleReduction(
-        gamma=lambda t: traj(t)[0],
-        dgamma=lambda t: traj(t)[1],
-        beta=beta,
-        tau=lambda t: traj(t)[3],
-        coefficient=coefficient,
-        t0=t0,
-        t_end=end,
-        truncated=truncated,
-        n=prob.n,
-    )
+        gamma=lambda t: g0 * traj(t)[0], dgamma=lambda t: g0 * traj(t)[1], beta=beta, tau=tau,
+        coefficient=coefficient, t0=t0, t_end=end, truncated=truncated, n=prob.n)
 
 
-def _sup_rel_gap(pairs, ts):
-    """Largest relative gap between paired (got, want) samples at ts, and
-    where; relative to the pair's larger size, at least min(1, largest |want|)."""
+def _sup_rel_gap(pairs):
+    """Largest relative gap between paired (got, want) samples, relative to
+    the pair's larger size, at least min(1, largest |want|); 0 for two zeros."""
     pairs = list(pairs)
     floor = min(1.0, max(abs(want) for _, want in pairs))
-    worst, where = 0.0, ts[0]
-    for t, (got, want) in zip(ts, pairs):
-        scale = max(floor, abs(got), abs(want))
-        gap = abs(got - want) / scale if scale else 0.0
-        if gap > worst:
-            worst, where = gap, t
-    return worst, where
+    return max([0.0] + [abs(got - want) / (max(floor, abs(got), abs(want)) or 1.0)
+                        for got, want in pairs])
 
 
 def _tau_rhs(kl: KummerLiouvilleReduction):
@@ -199,7 +190,8 @@ def canonical_residual(
     to at least min(1, largest |x/gamma|), so at any scale of gamma; times
     uniform in tau crowd into the end of a truncated window, where x/gamma
     is ill-conditioned.  Both runs use the checkers' tolerances (rel 1e-12,
-    abs 1e-14).
+    abs 1e-14); a failure of the tau-run keeps its class and says that the
+    t it names is tau.
     """
     if grid_points < 5:
         raise ValueError(f"canonical_residual needs grid_points >= 5, got {grid_points}")
@@ -209,9 +201,11 @@ def canonical_residual(
     x0, v0 = z0
     g0 = kl.gamma(t0)
     tau_end = kl.tau(t_end)
-    canon = integrate(_tau_rhs(kl), 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)), tau_end,
-                      _CHECK_CONFIG)
+    try:
+        canon = integrate(_tau_rhs(kl), 0.0, (t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(t0)),
+                          tau_end, _CHECK_CONFIG)
+    except IntegrationError as exc:  # the same class, so the verdict names the same error
+        raise type(exc)(f"tau-run, where t is the clock tau: {exc}", exc.t_reached) from exc
     ts = _sample_points((t0, t_end), grid_points)
-    worst, _ = _sup_rel_gap(((canon(min(kl.tau(t), tau_end))[1], z[0] / kl.gamma(t))
-                             for t, z in zip(ts, orig.states(ts))), ts)
-    return worst
+    return _sup_rel_gap((canon(min(kl.tau(t), tau_end))[1], z[0] / kl.gamma(t))
+                        for t, z in zip(ts, orig.states(ts)))

@@ -267,11 +267,13 @@ def rescaled_energy_invariant(
     exp(-2 int a) = K/b, and I = K (v^2/(2b) - x^(n+1)/(n+1)) (log x at
     n = -1), with no time integral, has total derivative
     K v^2 (2ab - b')/(2b^2).  The condition is the gap |b' - 2ab| /
-    max(|b'|, |2ab|) (0 where both vanish; b' from b.deriv()) at 200 points
-    of the interval, which must not start before the anchor; it passes when
-    each is at most 1e-8.  It is checked where a and b are differentiable: a
-    jump of b passes it, and the drift is the backstop.  K must be finite
-    and nonzero, and b finite and of K's sign at each sample.
+    max(|b'|, |2ab|, |b|/(t1 - t0)) (b' from b.deriv()) at 200 points of the
+    interval [t0, t1], which must not start before the anchor; it passes
+    when each is at most 1e-8.  The floor |b|/(t1 - t0) keeps the rounding
+    noise in b' of a constant b from reading as a gap of 1.  It is checked
+    where a and b are differentiable: a jump of b passes it, and the drift
+    is the backstop.  K must be finite and nonzero, and b finite and of K's
+    sign at each sample.
     """
     t_start, t_end = _forward(interval)
     if t_start < float(anchor):
@@ -283,11 +285,11 @@ def rescaled_energy_invariant(
     db, K = b.deriv(), b(float(anchor))
     # nan where K is zero or not finite, so that no b has its sign
     sign = math.copysign(1.0, K) if K and math.isfinite(K) else math.nan
-    ts, gaps = linspace(interval[0], interval[1], 200), []
+    ts, gaps, span = linspace(interval[0], interval[1], 200), [], t_end - t_start
     for t in ts:
         bt, slope = b(t), db(t)
         balance = 2.0 * a(t) * bt
-        scale = max(abs(slope), abs(balance))
+        scale = max(abs(slope), abs(balance), abs(bt) / span)
         gaps.append(abs(slope - balance) / scale if scale else 0.0)
         if not (0.0 < bt * sign < math.inf and math.isfinite(gaps[-1])):
             raise InvariantDomainError(f"b = {bt!r}, gap {gaps[-1]!r} of b' = 2ab at t={t:.6g}; "

@@ -344,6 +344,21 @@ class TestInvariant:
     def s7a(self, capsys, tmp_path, spec):
         return run(capsys, "invariant", spec_file(tmp_path, spec), "--method", "s7a")
 
+    def test_rescaled_energy_passes_a_constant_b_with_rounding_noise(self, capsys, tmp_path):
+        # b = -1 whose derived b' is +-1.1e-16 at some samples, against 2ab = 0:
+        # the floor |b|/(t1 - t0) keeps that noise from reading as a gap of 1
+        spec = PLAIN_CUBIC.replace("b = -1", "b = -exp(0.6*t)*exp(-0.6*t)")
+        code, out, _ = self.s7a(capsys, tmp_path, spec)
+        assert code == 0
+        assert verdict(out)[:2] == ("PASS", "drift")
+
+    def test_rescaled_energy_still_refuses_a_slowly_varying_b(self, capsys, tmp_path):
+        # b = -exp(0.006 t): b' = 0.006 b against the floor b/4.5, a gap of 0.027
+        spec = PLAIN_CUBIC.replace("b = -1", "b = -exp(0.606*t)*exp(-0.6*t)")
+        code, out, _ = self.s7a(capsys, tmp_path, spec)
+        assert code == 1
+        assert verdict(out) == ("FAIL", "condition_variation", "0.027")
+
     def test_rescaled_energy_refuses_a_zero_b(self, capsys, tmp_path):
         # b' = 2ab holds at b = 0, but I = K (v^2/(2b) - ...) is undefined
         code, out, err = self.s7a(capsys, tmp_path, PLAIN_CUBIC.replace("b = -1", "b = 0"))
@@ -472,7 +487,7 @@ class TestKummerLiouville:
         )
         assert code == 1
         assert verdict(out) == ("FAIL", "error", "GaugeError")
-        assert "reaches zero at t=1000.000000001" in err
+        assert "reaches zero at t=1000.0000000009999," in err
         assert "valid on" not in out
 
     def test_a_coefficient_out_of_range_at_the_start_names_t(self, capsys, tmp_path):
@@ -498,14 +513,25 @@ class TestKummerLiouville:
         assert residuals[0] / 10 < residuals[1] < residuals[0] * 10
 
     def test_a_steep_clock_is_not_blamed_on_the_interval(self, capsys, tmp_path):
-        # gamma = 1e-100 makes the clock slope 1e200 at t0: its squares
-        # overflow in the first-step estimate, and no interval would help
+        # gamma = 1e-100 makes x' = x/gamma = 1.3e100 at the start of the
+        # tau-run, and x'^5 leaves the real range; the error names tau, not t
         code, out, err = run(capsys, "kummer-liouville", spec_file(tmp_path, DRAG_N5),
                              "--gamma-init", "1e-100,0")
         assert code == 1
-        assert verdict(out) == ("FAIL", "error", "StepSizeUnderflowError")
-        assert "at t=0.5" in err
+        assert verdict(out) == ("FAIL", "error", "RhsError")
+        assert ("error: tau-run, where t is the clock tau: right-hand side failed at t=0.0: "
+                "pow(1.3e+100, 5.0) left the real range") in err
         assert "interval length" not in err and "too long" not in err
+
+    def test_a_tau_run_underflow_says_its_t_is_tau(self, capsys, tmp_path):
+        # gamma = 1e-20 stretches the clock to tau = 4.5e39; the underflow is
+        # the tau-run's, at tau = 0, not at the window start t = 0.5
+        code, out, err = run(capsys, "kummer-liouville", spec_file(tmp_path, DRAG_N5),
+                             "--gamma-init", "1e-20,0")
+        assert code == 1
+        assert verdict(out) == ("FAIL", "error", "StepSizeUnderflowError")
+        assert "error: tau-run, where t is the clock tau: step size underflow at t=0.0 " in err
+        assert "interval length 4.5e+39" in err
 
     @pytest.mark.parametrize("grid", ["21", "81", "161"])
     def test_default_gauge_passes_at_every_grid(self, capsys, tmp_path, grid):

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 STDOUT_SHA256 = {
-    "canonical_form.py": "996b9e7874081b26836f29289f66e65b1573080194bd1376c009b6e179dfa00e",
+    "canonical_form.py": "4261dd8e908e8d75fbf41f69f2245f6ae1aa5c6d7166a9b9592da0c7e2073cd6",
     "design_your_own.py": "c73a48b3123857558eb254a57fe3ac7d991dc3cf36a49f2c5f3ada288675dc82",
     "invariant_drift.py": "0ea3148a21e27f4e0db7743a90c48a60ec27f930d6e1377583eebe575a3b854f",
     "scheme_tour.py": "f164cf37605eca4ef6b9142d6eb73acc44704719fa15a0e2a6ee9ef0b1c2fcfb",

@@ -569,10 +569,51 @@ class TestKummerLiouville:
         assert kl.gamma(kl.t_end) > 0.0
         assert "truncated" in kl.render()
 
+    def test_growing_scale_closed_form(self):
+        # gamma = cosh 2t: both scale solutions grow, so exp(-P) read as their
+        # Wronskian would cancel; tau = tanh(2t)/2, beta = 1/gamma, F = gamma^8
+        gp = GeneralizedProblem(p=0.0, q=-4.0, r=1.0, n=5)
+        kl = kummer_liouville(gp, 0.0, 10.0)
+        assert not kl.truncated
+        for t in (1.0, 5.0, 10.0):
+            c = math.cosh(2.0 * t)
+            assert kl.tau(t) == pytest.approx(math.tanh(2.0 * t) / 2.0, rel=1e-10)
+            assert kl.beta(t) == pytest.approx(1.0 / c, rel=1e-10)
+            assert kl.coefficient(t) == pytest.approx(c ** 8, rel=1e-10)
+
+    def test_oscillatory_scale_clock_is_tan(self):
+        # gamma = cos t: tau = tan t up to the truncation near pi/2
+        gp = GeneralizedProblem(p=0.0, q=1.0, r=1.0, n=3)
+        kl = kummer_liouville(gp, 0.0, 3.0)
+        for t in (0.5, 1.0, 1.5):
+            assert kl.tau(t) == pytest.approx(math.tan(t), rel=1e-10)
+
+    def test_the_clock_scales_as_the_inverse_square_of_the_scale(self):
+        gp = GeneralizedProblem(p=PowerFn(2, 0, 1, -1), q=None, r=1.0, n=5)
+        base = kummer_liouville(gp, 1.0, 5.0, gamma_init=(1.0, -1.0))
+        for scale in (1e20, 1e38):
+            kl = kummer_liouville(gp, 1.0, 5.0, gamma_init=(scale, -scale))
+            for t in (1.5, 3.0, 5.0):
+                assert kl.tau(t) * scale * scale == pytest.approx(base.tau(t), rel=1e-14)
+
+    @pytest.mark.parametrize("q, truncated", [(None, False), (1.0, True)])
+    def test_one_integration_per_reduction(self, monkeypatch, q, truncated):
+        from emdenlab import canonical
+
+        calls, real = [], canonical.integrate
+        monkeypatch.setattr(canonical, "integrate",
+                            lambda *args: calls.append(args) or real(*args))
+        kl = kummer_liouville(GeneralizedProblem(p=0.0, q=q, r=1.0, n=3), 0.0, 3.0)
+        assert kl.truncated == truncated
+        assert len(calls) == 1
+
     def test_bad_initial_scale_rejected(self):
         gp = GeneralizedProblem(p=0.0, q=None, r=1.0, n=5)
         with pytest.raises(GaugeError, match="positive"):
             kummer_liouville(gp, 0.0, 2.0, gamma_init=(0.0, 1.0))
+        # 1/gamma0^2 = 1e320 is no float: tau = delta/(gamma0^2 u) would be inf
+        with pytest.raises(GaugeError, match="initial scale 1e-160 makes the clock slope"):
+            kummer_liouville(gp, 0.0, 2.0, gamma_init=(1e-160, 0.0))
         with pytest.raises(ValueError, match="forward"):
             kummer_liouville(gp, 2.0, 2.0)
 

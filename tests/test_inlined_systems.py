@@ -1,14 +1,14 @@
 """The time-integral systems inlined into the generated step.
 
-``kummer_liouville`` integrates the scale equation (gamma, gamma') and then
-(gamma, gamma', P, tau); ``canonical_residual`` integrates the canonical
+``kummer_liouville`` integrates two solutions of the scale equation and the
+damping integral, (u, u', delta, delta', P); ``canonical_residual`` integrates the canonical
 tau-run (t, x', dx'/dtau); ``verify_pushforward`` integrates the image of the
 problem under a frame change (x', v'); ``dilation_invariant`` integrates
 (A, G) = (int a, int exp(A)), and ``rescaled_energy_invariant`` nothing.  Each
 hands ``integrate`` an ``rhs`` generated from the stage body that is written
 into the stages.  The same ``rhs`` behind a lambda takes the call path; the
-independent references are ``_old_scale``, ``_old_clock``, ``_old_tau``,
-``_old_pushed`` and ``_old_integrals``, the closures these systems replaced.
+independent references are ``_old_scale``, ``_old_tau``, ``_old_pushed``
+and ``_old_integrals``, closures of the same formulas written by hand.
 All three runs must give the same mesh, states, dense rows, step counts and
 errors, bit for bit.
 """
@@ -43,18 +43,15 @@ def _spec(name_or_text):
 
 
 def _old_scale(p, q):
-    """The scale equation as kummer_liouville spelled it before."""
-    if q is None:
-        return lambda t, y: (y[1], -p(t) * y[1])
-    return lambda t, y: (y[1], -q(t) * y[0] - p(t) * y[1])
-
-
-def _old_clock(p, q):
-    lin = _old_scale(p, q)
+    """kummer_liouville's (u, u', delta, delta', P) as a closure."""
 
     def rhs(t, y):
-        dg, ddg = lin(t, y)
-        return (dg, ddg, p(t), math.exp(-y[2]) / (y[0] * y[0]))
+        u, du, delta, ddelta, _ = y
+        if q is None:
+            pt = p(t)
+            return (du, -pt * du, ddelta, -pt * ddelta, pt)
+        qt, pt = q(t), p(t)
+        return (du, -qt * u - pt * du, ddelta, -qt * delta - pt * ddelta, pt)
 
     return rhs
 
@@ -73,8 +70,8 @@ def _old_tau(kl):
 def _tau_case(kl, z0):
     """(system, t0, y0, t1) of the tau-run that canonical_residual makes from
     z0.  A truncated window's run stops at tau(t) for t in mid-window: near
-    its end tau' = exp(-P)/gamma^2 grows without bound, so a backward run
-    from there would not get back."""
+    its end tau grows without bound, so a backward run from there would not
+    get back."""
     x0, v0 = z0
     g0 = kl.gamma(kl.t0)
     y0 = (kl.t0, x0 / g0, v0 * g0 - x0 * kl.dgamma(kl.t0))
@@ -146,15 +143,13 @@ def _windows():
 def _cases():
     """(id, system, the closure it replaced, t0, y0, t1, config)."""
     out = []
-    # the clock runs to where kummer_liouville ends it, before any zero of gamma
-    for name, prob, start, truncated in _windows():
+    # the scale run covers the whole window, past any zero of gamma
+    for name, prob, (g0, dg0), truncated in _windows():
         p, q = prob.p, prob.q
-        kl = kummer_liouville(prob, 1.0, 5.0, gamma_init=start)
+        kl = kummer_liouville(prob, 1.0, 5.0, gamma_init=(g0, dg0))
         assert kl.truncated == truncated
-        out.append((f"scale-{name}", SimpleNamespace(rhs=_scale_rhs(p, q, clock=False)),
-                    _old_scale(p, q), 1.0, start, 5.0, KL_CONFIG))
-        out.append((f"clock-{name}", SimpleNamespace(rhs=_scale_rhs(p, q, clock=True)),
-                    _old_clock(p, q), 1.0, start + (0.0, 0.0), kl.t_end, KL_CONFIG))
+        out.append((f"scale-{name}", SimpleNamespace(rhs=_scale_rhs(p, q)), _old_scale(p, q),
+                    1.0, (1.0, dg0 / g0, 0.0, 1.0, 0.0), 5.0, KL_CONFIG))
         tau, s0, y0, s1 = _tau_case(kl, (0.3, 0.0))
         out.append((f"tau-{name}", tau, _old_tau(kl), s0, y0, s1, KL_CONFIG))
     for name, prob, g, z0, (p0, p1) in _pushed_cases():
@@ -260,16 +255,6 @@ def test_a_frame_function_leaving_its_domain_stops_the_image_as_the_call_path_do
     assert 0.5 < err.t_reached < 3.0
 
 
-def test_scale_reaching_zero_in_the_clock_slope_matches_the_call_path():
-    # gamma'' = 0 from (1, -1): a first step of 5 puts the first stage at
-    # gamma = 1 + 5 * (0.2 * -1) = 0, where tau' divides by gamma^2
-    p = problemfile.compile_expression("0")
-    err = _error_parity(SimpleNamespace(rhs=_scale_rhs(p, None, clock=True)), _old_clock(p, None),
-                        0.0, (1.0, -1.0, 0.0, 0.0), 10.0, IntegratorConfig(first_step=5.0))
-    assert type(err.__cause__) is ZeroDivisionError
-    assert err.t_reached == 0.0
-
-
 def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
     seen = []
 
@@ -294,10 +279,10 @@ def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
     entry = catalog_entry("lane_emden_n5")
     red = reduce_via_particular_solution(entry.problem, entry.xp, (0.5, 5.0), dxp=entry.dxp)
     verify_pushforward(entry.problem, red.gauge, (1.3, -0.2), (0.5, 5.0))
-    # the scale and clock runs; the problem and the tau-run; (A, G), as the
-    # rescaled energy integrates nothing; the problem and its image under the
+    # the scale run; the problem and the tau-run; (A, G), as the rescaled
+    # energy integrates nothing; the problem and its image under the
     # reduction's frame
-    assert [n for _, n in seen] == [2, 4, 2, 3, 2, 2, 2]
+    assert [n for _, n in seen] == [5, 2, 3, 2, 2, 2]
     for rhs, n in seen:
         assert numerics._problem_body(rhs, n) is not None
 
@@ -355,7 +340,7 @@ def test_a_coefficient_that_returns_no_real_is_refused_at_tau_as_on_the_call_pat
 
 
 def test_the_reduction_reads_its_clock_run_once_per_t(monkeypatch):
-    # the five functions at one t read the (gamma, gamma', P, tau) run once;
+    # the five functions at one t read the (u, u', delta, delta', P) run once;
     # another t reads it again, and so does every read at 0.0 or -0.0
     prob = GeneralizedProblem(0.5, None, 1.0, 5)
     kl, other = (kummer_liouville(prob, 0.0, 1.0, gamma_init=(1.0, -0.5)) for _ in range(2))

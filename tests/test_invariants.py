@@ -178,6 +178,24 @@ class TestRescaledEnergy:
             assert gap == pytest.approx(1.0 + t / (2.0 * (1.0 + t)), rel=1e-14)
         assert rep.variation == max(rep.condition_values)
 
+    @pytest.mark.parametrize("prob", [
+        EmdenProblem(a=0.0, b=-1.0, n=3),
+        EmdenProblem(a=PowerFn(-1, 0, 1, -1), b=PowerFn(-1.07, 0, 1, -2), n=3),
+        parse_spec("kind = emden\nn = 3\na = -1.0/t\nb = -0.93*t^(-2.0)\n"
+                   "interval = 0.5, 5\nx0 = 1.3\nv0 = -0.2\n").build_emden(),
+    ], ids=["plain", "powerfn", "text"])
+    def test_the_floor_does_not_bind_on_the_readme_and_benchmark_problems(self, prob):
+        # b' = 0 = 2ab, or |b'| = |2ab| = 2|b|/t above |b|/4.5 on [0.5, 5]: each
+        # gap is the one taken without the floor, bit for bit
+        rep = rescaled_energy_invariant(prob, 0.5, (0.5, 5.0))
+        assert rep.passed
+        db = prob.b.deriv()
+        for t, gap in zip(rep.ts, rep.condition_values):
+            slope, balance = db(t), 2.0 * prob.a(t) * prob.b(t)
+            scale = max(abs(slope), abs(balance))
+            assert scale == 0.0 or scale > abs(prob.b(t)) / 4.5
+            assert gap == (abs(slope - balance) / scale if scale else 0.0)
+
     def test_b_without_an_exact_derivative_is_refused(self):
         prob = EmdenProblem(a=0.0, b=lambda t: -1.0, n=3)
         with pytest.raises(TypeError, match="b = .* has no exact deriv"):

@@ -89,9 +89,9 @@ PINNED = {
     "emdenlab invariant cube.spec --method s7b": (
         "84adef2c7e3b728d1128c39e344060948c638015b84d2ea06b815f16e07abbb8", None),
     "emdenlab kummer-liouville lane-emden-n5.spec": (
-        "0764d638afe30ad113e94ca9e67bb5a78bbec3284d04f6816dda38ffd57ea85e", None),
+        "8b00de0ce6b6516ba561bdc8cf8b84660c8a74d82f0dc2f6f402dcfe6820e3f6", None),
     "emdenlab kummer-liouville damped.spec --gamma-init 1,-1": (
-        "dd9ba2cda30a83eb51ae0090bbdfdd94755b76ef441933afe0d385795da54bd8", None),
+        "cb6f3407012bb3af3623ade8bf23336c5ab6f1d137788ef3d870bfadb76d2a3e", None),
     "emdenlab reduce lane-emden-n5.spec --solution '(2*t)^(-1/2)'": (
         "09a007c14600730d2ad502e3281ae1a45122e4000b04f68724908787476ce766", None),
     "emdenlab superpose --x1 '(1+t^2/3)^(-1/2)' --K 2 0.1,5": (
