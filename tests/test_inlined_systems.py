@@ -128,7 +128,9 @@ def _old_integrals(a):
 
 def _windows():
     """(name, problem, gamma_init, truncated) of the Kummer-Liouville windows
-    on [1, 5]; the README's damped.spec --gamma-init 1,-1 has gamma = 1/t."""
+    on [1, 5]; the README's damped.spec --gamma-init 1,-1 has gamma = 1/t, and
+    "growing" has gamma = cosh 2(t - 1), whose two scale solutions both grow
+    (r = -1, so that the canonical run oscillates where F = -gamma^8 is large)."""
     damped, _ = _spec("damped.spec")
     with_q, _ = _spec(WITH_Q)
     return [
@@ -137,6 +139,7 @@ def _windows():
         ("damped-truncated", damped, (1.0, -2.0), True),
         ("with-q", with_q, (1.0, 0.2), True),
         ("powerfn", GeneralizedProblem(PowerFn(2, 0, 1, -1), None, 1.0, 5), (1.0, 0.3), False),
+        ("growing", GeneralizedProblem(0.0, -4.0, -1.0, 5), (1.0, 0.0), False),
     ]
 
 
@@ -253,6 +256,17 @@ def test_a_frame_function_leaving_its_domain_stops_the_image_as_the_call_path_do
                         0.5, z0, 4.0, IntegratorConfig())
     assert "sqrt" in str(err.__cause__)
     assert 0.5 < err.t_reached < 3.0
+
+
+def test_a_damping_leaving_its_domain_stops_the_scale_run_as_the_call_path_does():
+    # p = sqrt(3 - t) is not real past t = 3, inside [1, 5]; P' = p reuses
+    # the stage's p value, so the scale run fails where the closure fails
+    p = problemfile.compile_expression("sqrt(3 - t)")
+    q = problemfile.compile_expression("1")
+    err = _error_parity(SimpleNamespace(rhs=_scale_rhs(p, q)), _old_scale(p, q),
+                        1.0, (1.0, -0.5, 0.0, 1.0, 0.0), 5.0, KL_CONFIG)
+    assert "sqrt" in str(err.__cause__)
+    assert 1.0 < err.t_reached < 3.0
 
 
 def test_the_constructors_hand_integrate_an_inlined_rhs(monkeypatch):
